@@ -27,7 +27,6 @@ from .graph_adaptation import (
     feature_gd_step,
     finalize_structure,
     knn_positives,
-    label_negatives,
     loss_graph as _loss_graph,
     masked_adjacency_on_tape,
     pgd_step_structure,
@@ -252,8 +251,6 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             pred = np.argmax(fo.predictions.a, axis=1)
             report.accuracy_trace.append(evaluate_accuracy(pred, g.labels))
 
-        assert deltas.delta_a.sum() <= budget + 1e-6
-
         delta_m = _trace_delta(prev[0], loss_m)
         delta_g = _trace_delta(prev[1], loss_g)
         prev = (loss_m, loss_g)
@@ -293,13 +290,12 @@ def _trace_delta(before, after) -> float:
 def _graph_loss_on_tape(p, z, banks, cfg: AdaptConfig):
     conf = select_confident(p.value, cfg.confidence_threshold)
     positives = knn_positives(z.value, banks, cfg.k_neighbors)
-    negatives = label_negatives(p.value, banks, positives)
     return _loss_graph(
         p,
         z,
         banks,
         conf,
-        ContrastSets(positives, negatives),
+        ContrastSets(positives),
         cfg.positive_weight,
         cfg.negative_weight,
     )

@@ -295,10 +295,21 @@ def load_checkpoint(path) -> GnnModel:
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ContractError(f"{path}: not a model checkpoint")
+    offset = 4 + 20
+    if len(blob) < offset:
+        raise ContractError(f"{path}: truncated checkpoint header")
     version, L, d, h, num_classes = struct.unpack_from("<5I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ContractError(f"{path}: unsupported checkpoint version {version}")
-    offset = 4 + 20
+    if L < 1:
+        raise ContractError(f"{path}: checkpoint declares {L} layers")
+    expected = offset + 8 * (d * h + (L - 1) * h * h + h * num_classes + num_classes)
+    if len(blob) < expected:
+        raise ContractError(
+            f"{path}: truncated checkpoint ({len(blob)} of {expected} bytes)"
+        )
+    if len(blob) > expected:
+        raise ContractError(f"{path}: trailing bytes in checkpoint")
     shapes = [(d, h)] + [(h, h)] * (L - 1) + [(h, num_classes), (1, num_classes)]
     arrays = []
     for shape in shapes:
@@ -306,6 +317,4 @@ def load_checkpoint(path) -> GnnModel:
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
         arrays.append(arr.astype(np.float64))
         offset += count * 8
-    if offset != len(blob):
-        raise ContractError(f"{path}: trailing bytes in checkpoint")
     return GnnModel(arrays[:-2], arrays[-2], arrays[-1])

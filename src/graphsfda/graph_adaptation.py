@@ -13,6 +13,14 @@ high-confidence nodes plus a neighborhood contrast that pulls each node
 toward its nearest bank entries and pushes it from differently-labelled
 ones. Bank rows are frozen constants; gradients flow only through the live
 forward pass.
+
+Neither the contrast nor its selection builds an n x n array. The nearest
+bank entries come from row blocks of the similarity matrix, so the kNN
+holds KNN_BLOCK_ROWS x n values at a time. The negative sum over every
+differently-labelled bank row collapses onto per-class sums of the
+normalized bank rows, so the contrast is one product of the normalized live
+representations with a constant n x h weight (see `_contrast_weights`).
+Memory is linear in n; the kNN is the only O(n^2 h) time.
 """
 
 from __future__ import annotations
@@ -32,16 +40,17 @@ from .numerics import (
     gather_rows,
     l2_normalize_rows,
     log_clamped,
-    matmul,
     mean_all,
     mul,
-    mul_scalar,
     neg,
     pow_scalar,
     segment_sum,
     select_cols,
     sum_all,
 )
+
+# rows of the similarity matrix the kNN holds at once (KNN_BLOCK_ROWS x n)
+KNN_BLOCK_ROWS = 128
 
 __all__ = [
     "AdaptationDeltas",
@@ -104,13 +113,14 @@ class ConfidentSet:
 
 
 class ContrastSets:
-    """Per-node positive (top-K bank) and negative (label-mismatch) indices."""
+    """Per-node positive (top-K bank) indices. The negatives are implied:
+    every bank row whose banked argmax differs from the node's live argmax,
+    minus the node's positives (`label_negatives` lists them)."""
 
-    __slots__ = ("positives", "negatives")
+    __slots__ = ("positives",)
 
-    def __init__(self, positives: np.ndarray, negatives: list):
-        self.positives = positives
-        self.negatives = negatives
+    def __init__(self, positives: np.ndarray):
+        self.positives = np.asarray(positives, dtype=np.int64)
 
 
 def apply_feature_delta(x, deltas):
@@ -169,20 +179,30 @@ def select_confident(p, threshold: float) -> ConfidentSet:
 
 def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
     """Top-k cosine-similar bank rows per node, self excluded, ties to the
-    lower index."""
+    lower index.
+
+    Works through KNN_BLOCK_ROWS rows of the similarity matrix at a time:
+    a partition finds each row's k-th largest similarity, and only the
+    entries at or above it are ordered, by (-similarity, index). That is
+    the order of a stable descending sort of the whole row."""
     zv = z.a if isinstance(z, DenseMatrix) else np.asarray(z, dtype=np.float64)
     n = banks.n
     if not (1 <= k < n):
         raise ContractError(f"k must lie in [1, {n}), got {k}")
-    sims = _cosine_matrix(zv, banks.repr_bank)
-    np.fill_diagonal(sims, -np.inf)
-    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
-
-
-def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    an = _safe_normalize(a)
-    bn = _safe_normalize(b)
-    return an @ bn.T
+    an = _safe_normalize(zv)
+    bnt = _safe_normalize(banks.repr_bank).T.copy()
+    out = np.empty((an.shape[0], k), dtype=np.int64)
+    for start in range(0, an.shape[0], KNN_BLOCK_ROWS):
+        sims = an[start : start + KNN_BLOCK_ROWS] @ bnt
+        own = np.arange(start, min(start + sims.shape[0], n))
+        sims[own - start, own] = -np.inf
+        kth = np.partition(sims, n - k, axis=1)[:, n - k]
+        flat = np.flatnonzero(sims >= kth[:, None])  # row-major: rows come sorted
+        rows, cols = np.divmod(flat, n)
+        order = np.lexsort((cols, -sims.ravel()[flat], rows))
+        first = np.searchsorted(rows, np.arange(sims.shape[0]))
+        out[start : start + sims.shape[0]] = cols[order][first[:, None] + np.arange(k)]
+    return out
 
 
 def _safe_normalize(x: np.ndarray) -> np.ndarray:
@@ -192,7 +212,10 @@ def _safe_normalize(x: np.ndarray) -> np.ndarray:
 
 def label_negatives(p, banks: MemoryBanks, positives: np.ndarray) -> list:
     """Bank indices whose banked argmax disagrees with the node's own live
-    argmax, minus that node's positives."""
+    argmax, minus that node's positives.
+
+    One array per node, built in a Python loop: this spells out the
+    negative set for tests; `loss_graph` never enumerates it."""
     pv = p.a if isinstance(p, DenseMatrix) else np.asarray(p, dtype=np.float64)
     own = np.argmax(pv, axis=1)
     banked = np.argmax(banks.pred_bank, axis=1)
@@ -203,11 +226,28 @@ def label_negatives(p, banks: MemoryBanks, positives: np.ndarray) -> list:
     return out
 
 
-def _pair_mask(shape: tuple, per_node_indices) -> np.ndarray:
-    mask = np.zeros(shape)
-    for i, idx in enumerate(per_node_indices):
-        mask[i, np.asarray(idx, dtype=np.int64)] = 1.0
-    return mask
+def _contrast_weights(
+    p: np.ndarray, banks: MemoryBanks, positives: np.ndarray, alpha: float, beta: float
+) -> np.ndarray:
+    """Constant weight W with contrast = sum_i normalize(z_i) . W_i.
+
+    With b_j the normalized bank rows, own(i) the live argmax of p_i,
+    banked(j) the argmax of the banked prediction, S_c the sum of b_j over
+    banked(j) = c and T the sum of all S_c:
+
+        W_i = beta (T - S_own(i)) - sum_{j in pos(i)} (alpha + beta [banked(j) != own(i)]) b_j
+
+    which equals -alpha times the positive cosines plus beta times the
+    cosines over `label_negatives`, summed, without listing a negative."""
+    bn = _safe_normalize(banks.repr_bank)
+    own = np.argmax(p, axis=1)
+    banked = np.argmax(banks.pred_bank, axis=1)
+    class_sums = np.zeros((max(p.shape[1], banks.pred_bank.shape[1]), bn.shape[1]))
+    np.add.at(class_sums, banked, bn)
+    coef = alpha + beta * (banked[positives] != own[:, None])
+    return beta * (class_sums.sum(axis=0) - class_sums[own]) - np.einsum(
+        "ik,ikh->ih", coef, bn[positives]
+    )
 
 
 def loss_graph(
@@ -223,7 +263,10 @@ def loss_graph(
 
     The contrast terms are raw cosine sums against frozen bank rows: the
     positive sum is subtracted (weight alpha), the negative sum added
-    (weight beta). An empty confident set contributes zero cross-entropy.
+    (weight beta). Both are recorded as one product of the normalized live
+    representations with the constant `_contrast_weights`. The negatives
+    depend on p only through its argmax, which carries no gradient. An
+    empty confident set contributes zero cross-entropy.
     """
     if alpha < 0 or beta < 0:
         raise ContractError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
@@ -243,12 +286,12 @@ def loss_graph(
 
 
 def _loss_graph_t(p, z, banks, conf, sets, alpha, beta) -> Tensor:
-    shape = (z.value.shape[0], banks.n)
-    zn = l2_normalize_rows(z)
-    bank_sims = matmul(zn, _safe_normalize(banks.repr_bank).T.copy())
-    pos_sum = sum_all(mul(bank_sims, _pair_mask(shape, sets.positives)))
-    neg_sum = sum_all(mul(bank_sims, _pair_mask(shape, sets.negatives)))
-    total = add(mul_scalar(pos_sum, -alpha), mul_scalar(neg_sum, beta))
+    if isinstance(p, Tensor):
+        pv = p.value
+    else:
+        pv = p.a if isinstance(p, DenseMatrix) else np.asarray(p, dtype=np.float64)
+    weights = _contrast_weights(pv, banks, sets.positives, alpha, beta)
+    total = sum_all(mul(l2_normalize_rows(z), weights))
     if len(conf):
         picked = select_cols(gather_rows(p, conf.node_ids), conf.labels)
         ce = neg(mean_all(log_clamped(picked)))

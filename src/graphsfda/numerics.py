@@ -14,6 +14,8 @@ ground truth for every composite loss built on top of this module.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .errors import ContractError, NumericalError, ShapeError
@@ -174,15 +176,27 @@ class SparseAdjacency:
 
 
 class Tensor:
-    """A value recorded on a tape. `grad` is populated by `backward`."""
+    """A value recorded on a tape. `grad` is populated by `backward`.
 
-    __slots__ = ("tape", "index", "value", "grad")
+    A tensor refers to its tape weakly: the tape owns its nodes, so a tape
+    nobody holds is freed at once with every value recorded on it, not at
+    the next cyclic garbage collection. Tensors kept past that point still
+    carry their value and gradient, but nothing more can be recorded from
+    them.
+    """
+
+    __slots__ = ("_tape", "index", "value", "grad")
 
     def __init__(self, tape: "Tape", index: int, value: np.ndarray):
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.index = index
         self.value = value
         self.grad = None
+
+    @property
+    def tape(self) -> "Tape | None":
+        """The tape this tensor was recorded on, or None once it is freed."""
+        return self._tape()
 
     @property
     def shape(self) -> tuple:
@@ -302,6 +316,8 @@ def _tensor_operands(*xs):
     if not tensors:
         return None
     tape = tensors[0].tape
+    if tape is None:
+        raise ContractError("operand's tape has been freed")
     for t in tensors[1:]:
         if t.tape is not tape:
             raise ContractError("operands recorded on different tapes")

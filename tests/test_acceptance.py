@@ -19,7 +19,6 @@ from graphsfda.graph_adaptation import (
     apply_structure_delta,
     finalize_structure,
     knn_positives,
-    label_negatives,
     loss_graph,
     masked_adjacency_on_tape,
     project_budget,
@@ -75,7 +74,7 @@ def test_criterion_1_gradient_fidelity():
         protos = compute_prototypes(pl, banks)
         conf = select_confident(fo.predictions, 0.5)
         positives = knn_positives(fo.representations, banks, 5)
-        sets = ContrastSets(positives, label_negatives(fo.predictions, banks, positives))
+        sets = ContrastSets(positives)
         params = model.parameters()
 
         def model_loss(z, p):

@@ -127,6 +127,18 @@ class TestAdapt:
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         assert run(capsys, "adapt", "--config", str(tmp_path / "c.json"))[0] == 4
 
+    @pytest.mark.parametrize("keep", [10, 24, -8, -1], ids=["in-header", "header-only",
+                                                          "one-weight-short", "one-byte-short"])
+    def test_truncated_checkpoint_exit_4(self, workspace, capsys, tmp_path, keep):
+        blob = (workspace / "model.ckpt").read_bytes()
+        (tmp_path / "cut.ckpt").write_bytes(blob[:keep])
+        cfg = json.loads((workspace / "run.json").read_text())
+        cfg["checkpoint"] = str(tmp_path / "cut.ckpt")
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "adapt", "--config", str(tmp_path / "c.json"))
+        assert code == 4
+        assert "truncated" in err
+
 
 class TestEval:
     def test_adapted_on_refined_matches_report(self, workspace, capsys):

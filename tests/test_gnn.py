@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,23 @@ class TestCheckpoint:
         save_checkpoint(m, tmp_path / "a.ckpt")
         save_checkpoint(m, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_truncated_rejected(self, tmp_path):
+        save_checkpoint(init_model(6, 4, 3, 2, seed=11), tmp_path / "m.ckpt")
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        for keep in (6, 24, len(blob) - 8):
+            (tmp_path / "cut.ckpt").write_bytes(blob[:keep])
+            with pytest.raises(ContractError, match="truncated"):
+                load_checkpoint(tmp_path / "cut.ckpt")
+
+    @pytest.mark.parametrize("layers", [0, 2**31])
+    def test_bad_layer_count_rejected(self, tmp_path, layers):
+        save_checkpoint(init_model(6, 4, 3, 1, seed=11), tmp_path / "m.ckpt")
+        blob = bytearray((tmp_path / "m.ckpt").read_bytes())
+        struct.pack_into("<I", blob, 8, layers)  # the word after the version
+        (tmp_path / "bad.ckpt").write_bytes(bytes(blob))
+        with pytest.raises(ContractError):
+            load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_magic_enforced(self, tmp_path):
         (tmp_path / "junk.ckpt").write_bytes(b"NOPE" + b"\0" * 40)

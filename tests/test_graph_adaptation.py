@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from graphsfda import graph_adaptation
 from graphsfda.banks import MemoryBanks
 from graphsfda.errors import ContractError
 from graphsfda.gnn import forward, forward_on_tape, init_model
@@ -21,7 +24,24 @@ from graphsfda.graph_adaptation import (
     select_confident,
 )
 from graphsfda.graph_store import AdjacencyLayout, TargetGraph, normalize_adjacency
-from graphsfda.numerics import DenseMatrix, Tape, grad_check
+from graphsfda.numerics import (
+    DenseMatrix,
+    Tape,
+    add,
+    backward,
+    gather_rows,
+    grad_check,
+    l2_normalize_rows,
+    log_clamped,
+    matmul,
+    mean_all,
+    mul,
+    mul_scalar,
+    neg,
+    row_softmax,
+    select_cols,
+    sum_all,
+)
 
 from conftest import random_graph
 
@@ -47,6 +67,49 @@ def grid_project_oracle(v, budget, step=1e-6):
     sums = np.clip(v[None, :] - fine[:, None], 0.0, 1.0).sum(axis=1)
     gamma = fine[int(np.argmin(np.abs(sums - budget)))]
     return np.clip(v - gamma, 0.0, 1.0)
+
+
+def unit_rows(x):
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms < 1e-12, 1.0, norms)
+
+
+def argsort_knn_oracle(z, banks, k):
+    """Stable descending sort of the whole n x n similarity matrix."""
+    sims = unit_rows(z) @ unit_rows(banks.repr_bank).T
+    np.fill_diagonal(sims, -np.inf)
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
+
+
+def tie_heavy_rows(rng, n, h=6):
+    """Rows with four entries of +-1 and the rest 0: they normalize to +-0.5
+    exactly, so every cosine is exact whatever the product's summation
+    order, and many of them tie."""
+    signs = rng.choice([-1.0, 1.0], size=(n, h))
+    support = np.argsort(rng.random((n, h)), axis=1) < 4
+    return signs * support
+
+
+def pair_mask(shape, per_node_indices):
+    mask = np.zeros(shape)
+    for i, idx in enumerate(per_node_indices):
+        mask[i, np.asarray(idx, dtype=np.int64)] = 1.0
+    return mask
+
+
+def dense_loss_graph_oracle(p, z, banks, conf, positives, alpha, beta):
+    """The graph loss as written: cosine matrix times 0/1 pair masks, with
+    the negatives enumerated by `label_negatives`."""
+    shape = (z.value.shape[0], banks.n)
+    negatives = label_negatives(p.value, banks, positives)
+    sims = matmul(l2_normalize_rows(z), unit_rows(banks.repr_bank).T.copy())
+    pos_sum = sum_all(mul(sims, pair_mask(shape, positives)))
+    neg_sum = sum_all(mul(sims, pair_mask(shape, negatives)))
+    total = add(mul_scalar(pos_sum, -alpha), mul_scalar(neg_sum, beta))
+    if len(conf):
+        picked = select_cols(gather_rows(p, conf.node_ids), conf.labels)
+        total = add(neg(mean_all(log_clamped(picked))), total)
+    return total
 
 
 class TestDeltas:
@@ -143,6 +206,32 @@ class TestKnnPositives:
         for i in range(n):
             assert i not in out[i]
 
+    @pytest.mark.parametrize(
+        "n, block, k, ties",
+        [
+            (53, 8, 5, False),  # last block partial
+            (64, 16, 3, False),  # blocks tile the rows exactly
+            (53, 8, 5, True),
+            (200, 7, 4, True),
+            (41, 1, 40, True),  # one row per block, every other row kept
+            (401, None, 5, True),  # the module's own block size
+        ],
+    )
+    def test_blocked_equals_full_stable_argsort(self, rng, monkeypatch, n, block, k, ties):
+        if block is not None:
+            monkeypatch.setattr(graph_adaptation, "KNN_BLOCK_ROWS", block)
+        assert graph_adaptation.KNN_BLOCK_ROWS < n
+        make = tie_heavy_rows if ties else (lambda rng, n: rng.standard_normal((n, 6)))
+        z, bank = make(rng, n), make(rng, n)
+        banks = MemoryBanks(bank, np.full((n, 2), 0.5), 0.9)
+        expected = argsort_knn_oracle(z, banks, k)
+        assert np.array_equal(knn_positives(DenseMatrix.from_array(z), banks, k), expected)
+        if ties and k < n - 1:  # the tie rule decides the k-th place somewhere
+            sims = unit_rows(z) @ unit_rows(bank).T
+            np.fill_diagonal(sims, -np.inf)
+            ranked = -np.sort(-sims, axis=1)
+            assert np.any(ranked[:, k - 1] == ranked[:, k])
+
 
 class TestLabelNegatives:
     def test_no_disagreement_empty(self):
@@ -174,14 +263,14 @@ class TestLossGraph:
         p = DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
         z = DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
         conf = ConfidentSet(np.array([0, 1]), np.array([0, 1]), 0.9)
-        sets = ContrastSets(np.zeros((2, 0), dtype=int), [np.array([], dtype=int)] * 2)
+        sets = ContrastSets(np.zeros((2, 0), dtype=int))
         assert loss_graph(p, z, banks, conf, sets, 0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_positive_cosine(self):
         banks = MemoryBanks(np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2), 0.9)
         z = DenseMatrix.from_rows([[3.0, 0.0]])  # cos with bank row 1 is exactly 1
         conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int), 0.9)
-        sets = ContrastSets(np.array([[1]]), [np.array([], dtype=int)])
+        sets = ContrastSets(np.array([[1]]))
         out = loss_graph(DenseMatrix.from_rows([[0.5, 0.5]]), z, banks, conf, sets, 1.0, 0.0)
         assert out == pytest.approx(-1.0, abs=1e-12)
 
@@ -189,9 +278,65 @@ class TestLossGraph:
         banks = MemoryBanks(np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2), 0.9)
         z = DenseMatrix.from_rows([[3.0, 0.0]])
         conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int), 0.9)
-        sets = ContrastSets(np.zeros((1, 0), dtype=int), [np.array([1])])
+        sets = ContrastSets(np.zeros((1, 0), dtype=int))
         out = loss_graph(DenseMatrix.from_rows([[0.5, 0.5]]), z, banks, conf, sets, 0.0, 0.7)
         assert out == pytest.approx(0.7, abs=1e-12)
+
+
+class TestClosedFormContrast:
+    def inputs(self, rng, n=40, h=6, c=3, k=4):
+        z0 = rng.standard_normal((n, h))
+        p0 = row_softmax(2.0 * rng.standard_normal((n, c)))
+        banks = MemoryBanks(rng.standard_normal((n, h)), rng.dirichlet(np.ones(c), n), 0.9)
+        positives = knn_positives(z0, banks, k)
+        own = np.argmax(p0, axis=1)
+        banked = np.argmax(banks.pred_bank, axis=1)
+        # cover both corrections in W: own bank row among the negatives, and
+        # positives whose banked class differs from the node's class
+        assert np.any(banked != own)
+        assert np.any(banked[positives] != own[:, None])
+        assert np.any(banked[positives] == own[:, None])
+        return p0, z0, banks, positives
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (1.3, 0.2), (0.0, 0.7), (0.9, 0.0)])
+    def test_matches_dense_mask_oracle(self, rng, alpha, beta):
+        p0, z0, banks, positives = self.inputs(rng)
+        conf = select_confident(p0, 0.5)
+        assert len(conf)
+        results = []
+        for loss in (
+            lambda p, z: loss_graph(p, z, banks, conf, ContrastSets(positives), alpha, beta),
+            lambda p, z: dense_loss_graph_oracle(p, z, banks, conf, positives, alpha, beta),
+        ):
+            tape = Tape()
+            p, z = tape.leaf(p0), tape.leaf(z0)
+            out = loss(p, z)
+            backward(tape, out)
+            results.append((out.value[0, 0], p.grad, z.grad))
+        (v, gp, gz), (v_ref, gp_ref, gz_ref) = results
+        assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
+        assert np.max(np.abs(gp - gp_ref)) <= 1e-12 * np.max(np.abs(gp_ref))
+        assert np.max(np.abs(gz - gz_ref)) <= 1e-12 * np.max(np.abs(gz_ref))
+
+
+def test_graph_loss_memory_below_one_dense_matrix(rng):
+    n, h, c = 2000, 32, 3
+    banks = MemoryBanks(rng.standard_normal((n, h)), rng.dirichlet(np.ones(c), n), 0.9)
+    z0 = rng.standard_normal((n, h))
+    p0 = rng.dirichlet(np.full(c, 0.3), n)
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        z, p = tape.leaf(z0), tape.leaf(p0)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        conf = select_confident(p.value, 0.9)
+        sets = ContrastSets(knn_positives(z.value, banks, 5))
+        backward(tape, loss_graph(p, z, banks, conf, sets, 0.5, 0.5))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(conf) and peak < n * n * 8  # one dense n x n float64 array
 
 
 class TestProjectBudget:
@@ -321,9 +466,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
     fo = forward(model, normalize_adjacency(g), g.features)
     banks = MemoryBanks(fo.representations.a.copy(), fo.predictions.a.copy(), 0.9)
     conf = select_confident(fo.predictions, 0.5)
-    positives = knn_positives(fo.representations, banks, 3)
-    negatives = label_negatives(fo.predictions, banks, positives)
-    sets = ContrastSets(positives, negatives)
+    sets = ContrastSets(knn_positives(fo.representations, banks, 3))
     delta_a0 = rng.uniform(0.2, 0.8, (g.num_edges, 1))
     params = model.parameters()
 

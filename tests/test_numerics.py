@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,22 @@ class TestBackward:
         g1 = x.grad.copy()
         backward(tape, out)
         assert np.array_equal(g1, x.grad)
+
+    def test_dropped_tape_freed_without_cyclic_gc(self, rng):
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.leaf(rng.standard_normal((3, 3)))
+            out = sum_all(mul(x, x))
+            backward(tape, out)
+            dead = weakref.ref(tape)
+            del tape
+            assert dead() is None  # no reference cycle keeps it alive
+            assert x.tape is None and np.array_equal(x.grad, 2.0 * x.value)
+            with pytest.raises(ContractError):
+                mul(x, x)  # recording onto a freed tape
+        finally:
+            gc.enable()
 
 
 class TestGradCheck:
