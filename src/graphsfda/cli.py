@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -41,6 +42,9 @@ EXIT_NUMERICAL = 5
 
 _ADAPT_FIELDS = {f.name: f.default for f in fields(AdaptConfig)}
 _EXTRA_DEFAULTS = {
+    # pretraining only: adapt takes the backbone shape from the checkpoint
+    "num_layers": 2,
+    "hidden_dim": 128,
     "pretrain_epochs": 200,
     "pretrain_lr": 1e-2,
     "pretrain_weight_decay": 5e-4,
@@ -71,7 +75,24 @@ def load_run_config(path) -> dict:
     return resolved
 
 
-def _resolve_config(args) -> dict:
+def _check_type(key: str, value, default) -> None:
+    """A config value has its default's type; a path defaulting to null may be null."""
+    if default is None or isinstance(default, str):
+        ok = isinstance(value, str) or (default is None and value is None)
+        kind = "a path string"
+    elif isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok, kind = ok and math.isfinite(value), "a finite number"
+    if not ok:
+        raise ContractError(f"{key} must be {kind}, got {value!r}")
+
+
+def _resolve_config(args):
+    """Run config with overrides, and its AdaptConfig; ContractError if invalid."""
     if getattr(args, "config", None):
         cfg = load_run_config(args.config)
     else:
@@ -89,11 +110,11 @@ def _resolve_config(args) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             cfg[key] = value
-    return cfg
-
-
-def _adapt_config(cfg: dict) -> AdaptConfig:
-    return AdaptConfig(**{k: cfg[k] for k in _ADAPT_FIELDS})
+    for key, default in {**_ADAPT_FIELDS, **_EXTRA_DEFAULTS}.items():
+        _check_type(key, cfg[key], default)
+    if min(cfg["hidden_dim"], cfg["num_layers"]) < 1:
+        raise ContractError("hidden_dim and num_layers must be at least 1")
+    return cfg, AdaptConfig(**{k: cfg[k] for k in _ADAPT_FIELDS})
 
 
 def _echo_config(cfg: dict, out_dir: Path) -> None:
@@ -109,9 +130,12 @@ def _read_mask(path, num_edges: int) -> np.ndarray:
         if not raw.strip():
             continue
         try:
-            values.append(float(raw))
+            value = float(raw)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: not a real number") from None
+        if not 0.0 <= value <= 1.0:  # NaN fails too
+            raise ParseError(f"{path}:{lineno}: mask entry {value} outside [0,1]")
+        values.append(value)
     mask = np.array(values)
     if mask.size != num_edges:
         raise ContractError(f"{path}: {mask.size} mask entries for {num_edges} edges")
@@ -150,9 +174,11 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     try:
-        cfg = _resolve_config(args)
+        cfg, _ = _resolve_config(args)
     except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
         return _fail(EXIT_DATA, f"pretrain: {exc}")
+    except ContractError as exc:
+        return _fail(EXIT_USAGE, f"pretrain: config: {exc}")
     if not cfg["source_graph"]:
         return _fail(EXIT_DATA, "pretrain: config needs source_graph")
     try:
@@ -180,7 +206,6 @@ def cmd_pretrain(args) -> int:
             epochs=cfg["pretrain_epochs"],
             lr=cfg["pretrain_lr"],
             weight_decay=cfg["pretrain_weight_decay"],
-            seed=cfg["seed"],
         )
     except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, f"pretrain: {exc}")
@@ -194,9 +219,11 @@ def cmd_pretrain(args) -> int:
 
 def cmd_adapt(args) -> int:
     try:
-        cfg = _resolve_config(args)
+        cfg, adapt_cfg = _resolve_config(args)
     except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
         return _fail(EXIT_DATA, f"adapt: {exc}")
+    except ContractError as exc:
+        return _fail(EXIT_USAGE, f"adapt: config: {exc}")
     if not cfg["target_graph"] or not cfg["checkpoint"]:
         return _fail(EXIT_DATA, "adapt: config needs target_graph and checkpoint")
     try:
@@ -211,17 +238,16 @@ def cmd_adapt(args) -> int:
     out_dir = Path(cfg["output_dir"])
     _echo_config(cfg, out_dir)
     try:
-        adapted, refined, predictions, report = adapt(model, target, _adapt_config(cfg))
+        adapted, refined, predictions, report = adapt(model, target, adapt_cfg)
     except (ContractError, ShapeError) as exc:
         return _fail(EXIT_INCOMPATIBLE, f"adapt: {exc}")
     except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, f"adapt: {exc}")
 
     save_graph(refined, out_dir / "refined")
-    kept = {edge: idx for idx, edge in enumerate(target.edges)}
-    with open(out_dir / "refined.mask", "w", encoding="utf-8") as fh:
-        for edge in refined.edges:
-            fh.write("%.17g\n" % report.deltas.delta_a[kept[edge]])
+    # refined keeps a subset of the target's edges in their order; match ids u*n + v
+    kept = np.isin(target.edges @ [target.n, 1], refined.edges @ [target.n, 1])
+    np.savetxt(out_dir / "refined.mask", report.deltas.delta_a[kept], fmt="%.17g")
     save_checkpoint(adapted, out_dir / "adapted.ckpt")
     report.save(out_dir / "report.json")
     np.savetxt(out_dir / "predictions.txt", predictions, fmt="%d")

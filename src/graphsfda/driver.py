@@ -32,12 +32,7 @@ from .graph_adaptation import (
     pgd_step_structure,
     select_confident,
 )
-from .graph_store import (
-    AdjacencyLayout,
-    TargetGraph,
-    neighbor_lists,
-    normalize_adjacency,
-)
+from .graph_store import AdjacencyLayout, TargetGraph, normalize_adjacency
 from .model_adaptation import (
     compute_prototypes,
     confidence_weights,
@@ -46,7 +41,7 @@ from .model_adaptation import (
     loss_weighted_ce,
     neighborhood_pseudo_labels,
 )
-from .numerics import DenseMatrix, SparseAdjacency, Tape, backward
+from .numerics import DenseMatrix, Tape, backward
 
 __all__ = ["AdaptConfig", "AdaptReport", "adapt", "evaluate_accuracy", "export_embeddings"]
 
@@ -72,8 +67,6 @@ class AdaptConfig:
     feature_steps: int = 1
     structure_steps: int = 1
     epochs: int = 200
-    num_layers: int = 2
-    hidden_dim: int = 128
     seed: int = 0
     batch_size: int = 0  # 0 = contrast against the full graph
     include_positive_in_denominator: bool = False
@@ -97,6 +90,8 @@ class AdaptConfig:
             raise ContractError("loop counts must be nonnegative")
         if self.epochs < 0:
             raise ContractError("epochs must be nonnegative")
+        if min(self.seed, self.batch_size) < 0:
+            raise ContractError("seed and batch_size must be nonnegative")
 
 
 @dataclass
@@ -146,12 +141,6 @@ def _check_finite(value: float, term: str) -> float:
     return value
 
 
-def _frozen_adjacency(layout: AdjacencyLayout, weights: np.ndarray) -> SparseAdjacency:
-    return SparseAdjacency(
-        layout.n, layout.row_offsets, layout.col_indices, layout.entry_values(weights)
-    )
-
-
 def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     """Run the full adaptation and return
 
@@ -177,7 +166,8 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     layout = AdjacencyLayout(n, g.edges)
     x_base = g.features.a
 
-    banks = init_banks(forward(model, normalize_adjacency(g), g.features), cfg.bank_momentum)
+    source_fo = forward(model, layout.normalized(np.ones(e)), g.features)
+    banks = init_banks(source_fo, cfg.bank_momentum)
     opt = AdamState([p.shape for p in model.parameters()], cfg.model_lr)
 
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -190,9 +180,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     prev = (None, None)
     for _ in range(cfg.epochs):
         weights = apply_structure_delta(g, deltas)
-        adj = _frozen_adjacency(layout, weights)
+        adj = layout.normalized(weights)
         x_prime = x_base + deltas.delta_x
-        neighbors = neighbor_lists(g, edge_keep=weights > 0.0)
+        neighbors = layout.neighbors(weights)
 
         loss_m = None
         for _ in range(cfg.model_steps):
@@ -246,7 +236,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         report.loss_model_trace.append(loss_m)
         report.loss_graph_trace.append(loss_g)
         if g.labels is not None:
-            adj_now = _frozen_adjacency(layout, apply_structure_delta(g, deltas))
+            adj_now = layout.normalized(apply_structure_delta(g, deltas))
             fo = forward(model, adj_now, DenseMatrix.from_array(x_base + deltas.delta_x))
             pred = np.argmax(fo.predictions.a, axis=1)
             report.accuracy_trace.append(evaluate_accuracy(pred, g.labels))
@@ -311,12 +301,9 @@ def export_embeddings(model: GnnModel, g: TargetGraph, deltas, path) -> None:
         weights = apply_structure_delta(g, deltas)
         x = apply_feature_delta(g.features, deltas)
     fo = forward(model, normalize_adjacency(g, weights), x)
-    z = fo.representations.a
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in z:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+    np.savetxt(path, fo.representations.a, fmt="%.17g")
 
 
 def config_to_dict(cfg: AdaptConfig) -> dict:

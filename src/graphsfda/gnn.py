@@ -3,8 +3,9 @@ softmax classifier, with supervised pretraining on a labelled source graph.
 
 The forward pass applies ReLU after every propagation layer, so the embedding
 handed to cosine-similarity consumers is the nonnegative output of the last
-layer. Everything runs full-batch; there is no dropout, keeping recorded
-computations exactly differentiable.
+layer. Propagation is one `spmm` per layer, whether the adjacency's values
+are frozen or a live function of the edge mask. Everything runs full-batch;
+there is no dropout, keeping recorded computations exactly differentiable.
 """
 
 from __future__ import annotations
@@ -137,27 +138,16 @@ def init_model(d: int, h: int, num_classes: int, num_layers: int, seed: int) -> 
     return GnnModel(layers, glorot(h, num_classes), np.zeros((1, num_classes)))
 
 
-def forward_on_tape(tape: Tape, params: list, adj_hat, x):
-    """Recorded forward pass; `params`, `adj_hat` values and `x` may each be
-    live tensors or constants.
+def forward_on_tape(tape: Tape, params: list, adj_hat: SparseAdjacency, x):
+    """Recorded forward pass; `params`, the values of `adj_hat` and `x` may
+    each be live tensors or constants.
 
-    `adj_hat` is either a SparseAdjacency (frozen structure) or a tuple
-    `(vals, rows, cols, n)` with COO entry values, for the case where the
-    structure mask itself is being differentiated.
-    """
-    from .numerics import coo_spmm
-
+    A live edge mask enters as an adjacency whose values are a Tensor (see
+    `masked_adjacency_on_tape`); `spmm` differentiates into them."""
     *layer_ws, cls_w, cls_b = params
-
-    def propagate(h):
-        if isinstance(adj_hat, SparseAdjacency):
-            return spmm(adj_hat, h)
-        vals, rows, cols, n = adj_hat
-        return coo_spmm(vals, rows, cols, n, h)
-
     h = x
     for w in layer_ws:
-        h = relu(propagate(matmul(h, w)))
+        h = relu(spmm(adj_hat, matmul(h, w)))
     logits = add_bias(matmul(h, cls_w), cls_b)
     return h, row_softmax(logits)
 
@@ -218,7 +208,6 @@ def pretrain_source(
     epochs: int = 200,
     lr: float = 1e-3,
     weight_decay: float = 5e-4,
-    seed: int = 0,
 ):
     """Supervised training on the source train split.
 

@@ -32,6 +32,7 @@ from .errors import ContractError, ShapeError
 from .graph_store import AdjacencyLayout, TargetGraph
 from .numerics import (
     DenseMatrix,
+    SparseAdjacency,
     Tape,
     Tensor,
     add,
@@ -61,7 +62,6 @@ __all__ = [
     "masked_adjacency_on_tape",
     "select_confident",
     "knn_positives",
-    "label_negatives",
     "loss_graph",
     "project_budget",
     "pgd_step_structure",
@@ -115,7 +115,7 @@ class ConfidentSet:
 class ContrastSets:
     """Per-node positive (top-K bank) indices. The negatives are implied:
     every bank row whose banked argmax differs from the node's live argmax,
-    minus the node's positives (`label_negatives` lists them)."""
+    minus the node's positives."""
 
     __slots__ = ("positives",)
 
@@ -147,12 +147,12 @@ def apply_structure_delta(g: TargetGraph, deltas):
     return 1.0 - da
 
 
-def masked_adjacency_on_tape(layout: AdjacencyLayout, edge_weights: Tensor):
-    """Normalized adjacency entries as a live function of edge weights.
+def masked_adjacency_on_tape(layout: AdjacencyLayout, edge_weights: Tensor) -> SparseAdjacency:
+    """Normalized adjacency whose entries are a live function of the edge
+    weights, on the layout's structure.
 
-    Returns `(vals, rows, cols, n)` for the COO product inside a recorded
-    forward pass. One value per undirected edge feeds both mirror slots, so
-    the matrix stays exactly symmetric.
+    One value per undirected edge feeds both mirror slots, so the matrix
+    stays exactly symmetric.
     """
     e = layout.edge_u.size
     dup = gather_rows(edge_weights, np.concatenate([np.arange(e), np.arange(e)]))
@@ -163,8 +163,7 @@ def masked_adjacency_on_tape(layout: AdjacencyLayout, edge_weights: Tensor):
         mul(edge_weights, gather_rows(s, layout.edge_u)), gather_rows(s, layout.edge_v)
     )
     per_diag = mul(s, s)
-    vals = gather_rows(concat_rows(per_edge, per_diag), layout.entry_source)
-    return vals, layout.rows_expanded(), layout.col_indices, layout.n
+    return layout.adjacency(gather_rows(concat_rows(per_edge, per_diag), layout.entry_source))
 
 
 def select_confident(p, threshold: float) -> ConfidentSet:
@@ -210,22 +209,6 @@ def _safe_normalize(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms < 1e-12, 1.0, norms)
 
 
-def label_negatives(p, banks: MemoryBanks, positives: np.ndarray) -> list:
-    """Bank indices whose banked argmax disagrees with the node's own live
-    argmax, minus that node's positives.
-
-    One array per node, built in a Python loop: this spells out the
-    negative set for tests; `loss_graph` never enumerates it."""
-    pv = p.a if isinstance(p, DenseMatrix) else np.asarray(p, dtype=np.float64)
-    own = np.argmax(pv, axis=1)
-    banked = np.argmax(banks.pred_bank, axis=1)
-    out = []
-    for i in range(pv.shape[0]):
-        mism = np.nonzero(banked != own[i])[0]
-        out.append(np.setdiff1d(mism, positives[i], assume_unique=False))
-    return out
-
-
 def _contrast_weights(
     p: np.ndarray, banks: MemoryBanks, positives: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
@@ -238,7 +221,7 @@ def _contrast_weights(
         W_i = beta (T - S_own(i)) - sum_{j in pos(i)} (alpha + beta [banked(j) != own(i)]) b_j
 
     which equals -alpha times the positive cosines plus beta times the
-    cosines over `label_negatives`, summed, without listing a negative."""
+    cosines over the negatives, summed, without listing a negative."""
     bn = _safe_normalize(banks.repr_bank)
     own = np.argmax(p, axis=1)
     banked = np.argmax(banks.pred_bank, axis=1)
@@ -360,12 +343,12 @@ def feature_gd_step(
 
 
 def finalize_structure(g: TargetGraph, deltas: AdaptationDeltas, seed: int) -> TargetGraph:
-    """Draw the discrete graph: edge e survives with probability 1 - delta_e."""
+    """Draw the discrete graph: edge e survives with probability 1 - delta_e.
+    The surviving edges keep their order."""
     if deltas.delta_a.shape != (g.num_edges,):
         raise ContractError(
             f"mask has {deltas.delta_a.shape[0]} entries for {g.num_edges} edges"
         )
     rng = np.random.default_rng(seed)
     keep = rng.random(g.num_edges) < (1.0 - deltas.delta_a)
-    edges = [edge for edge, kept in zip(g.edges, keep) if kept]
-    return TargetGraph(g.n, edges, g.features, g.labels, g.num_classes)
+    return TargetGraph(g.n, g.edges[keep], g.features, g.labels, g.num_classes)

@@ -1,9 +1,12 @@
 """Graph representation, normalization, file I/O, splits and a shift generator.
 
 Graphs are undirected, without self-loops, with float64 node features and
-optional integer class labels. The text format is three UTF-8 files sharing a
-prefix (`.meta`, `.edges`, `.feat`) plus an optional `.labels`; floats are
-written with enough digits to round-trip exactly.
+optional integer class labels. The edges are one read-only (e, 2) int64 array
+of (min, max) pairs; row i is edge i for every mask and weight vector. Every
+sparse matrix over a graph is its one `AdjacencyLayout` carrying values. The
+text format is three UTF-8 files sharing a prefix (`.meta`, `.edges`, `.feat`)
+plus an optional `.labels`; floats are written with enough digits to
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -27,31 +30,40 @@ __all__ = [
     "save_graph",
     "split_nodes",
     "make_shift_pair",
-    "neighbor_lists",
 ]
 
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 
 
 class TargetGraph:
-    """Undirected node-classification graph: the unit of adaptation."""
+    """Undirected node-classification graph: the unit of adaptation. Any
+    sequence of endpoint pairs is stored as (min, max) rows in its order."""
 
     __slots__ = ("n", "edges", "features", "labels", "num_classes")
 
     def __init__(self, n, edges, features: DenseMatrix, labels=None, num_classes=0):
-        edges = [(int(u), int(v)) for u, v in edges]
-        seen = set()
-        canon = []
-        for u, v in edges:
-            if u == v:
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ContractError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        canon = np.sort(pairs, axis=1)
+        # the first bad pair in input order decides: loop, range, then repeat
+        loop = pairs[:, 0] == pairs[:, 1]
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        key = canon[:, 0] * n + canon[:, 1]  # one id per in-range pair
+        order = np.argsort(key, kind="stable")  # a repeat sorts after its first
+        repeat = np.zeros(len(pairs), dtype=bool)
+        repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+        bad = np.flatnonzero(loop | outside | repeat)
+        if bad.size:
+            i = bad[0]
+            u, v = (int(a) for a in pairs[i])
+            if loop[i]:
                 raise ContractError(f"self-loop ({u},{v}) not allowed")
-            if not (0 <= u < n and 0 <= v < n):
+            if outside[i]:
                 raise ContractError(f"edge ({u},{v}) endpoint outside [0,{n})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ContractError(f"duplicate undirected edge {key}")
-            seen.add(key)
-            canon.append(key)
+            raise ContractError(f"duplicate undirected edge {(min(u, v), max(u, v))}")
         if features.rows != n:
             raise ContractError(f"features have {features.rows} rows for {n} nodes")
         if labels is not None:
@@ -60,8 +72,9 @@ class TargetGraph:
                 raise ContractError(f"expected {n} labels, got {labels.shape}")
             if num_classes and labels.size and (labels.min() < 0 or labels.max() >= num_classes):
                 raise ContractError("label outside [0, num_classes)")
+        canon.setflags(write=False)
         self.n = int(n)
-        self.edges = tuple(canon)
+        self.edges = canon
         self.features = features
         self.labels = labels
         self.num_classes = int(num_classes)
@@ -120,39 +133,39 @@ class ShiftSpec:
 
 
 class AdjacencyLayout:
-    """Index structure of A+I in canonical CSR order for a fixed edge list.
+    """The CSR index of A+I for a fixed edge array, built once per graph.
 
     `entry_source[k]` says which value fills CSR slot k: index j < e refers to
     undirected edge j (used for both of its mirror slots), index e+i refers to
-    the self-loop of node i. Sharing one value per edge keeps the normalized
-    matrix exactly symmetric.
+    the self-loop of node i. Sharing one value per edge keeps every matrix on
+    the layout exactly symmetric. `adjacency` puts values on the checked
+    structure without checking it again.
     """
 
-    __slots__ = ("n", "edge_u", "edge_v", "row_offsets", "col_indices", "entry_source")
+    __slots__ = ("n", "edge_u", "edge_v", "entry_source", "_structure")
 
     def __init__(self, n: int, edges):
         e = len(edges)
-        u = np.fromiter((p[0] for p in edges), dtype=np.int64, count=e)
-        v = np.fromiter((p[1] for p in edges), dtype=np.int64, count=e)
-        rows = np.concatenate([u, v, np.arange(n, dtype=np.int64)])
-        cols = np.concatenate([v, u, np.arange(n, dtype=np.int64)])
-        src = np.concatenate(
-            [np.arange(e), np.arange(e), e + np.arange(n)]
-        ).astype(np.int64)
+        u, v = edges[:, 0], edges[:, 1]
+        nodes = np.arange(n, dtype=np.int64)
+        rows = np.concatenate([u, v, nodes])
+        cols = np.concatenate([v, u, nodes])
+        src = np.concatenate([np.arange(e), np.arange(e), e + nodes])
         order = np.lexsort((cols, rows))
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         self.n = n
         self.edge_u = u
         self.edge_v = v
-        self.col_indices = cols[order]
         self.entry_source = src[order]
-        counts = np.bincount(rows, minlength=n)
-        self.row_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        self._structure = SparseAdjacency(n, offsets, cols[order], np.zeros(order.size))
 
-    def rows_expanded(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_offsets))
+    def adjacency(self, values) -> SparseAdjacency:
+        """A+I's structure carrying `values`, one per CSR slot: a constant
+        array or an (nnz x 1) Tensor."""
+        return self._structure.with_values(values)
 
-    def entry_values(self, edge_weights: np.ndarray) -> np.ndarray:
-        """Normalized entry per CSR slot for the given per-edge weights.
+    def normalized(self, edge_weights: np.ndarray) -> SparseAdjacency:
+        """The normalized adjacency under constant per-edge weights.
 
         Entry (i,j) is w_ij / sqrt(d_i * d_j) where d is the weighted degree
         plus one for the implicit unit self-loop.
@@ -163,7 +176,13 @@ class AdjacencyLayout:
         s = np.power(deg, -0.5)
         per_edge = edge_weights * s[self.edge_u] * s[self.edge_v]
         per_diag = s * s
-        return np.concatenate([per_edge, per_diag])[self.entry_source]
+        return self.adjacency(np.concatenate([per_edge, per_diag])[self.entry_source])
+
+    def neighbors(self, edge_weights: np.ndarray) -> SparseAdjacency:
+        """0/1 neighbour matrix: 1 on both slots of every edge with positive
+        weight, 0 on deleted edges and on the self-loops."""
+        live = np.concatenate([edge_weights > 0.0, np.zeros(self.n, dtype=bool)])
+        return self.adjacency(live[self.entry_source].astype(np.float64))
 
 
 def normalize_adjacency(g: TargetGraph, edge_weights=None) -> SparseAdjacency:
@@ -182,20 +201,7 @@ def normalize_adjacency(g: TargetGraph, edge_weights=None) -> SparseAdjacency:
             raise ContractError(f"expected {e} edge weights, got {w.shape}")
         if w.size and (w.min() < 0.0 or w.max() > 1.0):
             raise ContractError("edge weights must lie in [0,1]")
-    layout = AdjacencyLayout(g.n, g.edges)
-    vals = layout.entry_values(w)
-    return SparseAdjacency(g.n, layout.row_offsets, layout.col_indices, vals)
-
-
-def neighbor_lists(g: TargetGraph, edge_keep=None) -> list:
-    """Adjacency lists, optionally restricted to edges flagged in `edge_keep`."""
-    lists = [[] for _ in range(g.n)]
-    for idx, (u, v) in enumerate(g.edges):
-        if edge_keep is not None and not edge_keep[idx]:
-            continue
-        lists[u].append(v)
-        lists[v].append(u)
-    return [np.array(sorted(ns), dtype=np.int64) for ns in lists]
+    return AdjacencyLayout(g.n, g.edges).normalized(w)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +255,7 @@ def load_graph(prefix) -> TargetGraph:
 
     feat_path = prefix.with_suffix(prefix.suffix + ".feat")
     rows = []
+    row_lines = []
     for lineno, raw in enumerate(feat_path.read_text(encoding="utf-8").splitlines(), 1):
         if not raw.strip():
             continue
@@ -259,9 +266,15 @@ def load_graph(prefix) -> TargetGraph:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{feat_path}:{lineno}: {exc}") from None
+        row_lines.append(lineno)
     if len(rows) != n:
         raise ContractError(f"{feat_path}: {len(rows)} feature rows for n={n}")
-    features = DenseMatrix.from_rows(rows) if rows else DenseMatrix.zeros(0, d)
+    values = np.array(rows, dtype=np.float64).reshape(n, d)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        lineno = row_lines[int(np.argmin(finite))]
+        raise ParseError(f"{feat_path}:{lineno}: non-finite feature value")
+    features = DenseMatrix(n, d, values)
 
     labels = None
     labels_path = prefix.with_suffix(prefix.suffix + ".labels")
@@ -285,16 +298,10 @@ def save_graph(g: TargetGraph, prefix) -> None:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     with open(prefix.with_suffix(prefix.suffix + ".meta"), "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.feature_dim} {g.num_classes}\n")
-    with open(prefix.with_suffix(prefix.suffix + ".edges"), "w", encoding="utf-8") as fh:
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
-    with open(prefix.with_suffix(prefix.suffix + ".feat"), "w", encoding="utf-8") as fh:
-        for i in range(g.n):
-            fh.write(" ".join(FLOAT_FMT % x for x in g.features.a[i]) + "\n")
+    np.savetxt(prefix.with_suffix(prefix.suffix + ".edges"), g.edges, fmt="%d")
+    np.savetxt(prefix.with_suffix(prefix.suffix + ".feat"), g.features.a, fmt=FLOAT_FMT)
     if g.labels is not None:
-        with open(prefix.with_suffix(prefix.suffix + ".labels"), "w", encoding="utf-8") as fh:
-            for y in g.labels:
-                fh.write(f"{int(y)}\n")
+        np.savetxt(prefix.with_suffix(prefix.suffix + ".labels"), g.labels, fmt="%d")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Model-side adaptation losses.
 
 Pseudo-labels come from averaging the prediction bank over each node's
-current neighborhood; global class prototypes from the representation bank
+current neighborhood, one sparse product with the 0/1 neighbour matrix of
+the graph's layout; global class prototypes from the representation bank
 weight those labels by cosine confidence. The pull toward prototypes is an
 InfoNCE-style term whose denominator holds only negatives (the remaining
 prototypes and the other instances), so its value can legitimately be
@@ -22,6 +23,7 @@ from .banks import MemoryBanks
 from .errors import ContractError
 from .numerics import (
     DenseMatrix,
+    SparseAdjacency,
     Tape,
     Tensor,
     add,
@@ -38,6 +40,7 @@ from .numerics import (
     relu,
     row_sum,
     select_cols,
+    spmm,
     sub,
     sum_all,
     transpose,
@@ -87,21 +90,21 @@ class Prototypes:
         return self.counts == 0
 
 
-def neighborhood_pseudo_labels(neighbors: list, banks: MemoryBanks) -> PseudoLabels:
+def neighborhood_pseudo_labels(neighbors: SparseAdjacency, banks: MemoryBanks) -> PseudoLabels:
     """Argmax of the mean prediction-bank row over each node's neighborhood.
 
-    Isolated nodes fall back to their own bank row. Exact argmax ties resolve
-    to the lowest class id.
+    `neighbors` is a 0/1 matrix marking each node's current neighbours
+    (`AdjacencyLayout.neighbors`); the means are its product with the bank
+    over its row sums. Nodes without a neighbour fall back to their own bank
+    row. Exact argmax ties resolve to the lowest class id.
     """
     n = banks.n
-    if len(neighbors) != n:
-        raise ContractError(f"{len(neighbors)} neighbor lists for {n} banked nodes")
-    agg = np.empty_like(banks.pred_bank)
-    for i, ns in enumerate(neighbors):
-        if len(ns):
-            agg[i] = banks.pred_bank[ns].mean(axis=0)
-        else:
-            agg[i] = banks.pred_bank[i]
+    if neighbors.n != n:
+        raise ContractError(f"neighbour matrix has {neighbors.n} rows for {n} banked nodes")
+    counts = np.bincount(neighbors.rows_expanded(), neighbors.values.ravel(), n)
+    isolated = (counts == 0)[:, None]
+    sums = spmm(neighbors, banks.pred_bank)
+    agg = np.where(isolated, banks.pred_bank, sums / np.where(isolated, 1.0, counts[:, None]))
     return PseudoLabels(np.argmax(agg, axis=1), banks.pred_bank.shape[1])
 
 

@@ -6,6 +6,9 @@ sparse products, row softmax, row L2 normalization, gathers, segment sums and
 the usual elementwise operations. No broadcasting beyond the explicit bias and
 row-scale ops, no GPU, no higher-order derivatives.
 
+There is one sparse product, `spmm`, over one sparse type whose values may be
+a recorded tensor: that is how a live edge mask reaches the convolution.
+
 Every op dispatches on its operands: pass `Tensor`s and the result is recorded
 for differentiation, pass `DenseMatrix`/arrays and you get a plain value back.
 `grad_check` compares `backward` against central finite differences and is the
@@ -14,6 +17,7 @@ ground truth for every composite loss built on top of this module.
 
 from __future__ import annotations
 
+import copy
 import weakref
 
 import numpy as np
@@ -116,7 +120,8 @@ class SparseAdjacency:
 
     Canonical means: `row_offsets` is nondecreasing with n+1 entries, and
     column indices are strictly increasing within every row (hence no
-    duplicate entries).
+    duplicate entries). `values` is an (nnz x 1) column, one entry per
+    stored slot: constant, or a Tensor when the entries are differentiated.
     """
 
     __slots__ = ("n", "row_offsets", "col_indices", "values", "_rows_expanded")
@@ -124,16 +129,12 @@ class SparseAdjacency:
     def __init__(self, n: int, row_offsets, col_indices, values):
         offsets = np.asarray(row_offsets, dtype=np.int64)
         cols = np.asarray(col_indices, dtype=np.int64)
-        vals = np.asarray(values, dtype=np.float64)
         if offsets.shape != (n + 1,):
             raise ShapeError(f"row_offsets must have length n+1={n + 1}")
         if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
             raise ContractError("row_offsets must start at 0 and be nondecreasing")
-        if offsets[-1] != cols.size or cols.size != vals.size:
-            raise ShapeError(
-                f"nnz mismatch: offsets end {offsets[-1]}, "
-                f"{cols.size} columns, {vals.size} values"
-            )
+        if offsets[-1] != cols.size:
+            raise ShapeError(f"nnz mismatch: offsets end {offsets[-1]}, {cols.size} columns")
         if cols.size and (cols.min() < 0 or cols.max() >= n):
             raise ContractError("column index out of range")
         # strictly increasing within each row: diffs may only be <=0 at row starts
@@ -144,13 +145,17 @@ class SparseAdjacency:
             starts[inner[(inner > 0) & (inner < cols.size)] - 1] = True
             if np.any(nondec & ~starts):
                 raise ContractError("column indices must be strictly increasing per row")
-        if not np.isfinite(vals).all():
-            raise NumericalError("sparse values must be finite")
         self.n = n
         self.row_offsets = offsets
         self.col_indices = cols
-        self.values = vals
-        self._rows_expanded = None
+        self._rows_expanded = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        self.values = _entry_values(values, cols.size)
+
+    def with_values(self, values) -> "SparseAdjacency":
+        """The same (already checked) structure carrying new entry values."""
+        out = copy.copy(self)
+        out.values = _entry_values(values, self.nnz)
+        return out
 
     @property
     def nnz(self) -> int:
@@ -158,16 +163,25 @@ class SparseAdjacency:
 
     def rows_expanded(self) -> np.ndarray:
         """Row id of every stored entry, in storage order."""
-        if self._rows_expanded is None:
-            self._rows_expanded = np.repeat(
-                np.arange(self.n, dtype=np.int64), np.diff(self.row_offsets)
-            )
         return self._rows_expanded
 
     def densify(self) -> DenseMatrix:
         out = np.zeros((self.n, self.n))
-        out[self.rows_expanded(), self.col_indices] = self.values
+        out[self._rows_expanded, self.col_indices] = _val(self.values).ravel()
         return DenseMatrix.from_array(out)
+
+
+def _entry_values(values, nnz: int):
+    """Stored values as an (nnz x 1) column: a Tensor, or finite constants."""
+    if isinstance(values, Tensor):
+        column = values.value
+    else:
+        column = values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+        if not np.isfinite(column).all():
+            raise NumericalError("sparse values must be finite")
+    if column.shape != (nnz, 1):
+        raise ShapeError(f"nnz mismatch: {nnz} slots, values of shape {column.shape}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -357,31 +371,36 @@ def matmul(a, b):
     return tape._record(out, pulls)
 
 
-def _spmm_kernel(adj: SparseAdjacency, x: np.ndarray) -> np.ndarray:
-    out = np.zeros((adj.n, x.shape[1]))
-    if adj.nnz:
-        contrib = adj.values[:, None] * x[adj.col_indices]
-        np.add.at(out, adj.rows_expanded(), contrib)
-    return out
-
-
 def spmm(adj: SparseAdjacency, x):
-    """Sparse-dense product `adj @ x`; equals the densified matmul."""
+    """Sparse-dense product `adj @ x`; equals the densified matmul.
+
+    Recorded when `x` or the stored values of `adj` are a Tensor, with a
+    gradient into each of them that is live."""
     xv = _val(x)
     if adj.n != xv.shape[0]:
         raise ShapeError(f"spmm: adjacency is {adj.n}x{adj.n}, x has {xv.shape[0]} rows")
-    tape = _tensor_operands(x)
-    out = _spmm_kernel(adj, xv)
+    rows, cols, vals = adj.rows_expanded(), adj.col_indices, adj.values
+    vv = _val(vals)
+    out = np.zeros((adj.n, xv.shape[1]))
+    if adj.nnz:
+        np.add.at(out, rows, vv * xv[cols])
+    tape = _tensor_operands(vals, x)
     if tape is None:
         return _wrap_like(out, x)
+    pulls = []
+    if isinstance(vals, Tensor):
+        pulls.append(
+            (vals.index, lambda g: (g[rows] * xv[cols]).sum(axis=1, keepdims=True))
+        )
+    if isinstance(x, Tensor):
 
-    def pull_x(g, adj=adj):
-        gx = np.zeros((adj.n, g.shape[1]))
-        if adj.nnz:
-            np.add.at(gx, adj.col_indices, adj.values[:, None] * g[adj.rows_expanded()])
-        return gx
+        def pull_x(g):
+            gx = np.zeros(xv.shape)
+            np.add.at(gx, cols, vv * g[rows])
+            return gx
 
-    return tape._record(out, [(x.index, pull_x)])
+        pulls.append((x.index, pull_x))
+    return tape._record(out, pulls)
 
 
 def _row_softmax_kernel(x: np.ndarray) -> np.ndarray:
@@ -664,46 +683,4 @@ def concat_rows(a, b):
         pulls.append((a.index, lambda g, na=na: g[:na]))
     if isinstance(b, Tensor):
         pulls.append((b.index, lambda g, na=na: g[na:]))
-    return tape._record(out, pulls)
-
-
-def coo_spmm(vals, rows, cols, n_out: int, x):
-    """Sparse product from coordinate data: out[rows[k]] += vals[k] * x[cols[k]].
-
-    `vals` is an (nnz x 1) tensor or array; `rows`/`cols` are constant index
-    arrays. Differentiates into both the entry values and the dense operand.
-    """
-    vv, xv = _val(vals), _val(x)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if vv.shape != (rows.size, 1) or rows.shape != cols.shape:
-        raise ShapeError("coo_spmm: vals must be nnz x 1 aligned with rows/cols")
-    if rows.size and (rows.min() < 0 or rows.max() >= n_out):
-        raise ContractError("coo_spmm row index out of range")
-    if cols.size and (cols.min() < 0 or cols.max() >= xv.shape[0]):
-        raise ContractError("coo_spmm column index out of range")
-    tape = _tensor_operands(vals, x)
-    if tape is None:
-        raise ContractError("coo_spmm requires a Tensor operand")
-    out = np.zeros((n_out, xv.shape[1]))
-    if rows.size:
-        np.add.at(out, rows, vv * xv[cols])
-    pulls = []
-    if isinstance(vals, Tensor):
-        pulls.append(
-            (
-                vals.index,
-                lambda g, rows=rows, cols=cols, xv=xv: (g[rows] * xv[cols]).sum(
-                    axis=1, keepdims=True
-                ),
-            )
-        )
-    if isinstance(x, Tensor):
-
-        def pull_x(g, rows=rows, cols=cols, vv=vv, shape=xv.shape):
-            gx = np.zeros(shape)
-            np.add.at(gx, cols, vv * g[rows])
-            return gx
-
-        pulls.append((x.index, pull_x))
     return tape._record(out, pulls)

@@ -30,7 +30,6 @@ from graphsfda.graph_store import (
     TargetGraph,
     load_graph,
     make_shift_pair,
-    neighbor_lists,
     normalize_adjacency,
     split_nodes,
 )
@@ -70,7 +69,7 @@ def test_criterion_1_gradient_fidelity():
 
         fo = forward(model, adj, DenseMatrix.from_array(x_prime))
         banks = MemoryBanks(fo.representations.a.copy(), fo.predictions.a.copy(), 0.9)
-        pl = neighborhood_pseudo_labels(neighbor_lists(g, weights > 0), banks)
+        pl = neighborhood_pseudo_labels(layout.neighbors(weights), banks)
         protos = compute_prototypes(pl, banks)
         conf = select_confident(fo.predictions, 0.5)
         positives = knn_positives(fo.representations, banks, 5)
@@ -248,7 +247,7 @@ def test_criterion_5_end_to_end_adaptation_gain():
             spm = evaluate_accuracy(
                 predict(trained, normalize_adjacency(tgt), tgt.features), tgt.labels
             )
-            base = dict(hidden_dim=32, epochs=30, seed=seed)
+            base = dict(epochs=30, seed=seed)
             _, _, _, rep_full = adapt(trained, tgt, AdaptConfig(**base))
             _, _, _, rep_mo = adapt(
                 trained, tgt, AdaptConfig(**base, feature_steps=0, structure_steps=0)
@@ -281,13 +280,13 @@ def test_criterion_6_degeneracy_identities():
         trained, _ = pretrain_source(model, src, split_nodes(src, 6), epochs=40, lr=1e-2)
         spm = predict(trained, normalize_adjacency(tgt), tgt.features)
 
-        _, _, pred0, _ = adapt(trained, tgt, AdaptConfig(hidden_dim=8, epochs=0, seed=6))
+        _, _, pred0, _ = adapt(trained, tgt, AdaptConfig(epochs=0, seed=6))
         assert np.array_equal(pred0, spm)
         _, _, pred_no_steps, _ = adapt(
             trained,
             tgt,
             AdaptConfig(
-                hidden_dim=8, epochs=4, seed=6,
+                epochs=4, seed=6,
                 model_steps=0, feature_steps=0, structure_steps=0,
             ),
         )

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphsfda
 from graphsfda.cli import main
 from graphsfda.graph_store import load_graph
 
@@ -212,3 +217,78 @@ def test_usage_error_is_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["adapt"])  # missing required --config
     assert exc.value.code == 2
+
+
+def _config(ws, tmp, **changes):
+    cfg = json.loads((ws / "run.json").read_text())
+    cfg.update(output_dir=str(tmp / "out"), **changes)
+    (tmp / "c.json").write_text(json.dumps(cfg))
+    return ["--config", str(tmp / "c.json")]
+
+
+def _bad_mask(ws, tmp, value):
+    lines = (ws / "out" / "refined.mask").read_text().splitlines()
+    lines[1] = value
+    (tmp / "bad.mask").write_text("\n".join(lines) + "\n")
+    return str(tmp / "bad.mask")
+
+
+def _nan_feature_graph(ws, tmp):
+    for suffix in (".meta", ".edges", ".feat", ".labels"):
+        shutil.copy(ws / f"pair_tgt{suffix}", tmp / f"nan{suffix}")
+    lines = (tmp / "nan.feat").read_text().splitlines()
+    lines[2] = " ".join(["nan"] + lines[2].split()[1:])
+    (tmp / "nan.feat").write_text("\n".join(lines) + "\n")
+    return str(tmp / "nan")
+
+
+def _truncated_checkpoint(ws, tmp):
+    (tmp / "cut.ckpt").write_bytes((ws / "model.ckpt").read_bytes()[:-8])
+    return str(tmp / "cut.ckpt")
+
+
+def _scored(ws, tmp, command, graph, mask_value=None, checkpoint="model.ckpt"):
+    argv = [command, "--checkpoint", str(ws / checkpoint), "--graph", graph]
+    if mask_value is not None:
+        argv += ["--mask", _bad_mask(ws, tmp, mask_value)]
+    if command == "export-embeddings":
+        argv += ["--out-file", str(tmp / "z.txt")]
+    return argv
+
+
+# one row per documented exit code and per way of reaching it
+EXIT_CASES = {
+    "adapt-ok": (0, lambda ws, tmp: ["adapt", *_config(ws, tmp)]),
+    "epochs-string": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, epochs="3")]),
+    "epochs-fraction": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, epochs=2.5)]),
+    "model-lr-string": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr="x")]),
+    "epochs-flag-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp), "--epochs", "-1"]),
+    "pretrain-seed-negative": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, seed=-1)]),
+    "pretrain-hidden-zero": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, hidden_dim=0)]),
+    "eval-mask-above-one": (3, lambda ws, tmp: _scored(
+        ws, tmp, "eval", str(ws / "out" / "refined"), "1.5", "out/adapted.ckpt")),
+    "export-mask-nan": (3, lambda ws, tmp: _scored(
+        ws, tmp, "export-embeddings", str(ws / "out" / "refined"), "nan", "out/adapted.ckpt")),
+    "adapt-feature-nan": (3, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, target_graph=_nan_feature_graph(ws, tmp))]),
+    "eval-feature-nan": (3, lambda ws, tmp: _scored(ws, tmp, "eval", _nan_feature_graph(ws, tmp))),
+    "truncated-checkpoint": (4, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, checkpoint=_truncated_checkpoint(ws, tmp))]),
+    "temperature-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, temperature=1e-300)]),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_documented_exit_codes(workspace, tmp_path, case):
+    code, make_argv = EXIT_CASES[case]
+    argv = make_argv(workspace, tmp_path)
+    src = str(Path(graphsfda.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphsfda.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr.strip().splitlines()[-1].startswith(f"{argv[0]}: "), proc.stderr

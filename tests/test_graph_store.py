@@ -4,11 +4,11 @@ import pytest
 from graphsfda.errors import ContractError, ParseError
 from graphsfda.gnn import forward, init_model, pretrain_source
 from graphsfda.graph_store import (
+    AdjacencyLayout,
     ShiftSpec,
     TargetGraph,
     load_graph,
     make_shift_pair,
-    neighbor_lists,
     normalize_adjacency,
     save_graph,
     split_nodes,
@@ -38,6 +38,67 @@ class TestTargetGraph:
     def test_feature_row_mismatch(self):
         with pytest.raises(ContractError):
             TargetGraph(3, [], DenseMatrix.zeros(2, 1), None, 2)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2), (1, 3)], r"self-loop \(2,2\)"),
+            ([(0, 1), (3, 4), (4, 0)], r"edge \(3,4\) endpoint outside \[0,4\)"),
+            ([(0, 1), (1, 2), (1, 2)], r"duplicate undirected edge \(1, 2\)"),
+            ([(2, 1), (0, 3), (1, 2)], r"duplicate undirected edge \(1, 2\)"),
+            # the first offending pair decides, whatever its kind
+            ([(0, 1), (1, 0), (3, 3)], r"duplicate undirected edge \(0, 1\)"),
+            ([(1, 1), (0, 1), (0, 1)], r"self-loop"),
+            # (0,6) has the pair id of (1,2) when n=4
+            ([(1, 2), (0, 6)], r"edge \(0,6\) endpoint outside"),
+        ],
+        ids=["self-loop", "out-of-range", "duplicate", "reversed-duplicate", "first-wins",
+             "loop-before-duplicate", "out-of-range-id-alias"],
+    )
+    def test_array_validation(self, edges, message):
+        with pytest.raises(ContractError, match=message):
+            TargetGraph(4, edges, DenseMatrix.zeros(4, 1), None, 2)
+        with pytest.raises(ContractError, match=message):
+            TargetGraph(4, np.array(edges), DenseMatrix.zeros(4, 1), None, 2)
+
+    def test_validation_matches_per_edge_loop(self, rng):
+        def loop_oracle(n, edges):
+            seen = set()
+            for u, v in edges:
+                if u == v:
+                    return f"self-loop ({u},{v}) not allowed"
+                if not (0 <= u < n and 0 <= v < n):
+                    return f"edge ({u},{v}) endpoint outside [0,{n})"
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    return f"duplicate undirected edge {key}"
+                seen.add(key)
+            return None
+
+        for _ in range(300):
+            edges = [tuple(int(x) for x in rng.integers(-1, 7, size=2))
+                     for _ in range(int(rng.integers(0, 8)))]
+            expected = loop_oracle(5, edges)
+            try:
+                TargetGraph(5, edges, DenseMatrix.zeros(5, 1), None, 2)
+                message = None
+            except ContractError as exc:
+                message = str(exc)
+            assert message == expected, edges
+
+    def test_edges_canonical_read_only_array(self):
+        g = TargetGraph(4, [(3, 1), (0, 2)], DenseMatrix.zeros(4, 1), None, 2)
+        assert g.edges.dtype == np.int64
+        assert np.array_equal(g.edges, [[1, 3], [0, 2]])
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 0
+
+    @pytest.mark.parametrize("edges", [[], (), np.zeros((0, 2), dtype=np.int64)],
+                             ids=["list", "tuple", "array"])
+    def test_empty_edge_list(self, edges):
+        g = TargetGraph(3, edges, DenseMatrix.zeros(3, 1), None, 2)
+        assert g.edges.shape == (0, 2) and g.num_edges == 0
+        assert np.array_equal(normalize_adjacency(g).densify().a, np.eye(3))
 
 
 class TestNormalizeAdjacency:
@@ -92,7 +153,7 @@ class TestFileFormat:
         save_graph(g, tmp_path / "g")
         back = load_graph(tmp_path / "g")
         assert back.n == g.n
-        assert back.edges == g.edges
+        assert np.array_equal(back.edges, g.edges)
         assert np.array_equal(back.features.a, g.features.a)
         assert np.array_equal(back.labels, g.labels)
         assert back.num_classes == g.num_classes
@@ -102,7 +163,7 @@ class TestFileFormat:
         (tmp_path / "t.edges").write_text("0 1\n")
         (tmp_path / "t.feat").write_text("1 2 3\n4 5 6\n")
         g = load_graph(tmp_path / "t")
-        assert g.n == 2 and g.edges == ((0, 1),) and g.labels is None
+        assert g.n == 2 and np.array_equal(g.edges, [[0, 1]]) and g.labels is None
 
     def test_self_loop_is_parse_error(self, tmp_path):
         (tmp_path / "t.meta").write_text("6 1 2\n")
@@ -131,13 +192,21 @@ class TestFileFormat:
         (tmp_path / "t.feat").write_text("1\n2\n3\n")
         with pytest.warns(UserWarning, match="symmetrized"):
             g = load_graph(tmp_path / "t")
-        assert g.edges == ((0, 1),)
+        assert np.array_equal(g.edges, [[0, 1]])
 
     def test_malformed_feature_line(self, tmp_path):
         (tmp_path / "t.meta").write_text("1 2 2\n")
         (tmp_path / "t.edges").write_text("")
         (tmp_path / "t.feat").write_text("1 xyz\n")
         with pytest.raises(ParseError, match="t.feat:1"):
+            load_graph(tmp_path / "t")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        (tmp_path / "t.meta").write_text("3 2 2\n")
+        (tmp_path / "t.edges").write_text("")
+        (tmp_path / "t.feat").write_text(f"1 2\n\n3 4\n5 {value}\n")
+        with pytest.raises(ParseError, match="t.feat:4"):
             load_graph(tmp_path / "t")
 
 
@@ -184,7 +253,7 @@ class TestMakeShiftPair:
         spec = ShiftSpec(nodes_per_class=20, seed=9)
         s1, t1 = make_shift_pair(spec)
         s2, t2 = make_shift_pair(spec)
-        assert s1.edges == s2.edges and t1.edges == t2.edges
+        assert np.array_equal(s1.edges, s2.edges) and np.array_equal(t1.edges, t2.edges)
         assert np.array_equal(s1.features.a, s2.features.a)
         assert np.array_equal(t1.features.a, t2.features.a)
 
@@ -236,9 +305,14 @@ class TestMakeShiftPair:
         assert mean_acc[0] >= mean_acc[1] >= mean_acc[2]
 
 
-def test_neighbor_lists_with_mask(rng):
+def test_neighbor_adjacency_with_mask(rng):
     g = TargetGraph(4, [(0, 1), (1, 2), (2, 3)], DenseMatrix.zeros(4, 1), None, 1)
-    full = neighbor_lists(g)
-    assert [list(x) for x in full] == [[1], [0, 2], [1, 3], [2]]
-    masked = neighbor_lists(g, edge_keep=np.array([True, False, True]))
-    assert [list(x) for x in masked] == [[1], [0], [3], [2]]
+    layout = AdjacencyLayout(g.n, g.edges)
+
+    def neighbors(weights):
+        dense = layout.neighbors(np.asarray(weights, dtype=np.float64)).densify().a
+        assert set(np.unique(dense)) <= {0.0, 1.0} and not dense.diagonal().any()
+        return [list(np.flatnonzero(row)) for row in dense]
+
+    assert neighbors([1.0, 1.0, 1.0]) == [[1], [0, 2], [1, 3], [2]]
+    assert neighbors([1.0, 0.0, 1.0]) == [[1], [0], [3], [2]]

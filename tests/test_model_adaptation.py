@@ -13,7 +13,9 @@ from graphsfda.model_adaptation import (
     loss_weighted_ce,
     neighborhood_pseudo_labels,
 )
-from graphsfda.numerics import DenseMatrix, Tape, backward
+from graphsfda.numerics import DenseMatrix, SparseAdjacency, Tape, backward
+
+from conftest import random_graph
 
 
 def banks_with(pred, repr_=None):
@@ -23,29 +25,67 @@ def banks_with(pred, repr_=None):
     return MemoryBanks(np.asarray(repr_, dtype=np.float64), pred, 0.9)
 
 
+def neighbor_matrix(lists):
+    """0/1 neighbour matrix whose row i marks the node ids in lists[i]."""
+    cols = [np.sort(np.asarray(ns, dtype=np.int64)) for ns in lists]
+    offsets = np.concatenate([[0], np.cumsum([c.size for c in cols])])
+    return SparseAdjacency(len(lists), offsets, np.concatenate(cols), np.ones(offsets[-1]))
+
+
+def loop_pseudo_labels(lists, banks):
+    """The per-node loop the sparse product replaced, kept as an oracle."""
+    agg = np.empty_like(banks.pred_bank)
+    for i, ns in enumerate(lists):
+        agg[i] = banks.pred_bank[ns].mean(axis=0) if len(ns) else banks.pred_bank[i]
+    return np.argmax(agg, axis=1)
+
+
 class TestPseudoLabels:
     def test_single_neighbor(self):
         banks = banks_with([[0.5, 0.5], [0.2, 0.8]])
-        pl = neighborhood_pseudo_labels([np.array([1]), np.array([0])], banks)
+        pl = neighborhood_pseudo_labels(neighbor_matrix([np.array([1]), np.array([0])]), banks)
         assert pl.class_id[0] == 1
 
     def test_two_neighbor_mean(self):
         banks = banks_with([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
         pl = neighborhood_pseudo_labels(
-            [np.array([0, 1]), np.array([2]), np.array([0])], banks
+            neighbor_matrix([np.array([0, 1]), np.array([2]), np.array([0])]), banks
         )
         # mean of [0.9,0.1] and [0.2,0.8] is [0.55,0.45]
         assert pl.class_id[0] == 0
 
     def test_isolated_falls_back_to_own_row(self):
         banks = banks_with([[0.1, 0.9]])
-        pl = neighborhood_pseudo_labels([np.array([], dtype=int)], banks)
+        pl = neighborhood_pseudo_labels(neighbor_matrix([np.array([], dtype=int)]), banks)
         assert pl.class_id[0] == 1
 
     def test_tie_breaks_low(self):
         banks = banks_with([[0.5, 0.5]])
-        pl = neighborhood_pseudo_labels([np.array([], dtype=int)], banks)
+        pl = neighborhood_pseudo_labels(neighbor_matrix([np.array([], dtype=int)]), banks)
         assert pl.class_id[0] == 0
+
+    def test_matches_per_node_loop(self, rng):
+        # random graph with masked edges, an isolated node and tie-prone banks
+        from graphsfda.graph_store import AdjacencyLayout
+
+        for _ in range(5):
+            g = random_graph(rng, 60, 1, 4, edge_p=0.1)
+            keep = (g.edges != 0).all(axis=1)  # node 0 loses every edge
+            keep &= rng.random(g.num_edges) >= 0.3
+            pred = rng.dirichlet(np.ones(4), size=g.n)
+            halves = np.eye(4)[rng.integers(4, size=(2, g.n))]
+            pred[::7] = 0.5 * (halves[0] + halves[1])[::7]  # exact ties in the means
+            banks = banks_with(pred)
+            lists = [[] for _ in range(g.n)]
+            for (u, v), kept in zip(g.edges.tolist(), keep):
+                if kept:
+                    lists[u].append(v)
+                    lists[v].append(u)
+            lists = [np.array(sorted(ns), dtype=np.int64) for ns in lists]
+            assert lists[0].size == 0
+            layout = AdjacencyLayout(g.n, g.edges)
+            pl = neighborhood_pseudo_labels(layout.neighbors(keep.astype(np.float64)), banks)
+            assert np.array_equal(pl.class_id, loop_pseudo_labels(lists, banks))
 
     def test_onehot_shape(self):
         pl = PseudoLabels(np.array([2, 0]), 3)
@@ -232,9 +272,11 @@ def test_model_loss_gradients_on_random_instance(rng):
     adj = normalize_adjacency(g)
     fo = forward(model, adj, g.features)
     banks = MemoryBanks(fo.representations.a.copy(), fo.predictions.a.copy(), 0.9)
-    from graphsfda.graph_store import neighbor_lists
+    from graphsfda.graph_store import AdjacencyLayout
 
-    pl = neighborhood_pseudo_labels(neighbor_lists(g), banks)
+    pl = neighborhood_pseudo_labels(
+        AdjacencyLayout(g.n, g.edges).neighbors(np.ones(g.num_edges)), banks
+    )
     protos = compute_prototypes(pl, banks)
 
     def f(*params):

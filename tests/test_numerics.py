@@ -13,7 +13,6 @@ from graphsfda.numerics import (
     add_bias,
     add_scalar,
     backward,
-    coo_spmm,
     concat_rows,
     div,
     exp,
@@ -296,14 +295,14 @@ def test_binary_and_structural_gradients(rng):
         assert grad_check(f, a0) <= 1e-6, name
 
 
-def test_coo_spmm_gradients(rng):
-    rows = np.array([0, 1, 2, 0, 2])
-    cols = np.array([1, 2, 0, 2, 2])
+def test_spmm_gradients_wrt_values_and_x(rng):
+    # entries (0,1) (0,2) (1,2) (2,0) (2,2) in CSR order, values live
+    structure = SparseAdjacency(3, [0, 2, 3, 5], [1, 2, 2, 0, 2], np.zeros(5))
     v0 = rng.uniform(0.2, 1.0, size=(5, 1))
     x0 = rng.standard_normal((3, 2))
 
     def f(v, x):
-        y = coo_spmm(v, rows, cols, 3, x)
+        y = spmm(structure.with_values(v), x)
         return mean_all(mul(y, y))
 
     assert grad_check(f, [v0, x0]) <= 1e-6
