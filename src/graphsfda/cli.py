@@ -260,27 +260,44 @@ def cmd_adapt(args) -> int:
     return EXIT_OK
 
 
-def _load_eval_inputs(args):
-    graph = load_graph(args.graph)
-    model = load_checkpoint(args.checkpoint)
+def _load_eval_inputs(args, command: str):
+    """The graph, checkpoint and optional mask of `eval` and
+    `export-embeddings`, or the exit code of the first one that fails: a
+    missing or invalid graph or mask is bad data (3); a checkpoint that is
+    missing, unreadable or does not fit the graph, and a mask whose length
+    does not fit it, are incompatible artifacts (4)."""
+    try:
+        graph = load_graph(args.graph)
+    except (ParseError, ContractError, FileNotFoundError) as exc:
+        return _fail(EXIT_DATA, f"{command}: {exc}")
+    try:
+        model = load_checkpoint(args.checkpoint)
+    except (FileNotFoundError, ContractError) as exc:
+        return _fail(EXIT_INCOMPATIBLE, f"{command}: checkpoint: {exc}")
     if model.input_dim != graph.feature_dim or (
         graph.num_classes and model.num_classes != graph.num_classes
     ):
-        raise ShapeError(
-            f"checkpoint ({model.input_dim}d/{model.num_classes}c) does not fit "
-            f"graph ({graph.feature_dim}d/{graph.num_classes}c)"
+        return _fail(
+            EXIT_INCOMPATIBLE,
+            f"{command}: checkpoint ({model.input_dim}d/{model.num_classes}c) does not "
+            f"fit graph ({graph.feature_dim}d/{graph.num_classes}c)",
         )
-    mask = _read_mask(args.mask, graph.num_edges) if args.mask else None
+    mask = None
+    if args.mask:
+        try:
+            mask = _read_mask(args.mask, graph.num_edges)
+        except (ParseError, FileNotFoundError) as exc:
+            return _fail(EXIT_DATA, f"{command}: {exc}")
+        except ContractError as exc:
+            return _fail(EXIT_INCOMPATIBLE, f"{command}: {exc}")
     return graph, model, mask
 
 
 def cmd_eval(args) -> int:
-    try:
-        graph, model, mask = _load_eval_inputs(args)
-    except (ParseError,) as exc:
-        return _fail(EXIT_DATA, f"eval: {exc}")
-    except (FileNotFoundError, ContractError, ShapeError) as exc:
-        return _fail(EXIT_INCOMPATIBLE, f"eval: {exc}")
+    loaded = _load_eval_inputs(args, "eval")
+    if isinstance(loaded, int):
+        return loaded
+    graph, model, mask = loaded
     if graph.labels is None:
         return _fail(EXIT_DATA, f"eval: {args.graph} has no labels")
     weights = None if mask is None else 1.0 - mask
@@ -290,12 +307,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    try:
-        graph, model, mask = _load_eval_inputs(args)
-    except (ParseError,) as exc:
-        return _fail(EXIT_DATA, f"export-embeddings: {exc}")
-    except (FileNotFoundError, ContractError, ShapeError) as exc:
-        return _fail(EXIT_INCOMPATIBLE, f"export-embeddings: {exc}")
+    loaded = _load_eval_inputs(args, "export-embeddings")
+    if isinstance(loaded, int):
+        return loaded
+    graph, model, mask = loaded
     deltas = None
     if mask is not None:
         deltas = AdaptationDeltas(

@@ -8,6 +8,16 @@ row-scale ops, no GPU, no higher-order derivatives.
 
 There is one sparse product, `spmm`, over one sparse type whose values may be
 a recorded tensor: that is how a live edge mask reaches the convolution.
+`SparseAdjacency` builds two jagged-diagonal tables once per checked
+structure (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
+section 3.4), shared by every `with_values` copy: one over the rows for the
+product, one over the columns for its gradient in x. The rows are sorted by
+decreasing entry count and diagonal k holds the k-th entry of every row
+longer than k, so the product is one vectorized multiply-add per diagonal.
+Every output row starts at 0.0 and adds its products one at a time in CSR
+order (the x-gradient: in ascending row order within each column), exactly
+as a scatter-add (`np.add.at`) over the entries would, so the results are
+bitwise equal to it.
 
 Every op dispatches on its operands: pass `Tensor`s and the result is recorded
 for differentiation, pass `DenseMatrix`/arrays and you get a plain value back.
@@ -124,7 +134,8 @@ class SparseAdjacency:
     stored slot: constant, or a Tensor when the entries are differentiated.
     """
 
-    __slots__ = ("n", "row_offsets", "col_indices", "values", "_rows_expanded")
+    __slots__ = ("n", "row_offsets", "col_indices", "values", "_rows_expanded",
+                 "_by_row", "_by_col")
 
     def __init__(self, n: int, row_offsets, col_indices, values):
         offsets = np.asarray(row_offsets, dtype=np.int64)
@@ -148,7 +159,12 @@ class SparseAdjacency:
         self.n = n
         self.row_offsets = offsets
         self.col_indices = cols
-        self._rows_expanded = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        self._rows_expanded = rows
+        self._by_row = _JaggedDiagonals(offsets, np.arange(cols.size), cols)
+        by_col = np.argsort(cols, kind="stable")
+        col_offsets = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+        self._by_col = _JaggedDiagonals(col_offsets, by_col, rows)
         self.values = _entry_values(values, cols.size)
 
     def with_values(self, values) -> "SparseAdjacency":
@@ -169,6 +185,47 @@ class SparseAdjacency:
         out = np.zeros((self.n, self.n))
         out[self._rows_expanded, self.col_indices] = _val(self.values).ravel()
         return DenseMatrix.from_array(out)
+
+
+class _JaggedDiagonals:
+    """Jagged-diagonal (JDS) index of a sparse product's stored entries.
+
+    Output row i sums the entries `entries_of_row[offsets[i]:offsets[i+1]]`,
+    in that order. The rows are sorted by decreasing length (stable, so rows
+    of one length keep their order), and diagonal k holds the k-th entry of
+    every row longer than k: a prefix of the sorted rows. Adding the
+    diagonals in turn into a zeroed output therefore gives every row the
+    same sums, in the same order, as a scatter-add over its entries.
+    """
+
+    __slots__ = ("entries", "sources", "bounds", "inverse")
+
+    def __init__(self, offsets: np.ndarray, entries_of_row: np.ndarray, sources: np.ndarray):
+        """`sources[e]`: the row of the dense operand that entry e multiplies."""
+        n = offsets.size - 1
+        lengths = np.diff(offsets)
+        order = np.argsort(-lengths, kind="stable")
+        self.inverse = np.empty(n, dtype=np.int64)
+        self.inverse[order] = np.arange(n)
+        # rows longer than k, for k = 0 .. max length - 1
+        per_diagonal = n - np.cumsum(np.bincount(lengths, minlength=1))[:-1]
+        bounds = np.concatenate([[0], np.cumsum(per_diagonal)])
+        diagonal = np.repeat(np.arange(per_diagonal.size), per_diagonal)
+        rank = np.arange(bounds[-1]) - np.repeat(bounds[:-1], per_diagonal)
+        self.entries = entries_of_row[offsets[order][rank] + diagonal]
+        self.sources = sources[self.entries]
+        self.bounds = bounds.tolist()
+
+    def product(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row i of the result: the sum of `values[e] * x[sources[e]]` over
+        row i's entries e, accumulated from 0.0 in row order."""
+        out = np.zeros((self.inverse.size, x.shape[1]))
+        v = values[self.entries]
+        bounds = self.bounds
+        for k in range(len(bounds) - 1):
+            lo, hi = bounds[k], bounds[k + 1]
+            out[: hi - lo] += v[lo:hi] * x[self.sources[lo:hi]]
+        return out[self.inverse]
 
 
 def _entry_values(values, nnz: int):
@@ -375,15 +432,14 @@ def spmm(adj: SparseAdjacency, x):
     """Sparse-dense product `adj @ x`; equals the densified matmul.
 
     Recorded when `x` or the stored values of `adj` are a Tensor, with a
-    gradient into each of them that is live."""
+    gradient into each of them that is live. The product and the x-gradient
+    run over the jagged-diagonal tables of `adj`'s structure."""
     xv = _val(x)
     if adj.n != xv.shape[0]:
         raise ShapeError(f"spmm: adjacency is {adj.n}x{adj.n}, x has {xv.shape[0]} rows")
     rows, cols, vals = adj.rows_expanded(), adj.col_indices, adj.values
     vv = _val(vals)
-    out = np.zeros((adj.n, xv.shape[1]))
-    if adj.nnz:
-        np.add.at(out, rows, vv * xv[cols])
+    out = adj._by_row.product(vv, xv)
     tape = _tensor_operands(vals, x)
     if tape is None:
         return _wrap_like(out, x)
@@ -393,13 +449,7 @@ def spmm(adj: SparseAdjacency, x):
             (vals.index, lambda g: (g[rows] * xv[cols]).sum(axis=1, keepdims=True))
         )
     if isinstance(x, Tensor):
-
-        def pull_x(g):
-            gx = np.zeros(xv.shape)
-            np.add.at(gx, cols, vv * g[rows])
-            return gx
-
-        pulls.append((x.index, pull_x))
+        pulls.append((x.index, lambda g: adj._by_col.product(vv, g)))
     return tape._record(out, pulls)
 
 

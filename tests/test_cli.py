@@ -242,6 +242,14 @@ def _nan_feature_graph(ws, tmp):
     return str(tmp / "nan")
 
 
+def _short_feature_graph(ws, tmp):
+    for suffix in (".meta", ".edges", ".feat", ".labels"):
+        shutil.copy(ws / f"pair_tgt{suffix}", tmp / f"short{suffix}")
+    lines = (tmp / "short.feat").read_text().splitlines()
+    (tmp / "short.feat").write_text("\n".join(lines[:-1]) + "\n")
+    return str(tmp / "short")
+
+
 def _truncated_checkpoint(ws, tmp):
     (tmp / "cut.ckpt").write_bytes((ws / "model.ckpt").read_bytes()[:-8])
     return str(tmp / "cut.ckpt")
@@ -272,6 +280,12 @@ EXIT_CASES = {
     "adapt-feature-nan": (3, lambda ws, tmp: [
         "adapt", *_config(ws, tmp, target_graph=_nan_feature_graph(ws, tmp))]),
     "eval-feature-nan": (3, lambda ws, tmp: _scored(ws, tmp, "eval", _nan_feature_graph(ws, tmp))),
+    "eval-feature-short": (3, lambda ws, tmp: _scored(ws, tmp, "eval", _short_feature_graph(ws, tmp))),
+    "export-feature-short": (3, lambda ws, tmp: _scored(
+        ws, tmp, "export-embeddings", _short_feature_graph(ws, tmp))),
+    "eval-graph-missing": (3, lambda ws, tmp: _scored(ws, tmp, "eval", str(tmp / "absent"))),
+    "eval-mask-missing": (3, lambda ws, tmp: [
+        *_scored(ws, tmp, "eval", str(ws / "pair_tgt")), "--mask", str(tmp / "absent.mask")]),
     "truncated-checkpoint": (4, lambda ws, tmp: [
         "adapt", *_config(ws, tmp, checkpoint=_truncated_checkpoint(ws, tmp))]),
     "temperature-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, temperature=1e-300)]),

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from graphsfda import numerics
 from graphsfda.errors import ContractError, NumericalError, ShapeError
 from graphsfda.numerics import (
     DenseMatrix,
@@ -316,6 +317,111 @@ def test_spmm_gradient_wrt_dense(rng):
         return mean_all(mul(y, y))
 
     assert grad_check(f, rng.standard_normal((3, 2))) <= 1e-6
+
+
+def scatter_spmm(adj, values, x):
+    """The scatter-add product `spmm` used before its jagged-diagonal tables,
+    kept as their bitwise oracle: entries added one at a time, in CSR order,
+    into a zeroed output."""
+    out = np.zeros((adj.n, x.shape[1]))
+    np.add.at(out, adj.rows_expanded(), values * x[adj.col_indices])
+    return out
+
+
+def scatter_spmm_grad_x(adj, values, g):
+    """The x-gradient of `scatter_spmm` by the same scatter-add."""
+    gx = np.zeros((adj.n, g.shape[1]))
+    np.add.at(gx, adj.col_indices, values * g[adj.rows_expanded()])
+    return gx
+
+
+def csr(n, dense_pattern):
+    """Canonical CSR structure of a boolean n x n pattern."""
+    rows, cols = np.nonzero(dense_pattern)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return SparseAdjacency(n, offsets, cols, np.zeros(rows.size))
+
+
+def random_pattern(rng, n, p):
+    pattern = rng.random((n, n)) < p
+    pattern[rng.choice(n, size=n // 4, replace=False)] = False  # empty rows
+    return pattern
+
+
+def hub_pattern(rng, n):
+    pattern = rng.random((n, n)) < 3.0 / n
+    pattern[0, 1:] = True  # row 0 has degree n-1
+    return pattern
+
+
+SPMM_STRUCTURES = {
+    "random-with-empty-rows": lambda rng: csr(40, random_pattern(rng, 40, 0.2)),
+    "random-dense": lambda rng: csr(17, random_pattern(rng, 17, 0.7)),
+    "no-entries": lambda rng: csr(5, np.zeros((5, 5), dtype=bool)),
+    "single-self-loop": lambda rng: csr(1, np.ones((1, 1), dtype=bool)),
+    "not-symmetric": lambda rng: csr(4, np.array(
+        [[0, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=bool)),
+    "hub-row": lambda rng: csr(60, hub_pattern(rng, 60)),
+    "hub-column": lambda rng: csr(60, hub_pattern(rng, 60).T),
+}
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["frozen", "live"])
+@pytest.mark.parametrize("structure", list(SPMM_STRUCTURES))
+def test_spmm_bitwise_equals_scatter_add(rng, structure, live):
+    adj = SPMM_STRUCTURES[structure](rng)
+    # magnitudes over 16 decades: any change of summation order shows
+    values = rng.standard_normal((adj.nnz, 1)) * 10.0 ** rng.uniform(-8, 8, (adj.nnz, 1))
+    x0 = rng.standard_normal((adj.n, 3)) * 10.0 ** rng.uniform(-8, 8, (adj.n, 3))
+    g = rng.standard_normal((adj.n, 3))
+    tape = Tape()
+    x = tape.leaf(x0)
+    v = tape.leaf(values) if live else values
+    y = spmm(adj.with_values(v), x)
+    backward(tape, sum_all(mul(y, g)))
+    assert np.array_equal(y.value, scatter_spmm(adj, values, x0))
+    assert np.array_equal(x.grad, scatter_spmm_grad_x(adj, values, g))
+    assert np.array_equal(spmm(adj.with_values(values), x0), y.value)
+
+
+def test_with_values_shares_the_tables(monkeypatch, rng):
+    adj = csr(30, random_pattern(rng, 30, 0.3))
+    tables = (adj._by_row, adj._by_col)
+
+    def rebuilt(*_):
+        raise AssertionError("jagged-diagonal tables rebuilt")
+
+    monkeypatch.setattr(numerics, "_JaggedDiagonals", rebuilt)
+    tape = Tape()
+    for values in (np.ones(adj.nnz), tape.leaf(np.ones((adj.nnz, 1)))):
+        other = adj.with_values(values)
+        assert other._by_row is tables[0] and other._by_col is tables[1]
+        spmm(other, np.ones((30, 2)))
+
+
+def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
+    # a star plus a sparse random graph; the tables stay O(n + nnz) in size
+    n = 20_000
+    extra = rng.integers(0, n, size=(3 * n, 2))
+    u = np.concatenate([np.zeros(n - 1, dtype=np.int64), extra[:, 0]])
+    v = np.concatenate([np.arange(1, n), extra[:, 1]])
+    ids = np.unique(np.concatenate([u * n + v, v * n + u]))
+    rows, cols = ids // n, ids % n
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    values = rng.standard_normal(ids.size)
+    adj = SparseAdjacency(n, offsets, cols, values)
+    degree = int(np.diff(offsets).max())
+    assert degree >= n - 1
+    for table in (adj._by_row, adj._by_col):
+        assert table.entries.size == table.sources.size == adj.nnz
+        assert len(table.bounds) == degree + 1
+    x0 = rng.standard_normal((n, 32))
+    tape = Tape()
+    x = tape.leaf(x0)
+    y = spmm(adj, x)
+    backward(tape, sum_all(y))
+    assert np.array_equal(y.value, scatter_spmm(adj, values[:, None], x0))
+    assert np.array_equal(x.grad, scatter_spmm_grad_x(adj, values[:, None], np.ones((n, 32))))
 
 
 def test_composite_losses_pass_grad_check_at_random_points(rng):
