@@ -30,6 +30,7 @@ from .graph_store import (
     load_graph,
     make_shift_pair,
     normalize_adjacency,
+    read_text,
     save_graph,
     split_nodes,
 )
@@ -63,7 +64,7 @@ def _fail(code: int, message: str) -> int:
 def load_run_config(path) -> dict:
     """Read a JSON run config; unknown keys are rejected, missing keys get
     the documented defaults."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = json.loads(read_text(path))
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     known = set(_ADAPT_FIELDS) | set(_EXTRA_DEFAULTS)
@@ -114,6 +115,10 @@ def _resolve_config(args):
         _check_type(key, cfg[key], default)
     if min(cfg["hidden_dim"], cfg["num_layers"]) < 1:
         raise ContractError("hidden_dim and num_layers must be at least 1")
+    if min(cfg["pretrain_epochs"], cfg["pretrain_lr"], cfg["pretrain_weight_decay"]) < 0:
+        raise ContractError(
+            "pretrain_epochs, pretrain_lr and pretrain_weight_decay must be nonnegative"
+        )
     return cfg, AdaptConfig(**{k: cfg[k] for k in _ADAPT_FIELDS})
 
 
@@ -126,7 +131,7 @@ def _echo_config(cfg: dict, out_dir: Path) -> None:
 
 def _read_mask(path, num_edges: int) -> np.ndarray:
     values = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         try:
@@ -175,7 +180,7 @@ def cmd_gen_synth(args) -> int:
 def cmd_pretrain(args) -> int:
     try:
         cfg, _ = _resolve_config(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_DATA, f"pretrain: {exc}")
     except ContractError as exc:
         return _fail(EXIT_USAGE, f"pretrain: config: {exc}")
@@ -183,7 +188,7 @@ def cmd_pretrain(args) -> int:
         return _fail(EXIT_DATA, "pretrain: config needs source_graph")
     try:
         source = load_graph(cfg["source_graph"])
-    except (ParseError, ContractError, FileNotFoundError) as exc:
+    except (ParseError, ContractError, OSError) as exc:
         return _fail(EXIT_DATA, f"pretrain: {exc}")
     if source.labels is None:
         return _fail(EXIT_DATA, f"pretrain: {cfg['source_graph']} has no labels")
@@ -220,7 +225,7 @@ def cmd_pretrain(args) -> int:
 def cmd_adapt(args) -> int:
     try:
         cfg, adapt_cfg = _resolve_config(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_DATA, f"adapt: {exc}")
     except ContractError as exc:
         return _fail(EXIT_USAGE, f"adapt: config: {exc}")
@@ -228,11 +233,11 @@ def cmd_adapt(args) -> int:
         return _fail(EXIT_DATA, "adapt: config needs target_graph and checkpoint")
     try:
         target = load_graph(cfg["target_graph"])
-    except (ParseError, ContractError, FileNotFoundError) as exc:
+    except (ParseError, ContractError, OSError) as exc:
         return _fail(EXIT_DATA, f"adapt: {exc}")
     try:
         model = load_checkpoint(cfg["checkpoint"])
-    except (FileNotFoundError, ContractError) as exc:
+    except (OSError, ContractError) as exc:
         return _fail(EXIT_INCOMPATIBLE, f"adapt: checkpoint: {exc}")
 
     out_dir = Path(cfg["output_dir"])
@@ -268,11 +273,11 @@ def _load_eval_inputs(args, command: str):
     does not fit it, are incompatible artifacts (4)."""
     try:
         graph = load_graph(args.graph)
-    except (ParseError, ContractError, FileNotFoundError) as exc:
+    except (ParseError, ContractError, OSError) as exc:
         return _fail(EXIT_DATA, f"{command}: {exc}")
     try:
         model = load_checkpoint(args.checkpoint)
-    except (FileNotFoundError, ContractError) as exc:
+    except (OSError, ContractError) as exc:
         return _fail(EXIT_INCOMPATIBLE, f"{command}: checkpoint: {exc}")
     if model.input_dim != graph.feature_dim or (
         graph.num_classes and model.num_classes != graph.num_classes
@@ -286,7 +291,7 @@ def _load_eval_inputs(args, command: str):
     if args.mask:
         try:
             mask = _read_mask(args.mask, graph.num_edges)
-        except (ParseError, FileNotFoundError) as exc:
+        except (ParseError, OSError) as exc:
             return _fail(EXIT_DATA, f"{command}: {exc}")
         except ContractError as exc:
             return _fail(EXIT_INCOMPATIBLE, f"{command}: {exc}")

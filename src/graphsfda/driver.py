@@ -86,6 +86,8 @@ class AdaptConfig:
             raise ContractError("bank_momentum must lie in [0,1]")
         if not (0.0 <= self.budget_fraction <= 1.0):
             raise ContractError("budget_fraction must lie in [0,1]")
+        if min(self.model_lr, self.delta_lr) < 0:
+            raise ContractError("model_lr and delta_lr must be nonnegative")
         if min(self.model_steps, self.feature_steps, self.structure_steps) < 0:
             raise ContractError("loop counts must be nonnegative")
         if self.epochs < 0:

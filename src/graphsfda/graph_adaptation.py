@@ -33,7 +33,6 @@ from .graph_store import AdjacencyLayout, TargetGraph
 from .numerics import (
     DenseMatrix,
     SparseAdjacency,
-    Tape,
     Tensor,
     add,
     add_scalar,
@@ -234,14 +233,14 @@ def _contrast_weights(
 
 
 def loss_graph(
-    p,
-    z,
+    p: Tensor,
+    z: Tensor,
     banks: MemoryBanks,
     conf: ConfidentSet,
     sets: ContrastSets,
     alpha: float,
     beta: float,
-):
+) -> Tensor:
     """Confident-node cross-entropy plus neighborhood contrast.
 
     The contrast terms are raw cosine sums against frozen bank rows: the
@@ -253,26 +252,10 @@ def loss_graph(
     """
     if alpha < 0 or beta < 0:
         raise ContractError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
-    if isinstance(p, Tensor) or isinstance(z, Tensor):
-        return _loss_graph_t(p, z, banks, conf, sets, alpha, beta)
-    tape = Tape()
-    out = _loss_graph_t(
-        tape.leaf(p.a if isinstance(p, DenseMatrix) else p),
-        tape.leaf(z.a if isinstance(z, DenseMatrix) else z),
-        banks,
-        conf,
-        sets,
-        alpha,
-        beta,
-    )
-    return float(out.value[0, 0])
-
-
-def _loss_graph_t(p, z, banks, conf, sets, alpha, beta) -> Tensor:
-    if isinstance(p, Tensor):
+    try:
         pv = p.value
-    else:
-        pv = p.a if isinstance(p, DenseMatrix) else np.asarray(p, dtype=np.float64)
+    except AttributeError:
+        raise ContractError("loss_graph needs p recorded on a tape") from None
     weights = _contrast_weights(pv, banks, sets.positives, alpha, beta)
     total = sum_all(mul(l2_normalize_rows(z), weights))
     if len(conf):

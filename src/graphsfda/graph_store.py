@@ -209,6 +209,14 @@ def normalize_adjacency(g: TargetGraph, edge_weights=None) -> SparseAdjacency:
 # ---------------------------------------------------------------------------
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; ParseError naming it if it does not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _parse_int_fields(line: str, count: int, path, lineno: int):
     parts = line.split()
     if len(parts) != count:
@@ -223,7 +231,7 @@ def load_graph(prefix) -> TargetGraph:
     """Read `<prefix>.meta/.edges/.feat` (+ optional `.labels`)."""
     prefix = Path(prefix)
     meta_path = prefix.with_suffix(prefix.suffix + ".meta")
-    lines = meta_path.read_text(encoding="utf-8").strip().splitlines()
+    lines = read_text(meta_path).strip().splitlines()
     if len(lines) != 1:
         raise ParseError(f"{meta_path}:1: meta must be a single 'n d C' line")
     n, d, num_classes = _parse_int_fields(lines[0], 3, meta_path, 1)
@@ -233,7 +241,7 @@ def load_graph(prefix) -> TargetGraph:
     edges_path = prefix.with_suffix(prefix.suffix + ".edges")
     seen = {}
     edges = []
-    for lineno, raw in enumerate(edges_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(edges_path).splitlines(), 1):
         if not raw.strip():
             continue
         u, v = _parse_int_fields(raw, 2, edges_path, lineno)
@@ -256,7 +264,7 @@ def load_graph(prefix) -> TargetGraph:
     feat_path = prefix.with_suffix(prefix.suffix + ".feat")
     rows = []
     row_lines = []
-    for lineno, raw in enumerate(feat_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(feat_path).splitlines(), 1):
         if not raw.strip():
             continue
         parts = raw.split()
@@ -280,7 +288,7 @@ def load_graph(prefix) -> TargetGraph:
     labels_path = prefix.with_suffix(prefix.suffix + ".labels")
     if labels_path.exists():
         vals = []
-        for lineno, raw in enumerate(labels_path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_text(labels_path).splitlines(), 1):
             if not raw.strip():
                 continue
             (y,) = _parse_int_fields(raw, 1, labels_path, lineno)

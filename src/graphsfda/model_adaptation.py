@@ -8,9 +8,10 @@ InfoNCE-style term whose denominator holds only negatives (the remaining
 prototypes and the other instances), so its value can legitimately be
 negative.
 
-Loss functions accept live tensors (recorded for differentiation) or plain
-matrices; selection steps (argmax labels, prototype membership) always work
-on concrete values and act as constants under differentiation.
+Loss functions take tensors recorded on a tape and return tensors on it;
+read a value off one with `numerics.evaluate`. Selection steps (argmax
+labels, prototype membership) work on concrete values and act as constants
+under differentiation.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import numpy as np
 from .banks import MemoryBanks
 from .errors import ContractError
 from .numerics import (
-    DenseMatrix,
     SparseAdjacency,
-    Tape,
     Tensor,
     add,
     exp,
@@ -124,56 +123,30 @@ def _normalized_centroids(protos: Prototypes) -> np.ndarray:
     return protos.centroids / safe
 
 
-def _scalar(x) -> float:
-    return float(x.value[0, 0]) if isinstance(x, Tensor) else float(x)
-
-
-def confidence_weights(z, protos: Prototypes, pl: PseudoLabels):
+def confidence_weights(z: Tensor, protos: Prototypes, pl: PseudoLabels) -> Tensor:
     """Cosine similarity of each node to its pseudo-class centroid, clamped
     at zero; zero-norm operands give weight zero."""
-    if isinstance(z, Tensor):
-        return _confidence_weights_t(z, protos, pl)
-    tape = Tape()
-    out = _confidence_weights_t(tape.leaf(z), protos, pl)
-    return DenseMatrix.from_array(out.value)
-
-
-def _confidence_weights_t(z: Tensor, protos: Prototypes, pl: PseudoLabels) -> Tensor:
     per_node_centroid = _normalized_centroids(protos)[pl.class_id]
     zn = l2_normalize_rows(z)
     return relu(row_sum(mul(zn, per_node_centroid)))
 
 
-def loss_weighted_ce(p, pl: PseudoLabels, w):
+def loss_weighted_ce(p: Tensor, pl: PseudoLabels, w) -> Tensor:
     """Confidence-weighted cross-entropy against the pseudo-labels, averaged
-    over all nodes. Log probabilities are floored at 1e-12."""
-    if isinstance(p, Tensor) or isinstance(w, Tensor):
-        return _loss_weighted_ce_t(p, pl, w)
-    tape = Tape()
-    return _scalar(_loss_weighted_ce_t(tape.leaf(p), pl, _value_col(w)))
-
-
-def _value_col(w) -> np.ndarray:
-    if isinstance(w, Tensor):
-        return w
-    wv = w.a if isinstance(w, DenseMatrix) else np.asarray(w, dtype=np.float64)
-    return wv.reshape(-1, 1)
-
-
-def _loss_weighted_ce_t(p, pl: PseudoLabels, w) -> Tensor:
+    over all nodes. `w` is an (n x 1) column, recorded or constant. Log
+    probabilities are floored at 1e-12."""
     picked = select_cols(p, pl.class_id)
-    weighted = mul(_value_col(w) if not isinstance(w, Tensor) else w, log_clamped(picked))
-    return neg(mean_all(weighted))
+    return neg(mean_all(mul(w, log_clamped(picked))))
 
 
 def loss_instance_prototype(
-    z,
+    z: Tensor,
     protos: Prototypes,
     pl: PseudoLabels,
     tau: float,
     batch_indices=None,
     include_positive_in_denominator: bool = False,
-):
+) -> Tensor:
     """Instance-to-prototype contrast under temperature `tau`.
 
     Per node, the positive is its pseudo-class centroid; negatives are the
@@ -185,26 +158,7 @@ def loss_instance_prototype(
     """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
-    if isinstance(z, Tensor):
-        return _loss_instance_prototype_t(
-            z, protos, pl, tau, batch_indices, include_positive_in_denominator
-        )
-    tape = Tape()
-    out = _loss_instance_prototype_t(
-        tape.leaf(z), protos, pl, tau, batch_indices, include_positive_in_denominator
-    )
-    return _scalar(out)
-
-
-def _loss_instance_prototype_t(
-    z: Tensor,
-    protos: Prototypes,
-    pl: PseudoLabels,
-    tau: float,
-    batch_indices,
-    include_positive: bool,
-) -> Tensor:
-    n = z.value.shape[0]
+    n = pl.class_id.size
     keep = ~protos.empty[pl.class_id]
     if not np.all(keep):
         warnings.warn(
@@ -232,21 +186,15 @@ def _loss_instance_prototype_t(
         inst_sum = row_sum(mul(others, not_self))
 
     denom = add(proto_sum, inst_sum)
-    if include_positive:
+    if include_positive_in_denominator:
         denom = add(denom, pos_exp)
     per_node = sub(mul_scalar(pos, inv_tau), log(denom))
     kept_total = sum_all(mul(per_node, keep.astype(np.float64).reshape(-1, 1)))
     return mul_scalar(kept_total, -1.0 / int(keep.sum()))
 
 
-def loss_model(l_ce, l_co, lam: float):
+def loss_model(l_ce: Tensor, l_co: Tensor, lam: float) -> Tensor:
     """Convex mix of the two model-adaptation terms."""
     if not (0.0 <= lam <= 1.0):
         raise ContractError(f"lambda must lie in [0,1], got {lam}")
-    ce_live = isinstance(l_ce, Tensor)
-    co_live = isinstance(l_co, Tensor)
-    if not ce_live and not co_live:
-        return (1.0 - lam) * float(l_ce) + lam * float(l_co)
-    a = mul_scalar(l_ce, 1.0 - lam) if ce_live else np.array([[(1.0 - lam) * float(l_ce)]])
-    b = mul_scalar(l_co, lam) if co_live else np.array([[lam * float(l_co)]])
-    return add(a, b)
+    return add(mul_scalar(l_ce, 1.0 - lam), mul_scalar(l_co, lam))

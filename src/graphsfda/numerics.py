@@ -19,10 +19,13 @@ order (the x-gradient: in ascending row order within each column), exactly
 as a scatter-add (`np.add.at`) over the entries would, so the results are
 bitwise equal to it.
 
-Every op dispatches on its operands: pass `Tensor`s and the result is recorded
-for differentiation, pass `DenseMatrix`/arrays and you get a plain value back.
-`grad_check` compares `backward` against central finite differences and is the
-ground truth for every composite loss built on top of this module.
+The products, `row_softmax` and `l2_normalize_rows` dispatch on their
+operands: pass `Tensor`s and the result is recorded for differentiation, pass
+`DenseMatrix`/arrays and you get a plain value back. The other ops, and the
+losses built from them, need a `Tensor` operand; `evaluate(f, *values)` runs
+such a function on plain values through a fresh tape. `grad_check` compares
+`backward` against central finite differences and is the ground truth for
+every composite loss built on top of this module.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "Tape",
     "Tensor",
     "backward",
+    "evaluate",
     "grad_check",
     "matmul",
     "spmm",
@@ -334,6 +338,13 @@ def backward(tape: Tape, scalar_output: Tensor) -> None:
         node.grad = grads[k] if grads[k] is not None else np.zeros_like(node.value)
 
 
+def evaluate(f, *values) -> np.ndarray:
+    """The value of `f` with each of `values` recorded as a leaf on a fresh
+    tape: how a plain-valued caller reads a tensor-only function."""
+    tape = Tape()
+    return f(*(tape.leaf(v) for v in values)).value
+
+
 def grad_check(f, points, step: float = 1e-4) -> float:
     """Max relative error between `backward` and central finite differences.
 
@@ -356,20 +367,15 @@ def grad_check(f, points, step: float = 1e-4) -> float:
     backward(tape, out)
     analytic = [leaf.grad.copy() for leaf in leaves]
 
-    def evaluate(pts) -> float:
-        t = Tape()
-        ls = [t.leaf(p) for p in pts]
-        return float(f(*ls).value[0, 0])
-
     worst = 0.0
     for i, p in enumerate(base):
         flat = p.ravel()
         for j in range(flat.size):
             bump = [q.copy() for q in base]
             bump[i].ravel()[j] = flat[j] + step
-            hi = evaluate(bump)
+            hi = float(evaluate(f, *bump)[0, 0])
             bump[i].ravel()[j] = flat[j] - step
-            lo = evaluate(bump)
+            lo = float(evaluate(f, *bump)[0, 0])
             numeric = (hi - lo) / (2.0 * step)
             a = analytic[i].ravel()[j]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)

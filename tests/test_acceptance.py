@@ -41,7 +41,7 @@ from graphsfda.model_adaptation import (
     loss_weighted_ce,
     neighborhood_pseudo_labels,
 )
-from graphsfda.numerics import DenseMatrix, grad_check
+from graphsfda.numerics import DenseMatrix, evaluate, grad_check
 
 from conftest import random_graph
 from test_graph_adaptation import grid_project_oracle
@@ -295,8 +295,8 @@ def test_criterion_6_degeneracy_identities():
         rng = np.random.default_rng(6)
         for _ in range(100):
             a, b = rng.standard_normal(2) * 10
-            assert abs(loss_model(a, b, 0.0) - a) <= 1e-12
-            assert abs(loss_model(a, b, 1.0) - b) <= 1e-12
+            assert abs(evaluate(lambda x, y: loss_model(x, y, 0.0), [[a]], [[b]])[0, 0] - a) <= 1e-12
+            assert abs(evaluate(lambda x, y: loss_model(x, y, 1.0), [[a]], [[b]])[0, 0] - b) <= 1e-12
         ok = True
     finally:
         announce(6, "degeneracy identities (no-op runs, mix endpoints)", ok)

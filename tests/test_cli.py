@@ -233,9 +233,21 @@ def _bad_mask(ws, tmp, value):
     return str(tmp / "bad.mask")
 
 
-def _nan_feature_graph(ws, tmp):
+def _graph_copy(ws, tmp, name):
     for suffix in (".meta", ".edges", ".feat", ".labels"):
-        shutil.copy(ws / f"pair_tgt{suffix}", tmp / f"nan{suffix}")
+        shutil.copy(ws / f"pair_tgt{suffix}", tmp / f"{name}{suffix}")
+    return str(tmp / name)
+
+
+def _not_utf8(path):
+    """Overwrite the file's first byte with 0xFF, which never occurs in UTF-8."""
+    path = Path(path)
+    path.write_bytes(b"\xff" + path.read_bytes()[1:])
+    return str(path)
+
+
+def _nan_feature_graph(ws, tmp):
+    _graph_copy(ws, tmp, "nan")
     lines = (tmp / "nan.feat").read_text().splitlines()
     lines[2] = " ".join(["nan"] + lines[2].split()[1:])
     (tmp / "nan.feat").write_text("\n".join(lines) + "\n")
@@ -243,11 +255,16 @@ def _nan_feature_graph(ws, tmp):
 
 
 def _short_feature_graph(ws, tmp):
-    for suffix in (".meta", ".edges", ".feat", ".labels"):
-        shutil.copy(ws / f"pair_tgt{suffix}", tmp / f"short{suffix}")
+    _graph_copy(ws, tmp, "short")
     lines = (tmp / "short.feat").read_text().splitlines()
     (tmp / "short.feat").write_text("\n".join(lines[:-1]) + "\n")
     return str(tmp / "short")
+
+
+def _undecodable_feature_graph(ws, tmp):
+    prefix = _graph_copy(ws, tmp, "latin")
+    _not_utf8(prefix + ".feat")
+    return prefix
 
 
 def _truncated_checkpoint(ws, tmp):
@@ -273,6 +290,13 @@ EXIT_CASES = {
     "epochs-flag-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp), "--epochs", "-1"]),
     "pretrain-seed-negative": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, seed=-1)]),
     "pretrain-hidden-zero": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, hidden_dim=0)]),
+    "model-lr-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr=-1)]),
+    "delta-lr-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, delta_lr=-0.1)]),
+    "pretrain-epochs-negative": (2, lambda ws, tmp: [
+        "pretrain", *_config(ws, tmp, pretrain_epochs=-1)]),
+    "pretrain-lr-negative": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, pretrain_lr=-1)]),
+    "pretrain-weight-decay-negative": (2, lambda ws, tmp: [
+        "pretrain", *_config(ws, tmp, pretrain_weight_decay=-3)]),
     "eval-mask-above-one": (3, lambda ws, tmp: _scored(
         ws, tmp, "eval", str(ws / "out" / "refined"), "1.5", "out/adapted.ckpt")),
     "export-mask-nan": (3, lambda ws, tmp: _scored(
@@ -286,8 +310,22 @@ EXIT_CASES = {
     "eval-graph-missing": (3, lambda ws, tmp: _scored(ws, tmp, "eval", str(tmp / "absent"))),
     "eval-mask-missing": (3, lambda ws, tmp: [
         *_scored(ws, tmp, "eval", str(ws / "pair_tgt")), "--mask", str(tmp / "absent.mask")]),
+    "adapt-config-not-utf8": (3, lambda ws, tmp: [
+        "adapt", "--config", _not_utf8(_config(ws, tmp)[1])]),
+    "adapt-feature-not-utf8": (3, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, target_graph=_undecodable_feature_graph(ws, tmp))]),
+    "eval-mask-not-utf8": (3, lambda ws, tmp: [
+        *_scored(ws, tmp, "eval", str(ws / "out" / "refined"), checkpoint="out/adapted.ckpt"),
+        "--mask", _not_utf8(shutil.copy(ws / "out" / "refined.mask", tmp / "u.mask"))]),
+    "adapt-config-directory": (3, lambda ws, tmp: ["adapt", "--config", str(tmp)]),
+    "eval-mask-directory": (3, lambda ws, tmp: [
+        *_scored(ws, tmp, "eval", str(ws / "pair_tgt")), "--mask", str(tmp)]),
     "truncated-checkpoint": (4, lambda ws, tmp: [
         "adapt", *_config(ws, tmp, checkpoint=_truncated_checkpoint(ws, tmp))]),
+    "adapt-checkpoint-directory": (4, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, checkpoint=str(tmp))]),
+    "eval-checkpoint-directory": (4, lambda ws, tmp: [
+        "eval", "--checkpoint", str(tmp), "--graph", str(ws / "pair_tgt")]),
     "temperature-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, temperature=1e-300)]),
 }
 

@@ -28,6 +28,7 @@ from graphsfda.numerics import (
     Tape,
     add,
     backward,
+    evaluate,
     gather_rows,
     grad_check,
     l2_normalize_rows,
@@ -270,29 +271,34 @@ class TestLabelNegatives:
         assert all(1 not in set(negs[i]) for i in range(2))
 
 
+def graph_loss(p, z, banks, conf, sets, alpha, beta):
+    """The graph loss of plain probabilities and representations."""
+    return evaluate(lambda pt, zt: loss_graph(pt, zt, banks, conf, sets, alpha, beta), p, z)[0, 0]
+
+
 class TestLossGraph:
     def test_pure_ce_zero_for_perfect(self):
         banks = MemoryBanks(np.eye(2), np.eye(2), 0.9)
-        p = DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
-        z = DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
+        p = [[1.0, 0.0], [0.0, 1.0]]
+        z = [[1.0, 0.0], [0.0, 1.0]]
         conf = ConfidentSet(np.array([0, 1]), np.array([0, 1]), 0.9)
         sets = ContrastSets(np.zeros((2, 0), dtype=int))
-        assert loss_graph(p, z, banks, conf, sets, 0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
+        assert graph_loss(p, z, banks, conf, sets, 0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_positive_cosine(self):
         banks = MemoryBanks(np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2), 0.9)
-        z = DenseMatrix.from_rows([[3.0, 0.0]])  # cos with bank row 1 is exactly 1
+        z = [[3.0, 0.0]]  # cos with bank row 1 is exactly 1
         conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int), 0.9)
         sets = ContrastSets(np.array([[1]]))
-        out = loss_graph(DenseMatrix.from_rows([[0.5, 0.5]]), z, banks, conf, sets, 1.0, 0.0)
+        out = graph_loss([[0.5, 0.5]], z, banks, conf, sets, 1.0, 0.0)
         assert out == pytest.approx(-1.0, abs=1e-12)
 
     def test_negative_term_sign(self):
         banks = MemoryBanks(np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2), 0.9)
-        z = DenseMatrix.from_rows([[3.0, 0.0]])
+        z = [[3.0, 0.0]]
         conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int), 0.9)
         sets = ContrastSets(np.zeros((1, 0), dtype=int))
-        out = loss_graph(DenseMatrix.from_rows([[0.5, 0.5]]), z, banks, conf, sets, 0.0, 0.7)
+        out = graph_loss([[0.5, 0.5]], z, banks, conf, sets, 0.0, 0.7)
         assert out == pytest.approx(0.7, abs=1e-12)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from graphsfda.banks import MemoryBanks
 from graphsfda.errors import ContractError
+from graphsfda.graph_adaptation import ConfidentSet, ContrastSets, loss_graph
 from graphsfda.model_adaptation import (
     PseudoLabels,
     Prototypes,
@@ -13,7 +14,7 @@ from graphsfda.model_adaptation import (
     loss_weighted_ce,
     neighborhood_pseudo_labels,
 )
-from graphsfda.numerics import DenseMatrix, SparseAdjacency, Tape, backward
+from graphsfda.numerics import DenseMatrix, SparseAdjacency, Tape, Tensor, evaluate
 
 from conftest import random_graph
 
@@ -124,59 +125,69 @@ class TestPrototypes:
 class TestConfidenceWeights:
     def test_self_similarity(self):
         protos = Prototypes(np.array([[1.0, 2.0]]), np.array([1]))
-        w = confidence_weights(DenseMatrix.from_rows([[1.0, 2.0]]), protos, PseudoLabels(np.array([0]), 1))
-        assert np.allclose(w.a, [[1.0]])
+        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 2.0]])
+        assert np.allclose(w, [[1.0]])
 
     def test_orthogonal(self):
         protos = Prototypes(np.array([[0.0, 1.0]]), np.array([1]))
-        w = confidence_weights(DenseMatrix.from_rows([[1.0, 0.0]]), protos, PseudoLabels(np.array([0]), 1))
-        assert np.allclose(w.a, [[0.0]])
+        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 0.0]])
+        assert np.allclose(w, [[0.0]])
 
     def test_hand_cosine(self):
         protos = Prototypes(np.array([[1.0, 1.0]]), np.array([1]))
-        w = confidence_weights(DenseMatrix.from_rows([[1.0, 0.0]]), protos, PseudoLabels(np.array([0]), 1))
-        assert np.allclose(w.a, [[1.0 / np.sqrt(2.0)]])
+        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 0.0]])
+        assert np.allclose(w, [[1.0 / np.sqrt(2.0)]])
 
     def test_negative_cosine_clamped(self):
         protos = Prototypes(np.array([[-1.0, 0.0]]), np.array([1]))
-        w = confidence_weights(DenseMatrix.from_rows([[1.0, 0.0]]), protos, PseudoLabels(np.array([0]), 1))
-        assert np.array_equal(w.a, [[0.0]])
+        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 0.0]])
+        assert np.array_equal(w, [[0.0]])
 
     def test_zero_norm_gives_zero(self):
         protos = Prototypes(np.array([[0.0, 0.0]]), np.array([0]))
-        w = confidence_weights(DenseMatrix.from_rows([[1.0, 1.0]]), protos, PseudoLabels(np.array([0]), 1))
-        assert np.array_equal(w.a, [[0.0]])
+        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 1.0]])
+        assert np.array_equal(w, [[0.0]])
 
     def test_scale_invariance(self, rng):
         z = rng.standard_normal((6, 3))
         protos = Prototypes(rng.standard_normal((2, 3)), np.array([3, 3]))
         pl = PseudoLabels(rng.integers(0, 2, 6), 2)
-        w1 = confidence_weights(DenseMatrix.from_array(z), protos, pl).a
-        w2 = confidence_weights(DenseMatrix.from_array(7.3 * z), protos, pl).a
+        w1 = evaluate(lambda t: confidence_weights(t, protos, pl), z)
+        w2 = evaluate(lambda t: confidence_weights(t, protos, pl), 7.3 * z)
         assert np.allclose(w1, w2, atol=1e-12)
+
+
+def weighted_ce(p, pl, w):
+    """The loss on plain probabilities and an (n x 1) weight column."""
+    return evaluate(lambda t: loss_weighted_ce(t, pl, w), p)[0, 0]
 
 
 class TestWeightedCE:
     def test_perfect_prediction(self):
-        p = DenseMatrix.from_rows([[1.0, 0.0]])
-        assert loss_weighted_ce(p, PseudoLabels(np.array([0]), 2), np.array([1.0])) == pytest.approx(0.0, abs=1e-9)
+        p = [[1.0, 0.0]]
+        assert weighted_ce(p, PseudoLabels(np.array([0]), 2), np.array([[1.0]])) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_binary(self):
-        p = DenseMatrix.from_rows([[0.5, 0.5]])
-        out = loss_weighted_ce(p, PseudoLabels(np.array([0]), 2), np.array([1.0]))
+        p = [[0.5, 0.5]]
+        out = weighted_ce(p, PseudoLabels(np.array([0]), 2), np.array([[1.0]]))
         assert out == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_zero_weights_zero_loss(self, rng):
-        p = DenseMatrix.from_array(rng.dirichlet(np.ones(3), 5))
-        out = loss_weighted_ce(p, PseudoLabels(rng.integers(0, 3, 5), 3), np.zeros(5))
+        p = rng.dirichlet(np.ones(3), 5)
+        out = weighted_ce(p, PseudoLabels(rng.integers(0, 3, 5), 3), np.zeros((5, 1)))
         assert out == 0.0
 
     def test_nonnegative(self, rng):
         for _ in range(20):
-            p = DenseMatrix.from_array(rng.dirichlet(np.ones(4), 6))
-            w = rng.uniform(0, 1, 6)
+            p = rng.dirichlet(np.ones(4), 6)
+            w = rng.uniform(0, 1, (6, 1))
             pl = PseudoLabels(rng.integers(0, 4, 6), 4)
-            assert loss_weighted_ce(p, pl, w) >= 0.0
+            assert weighted_ce(p, pl, w) >= 0.0
+
+
+def instance_prototype(z, protos, pl, tau, **kwargs):
+    """The contrast on plain representations."""
+    return evaluate(lambda t: loss_instance_prototype(t, protos, pl, tau, **kwargs), z)[0, 0]
 
 
 class TestInstancePrototypeLoss:
@@ -184,46 +195,42 @@ class TestInstancePrototypeLoss:
         return Prototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
 
     def test_single_node_closed_form(self):
-        z = DenseMatrix.from_rows([[1.0, 0.0]])
-        out = loss_instance_prototype(z, self.two_class_protos(), PseudoLabels(np.array([0]), 2), 0.2)
+        z = [[1.0, 0.0]]
+        out = instance_prototype(z, self.two_class_protos(), PseudoLabels(np.array([0]), 2), 0.2)
         assert out == pytest.approx(-5.0, abs=1e-9)
 
     def test_huge_temperature_limit(self):
-        z = DenseMatrix.from_rows([[1.0, 0.0]])
-        out = loss_instance_prototype(z, self.two_class_protos(), PseudoLabels(np.array([0]), 2), 1e9)
+        z = [[1.0, 0.0]]
+        out = instance_prototype(z, self.two_class_protos(), PseudoLabels(np.array([0]), 2), 1e9)
         assert out == pytest.approx(0.0, abs=1e-6)
 
     def test_better_alignment_lowers_loss(self):
         pl = PseudoLabels(np.array([0]), 2)
-        aligned = loss_instance_prototype(
-            DenseMatrix.from_rows([[1.0, 0.0]]), self.two_class_protos(), pl, 0.5
-        )
-        misaligned = loss_instance_prototype(
-            DenseMatrix.from_rows([[0.7, 0.7]]), self.two_class_protos(), pl, 0.5
-        )
+        aligned = instance_prototype([[1.0, 0.0]], self.two_class_protos(), pl, 0.5)
+        misaligned = instance_prototype([[0.7, 0.7]], self.two_class_protos(), pl, 0.5)
         assert aligned < misaligned
 
     def test_empty_class_nodes_skipped(self):
         protos = Prototypes(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1, 0]))
-        z = DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
+        z = [[1.0, 0.0], [0.0, 1.0]]
         pl = PseudoLabels(np.array([0, 1]), 2)
         with pytest.warns(UserWarning, match="skipped"):
-            out = loss_instance_prototype(z, protos, pl, 0.2)
+            out = instance_prototype(z, protos, pl, 0.2)
         assert np.isfinite(out)
 
     def test_batch_restriction_matches_full_on_all_indices(self, rng):
-        z = DenseMatrix.from_array(rng.standard_normal((5, 3)))
+        z = rng.standard_normal((5, 3))
         protos = Prototypes(rng.standard_normal((2, 3)), np.array([2, 3]))
         pl = PseudoLabels(rng.integers(0, 2, 5), 2)
-        full = loss_instance_prototype(z, protos, pl, 0.3)
-        batched = loss_instance_prototype(z, protos, pl, 0.3, batch_indices=np.arange(5))
+        full = instance_prototype(z, protos, pl, 0.3)
+        batched = instance_prototype(z, protos, pl, 0.3, batch_indices=np.arange(5))
         assert full == pytest.approx(batched, abs=1e-12)
 
     def test_positive_in_denominator_option(self):
-        z = DenseMatrix.from_rows([[1.0, 0.0]])
+        z = [[1.0, 0.0]]
         pl = PseudoLabels(np.array([0]), 2)
-        literal = loss_instance_prototype(z, self.two_class_protos(), pl, 0.2)
-        common = loss_instance_prototype(
+        literal = instance_prototype(z, self.two_class_protos(), pl, 0.2)
+        common = instance_prototype(
             z, self.two_class_protos(), pl, 0.2, include_positive_in_denominator=True
         )
         # with the positive included the ratio is < 1, so the loss is positive
@@ -240,13 +247,18 @@ class TestInstancePrototypeLoss:
             )
 
 
+def mixed(l_ce, l_co, lam):
+    """The model loss of two plain scalars."""
+    return evaluate(lambda a, b: loss_model(a, b, lam), [[l_ce]], [[l_co]])[0, 0]
+
+
 class TestLossModel:
     def test_endpoints(self):
-        assert loss_model(1.25, -3.0, 0.0) == 1.25
-        assert loss_model(1.25, -3.0, 1.0) == -3.0
+        assert mixed(1.25, -3.0, 0.0) == 1.25
+        assert mixed(1.25, -3.0, 1.0) == -3.0
 
     def test_mix(self):
-        assert loss_model(1.0, 0.5, 0.2) == pytest.approx(0.9, abs=1e-12)
+        assert mixed(1.0, 0.5, 0.2) == pytest.approx(0.9, abs=1e-12)
 
     def test_lambda_range(self):
         with pytest.raises(ContractError):
@@ -258,6 +270,30 @@ class TestLossModel:
         b = tape.leaf([[-3.0]])
         assert loss_model(a, b, 0.0).value[0, 0] == 1.25
         assert loss_model(a, b, 1.0).value[0, 0] == -3.0
+
+
+def test_losses_are_tensor_only(rng):
+    """Every loss records onto its operands' tape and refuses plain values."""
+    z0 = rng.standard_normal((4, 3))
+    p0 = rng.dirichlet(np.ones(2), 4)
+    pl = PseudoLabels(np.array([0, 1, 0, 1]), 2)
+    protos = Prototypes(rng.standard_normal((2, 3)), np.array([2, 2]))
+    banks = MemoryBanks(rng.standard_normal((4, 3)), rng.dirichlet(np.ones(2), 4), 0.9)
+    conf = ConfidentSet(np.array([0, 2]), np.array([0, 0]), 0.5)
+    sets = ContrastSets(np.array([[1], [2], [3], [0]]))
+    losses = {
+        "confidence_weights": (lambda z: confidence_weights(z, protos, pl), [z0]),
+        "loss_weighted_ce": (lambda p, w: loss_weighted_ce(p, pl, w), [p0, np.ones((4, 1))]),
+        "loss_instance_prototype": (lambda z: loss_instance_prototype(z, protos, pl, 0.2), [z0]),
+        "loss_model": (lambda a, b: loss_model(a, b, 0.3), [[[1.0]], [[2.0]]]),
+        "loss_graph": (lambda p, z: loss_graph(p, z, banks, conf, sets, 0.5, 0.5), [p0, z0]),
+    }
+    for name, (f, values) in losses.items():
+        tape = Tape()
+        out = f(*(tape.leaf(v) for v in values))
+        assert isinstance(out, Tensor) and out.tape is tape, name
+        with pytest.raises(ContractError):
+            f(*(np.asarray(v, dtype=np.float64) for v in values))
 
 
 def test_model_loss_gradients_on_random_instance(rng):
