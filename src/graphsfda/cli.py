@@ -6,8 +6,8 @@ the adaptation loop and exports its artifacts, `eval` scores a checkpoint on
 a labelled graph, `export-embeddings` dumps node representations.
 
 Metrics go to stdout as `key=value` lines; diagnostics go to stderr. Exit
-codes: 0 success, 2 usage, 3 missing or invalid data, 4 incompatible
-artifacts, 5 numerical abort.
+codes: 0 success, 2 usage, 3 missing or invalid data or an unwritable
+output path, 4 incompatible artifacts, 5 numerical abort.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ _EXTRA_DEFAULTS = {
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
+
+
+def _unwritable(command: str, exc: OSError) -> int:
+    return _fail(EXIT_DATA, f"{command}: cannot write output: {exc}")
 
 
 def load_run_config(path) -> dict:
@@ -168,8 +172,11 @@ def cmd_gen_synth(args) -> int:
     except ContractError as exc:
         return _fail(EXIT_USAGE, f"gen-synth: {exc}")
     source, target = make_shift_pair(spec)
-    save_graph(source, f"{args.out_prefix}_src")
-    save_graph(target, f"{args.out_prefix}_tgt")
+    try:
+        save_graph(source, f"{args.out_prefix}_src")
+        save_graph(target, f"{args.out_prefix}_tgt")
+    except OSError as exc:
+        return _unwritable("gen-synth", exc)
     print(f"source={args.out_prefix}_src")
     print(f"target={args.out_prefix}_tgt")
     print(f"source_edges={source.num_edges}")
@@ -194,7 +201,10 @@ def cmd_pretrain(args) -> int:
         return _fail(EXIT_DATA, f"pretrain: {cfg['source_graph']} has no labels")
 
     out_dir = Path(cfg["output_dir"])
-    _echo_config(cfg, out_dir)
+    try:
+        _echo_config(cfg, out_dir)
+    except OSError as exc:
+        return _unwritable("pretrain", exc)
     model = init_model(
         source.feature_dim,
         cfg["hidden_dim"],
@@ -215,7 +225,10 @@ def cmd_pretrain(args) -> int:
     except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, f"pretrain: {exc}")
     ckpt = Path(cfg["checkpoint"] or out_dir / "model.ckpt")
-    save_checkpoint(trained, ckpt)
+    try:
+        save_checkpoint(trained, ckpt)
+    except OSError as exc:
+        return _unwritable("pretrain", exc)
     print(f"checkpoint={ckpt}")
     print(f"val_acc={metrics['val_acc']:.6f}")
     print(f"test_acc={metrics['test_acc']:.6f}")
@@ -241,7 +254,10 @@ def cmd_adapt(args) -> int:
         return _fail(EXIT_INCOMPATIBLE, f"adapt: checkpoint: {exc}")
 
     out_dir = Path(cfg["output_dir"])
-    _echo_config(cfg, out_dir)
+    try:
+        _echo_config(cfg, out_dir)
+    except OSError as exc:
+        return _unwritable("adapt", exc)
     try:
         adapted, refined, predictions, report = adapt(model, target, adapt_cfg)
     except (ContractError, ShapeError) as exc:
@@ -249,13 +265,16 @@ def cmd_adapt(args) -> int:
     except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, f"adapt: {exc}")
 
-    save_graph(refined, out_dir / "refined")
     # refined keeps a subset of the target's edges in their order; match ids u*n + v
     kept = np.isin(target.edges @ [target.n, 1], refined.edges @ [target.n, 1])
-    np.savetxt(out_dir / "refined.mask", report.deltas.delta_a[kept], fmt="%.17g")
-    save_checkpoint(adapted, out_dir / "adapted.ckpt")
-    report.save(out_dir / "report.json")
-    np.savetxt(out_dir / "predictions.txt", predictions, fmt="%d")
+    try:
+        save_graph(refined, out_dir / "refined")
+        np.savetxt(out_dir / "refined.mask", report.deltas.delta_a[kept], fmt="%.17g")
+        save_checkpoint(adapted, out_dir / "adapted.ckpt")
+        report.save(out_dir / "report.json")
+        np.savetxt(out_dir / "predictions.txt", predictions, fmt="%d")
+    except OSError as exc:
+        return _unwritable("adapt", exc)
     print(f"refined={out_dir / 'refined'}")
     print(f"checkpoint={out_dir / 'adapted.ckpt'}")
     print(f"report={out_dir / 'report.json'}")
@@ -321,7 +340,10 @@ def cmd_export_embeddings(args) -> int:
         deltas = AdaptationDeltas(
             np.zeros((graph.n, graph.feature_dim)), mask, float(mask.sum())
         )
-    export_embeddings(model, graph, deltas, args.out_file)
+    try:
+        export_embeddings(model, graph, deltas, args.out_file)
+    except OSError as exc:
+        return _unwritable("export-embeddings", exc)
     print(f"embeddings={args.out_file}")
     return EXIT_OK
 

@@ -6,7 +6,9 @@ the graph's layout; global class prototypes from the representation bank
 weight those labels by cosine confidence. The pull toward prototypes is an
 InfoNCE-style term whose denominator holds only negatives (the remaining
 prototypes and the other instances), so its value can legitimately be
-negative.
+negative. The instance half of that denominator is one
+`numerics.exp_sum_others` over the whole graph or a sampled batch: it
+streams row blocks, so no n x n (or n x batch) array is kept.
 
 Loss functions take tensors recorded on a tape and return tensors on it;
 read a value off one with `numerics.evaluate`. Selection steps (argmax
@@ -27,7 +29,7 @@ from .numerics import (
     Tensor,
     add,
     exp,
-    gather_rows,
+    exp_sum_others,
     l2_normalize_rows,
     log,
     log_clamped,
@@ -42,7 +44,6 @@ from .numerics import (
     spmm,
     sub,
     sum_all,
-    transpose,
 )
 
 __all__ = [
@@ -175,16 +176,8 @@ def loss_instance_prototype(
     pos_exp = exp(mul_scalar(pos, inv_tau))
     proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)
 
-    if batch_indices is None:
-        inst_exp = exp(mul_scalar(matmul(zn, transpose(zn)), inv_tau))
-        self_term = select_cols(inst_exp, np.arange(n))
-        inst_sum = sub(row_sum(inst_exp), self_term)
-    else:
-        batch = np.asarray(batch_indices, dtype=np.int64)
-        others = exp(mul_scalar(matmul(zn, transpose(gather_rows(zn, batch))), inv_tau))
-        not_self = (batch[None, :] != np.arange(n)[:, None]).astype(np.float64)
-        inst_sum = row_sum(mul(others, not_self))
-
+    cols = np.arange(n) if batch_indices is None else batch_indices
+    inst_sum = exp_sum_others(zn, cols, inv_tau)
     denom = add(proto_sum, inst_sum)
     if include_positive_in_denominator:
         denom = add(denom, pos_exp)

@@ -19,6 +19,11 @@ order (the x-gradient: in ascending row order within each column), exactly
 as a scatter-add (`np.add.at`) over the entries would, so the results are
 bitwise equal to it.
 
+One fused op, `exp_sum_others`, sums `exp(scale * a_i . a_j)` over a set of
+columns j other than i without holding the n x m matrix: it works through
+row blocks in the forward pass and recomputes each block in the backward
+pass, so the instance contrast needs O(n * block) memory.
+
 The products, `row_softmax` and `l2_normalize_rows` dispatch on their
 operands: pass `Tensor`s and the result is recorded for differentiation, pass
 `DenseMatrix`/arrays and you get a plain value back. The other ops, and the
@@ -36,6 +41,9 @@ import weakref
 import numpy as np
 
 from .errors import ContractError, NumericalError, ShapeError
+
+# rows of the n x m exponential block that exp_sum_others holds at once
+EXP_SUM_BLOCK_ROWS = 128
 
 __all__ = [
     "DenseMatrix",
@@ -611,7 +619,60 @@ def log_clamped(a, floor: float = 1e-12):
     av = _val(a)
     live = av > floor
     out = np.log(np.maximum(av, floor))
-    return _unary(a, out, lambda g, av=av, live=live: np.where(live, g / av, 0.0))
+
+    def pull(g, av=av, live=live):
+        return np.divide(g, av, out=np.zeros_like(g), where=live)
+
+    return _unary(a, out, pull)
+
+
+def exp_sum_others(a, cols, scale: float):
+    """The n x 1 column `out[i]` = sum over j with `cols[j] != i` of
+    `exp(scale * a_i . a_cols[j])`: row i of `exp(scale * a a[cols]^T)`
+    summed with the entries that pair i with itself left out.
+
+    A plain sum of exponentials, without a max-shift, so it overflows where
+    the dense formula does. Works through EXP_SUM_BLOCK_ROWS rows at a time
+    and keeps none of them: the backward pass recomputes each block and
+    pulls it into both the row operand and the gathered columns, the
+    blockwise recomputation of the online softmax (Milakov & Gimelshein,
+    arXiv 1805.02867) and FlashAttention (Dao et al., arXiv 2205.14135)."""
+    av = _val(a)
+    idx = np.asarray(cols, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ShapeError("exp_sum_others cols must be 1-D")
+    if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
+        raise ContractError("exp_sum_others column id out of range")
+    n, block = av.shape[0], EXP_SUM_BLOCK_ROWS
+    b = av[idx]
+    out = np.empty((n, 1))
+    for start in range(0, n, block):
+        out[start : start + block, 0] = _exp_block(av, b, idx, start, block, scale).sum(axis=1)
+
+    def pull(g):
+        b = av[idx]
+        ga = np.empty_like(av)
+        gb = np.zeros_like(b)
+        for start in range(0, n, block):
+            w = _exp_block(av, b, idx, start, block, scale)
+            w *= g[start : start + block] * scale
+            ga[start : start + block] = w @ b
+            gb += w.T @ av[start : start + block]
+        np.add.at(ga, idx, gb)
+        return ga
+
+    return _unary(a, out, pull)
+
+
+def _exp_block(av, b, cols, start, block, scale):
+    """`exp(scale * av[start:start+block] @ b^T)`, zero where `cols[j]` is
+    the row's own index."""
+    e = av[start : start + block] @ b.T
+    e *= scale
+    np.exp(e, out=e)
+    own = np.flatnonzero((cols >= start) & (cols < start + e.shape[0]))
+    e[cols[own] - start, own] = 0.0
+    return e
 
 
 def pow_scalar(a, p: float):

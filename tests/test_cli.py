@@ -221,7 +221,7 @@ def test_usage_error_is_exit_2(capsys):
 
 def _config(ws, tmp, **changes):
     cfg = json.loads((ws / "run.json").read_text())
-    cfg.update(output_dir=str(tmp / "out"), **changes)
+    cfg.update({"output_dir": str(tmp / "out"), **changes})
     (tmp / "c.json").write_text(json.dumps(cfg))
     return ["--config", str(tmp / "c.json")]
 
@@ -265,6 +265,17 @@ def _undecodable_feature_graph(ws, tmp):
     prefix = _graph_copy(ws, tmp, "latin")
     _not_utf8(prefix + ".feat")
     return prefix
+
+
+def _a_file(tmp):
+    (tmp / "afile").write_text("not a directory\n")
+    return str(tmp / "afile")
+
+
+def _report_path_taken(tmp):
+    """An output directory where `report.json` already names a directory."""
+    (tmp / "taken" / "report.json").mkdir(parents=True)
+    return str(tmp / "taken")
 
 
 def _truncated_checkpoint(ws, tmp):
@@ -317,6 +328,17 @@ EXIT_CASES = {
     "eval-mask-not-utf8": (3, lambda ws, tmp: [
         *_scored(ws, tmp, "eval", str(ws / "out" / "refined"), checkpoint="out/adapted.ckpt"),
         "--mask", _not_utf8(shutil.copy(ws / "out" / "refined.mask", tmp / "u.mask"))]),
+    "gen-synth-prefix-under-file": (3, lambda ws, tmp: [
+        "gen-synth", str(Path(_a_file(tmp)) / "pair"), "--nodes-per-class", "5"]),
+    "pretrain-output-dir-is-file": (3, lambda ws, tmp: [
+        "pretrain", *_config(ws, tmp, output_dir=_a_file(tmp))]),
+    "adapt-output-dir-is-file": (3, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, output_dir=_a_file(tmp))]),
+    "adapt-artifact-unwritable": (3, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, output_dir=_report_path_taken(tmp))]),
+    "export-out-file-parent-is-file": (3, lambda ws, tmp: [
+        *_scored(ws, tmp, "export-embeddings", str(ws / "pair_tgt")),
+        "--out-file", str(Path(_a_file(tmp)) / "z.txt")]),
     "adapt-config-directory": (3, lambda ws, tmp: ["adapt", "--config", str(tmp)]),
     "eval-mask-directory": (3, lambda ws, tmp: [
         *_scored(ws, tmp, "eval", str(ws / "pair_tgt")), "--mask", str(tmp)]),

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from graphsfda import numerics
 from graphsfda.banks import MemoryBanks
 from graphsfda.errors import ContractError
 from graphsfda.graph_adaptation import ConfidentSet, ContrastSets, loss_graph
@@ -13,8 +16,29 @@ from graphsfda.model_adaptation import (
     loss_model,
     loss_weighted_ce,
     neighborhood_pseudo_labels,
+    _normalized_centroids,
 )
-from graphsfda.numerics import DenseMatrix, SparseAdjacency, Tape, Tensor, evaluate
+from graphsfda.numerics import (
+    DenseMatrix,
+    SparseAdjacency,
+    Tape,
+    Tensor,
+    add,
+    backward,
+    evaluate,
+    exp,
+    gather_rows,
+    l2_normalize_rows,
+    log,
+    matmul,
+    mul,
+    mul_scalar,
+    row_sum,
+    select_cols,
+    sub,
+    sum_all,
+    transpose,
+)
 
 from conftest import random_graph
 
@@ -245,6 +269,79 @@ class TestInstancePrototypeLoss:
                 PseudoLabels(np.array([0]), 2),
                 0.0,
             )
+
+
+def dense_instance_prototype_oracle(z, protos, pl, tau, batch_indices=None):
+    """The contrast as it was before `exp_sum_others`: the whole n x n (or
+    n x batch) exponential matrix on the tape, the self terms subtracted
+    (full) or masked out (batch). Kept as the reference of the streamed op."""
+    n = pl.class_id.size
+    keep = ~protos.empty[pl.class_id]
+    inv_tau = 1.0 / tau
+    zn = l2_normalize_rows(z)
+    proto_sims = matmul(zn, _normalized_centroids(protos).T.copy())
+    pos = select_cols(proto_sims, pl.class_id)
+    pos_exp = exp(mul_scalar(pos, inv_tau))
+    proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)
+    if batch_indices is None:
+        inst_exp = exp(mul_scalar(matmul(zn, transpose(zn)), inv_tau))
+        inst_sum = sub(row_sum(inst_exp), select_cols(inst_exp, np.arange(n)))
+    else:
+        batch = np.asarray(batch_indices, dtype=np.int64)
+        others = exp(mul_scalar(matmul(zn, transpose(gather_rows(zn, batch))), inv_tau))
+        not_self = (batch[None, :] != np.arange(n)[:, None]).astype(np.float64)
+        inst_sum = row_sum(mul(others, not_self))
+    per_node = sub(mul_scalar(pos, inv_tau), log(add(proto_sum, inst_sum)))
+    kept_total = sum_all(mul(per_node, keep.astype(np.float64).reshape(-1, 1)))
+    return mul_scalar(kept_total, -1.0 / int(keep.sum()))
+
+
+def value_and_grad(f, z0):
+    tape = Tape()
+    z = tape.leaf(z0)
+    out = f(z)
+    backward(tape, out)
+    return out.value[0, 0], z.grad
+
+
+class TestStreamedContrastMatchesDense:
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["block1", "block3", "module-block"])
+    @pytest.mark.parametrize("batch", ["full", "batch"])
+    def test_value_and_gradient(self, rng, monkeypatch, block, batch):
+        if block is not None:
+            monkeypatch.setattr(numerics, "EXP_SUM_BLOCK_ROWS", block)
+        n = 300
+        z0 = rng.standard_normal((n, 8))
+        protos = Prototypes(rng.standard_normal((3, 8)), np.array([100, 100, 100]))
+        pl = PseudoLabels(rng.integers(0, 3, n), 3)
+        # the batch holds some rows' own index and not others'
+        cols = None if batch == "full" else rng.choice(n, size=40, replace=False)
+        streamed, g_streamed = value_and_grad(
+            lambda z: loss_instance_prototype(z, protos, pl, 0.2, batch_indices=cols), z0
+        )
+        dense, g_dense = value_and_grad(
+            lambda z: dense_instance_prototype_oracle(z, protos, pl, 0.2, cols), z0
+        )
+        assert abs(streamed - dense) <= 1e-12 * abs(dense)
+        assert np.max(np.abs(g_streamed - g_dense)) <= 1e-12 * np.max(np.abs(g_dense))
+
+
+def test_contrast_memory_below_one_dense_matrix(rng):
+    n, h, c = 2000, 32, 3
+    z0 = rng.standard_normal((n, h))
+    pl = PseudoLabels(rng.integers(0, c, n), c)
+    protos = Prototypes(rng.standard_normal((c, h)), np.bincount(pl.class_id, minlength=c))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        z = tape.leaf(z0)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(tape, loss_instance_prototype(z, protos, pl, 0.2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(z.grad)) and peak < n * n * 8  # one dense n x n float64 array
 
 
 def mixed(l_ce, l_co, lam):

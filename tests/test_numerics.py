@@ -17,6 +17,7 @@ from graphsfda.numerics import (
     concat_rows,
     div,
     exp,
+    exp_sum_others,
     gather_rows,
     grad_check,
     l2_normalize_rows,
@@ -422,6 +423,48 @@ def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
     backward(tape, sum_all(y))
     assert np.array_equal(y.value, scatter_spmm(adj, values[:, None], x0))
     assert np.array_equal(x.grad, scatter_spmm_grad_x(adj, values[:, None], np.ones((n, 32))))
+
+
+EXP_SUM_COLS = {
+    "full": np.arange(7),
+    "batch-with-own-rows": np.array([5, 0, 3, 3]),  # rows 0, 3 and 5 leave out their own
+    "batch-of-one": np.array([6]),  # row 6 has nothing left to sum
+}
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 12], ids=["block1", "block3", "block-n", "block-n+5"])
+@pytest.mark.parametrize("cols", list(EXP_SUM_COLS))
+def test_exp_sum_others_gradient(rng, monkeypatch, cols, block):
+    monkeypatch.setattr(numerics, "EXP_SUM_BLOCK_ROWS", block)
+    idx = EXP_SUM_COLS[cols]
+    weight = rng.uniform(0.5, 1.5, size=(7, 1))  # a different upstream gradient per row
+    a0 = rng.standard_normal((7, 3))
+    assert grad_check(lambda a: sum_all(mul(exp_sum_others(a, idx, 0.7), weight)), a0) <= 1e-6
+    own = idx[None, :] == np.arange(7)[:, None]
+    dense = np.where(own, 0.0, np.exp(0.7 * a0 @ a0[idx].T)).sum(axis=1, keepdims=True)
+    value = numerics.evaluate(lambda a: exp_sum_others(a, idx, 0.7), a0)
+    assert np.allclose(value, dense, rtol=1e-14, atol=0.0)
+
+
+def test_exp_sum_others_rejects_bad_columns():
+    tape = Tape()
+    a = tape.leaf(np.ones((3, 2)))
+    with pytest.raises(ContractError):
+        exp_sum_others(a, np.array([0, 3]), 1.0)
+    with pytest.raises(ShapeError):
+        exp_sum_others(a, np.array([[0, 1]]), 1.0)
+
+
+def test_log_clamped_gradient_zero_on_clamped_entries():
+    # an exact zero would divide by zero if the clamped region were divided too
+    x0 = np.array([[0.0, 1e-13, 0.5], [2.0, 1e-12, 3.0]])
+    g0 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    tape = Tape()
+    x = tape.leaf(x0)
+    backward(tape, sum_all(mul(log_clamped(x), g0)))
+    live = x0 > 1e-12
+    assert np.array_equal(x.grad[~live], np.zeros(3))
+    assert np.array_equal(x.grad[live], g0[live] / x0[live])
 
 
 def test_composite_losses_pass_grad_check_at_random_points(rng):
