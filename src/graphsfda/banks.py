@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .gnn import ForwardOutput
-from .numerics import DenseMatrix
 
 __all__ = ["MemoryBanks", "init_banks", "sharpen", "momentum_update"]
 
@@ -37,9 +36,6 @@ class MemoryBanks:
     def n(self) -> int:
         return self.repr_bank.shape[0]
 
-    def copy(self) -> "MemoryBanks":
-        return MemoryBanks(self.repr_bank.copy(), self.pred_bank.copy(), self.momentum)
-
 
 def sharpen(p) -> np.ndarray:
     """Square each row and renormalize over classes.
@@ -47,20 +43,20 @@ def sharpen(p) -> np.ndarray:
     Reduces row entropy while preserving the argmax; one-hot and uniform rows
     are fixed points.
     """
-    pv = p.a if isinstance(p, DenseMatrix) else np.asarray(p, dtype=np.float64)
+    pv = np.asarray(p, dtype=np.float64)
     sq = pv * pv
     return sq / sq.sum(axis=1, keepdims=True)
 
 
 def init_banks(fo: ForwardOutput, momentum: float) -> MemoryBanks:
     """First fill is a straight copy: representations as-is, predictions sharpened."""
-    return MemoryBanks(fo.representations.a.copy(), sharpen(fo.predictions), momentum)
+    return MemoryBanks(fo.representations.copy(), sharpen(fo.predictions), momentum)
 
 
 def momentum_update(banks: MemoryBanks, fo: ForwardOutput) -> MemoryBanks:
     """Blend new forward outputs into the banks with weight `momentum`."""
-    z = fo.representations.a
-    p = fo.predictions.a
+    z = fo.representations
+    p = fo.predictions
     if z.shape != banks.repr_bank.shape or p.shape != banks.pred_bank.shape:
         raise ShapeError(
             f"bank shapes {banks.repr_bank.shape}/{banks.pred_bank.shape} vs "

@@ -169,9 +169,9 @@ def cmd_gen_synth(args) -> int:
             edge_noise=args.edge_noise,
             seed=args.seed if args.seed is not None else 0,
         )
+        source, target = make_shift_pair(spec)
     except ContractError as exc:
         return _fail(EXIT_USAGE, f"gen-synth: {exc}")
-    source, target = make_shift_pair(spec)
     try:
         save_graph(source, f"{args.out_prefix}_src")
         save_graph(target, f"{args.out_prefix}_tgt")

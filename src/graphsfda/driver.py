@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ from .model_adaptation import (
     loss_weighted_ce,
     neighborhood_pseudo_labels,
 )
-from .numerics import DenseMatrix, Tape, backward
+from .numerics import Tape, backward
 
 __all__ = ["AdaptConfig", "AdaptReport", "adapt", "evaluate_accuracy", "export_embeddings"]
 
@@ -166,7 +166,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     budget = cfg.budget_fraction * e
     deltas = AdaptationDeltas.zeros(n, g.feature_dim, e, budget)
     layout = AdjacencyLayout(n, g.edges)
-    x_base = g.features.a
+    x_base = g.features
 
     source_fo = forward(model, layout.normalized(np.ones(e)), g.features)
     banks = init_banks(source_fo, cfg.bank_momentum)
@@ -192,7 +192,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             protos = compute_prototypes(pl, banks)
             tape = Tape()
             params = [tape.leaf(p) for p in model.parameters()]
-            z, p = forward_on_tape(tape, params, adj, x_prime)
+            z, p = forward_on_tape(tape, params, adj, tape.constant(x_prime))
             w = confidence_weights(z, protos, pl)
             l_ce = loss_weighted_ce(p, pl, w)
             batch = None
@@ -211,7 +211,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             l_m = loss_model(l_ce, l_co, cfg.contrast_mix)
             backward(tape, l_m)
             opt.step(model.parameters(), [t.grad for t in params])
-            banks = momentum_update(banks, ForwardOutput(z.matrix(), p.matrix()))
+            banks = momentum_update(banks, ForwardOutput(z.value, p.value))
             loss_m = float(l_m.value[0, 0])
 
         loss_g = None
@@ -219,7 +219,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         for _ in range(cfg.feature_steps):
             tape = Tape()
             dx = tape.leaf(deltas.delta_x)
-            z, p = forward_on_tape(tape, model_params, adj, apply_feature_delta(x_base, dx))
+            params = [tape.constant(w) for w in model_params]
+            x = apply_feature_delta(tape.constant(x_base), dx)
+            z, p = forward_on_tape(tape, params, adj, x)
             l_g = _graph_loss_on_tape(p, z, banks, cfg)
             loss_g = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
             backward(tape, l_g)
@@ -229,7 +231,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             tape = Tape()
             da = tape.leaf(deltas.delta_a.reshape(-1, 1))
             adj_live = masked_adjacency_on_tape(layout, apply_structure_delta(g, da))
-            z, p = forward_on_tape(tape, model_params, adj_live, x_base + deltas.delta_x)
+            params = [tape.constant(w) for w in model_params]
+            x = tape.constant(x_base + deltas.delta_x)
+            z, p = forward_on_tape(tape, params, adj_live, x)
             l_g = _graph_loss_on_tape(p, z, banks, cfg)
             loss_g = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
             backward(tape, l_g)
@@ -239,8 +243,8 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         report.loss_graph_trace.append(loss_g)
         if g.labels is not None:
             adj_now = layout.normalized(apply_structure_delta(g, deltas))
-            fo = forward(model, adj_now, DenseMatrix.from_array(x_base + deltas.delta_x))
-            pred = np.argmax(fo.predictions.a, axis=1)
+            fo = forward(model, adj_now, x_base + deltas.delta_x)
+            pred = np.argmax(fo.predictions, axis=1)
             report.accuracy_trace.append(evaluate_accuracy(pred, g.labels))
 
         delta_m = _trace_delta(prev[0], loss_m)
@@ -254,15 +258,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             quiet_epochs = 0
 
     sampled = finalize_structure(g, deltas, finalize_seed)
-    refined = TargetGraph(
-        n,
-        sampled.edges,
-        DenseMatrix.from_array(x_base + deltas.delta_x),
-        g.labels,
-        g.num_classes,
-    )
+    refined = TargetGraph(n, sampled.edges, x_base + deltas.delta_x, g.labels, g.num_classes)
     fo = forward(model, normalize_adjacency(refined), refined.features)
-    predictions = np.argmax(fo.predictions.a, axis=1)
+    predictions = np.argmax(fo.predictions, axis=1)
     report.edges_deleted = e - refined.num_edges
     if g.labels is not None:
         report.final_accuracy = evaluate_accuracy(predictions, g.labels)
@@ -301,12 +299,8 @@ def export_embeddings(model: GnnModel, g: TargetGraph, deltas, path) -> None:
         x = g.features
     else:
         weights = apply_structure_delta(g, deltas)
-        x = apply_feature_delta(g.features, deltas)
+        x = g.features + deltas.delta_x
     fo = forward(model, normalize_adjacency(g, weights), x)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, fo.representations.a, fmt="%.17g")
-
-
-def config_to_dict(cfg: AdaptConfig) -> dict:
-    return asdict(cfg)
+    np.savetxt(path, fo.representations, fmt="%.17g")

@@ -4,8 +4,12 @@ softmax classifier, with supervised pretraining on a labelled source graph.
 The forward pass applies ReLU after every propagation layer, so the embedding
 handed to cosine-similarity consumers is the nonnegative output of the last
 layer. Propagation is one `spmm` per layer, whether the adjacency's values
-are frozen or a live function of the edge mask. Everything runs full-batch;
-there is no dropout, keeping recorded computations exactly differentiable.
+are frozen or a live function of the edge mask. The recorded pass takes
+tensors only: the parameters, the features and the adjacency's values are
+each a live leaf or a tape constant, so one pass serves model adaptation
+(live parameters), feature adaptation (a live offset) and structure
+adaptation (a live edge mask). Everything runs full-batch; there is no
+dropout, keeping recorded computations exactly differentiable.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .graph_store import SplitMask, TargetGraph, normalize_adjacency
 from .numerics import (
-    DenseMatrix,
     SparseAdjacency,
     Tape,
-    Tensor,
     add_bias,
     backward,
     gather_rows,
@@ -112,11 +114,11 @@ class GnnModel:
 
 
 class ForwardOutput:
-    """Node representations and row-stochastic class predictions."""
+    """Node representations and row-stochastic class predictions, as arrays."""
 
     __slots__ = ("representations", "predictions")
 
-    def __init__(self, representations: DenseMatrix, predictions: DenseMatrix):
+    def __init__(self, representations: np.ndarray, predictions: np.ndarray):
         self.representations = representations
         self.predictions = predictions
 
@@ -139,8 +141,8 @@ def init_model(d: int, h: int, num_classes: int, num_layers: int, seed: int) -> 
 
 
 def forward_on_tape(tape: Tape, params: list, adj_hat: SparseAdjacency, x):
-    """Recorded forward pass; `params`, the values of `adj_hat` and `x` may
-    each be live tensors or constants.
+    """Recorded forward pass; `params`, the values of `adj_hat` and `x` are
+    each live tensors or tape constants.
 
     A live edge mask enters as an adjacency whose values are a Tensor (see
     `masked_adjacency_on_tape`); `spmm` differentiates into them."""
@@ -153,20 +155,21 @@ def forward_on_tape(tape: Tape, params: list, adj_hat: SparseAdjacency, x):
 
 
 def forward(model: GnnModel, adj_hat: SparseAdjacency, x) -> ForwardOutput:
-    """Plain forward pass returning value matrices."""
-    xv = x.a if isinstance(x, DenseMatrix) else np.asarray(x, dtype=np.float64)
+    """Forward pass over constants, returning arrays."""
+    xv = np.asarray(x, dtype=np.float64)
     if xv.shape[1] != model.input_dim:
         raise ShapeError(f"features have {xv.shape[1]} dims, model expects {model.input_dim}")
     if adj_hat.n != xv.shape[0]:
         raise ShapeError(f"adjacency is {adj_hat.n}x{adj_hat.n}, features have {xv.shape[0]} rows")
     tape = Tape()
-    z, p = forward_on_tape(tape, model.parameters(), adj_hat, tape.leaf(xv))
-    return ForwardOutput(DenseMatrix.from_array(z.value), DenseMatrix.from_array(p.value))
+    params = [tape.constant(w) for w in model.parameters()]
+    z, p = forward_on_tape(tape, params, adj_hat, tape.constant(xv))
+    return ForwardOutput(z.value, p.value)
 
 
 def predict(model: GnnModel, adj_hat: SparseAdjacency, x) -> np.ndarray:
     """Argmax class ids."""
-    return np.argmax(forward(model, adj_hat, x).predictions.a, axis=1)
+    return np.argmax(forward(model, adj_hat, x).predictions, axis=1)
 
 
 class AdamState:
@@ -228,7 +231,7 @@ def pretrain_source(
     for _ in range(epochs):
         tape = Tape()
         params = [tape.leaf(p) for p in model.parameters()]
-        _, p_out = forward_on_tape(tape, params, adj, source.features.a)
+        _, p_out = forward_on_tape(tape, params, adj, tape.constant(source.features))
         train_p = gather_rows(p_out, split.train)
         picked = select_cols(train_p, labels[split.train])
         loss = neg(mean_all(log_clamped(picked)))

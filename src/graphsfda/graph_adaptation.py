@@ -11,8 +11,8 @@ final discrete graph is drawn once, edge e kept with probability 1 - delta_e.
 The training signal is a self-training loss: cross-entropy on
 high-confidence nodes plus a neighborhood contrast that pulls each node
 toward its nearest bank entries and pushes it from differently-labelled
-ones. Bank rows are frozen constants; gradients flow only through the live
-forward pass.
+ones. Bank rows enter the tape as constants; gradients flow only through
+the live forward pass.
 
 Neither the contrast nor its selection builds an n x n array. The nearest
 bank entries come from row blocks of the similarity matrix, so the kNN
@@ -31,7 +31,6 @@ from .banks import MemoryBanks
 from .errors import ContractError, ShapeError
 from .graph_store import AdjacencyLayout, TargetGraph
 from .numerics import (
-    DenseMatrix,
     SparseAdjacency,
     Tensor,
     add,
@@ -93,19 +92,15 @@ class AdaptationDeltas:
     def zeros(cls, n: int, d: int, num_edges: int, budget: float) -> "AdaptationDeltas":
         return cls(np.zeros((n, d)), np.zeros(num_edges), budget)
 
-    def copy(self) -> "AdaptationDeltas":
-        return AdaptationDeltas(self.delta_x.copy(), self.delta_a.copy(), self.budget)
-
 
 class ConfidentSet:
     """Nodes whose own max predicted probability clears the threshold."""
 
-    __slots__ = ("node_ids", "labels", "threshold")
+    __slots__ = ("node_ids", "labels")
 
-    def __init__(self, node_ids: np.ndarray, labels: np.ndarray, threshold: float):
+    def __init__(self, node_ids: np.ndarray, labels: np.ndarray):
         self.node_ids = np.asarray(node_ids, dtype=np.int64)
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.threshold = threshold
 
     def __len__(self):
         return self.node_ids.size
@@ -122,15 +117,9 @@ class ContrastSets:
         self.positives = np.asarray(positives, dtype=np.int64)
 
 
-def apply_feature_delta(x, deltas):
-    """X plus the learned offset; recorded when either side is live."""
-    dx = deltas.delta_x if isinstance(deltas, AdaptationDeltas) else deltas
-    if isinstance(x, Tensor) or isinstance(dx, Tensor):
-        return add(x, dx)
-    xv = x.a if isinstance(x, DenseMatrix) else np.asarray(x, dtype=np.float64)
-    if xv.shape != dx.shape:
-        raise ShapeError(f"feature delta {dx.shape} does not match features {xv.shape}")
-    return DenseMatrix.from_array(xv + dx)
+def apply_feature_delta(x: Tensor, dx: Tensor) -> Tensor:
+    """X plus the learned offset, recorded on their tape."""
+    return add(x, dx)
 
 
 def apply_structure_delta(g: TargetGraph, deltas):
@@ -169,10 +158,10 @@ def select_confident(p, threshold: float) -> ConfidentSet:
     """Nodes with max class probability strictly above the threshold."""
     if not (0.0 < threshold < 1.0):
         raise ContractError(f"threshold must lie in (0,1), got {threshold}")
-    pv = p.a if isinstance(p, DenseMatrix) else np.asarray(p, dtype=np.float64)
+    pv = np.asarray(p, dtype=np.float64)
     best = pv.max(axis=1)
     ids = np.nonzero(best > threshold)[0]
-    return ConfidentSet(ids, np.argmax(pv[ids], axis=1), threshold)
+    return ConfidentSet(ids, np.argmax(pv[ids], axis=1))
 
 
 def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
@@ -183,7 +172,7 @@ def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
     a partition finds each row's k-th largest similarity, and only the
     entries at or above it are ordered, by (-similarity, index). That is
     the order of a stable descending sort of the whole row."""
-    zv = z.a if isinstance(z, DenseMatrix) else np.asarray(z, dtype=np.float64)
+    zv = np.asarray(z, dtype=np.float64)
     n = banks.n
     if not (1 <= k < n):
         raise ContractError(f"k must lie in [1, {n}), got {k}")
@@ -257,7 +246,7 @@ def loss_graph(
     except AttributeError:
         raise ContractError("loss_graph needs p recorded on a tape") from None
     weights = _contrast_weights(pv, banks, sets.positives, alpha, beta)
-    total = sum_all(mul(l2_normalize_rows(z), weights))
+    total = sum_all(mul(l2_normalize_rows(z), z.tape.constant(weights)))
     if len(conf):
         picked = select_cols(gather_rows(p, conf.node_ids), conf.labels)
         ce = neg(mean_all(log_clamped(picked)))

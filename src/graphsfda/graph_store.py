@@ -1,8 +1,10 @@
 """Graph representation, normalization, file I/O, splits and a shift generator.
 
-Graphs are undirected, without self-loops, with float64 node features and
-optional integer class labels. The edges are one read-only (e, 2) int64 array
-of (min, max) pairs; row i is edge i for every mask and weight vector. Every
+Graphs are undirected, without self-loops, with node features and optional
+integer class labels. The edges are one read-only (e, 2) int64 array of
+(min, max) pairs; row i is edge i for every mask and weight vector. The
+features are one read-only, finite float64 (n, d) array, checked where a
+graph is built, so no NaN enters the program through a graph. Every
 sparse matrix over a graph is its one `AdjacencyLayout` carrying values. The
 text format is three UTF-8 files sharing a prefix (`.meta`, `.edges`, `.feat`)
 plus an optional `.labels`; floats are written with enough digits to
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .numerics import DenseMatrix, SparseAdjacency
+from .numerics import SparseAdjacency
 
 __all__ = [
     "TargetGraph",
@@ -41,7 +43,7 @@ class TargetGraph:
 
     __slots__ = ("n", "edges", "features", "labels", "num_classes")
 
-    def __init__(self, n, edges, features: DenseMatrix, labels=None, num_classes=0):
+    def __init__(self, n, edges, features, labels=None, num_classes=0):
         pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
@@ -64,8 +66,13 @@ class TargetGraph:
             if outside[i]:
                 raise ContractError(f"edge ({u},{v}) endpoint outside [0,{n})")
             raise ContractError(f"duplicate undirected edge {(min(u, v), max(u, v))}")
-        if features.rows != n:
-            raise ContractError(f"features have {features.rows} rows for {n} nodes")
+        features = np.array(features, dtype=np.float64, order="C")
+        if features.ndim != 2:
+            raise ContractError(f"features must be an (n, d) array, got ndim={features.ndim}")
+        if features.shape[0] != n:
+            raise ContractError(f"features have {features.shape[0]} rows for {n} nodes")
+        if not np.isfinite(features).all():
+            raise ContractError("features must be finite")
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape != (n,):
@@ -73,6 +80,7 @@ class TargetGraph:
             if num_classes and labels.size and (labels.min() < 0 or labels.max() >= num_classes):
                 raise ContractError("label outside [0, num_classes)")
         canon.setflags(write=False)
+        features.setflags(write=False)
         self.n = int(n)
         self.edges = canon
         self.features = features
@@ -85,7 +93,7 @@ class TargetGraph:
 
     @property
     def feature_dim(self) -> int:
-        return self.features.cols
+        return self.features.shape[1]
 
     def __repr__(self):
         return (
@@ -130,6 +138,8 @@ class ShiftSpec:
             raise ContractError("edge_noise must lie in [0,1)")
         if self.nodes_per_class < 1 or self.num_classes < 2 or self.feature_dim < 1:
             raise ContractError("degenerate shift spec")
+        if not (np.isfinite(self.class_mean_separation) and np.isfinite(self.target_mean_shift)):
+            raise ContractError("class_mean_separation and target_mean_shift must be finite")
 
 
 class AdjacencyLayout:
@@ -282,7 +292,6 @@ def load_graph(prefix) -> TargetGraph:
     if not finite.all():
         lineno = row_lines[int(np.argmin(finite))]
         raise ParseError(f"{feat_path}:{lineno}: non-finite feature value")
-    features = DenseMatrix(n, d, values)
 
     labels = None
     labels_path = prefix.with_suffix(prefix.suffix + ".labels")
@@ -297,7 +306,7 @@ def load_graph(prefix) -> TargetGraph:
             raise ContractError(f"{labels_path}: {len(vals)} labels for n={n}")
         labels = np.array(vals, dtype=np.int64)
 
-    return TargetGraph(n, edges, features, labels, num_classes)
+    return TargetGraph(n, edges, values, labels, num_classes)
 
 
 def save_graph(g: TargetGraph, prefix) -> None:
@@ -307,7 +316,7 @@ def save_graph(g: TargetGraph, prefix) -> None:
     with open(prefix.with_suffix(prefix.suffix + ".meta"), "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.feature_dim} {g.num_classes}\n")
     np.savetxt(prefix.with_suffix(prefix.suffix + ".edges"), g.edges, fmt="%d")
-    np.savetxt(prefix.with_suffix(prefix.suffix + ".feat"), g.features.a, fmt=FLOAT_FMT)
+    np.savetxt(prefix.with_suffix(prefix.suffix + ".feat"), g.features, fmt=FLOAT_FMT)
     if g.labels is not None:
         np.savetxt(prefix.with_suffix(prefix.suffix + ".labels"), g.labels, fmt="%d")
 
@@ -408,10 +417,6 @@ def make_shift_pair(spec: ShiftSpec):
     _, tgt_edges, tgt_feats, _ = _sample_sbm(rng, spec, shifted)
     tgt_edges = _rewire(rng, n, tgt_edges, spec.edge_noise)
 
-    source = TargetGraph(
-        n, src_edges, DenseMatrix.from_array(src_feats), labels, spec.num_classes
-    )
-    target = TargetGraph(
-        n, tgt_edges, DenseMatrix.from_array(tgt_feats), labels.copy(), spec.num_classes
-    )
+    source = TargetGraph(n, src_edges, src_feats, labels, spec.num_classes)
+    target = TargetGraph(n, tgt_edges, tgt_feats, labels.copy(), spec.num_classes)
     return source, target

@@ -28,6 +28,7 @@ from .numerics import (
     SparseAdjacency,
     Tensor,
     add,
+    evaluate,
     exp,
     exp_sum_others,
     l2_normalize_rows,
@@ -59,20 +60,13 @@ __all__ = [
 
 
 class PseudoLabels:
-    """One-hot pseudo-label per node plus the integer class ids."""
+    """Pseudo-label class id per node, out of `num_classes` classes."""
 
-    __slots__ = ("onehot", "class_id")
+    __slots__ = ("class_id", "num_classes")
 
     def __init__(self, class_id: np.ndarray, num_classes: int):
-        class_id = np.asarray(class_id, dtype=np.int64)
-        onehot = np.zeros((class_id.size, num_classes))
-        onehot[np.arange(class_id.size), class_id] = 1.0
-        self.onehot = onehot
-        self.class_id = class_id
-
-    @property
-    def num_classes(self) -> int:
-        return self.onehot.shape[1]
+        self.class_id = np.asarray(class_id, dtype=np.int64)
+        self.num_classes = int(num_classes)
 
 
 class Prototypes:
@@ -103,7 +97,7 @@ def neighborhood_pseudo_labels(neighbors: SparseAdjacency, banks: MemoryBanks) -
         raise ContractError(f"neighbour matrix has {neighbors.n} rows for {n} banked nodes")
     counts = np.bincount(neighbors.rows_expanded(), neighbors.values.ravel(), n)
     isolated = (counts == 0)[:, None]
-    sums = spmm(neighbors, banks.pred_bank)
+    sums = evaluate(lambda bank: spmm(neighbors, bank), banks.pred_bank)
     agg = np.where(isolated, banks.pred_bank, sums / np.where(isolated, 1.0, counts[:, None]))
     return PseudoLabels(np.argmax(agg, axis=1), banks.pred_bank.shape[1])
 
@@ -129,13 +123,13 @@ def confidence_weights(z: Tensor, protos: Prototypes, pl: PseudoLabels) -> Tenso
     at zero; zero-norm operands give weight zero."""
     per_node_centroid = _normalized_centroids(protos)[pl.class_id]
     zn = l2_normalize_rows(z)
-    return relu(row_sum(mul(zn, per_node_centroid)))
+    return relu(row_sum(mul(zn, z.tape.constant(per_node_centroid))))
 
 
 def loss_weighted_ce(p: Tensor, pl: PseudoLabels, w) -> Tensor:
     """Confidence-weighted cross-entropy against the pseudo-labels, averaged
-    over all nodes. `w` is an (n x 1) column, recorded or constant. Log
-    probabilities are floored at 1e-12."""
+    over all nodes. `w` is an (n x 1) column on p's tape, live or a
+    constant. Log probabilities are floored at 1e-12."""
     picked = select_cols(p, pl.class_id)
     return neg(mean_all(mul(w, log_clamped(picked))))
 
@@ -171,7 +165,7 @@ def loss_instance_prototype(
 
     inv_tau = 1.0 / tau
     zn = l2_normalize_rows(z)
-    proto_sims = matmul(zn, _normalized_centroids(protos).T.copy())
+    proto_sims = matmul(zn, z.tape.constant(_normalized_centroids(protos).T.copy()))
     pos = select_cols(proto_sims, pl.class_id)
     pos_exp = exp(mul_scalar(pos, inv_tau))
     proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)
@@ -182,7 +176,7 @@ def loss_instance_prototype(
     if include_positive_in_denominator:
         denom = add(denom, pos_exp)
     per_node = sub(mul_scalar(pos, inv_tau), log(denom))
-    kept_total = sum_all(mul(per_node, keep.astype(np.float64).reshape(-1, 1)))
+    kept_total = sum_all(mul(per_node, z.tape.constant(keep.astype(np.float64).reshape(-1, 1))))
     return mul_scalar(kept_total, -1.0 / int(keep.sum()))
 
 

@@ -24,11 +24,14 @@ columns j other than i without holding the n x m matrix: it works through
 row blocks in the forward pass and recomputes each block in the backward
 pass, so the instance contrast needs O(n * block) memory.
 
-The products, `row_softmax` and `l2_normalize_rows` dispatch on their
-operands: pass `Tensor`s and the result is recorded for differentiation, pass
-`DenseMatrix`/arrays and you get a plain value back. The other ops, and the
-losses built from them, need a `Tensor` operand; `evaluate(f, *values)` runs
-such a function on plain values through a fresh tape. `grad_check` compares
+Every op takes `Tensor` operands only. A tape records two kinds of input:
+`leaf`, a value that is differentiated, and `constant`, one that is not (the
+active and passive inputs of reverse-mode differentiation; Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., 2008). An op drops every pull
+into a constant, and an op left with no pull is itself a constant, so a
+product of constants records nothing to differentiate and `backward` leaves
+the `.grad` of every constant at None. `evaluate(f, *values)` runs a
+function on plain values through a fresh tape. `grad_check` compares
 `backward` against central finite differences and is the ground truth for
 every composite loss built on top of this module.
 """
@@ -46,7 +49,6 @@ from .errors import ContractError, NumericalError, ShapeError
 EXP_SUM_BLOCK_ROWS = 128
 
 __all__ = [
-    "DenseMatrix",
     "SparseAdjacency",
     "Tape",
     "Tensor",
@@ -58,83 +60,6 @@ __all__ = [
     "row_softmax",
     "l2_normalize_rows",
 ]
-
-
-def _as2d(x) -> np.ndarray:
-    """Coerce to a 2-D float64 array without copying when possible."""
-    if isinstance(x, DenseMatrix):
-        return x.a
-    if isinstance(x, Tensor):
-        raise ContractError("expected a plain value, got a Tensor")
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D value, got ndim={a.ndim}")
-    return a
-
-
-class DenseMatrix:
-    """Immutable row-major matrix of 64-bit reals.
-
-    Entries are checked to be finite on construction, so any `DenseMatrix`
-    escaping a public operation satisfies the no-NaN/no-Inf invariant.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, rows: int, cols: int, data):
-        flat = np.asarray(data, dtype=np.float64).ravel()
-        if rows < 0 or cols < 0:
-            raise ContractError(f"negative dimensions {rows}x{cols}")
-        if flat.size != rows * cols:
-            raise ShapeError(
-                f"data length {flat.size} does not match {rows}x{cols}"
-            )
-        a = flat.reshape(rows, cols).copy()
-        if not np.isfinite(a).all():
-            raise NumericalError("matrix entries must be finite")
-        a.setflags(write=False)
-        self._a = a
-
-    @classmethod
-    def from_rows(cls, rows) -> "DenseMatrix":
-        a = np.asarray(rows, dtype=np.float64)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        return cls(a.shape[0], a.shape[1], a)
-
-    @classmethod
-    def from_array(cls, a) -> "DenseMatrix":
-        a = _as2d(a)
-        return cls(a.shape[0], a.shape[1], a)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(rows, cols, np.zeros(rows * cols))
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries (read-only)."""
-        return self._a.ravel()
-
-    @property
-    def a(self) -> np.ndarray:
-        """2-D read-only view of the entries."""
-        return self._a
-
-    @property
-    def shape(self) -> tuple:
-        return self._a.shape
-
-    def __repr__(self):
-        return f"DenseMatrix({self.rows}x{self.cols})"
 
 
 class SparseAdjacency:
@@ -193,10 +118,11 @@ class SparseAdjacency:
         """Row id of every stored entry, in storage order."""
         return self._rows_expanded
 
-    def densify(self) -> DenseMatrix:
+    def densify(self) -> np.ndarray:
+        values = self.values.value if isinstance(self.values, Tensor) else self.values
         out = np.zeros((self.n, self.n))
-        out[self._rows_expanded, self.col_indices] = _val(self.values).ravel()
-        return DenseMatrix.from_array(out)
+        out[self._rows_expanded, self.col_indices] = values.ravel()
+        return out
 
 
 class _JaggedDiagonals:
@@ -285,9 +211,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.value.shape
 
-    def matrix(self) -> DenseMatrix:
-        return DenseMatrix.from_array(self.value)
-
     def __repr__(self):
         return f"Tensor(#{self.index}, {self.value.shape})"
 
@@ -301,13 +224,30 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-        self._pulls: list[list] = []  # per node: [(parent_index, vjp_fn), ...]
+        # per node: [(parent_index, vjp_fn), ...], or None for a constant
+        self._pulls: list = []
 
     def leaf(self, value) -> Tensor:
-        """Record a differentiable input."""
-        return self._record(_as2d(value).copy(), [])
+        """Record a differentiable input, a copy of `value`."""
+        return self._input(np.asarray(value, dtype=np.float64).copy(), [])
+
+    def constant(self, value) -> Tensor:
+        """Record an input that no gradient reaches. `value` is not copied,
+        and the constant's `.grad` stays None after `backward`."""
+        return self._input(np.asarray(value, dtype=np.float64), None)
+
+    def _input(self, value: np.ndarray, pulls) -> Tensor:
+        if value.ndim != 2:
+            raise ShapeError(f"expected a 2-D value, got ndim={value.ndim}")
+        return self._append(value, pulls)
 
     def _record(self, value: np.ndarray, pulls) -> Tensor:
+        """Record an op's output. Each pull into a constant is dropped; an
+        op left with no pull is itself a constant."""
+        live = [pull for pull in pulls if self._pulls[pull[0]] is not None]
+        return self._append(value, live or None)
+
+    def _append(self, value: np.ndarray, pulls) -> Tensor:
         t = Tensor(self, len(self.nodes), value)
         self.nodes.append(t)
         self._pulls.append(pulls)
@@ -320,11 +260,12 @@ class Tape:
 def backward(tape: Tape, scalar_output: Tensor) -> None:
     """Populate `.grad` on every node of `tape` from a 1x1 output.
 
-    Unreachable nodes get zero gradients. The reverse sweep visits nodes in
-    strictly decreasing index order with plain array accumulation, so two runs
-    over the same tape produce bit-identical gradients.
+    Unreachable live nodes get zero gradients; constants keep `.grad` None.
+    The reverse sweep visits nodes in strictly decreasing index order with
+    plain array accumulation, so two runs over the same tape produce
+    bit-identical gradients.
     """
-    if not isinstance(scalar_output, Tensor) or scalar_output.tape is not tape:
+    if _tape_of(scalar_output) is not tape:
         raise ContractError("output must be a Tensor recorded on this tape")
     if scalar_output.value.shape != (1, 1):
         raise ContractError(
@@ -336,21 +277,23 @@ def backward(tape: Tape, scalar_output: Tensor) -> None:
         g = grads[k]
         if g is None:
             continue
-        for parent_index, vjp in tape._pulls[k]:
+        for parent_index, vjp in tape._pulls[k] or ():
             contrib = vjp(g)
             if grads[parent_index] is None:
                 grads[parent_index] = contrib
             else:
                 grads[parent_index] = grads[parent_index] + contrib
-    for k, node in enumerate(tape.nodes):
-        node.grad = grads[k] if grads[k] is not None else np.zeros_like(node.value)
+    for node, pulls, g in zip(tape.nodes, tape._pulls, grads):
+        if g is None and pulls is not None:
+            g = np.zeros_like(node.value)
+        node.grad = g
 
 
 def evaluate(f, *values) -> np.ndarray:
-    """The value of `f` with each of `values` recorded as a leaf on a fresh
-    tape: how a plain-valued caller reads a tensor-only function."""
+    """The value of `f` with each of `values` recorded as a constant on a
+    fresh tape: how a plain-valued caller reads a tensor-only function."""
     tape = Tape()
-    return f(*(tape.leaf(v) for v in values)).value
+    return f(*(tape.constant(v) for v in values)).value
 
 
 def grad_check(f, points, step: float = 1e-4) -> float:
@@ -363,9 +306,9 @@ def grad_check(f, points, step: float = 1e-4) -> float:
     """
     if not (0.0 < step <= 1e-2):
         raise ContractError(f"step must be in (0, 1e-2], got {step}")
-    if isinstance(points, (DenseMatrix, np.ndarray)):
+    if isinstance(points, np.ndarray):
         points = [points]
-    base = [_as2d(p).copy() for p in points]
+    base = [np.asarray(p, dtype=np.float64).copy() for p in points]
 
     tape = Tape()
     leaves = [tape.leaf(p) for p in base]
@@ -392,25 +335,22 @@ def grad_check(f, points, step: float = 1e-4) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Op plumbing
+# Ops
 # ---------------------------------------------------------------------------
 
 
-def _tensor_operands(*xs):
-    tensors = [x for x in xs if isinstance(x, Tensor)]
-    if not tensors:
-        return None
-    tape = tensors[0].tape
+def _tape_of(*operands) -> Tape:
+    """The one live tape every operand is recorded on."""
+    for x in operands:
+        if not isinstance(x, Tensor):
+            raise ContractError(f"expected a Tensor operand, got {type(x).__name__}")
+    tape = operands[0].tape
     if tape is None:
         raise ContractError("operand's tape has been freed")
-    for t in tensors[1:]:
-        if t.tape is not tape:
+    for x in operands[1:]:
+        if x.tape is not tape:
             raise ContractError("operands recorded on different tapes")
     return tape
-
-
-def _val(x) -> np.ndarray:
-    return x.value if isinstance(x, Tensor) else _as2d(x)
 
 
 def _same_shape(a, b, op):
@@ -418,68 +358,48 @@ def _same_shape(a, b, op):
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
-# ---------------------------------------------------------------------------
-# Public value-level ops (also recordable)
-# ---------------------------------------------------------------------------
-
-
 def matmul(a, b):
-    """Matrix product. Recorded when either operand is a Tensor."""
-    av, bv = _val(a), _val(b)
+    """Matrix product."""
+    tape = _tape_of(a, b)
+    av, bv = a.value, b.value
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(
             f"matmul: {av.shape[0]}x{av.shape[1]} @ {bv.shape[0]}x{bv.shape[1]}"
         )
-    tape = _tensor_operands(a, b)
-    out = av @ bv
-    if tape is None:
-        return _wrap_like(out, a, b)
-    pulls = []
-    if isinstance(a, Tensor):
-        pulls.append((a.index, lambda g, bv=bv: g @ bv.T))
-    if isinstance(b, Tensor):
-        pulls.append((b.index, lambda g, av=av: av.T @ g))
-    return tape._record(out, pulls)
+    return tape._record(
+        av @ bv, [(a.index, lambda g: g @ bv.T), (b.index, lambda g: av.T @ g)]
+    )
 
 
 def spmm(adj: SparseAdjacency, x):
     """Sparse-dense product `adj @ x`; equals the densified matmul.
 
-    Recorded when `x` or the stored values of `adj` are a Tensor, with a
-    gradient into each of them that is live. The product and the x-gradient
-    run over the jagged-diagonal tables of `adj`'s structure."""
-    xv = _val(x)
+    Differentiates into `x` and into the stored values of `adj`, each unless
+    it is a constant; constant stored values are recorded as a constant.
+    The product and the x-gradient run over the jagged-diagonal tables of
+    `adj`'s structure."""
+    vals = adj.values if isinstance(adj.values, Tensor) else _tape_of(x).constant(adj.values)
+    tape = _tape_of(vals, x)
+    xv, vv = x.value, vals.value
     if adj.n != xv.shape[0]:
         raise ShapeError(f"spmm: adjacency is {adj.n}x{adj.n}, x has {xv.shape[0]} rows")
-    rows, cols, vals = adj.rows_expanded(), adj.col_indices, adj.values
-    vv = _val(vals)
+    rows, cols = adj.rows_expanded(), adj.col_indices
     out = adj._by_row.product(vv, xv)
-    tape = _tensor_operands(vals, x)
-    if tape is None:
-        return _wrap_like(out, x)
-    pulls = []
-    if isinstance(vals, Tensor):
-        pulls.append(
-            (vals.index, lambda g: (g[rows] * xv[cols]).sum(axis=1, keepdims=True))
-        )
-    if isinstance(x, Tensor):
-        pulls.append((x.index, lambda g: adj._by_col.product(vv, g)))
-    return tape._record(out, pulls)
-
-
-def _row_softmax_kernel(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return tape._record(
+        out,
+        [
+            (vals.index, lambda g: (g[rows] * xv[cols]).sum(axis=1, keepdims=True)),
+            (x.index, lambda g: adj._by_col.product(vv, g)),
+        ],
+    )
 
 
 def row_softmax(a):
     """Row-stochastic softmax, stable under per-row max subtraction."""
-    av = _val(a)
-    out = _row_softmax_kernel(av)
-    tape = _tensor_operands(a)
-    if tape is None:
-        return _wrap_like(out, a)
+    tape = _tape_of(a)
+    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
 
     def pull(g, p=out):
         return p * (g - (g * p).sum(axis=1, keepdims=True))
@@ -487,22 +407,16 @@ def row_softmax(a):
     return tape._record(out, [(a.index, pull)])
 
 
-def _l2_normalize_kernel(x: np.ndarray, eps: float):
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    small = norms < eps
-    safe = np.where(small, 1.0, norms)
-    return np.where(small, x, x / safe), norms, small, safe
-
-
 def l2_normalize_rows(a, eps: float = 1e-12):
     """Scale each row to unit L2 norm; rows with norm < eps pass unchanged."""
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
-    av = _val(a)
-    out, _, small, safe = _l2_normalize_kernel(av, eps)
-    tape = _tensor_operands(a)
-    if tape is None:
-        return _wrap_like(out, a)
+    tape = _tape_of(a)
+    av = a.value
+    norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
+    small = norms < eps
+    safe = np.where(small, 1.0, norms)
+    out = np.where(small, av, av / safe)
 
     def pull(g, y=out, small=small, safe=safe):
         projected = (g - y * (y * g).sum(axis=1, keepdims=True)) / safe
@@ -511,119 +425,79 @@ def l2_normalize_rows(a, eps: float = 1e-12):
     return tape._record(out, [(a.index, pull)])
 
 
-def _wrap_like(out: np.ndarray, *operands):
-    if any(isinstance(x, DenseMatrix) for x in operands):
-        return DenseMatrix.from_array(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Tensor-only ops (building blocks for recorded losses)
-# ---------------------------------------------------------------------------
-
-
-def _unary(a, out, pull):
-    tape = _tensor_operands(a)
-    if tape is None:
-        raise ContractError("op requires a Tensor operand")
-    return tape._record(out, [(a.index, pull)])
-
-
 def add(a, b):
-    av, bv = _val(a), _val(b)
-    _same_shape(av, bv, "add")
-    tape = _tensor_operands(a, b)
-    if tape is None:
-        raise ContractError("add requires a Tensor operand")
-    pulls = []
-    if isinstance(a, Tensor):
-        pulls.append((a.index, lambda g: g))
-    if isinstance(b, Tensor):
-        pulls.append((b.index, lambda g: g))
-    return tape._record(av + bv, pulls)
+    tape = _tape_of(a, b)
+    _same_shape(a.value, b.value, "add")
+    return tape._record(a.value + b.value, [(a.index, lambda g: g), (b.index, lambda g: g)])
 
 
 def sub(a, b):
-    av, bv = _val(a), _val(b)
-    _same_shape(av, bv, "sub")
-    tape = _tensor_operands(a, b)
-    if tape is None:
-        raise ContractError("sub requires a Tensor operand")
-    pulls = []
-    if isinstance(a, Tensor):
-        pulls.append((a.index, lambda g: g))
-    if isinstance(b, Tensor):
-        pulls.append((b.index, lambda g: -g))
-    return tape._record(av - bv, pulls)
+    tape = _tape_of(a, b)
+    _same_shape(a.value, b.value, "sub")
+    return tape._record(a.value - b.value, [(a.index, lambda g: g), (b.index, lambda g: -g)])
 
 
 def mul(a, b):
-    av, bv = _val(a), _val(b)
+    tape = _tape_of(a, b)
+    av, bv = a.value, b.value
     _same_shape(av, bv, "mul")
-    tape = _tensor_operands(a, b)
-    if tape is None:
-        raise ContractError("mul requires a Tensor operand")
-    pulls = []
-    if isinstance(a, Tensor):
-        pulls.append((a.index, lambda g, bv=bv: g * bv))
-    if isinstance(b, Tensor):
-        pulls.append((b.index, lambda g, av=av: g * av))
-    return tape._record(av * bv, pulls)
+    return tape._record(av * bv, [(a.index, lambda g: g * bv), (b.index, lambda g: g * av)])
 
 
 def div(a, b):
-    av, bv = _val(a), _val(b)
+    tape = _tape_of(a, b)
+    av, bv = a.value, b.value
     _same_shape(av, bv, "div")
-    tape = _tensor_operands(a, b)
-    if tape is None:
-        raise ContractError("div requires a Tensor operand")
     out = av / bv
-    pulls = []
-    if isinstance(a, Tensor):
-        pulls.append((a.index, lambda g, bv=bv: g / bv))
-    if isinstance(b, Tensor):
-        pulls.append((b.index, lambda g, out=out, bv=bv: -g * out / bv))
-    return tape._record(out, pulls)
+    return tape._record(
+        out, [(a.index, lambda g: g / bv), (b.index, lambda g: -g * out / bv)]
+    )
 
 
 def neg(a):
-    return _unary(a, -_val(a), lambda g: -g)
+    tape = _tape_of(a)
+    return tape._record(-a.value, [(a.index, lambda g: -g)])
 
 
 def add_scalar(a, c: float):
-    return _unary(a, _val(a) + c, lambda g: g)
+    tape = _tape_of(a)
+    return tape._record(a.value + c, [(a.index, lambda g: g)])
 
 
 def mul_scalar(a, c: float):
-    return _unary(a, _val(a) * c, lambda g, c=c: g * c)
+    tape = _tape_of(a)
+    return tape._record(a.value * c, [(a.index, lambda g: g * c)])
 
 
 def relu(a):
-    av = _val(a)
-    mask = av > 0  # subgradient 0 at the kink
-    return _unary(a, av * mask, lambda g, mask=mask: g * mask)
+    tape = _tape_of(a)
+    mask = a.value > 0  # subgradient 0 at the kink
+    return tape._record(a.value * mask, [(a.index, lambda g: g * mask)])
 
 
 def exp(a):
-    out = np.exp(_val(a))
-    return _unary(a, out, lambda g, out=out: g * out)
+    tape = _tape_of(a)
+    out = np.exp(a.value)
+    return tape._record(out, [(a.index, lambda g: g * out)])
 
 
 def log(a):
-    av = _val(a)
-    return _unary(a, np.log(av), lambda g, av=av: g / av)
+    tape = _tape_of(a)
+    av = a.value
+    return tape._record(np.log(av), [(a.index, lambda g: g / av)])
 
 
 def log_clamped(a, floor: float = 1e-12):
     """log(max(x, floor)); gradient is zero on the clamped region."""
-    av = _val(a)
+    tape = _tape_of(a)
+    av = a.value
     live = av > floor
     out = np.log(np.maximum(av, floor))
 
-    def pull(g, av=av, live=live):
+    def pull(g):
         return np.divide(g, av, out=np.zeros_like(g), where=live)
 
-    return _unary(a, out, pull)
+    return tape._record(out, [(a.index, pull)])
 
 
 def exp_sum_others(a, cols, scale: float):
@@ -637,7 +511,8 @@ def exp_sum_others(a, cols, scale: float):
     pulls it into both the row operand and the gathered columns, the
     blockwise recomputation of the online softmax (Milakov & Gimelshein,
     arXiv 1805.02867) and FlashAttention (Dao et al., arXiv 2205.14135)."""
-    av = _val(a)
+    tape = _tape_of(a)
+    av = a.value
     idx = np.asarray(cols, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("exp_sum_others cols must be 1-D")
@@ -661,7 +536,7 @@ def exp_sum_others(a, cols, scale: float):
         np.add.at(ga, idx, gb)
         return ga
 
-    return _unary(a, out, pull)
+    return tape._record(out, [(a.index, pull)])
 
 
 def _exp_block(av, b, cols, start, block, scale):
@@ -676,106 +551,105 @@ def _exp_block(av, b, cols, start, block, scale):
 
 
 def pow_scalar(a, p: float):
-    av = _val(a)
-    out = av ** p
-    return _unary(a, out, lambda g, av=av, p=p: g * p * av ** (p - 1.0))
+    tape = _tape_of(a)
+    av = a.value
+    return tape._record(av ** p, [(a.index, lambda g: g * p * av ** (p - 1.0))])
 
 
 def transpose(a):
-    return _unary(a, _val(a).T.copy(), lambda g: g.T.copy())
+    tape = _tape_of(a)
+    return tape._record(a.value.T.copy(), [(a.index, lambda g: g.T.copy())])
 
 
 def row_sum(a):
-    av = _val(a)
-    k = av.shape[1]
-    return _unary(a, av.sum(axis=1, keepdims=True), lambda g, k=k: np.repeat(g, k, axis=1))
+    tape = _tape_of(a)
+    k = a.value.shape[1]
+    return tape._record(
+        a.value.sum(axis=1, keepdims=True), [(a.index, lambda g: np.repeat(g, k, axis=1))]
+    )
 
 
 def sum_all(a):
-    av = _val(a)
-    out = np.array([[av.sum()]])
-    return _unary(a, out, lambda g, shape=av.shape: np.full(shape, g[0, 0]))
+    tape = _tape_of(a)
+    shape = a.value.shape
+    out = np.array([[a.value.sum()]])
+    return tape._record(out, [(a.index, lambda g: np.full(shape, g[0, 0]))])
 
 
 def mean_all(a):
-    av = _val(a)
-    out = np.array([[av.mean()]])
-    size = av.size
-    return _unary(a, out, lambda g, shape=av.shape, size=size: np.full(shape, g[0, 0] / size))
+    tape = _tape_of(a)
+    shape, size = a.value.shape, a.value.size
+    out = np.array([[a.value.mean()]])
+    return tape._record(out, [(a.index, lambda g: np.full(shape, g[0, 0] / size))])
 
 
 def add_bias(x, b):
     """Add a 1xk bias row to every row of an nxk tensor."""
-    xv, bv = _val(x), _val(b)
+    tape = _tape_of(x, b)
+    xv, bv = x.value, b.value
     if bv.shape != (1, xv.shape[1]):
         raise ShapeError(f"add_bias: bias {bv.shape} does not fit {xv.shape}")
-    tape = _tensor_operands(x, b)
-    if tape is None:
-        raise ContractError("add_bias requires a Tensor operand")
-    pulls = []
-    if isinstance(x, Tensor):
-        pulls.append((x.index, lambda g: g))
-    if isinstance(b, Tensor):
-        pulls.append((b.index, lambda g: g.sum(axis=0, keepdims=True)))
-    return tape._record(xv + bv, pulls)
+    return tape._record(
+        xv + bv, [(x.index, lambda g: g), (b.index, lambda g: g.sum(axis=0, keepdims=True))]
+    )
 
 
 def scale_rows(x, s):
     """Multiply row i of an nxk tensor by scalar s[i] (s is nx1)."""
-    xv, sv = _val(x), _val(s)
+    tape = _tape_of(x, s)
+    xv, sv = x.value, s.value
     if sv.shape != (xv.shape[0], 1):
         raise ShapeError(f"scale_rows: scale {sv.shape} does not fit {xv.shape}")
-    tape = _tensor_operands(x, s)
-    if tape is None:
-        raise ContractError("scale_rows requires a Tensor operand")
-    pulls = []
-    if isinstance(x, Tensor):
-        pulls.append((x.index, lambda g, sv=sv: g * sv))
-    if isinstance(s, Tensor):
-        pulls.append((s.index, lambda g, xv=xv: (g * xv).sum(axis=1, keepdims=True)))
-    return tape._record(xv * sv, pulls)
+    return tape._record(
+        xv * sv,
+        [
+            (x.index, lambda g: g * sv),
+            (s.index, lambda g: (g * xv).sum(axis=1, keepdims=True)),
+        ],
+    )
 
 
 def gather_rows(a, index):
     """Select rows by integer index (repeats allowed)."""
-    av = _val(a)
+    tape = _tape_of(a)
+    av = a.value
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("gather_rows index must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
         raise ContractError("gather_rows index out of range")
-    out = av[idx]
 
-    def pull(g, idx=idx, shape=av.shape):
+    def pull(g, shape=av.shape):
         gx = np.zeros(shape)
         np.add.at(gx, idx, g)
         return gx
 
-    return _unary(a, out, pull)
+    return tape._record(av[idx], [(a.index, pull)])
 
 
 def select_cols(a, col_index):
     """Per-row single-column selection: out[i, 0] = a[i, col_index[i]]."""
-    av = _val(a)
+    tape = _tape_of(a)
+    av = a.value
     idx = np.asarray(col_index, dtype=np.int64)
     if idx.shape != (av.shape[0],):
         raise ShapeError("select_cols needs one column id per row")
     if idx.size and (idx.min() < 0 or idx.max() >= av.shape[1]):
         raise ContractError("select_cols column id out of range")
     rows = np.arange(av.shape[0])
-    out = av[rows, idx][:, None]
 
-    def pull(g, rows=rows, idx=idx, shape=av.shape):
+    def pull(g, shape=av.shape):
         gx = np.zeros(shape)
         gx[rows, idx] = g[:, 0]
         return gx
 
-    return _unary(a, out, pull)
+    return tape._record(av[rows, idx][:, None], [(a.index, pull)])
 
 
 def segment_sum(a, segment_ids, num_segments: int):
     """Sum rows of an mxk tensor into `num_segments` buckets."""
-    av = _val(a)
+    tape = _tape_of(a)
+    av = a.value
     seg = np.asarray(segment_ids, dtype=np.int64)
     if seg.shape != (av.shape[0],):
         raise ShapeError("segment_sum needs one segment id per row")
@@ -783,21 +657,15 @@ def segment_sum(a, segment_ids, num_segments: int):
         raise ContractError("segment id out of range")
     out = np.zeros((num_segments, av.shape[1]))
     np.add.at(out, seg, av)
-    return _unary(a, out, lambda g, seg=seg: g[seg])
+    return tape._record(out, [(a.index, lambda g: g[seg])])
 
 
 def concat_rows(a, b):
-    av, bv = _val(a), _val(b)
+    tape = _tape_of(a, b)
+    av, bv = a.value, b.value
     if av.shape[1] != bv.shape[1]:
         raise ShapeError(f"concat_rows: widths {av.shape[1]} and {bv.shape[1]} differ")
-    tape = _tensor_operands(a, b)
-    if tape is None:
-        raise ContractError("concat_rows requires a Tensor operand")
-    out = np.concatenate([av, bv], axis=0)
     na = av.shape[0]
-    pulls = []
-    if isinstance(a, Tensor):
-        pulls.append((a.index, lambda g, na=na: g[:na]))
-    if isinstance(b, Tensor):
-        pulls.append((b.index, lambda g, na=na: g[na:]))
-    return tape._record(out, pulls)
+    return tape._record(
+        np.concatenate([av, bv], axis=0), [(a.index, lambda g: g[:na]), (b.index, lambda g: g[na:])]
+    )

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from graphsfda.graph_store import TargetGraph
-from graphsfda.numerics import DenseMatrix
 
 
 def random_graph(rng, n, d, num_classes, edge_p=0.3, labelled=True):
@@ -15,7 +14,7 @@ def random_graph(rng, n, d, num_classes, edge_p=0.3, labelled=True):
     ]
     labels = rng.integers(0, num_classes, size=n) if labelled else None
     return TargetGraph(
-        n, edges, DenseMatrix.from_array(rng.standard_normal((n, d))), labels, num_classes
+        n, edges, rng.standard_normal((n, d)), labels, num_classes
     )
 
 

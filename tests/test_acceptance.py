@@ -41,7 +41,7 @@ from graphsfda.model_adaptation import (
     loss_weighted_ce,
     neighborhood_pseudo_labels,
 )
-from graphsfda.numerics import DenseMatrix, evaluate, grad_check
+from graphsfda.numerics import evaluate, grad_check
 
 from conftest import random_graph
 from test_graph_adaptation import grid_project_oracle
@@ -65,10 +65,10 @@ def test_criterion_1_gradient_fidelity():
         delta_a0 = rng.uniform(0.2, 0.8, (e, 1))  # interior of the box
         weights = 1.0 - delta_a0.ravel()
         adj = normalize_adjacency(g, weights)
-        x_prime = g.features.a + delta_x0
+        x_prime = g.features + delta_x0
 
-        fo = forward(model, adj, DenseMatrix.from_array(x_prime))
-        banks = MemoryBanks(fo.representations.a.copy(), fo.predictions.a.copy(), 0.9)
+        fo = forward(model, adj, x_prime)
+        banks = MemoryBanks(fo.representations.copy(), fo.predictions.copy(), 0.9)
         pl = neighborhood_pseudo_labels(layout.neighbors(weights), banks)
         protos = compute_prototypes(pl, banks)
         conf = select_confident(fo.predictions, 0.5)
@@ -90,15 +90,20 @@ def test_criterion_1_gradient_fidelity():
         for loss_fn in (model_loss, graph_loss):
             # wrt model parameters (extractor and classifier together)
             def f_params(*ps):
-                z, p = forward_on_tape(ps[0].tape, list(ps), adj, x_prime)
+                tape = ps[0].tape
+                z, p = forward_on_tape(tape, list(ps), adj, tape.constant(x_prime))
                 return loss_fn(z, p)
 
             assert grad_check(f_params, [w.copy() for w in params], step=1e-4) <= 1e-4
 
             # wrt the feature offset
             def f_dx(dx):
+                tape = dx.tape
                 z, p = forward_on_tape(
-                    dx.tape, params, adj, apply_feature_delta(g.features.a, dx)
+                    tape,
+                    [tape.constant(w) for w in params],
+                    adj,
+                    apply_feature_delta(tape.constant(g.features), dx),
                 )
                 return loss_fn(z, p)
 
@@ -106,8 +111,10 @@ def test_criterion_1_gradient_fidelity():
 
             # wrt the edge mask, through the normalized adjacency
             def f_da(da):
+                tape = da.tape
                 adj_live = masked_adjacency_on_tape(layout, apply_structure_delta(g, da))
-                z, p = forward_on_tape(da.tape, params, adj_live, x_prime)
+                constants = [tape.constant(w) for w in params]
+                z, p = forward_on_tape(tape, constants, adj_live, tape.constant(x_prime))
                 return loss_fn(z, p)
 
             assert grad_check(f_da, delta_a0.copy(), step=1e-4) <= 1e-4
@@ -153,8 +160,8 @@ def test_criterion_3_bank_and_sharpening_suite():
 
         banks = init_banks(
             ForwardOutput(
-                DenseMatrix.from_array(rng.standard_normal((5, 4))),
-                DenseMatrix.from_array(rng.dirichlet(np.ones(3), 5)),
+                rng.standard_normal((5, 4)),
+                rng.dirichlet(np.ones(3), 5),
             ),
             0.9,
         )
@@ -162,15 +169,15 @@ def test_criterion_3_bank_and_sharpening_suite():
             banks = momentum_update(
                 banks,
                 ForwardOutput(
-                    DenseMatrix.from_array(rng.standard_normal((5, 4))),
-                    DenseMatrix.from_array(rng.dirichlet(np.ones(3), 5)),
+                    rng.standard_normal((5, 4)),
+                    rng.dirichlet(np.ones(3), 5),
                 ),
             )
         assert np.max(np.abs(banks.pred_bank.sum(axis=1) - 1.0)) <= 1e-6
 
         z = rng.standard_normal((4, 3))
         pr = rng.dirichlet(np.ones(2), 4)
-        out = ForwardOutput(DenseMatrix.from_array(z), DenseMatrix.from_array(pr))
+        out = ForwardOutput(z, pr)
         full = momentum_update(MemoryBanks(np.ones((4, 3)), np.full((4, 2), 0.5), 1.0), out)
         assert np.array_equal(full.repr_bank, z)
         assert np.array_equal(full.pred_bank, sharpen(pr))
@@ -204,7 +211,7 @@ def test_criterion_4_structural_semantics():
                 g.num_classes,
             )
             removed = forward(model, normalize_adjacency(g_rm), g_rm.features)
-            assert np.max(np.abs(masked.predictions.a - removed.predictions.a)) <= 1e-12
+            assert np.max(np.abs(masked.predictions - removed.predictions)) <= 1e-12
             checked += 1
 
         # Bernoulli finalization concentration on 10^4 edges
@@ -212,7 +219,7 @@ def test_criterion_4_structural_semantics():
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         idx = rng.choice(len(all_pairs), size=10_000, replace=False)
         edges = [all_pairs[i] for i in idx]
-        g = TargetGraph(n, edges, DenseMatrix.zeros(n, 1), None, 1)
+        g = TargetGraph(n, edges, np.zeros((n, 1)), None, 1)
         deltas = AdaptationDeltas(np.zeros((n, 1)), np.full(10_000, 0.5), 10_000.0)
         kept = finalize_structure(g, deltas, seed=4).num_edges / 10_000.0
         sigma = np.sqrt(0.25 / 10_000.0)

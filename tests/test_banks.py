@@ -4,11 +4,10 @@ import pytest
 from graphsfda.banks import MemoryBanks, init_banks, momentum_update, sharpen
 from graphsfda.errors import ContractError, ShapeError
 from graphsfda.gnn import ForwardOutput
-from graphsfda.numerics import DenseMatrix
 
 
 def fo(z, p):
-    return ForwardOutput(DenseMatrix.from_rows(z), DenseMatrix.from_rows(p))
+    return ForwardOutput(np.array(z), np.array(p))
 
 
 def entropy(rows):

@@ -308,6 +308,13 @@ EXIT_CASES = {
     "pretrain-lr-negative": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, pretrain_lr=-1)]),
     "pretrain-weight-decay-negative": (2, lambda ws, tmp: [
         "pretrain", *_config(ws, tmp, pretrain_weight_decay=-3)]),
+    "gen-synth-separation-inf": (2, lambda ws, tmp: [
+        "gen-synth", str(tmp / "pair"), "--nodes-per-class", "5", "--separation", "inf"]),
+    "gen-synth-shift-nan": (2, lambda ws, tmp: [
+        "gen-synth", str(tmp / "pair"), "--nodes-per-class", "5", "--shift", "nan"]),
+    "gen-synth-means-overflow": (2, lambda ws, tmp: [
+        "gen-synth", str(tmp / "pair"), "--nodes-per-class", "5", "--feature-dim", "1",
+        "--separation", "1.7e308", "--shift", "1.7e308"]),
     "eval-mask-above-one": (3, lambda ws, tmp: _scored(
         ws, tmp, "eval", str(ws / "out" / "refined"), "1.5", "out/adapted.ckpt")),
     "export-mask-nan": (3, lambda ws, tmp: _scored(

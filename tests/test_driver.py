@@ -34,7 +34,7 @@ class TestDegeneracies:
         adapted, refined, pred, report = adapt(model, tgt, quick_cfg(epochs=0))
         assert np.array_equal(pred, spm)
         assert np.array_equal(refined.edges, tgt.edges)
-        assert np.array_equal(refined.features.a, tgt.features.a)
+        assert np.array_equal(refined.features, tgt.features)
         assert report.loss_model_trace == [] and report.loss_graph_trace == []
         for a, b in zip(adapted.parameters(), model.parameters()):
             assert np.array_equal(a, b)
@@ -163,7 +163,7 @@ class TestExportEmbeddings:
         assert (tmp_path / "z1.txt").read_bytes() == (tmp_path / "z2.txt").read_bytes()
         parsed = np.loadtxt(tmp_path / "z1.txt")
         fo = forward(model, normalize_adjacency(tgt), tgt.features)
-        assert np.array_equal(parsed, fo.representations.a)  # %.17g round-trips
+        assert np.array_equal(parsed, fo.representations)  # %.17g round-trips
 
     def test_two_line_fixture(self, tmp_path, rng):
         g = random_graph(rng, 2, 3, 2, edge_p=1.0)

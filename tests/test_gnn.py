@@ -20,7 +20,7 @@ from graphsfda.graph_store import (
     normalize_adjacency,
     split_nodes,
 )
-from graphsfda.numerics import DenseMatrix, Tape, backward, grad_check, mean_all, mul
+from graphsfda.numerics import Tape, backward, grad_check, mean_all, mul
 
 from conftest import random_graph
 
@@ -56,21 +56,21 @@ class TestForward:
         for w in m.parameters():
             w[:] = 0.0
         fo = forward(m, normalize_adjacency(g), g.features)
-        assert np.array_equal(fo.representations.a, np.zeros((6, 5)))
-        assert np.allclose(fo.predictions.a, 1.0 / 3.0)
+        assert np.array_equal(fo.representations, np.zeros((6, 5)))
+        assert np.allclose(fo.predictions, 1.0 / 3.0)
 
     def test_single_node_single_layer(self, rng):
         x = rng.standard_normal((1, 4))
-        g = TargetGraph(1, [], DenseMatrix.from_array(x), None, 2)
+        g = TargetGraph(1, [], x, None, 2)
         m = init_model(4, 3, 2, 1, seed=5)
         fo = forward(m, normalize_adjacency(g), g.features)
         expected = np.maximum(x @ m.layer_weights[0], 0.0)
-        assert np.allclose(fo.representations.a, expected, atol=1e-12)
+        assert np.allclose(fo.representations, expected, atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
         g = random_graph(rng, 10, 4, 3)
         fo = forward(init_model(4, 6, 3, 2, seed=1), normalize_adjacency(g), g.features)
-        assert np.max(np.abs(fo.predictions.a.sum(axis=1) - 1.0)) <= 1e-9
+        assert np.max(np.abs(fo.predictions.sum(axis=1) - 1.0)) <= 1e-9
 
     def test_weight_zero_edge_equals_removal(self, rng):
         g = random_graph(rng, 8, 3, 2, edge_p=0.5)
@@ -82,7 +82,7 @@ class TestForward:
             g.n, np.delete(g.edges, 2, axis=0), g.features, g.labels, g.num_classes
         )
         fo_removed = forward(m, normalize_adjacency(g_removed), g_removed.features)
-        assert np.max(np.abs(fo_masked.predictions.a - fo_removed.predictions.a)) <= 1e-12
+        assert np.max(np.abs(fo_masked.predictions - fo_removed.predictions)) <= 1e-12
 
     def test_shape_mismatch(self, rng):
         g = random_graph(rng, 6, 4, 3)
@@ -97,13 +97,13 @@ class TestForward:
         m = init_model(3, 4, 2, 2, seed=2)
         perm = rng.permutation(g.n)
         edges_p = [(int(perm[u]), int(perm[v])) for u, v in g.edges]
-        x_p = np.empty_like(g.features.a)
-        x_p[perm] = g.features.a
-        g_p = TargetGraph(g.n, edges_p, DenseMatrix.from_array(x_p), None, 2)
+        x_p = np.empty_like(g.features)
+        x_p[perm] = g.features
+        g_p = TargetGraph(g.n, edges_p, x_p, None, 2)
         fo = forward(m, normalize_adjacency(g), g.features)
         fo_p = forward(m, normalize_adjacency(g_p), g_p.features)
-        assert np.max(np.abs(fo_p.representations.a[perm] - fo.representations.a)) <= 1e-12
-        assert np.max(np.abs(fo_p.predictions.a[perm] - fo.predictions.a)) <= 1e-12
+        assert np.max(np.abs(fo_p.representations[perm] - fo.representations)) <= 1e-12
+        assert np.max(np.abs(fo_p.predictions[perm] - fo.predictions)) <= 1e-12
 
     def test_gradients_wrt_params_and_features(self, rng):
         g = random_graph(rng, 7, 3, 2, edge_p=0.4)
@@ -112,16 +112,16 @@ class TestForward:
         params = m.parameters()
 
         def loss_wrt_params(*ps):
-            z, p = forward_on_tape(ps[0].tape, list(ps), adj, g.features.a)
+            z, p = forward_on_tape(ps[0].tape, list(ps), adj, ps[0].tape.constant(g.features))
             return mean_all(mul(p, p))
 
         assert grad_check(loss_wrt_params, [w.copy() for w in params]) <= 1e-4
 
         def loss_wrt_x(x):
-            z, p = forward_on_tape(x.tape, params, adj, x)
+            z, p = forward_on_tape(x.tape, [x.tape.constant(w) for w in params], adj, x)
             return mean_all(mul(p, p))
 
-        assert grad_check(loss_wrt_x, g.features.a.copy()) <= 1e-4
+        assert grad_check(loss_wrt_x, g.features.copy()) <= 1e-4
 
 
 def separable_source(seed):

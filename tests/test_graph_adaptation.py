@@ -24,7 +24,6 @@ from graphsfda.graph_adaptation import (
 )
 from graphsfda.graph_store import AdjacencyLayout, TargetGraph, normalize_adjacency
 from graphsfda.numerics import (
-    DenseMatrix,
     Tape,
     add,
     backward,
@@ -101,7 +100,7 @@ def label_negatives(p, banks: MemoryBanks, positives: np.ndarray) -> list:
     """Bank indices whose banked argmax disagrees with the node's own live
     argmax, minus that node's positives: the negative set `loss_graph`
     never enumerates, spelled out as an oracle."""
-    pv = p.a if isinstance(p, DenseMatrix) else np.asarray(p, dtype=np.float64)
+    pv = np.asarray(p, dtype=np.float64)
     own = np.argmax(pv, axis=1)
     banked = np.argmax(banks.pred_bank, axis=1)
     out = []
@@ -116,9 +115,10 @@ def dense_loss_graph_oracle(p, z, banks, conf, positives, alpha, beta):
     the negatives enumerated by `label_negatives`."""
     shape = (z.value.shape[0], banks.n)
     negatives = label_negatives(p.value, banks, positives)
-    sims = matmul(l2_normalize_rows(z), unit_rows(banks.repr_bank).T.copy())
-    pos_sum = sum_all(mul(sims, pair_mask(shape, positives)))
-    neg_sum = sum_all(mul(sims, pair_mask(shape, negatives)))
+    const = z.tape.constant
+    sims = matmul(l2_normalize_rows(z), const(unit_rows(banks.repr_bank).T.copy()))
+    pos_sum = sum_all(mul(sims, const(pair_mask(shape, positives))))
+    neg_sum = sum_all(mul(sims, const(pair_mask(shape, negatives))))
     total = add(mul_scalar(pos_sum, -alpha), mul_scalar(neg_sum, beta))
     if len(conf):
         picked = select_cols(gather_rows(p, conf.node_ids), conf.labels)
@@ -142,24 +142,24 @@ class TestDeltas:
 
 class TestApplyFeatureDelta:
     def test_zero_delta_identity(self, rng):
-        x = DenseMatrix.from_array(rng.standard_normal((3, 2)))
+        x = rng.standard_normal((3, 2))
         d = AdaptationDeltas.zeros(3, 2, 0, 1.0)
-        assert np.array_equal(apply_feature_delta(x, d).a, x.a)
+        assert np.array_equal(evaluate(apply_feature_delta, x, d.delta_x), x)
 
     def test_hand_case(self):
-        x = DenseMatrix.from_rows([[1.0, 2.0]])
+        x = np.array([[1.0, 2.0]])
         d = AdaptationDeltas(np.array([[-1.0, 0.0]]), np.zeros(0), 1.0)
-        assert np.array_equal(apply_feature_delta(x, d).a, [[0.0, 2.0]])
+        assert np.array_equal(evaluate(apply_feature_delta, x, d.delta_x), [[0.0, 2.0]])
 
     def test_full_masking(self, rng):
         x = rng.standard_normal((4, 3))
         d = AdaptationDeltas(-x, np.zeros(0), 1.0)
-        assert np.array_equal(apply_feature_delta(DenseMatrix.from_array(x), d).a, np.zeros((4, 3)))
+        assert np.array_equal(evaluate(apply_feature_delta, x, d.delta_x), np.zeros((4, 3)))
 
 
 class TestApplyStructureDelta:
     def graph(self):
-        return TargetGraph(3, [(0, 1), (1, 2)], DenseMatrix.zeros(3, 1), None, 1)
+        return TargetGraph(3, [(0, 1), (1, 2)], np.zeros((3, 1)), None, 1)
 
     def test_semantics(self):
         g = self.graph()
@@ -176,47 +176,47 @@ class TestApplyStructureDelta:
 
 class TestSelectConfident:
     def test_examples(self):
-        p = DenseMatrix.from_rows([[0.95, 0.05], [0.6, 0.4], [0.5, 0.5]])
+        p = np.array([[0.95, 0.05], [0.6, 0.4], [0.5, 0.5]])
         conf = select_confident(p, 0.9)
         assert list(conf.node_ids) == [0]
         assert list(conf.labels) == [0]
 
     def test_uniform_rows_empty(self):
-        conf = select_confident(DenseMatrix.from_rows([[0.5, 0.5]]), 0.9)
+        conf = select_confident(np.array([[0.5, 0.5]]), 0.9)
         assert len(conf) == 0
 
     def test_monotone_in_threshold(self, rng):
         p = rng.dirichlet(np.ones(3), size=50)
-        sizes = [len(select_confident(DenseMatrix.from_array(p), w)) for w in (0.4, 0.6, 0.8, 0.95)]
+        sizes = [len(select_confident(p, w)) for w in (0.4, 0.6, 0.8, 0.95)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_threshold_range(self):
         with pytest.raises(ContractError):
-            select_confident(DenseMatrix.from_rows([[1.0]]), 1.0)
+            select_confident(np.array([[1.0]]), 1.0)
 
 
 class TestKnnPositives:
     def test_exact_duplicate_found(self):
         banks = MemoryBanks(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.full((3, 2), 0.5), 0.9)
-        z = DenseMatrix.from_rows([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        z = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         out = knn_positives(z, banks, 1)
         assert out[0, 0] == 2  # the duplicate of row 0, self excluded
 
     def test_tie_resolves_to_lowest_index(self):
         banks = MemoryBanks(np.eye(3), np.full((3, 3), 1 / 3), 0.9)
-        z = DenseMatrix.from_rows([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        z = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
         out = knn_positives(z, banks, 1)
         assert out[0, 0] == 1  # cos ties between banks 0 and 1; 0 is self
 
     def test_k_bounds(self):
         banks = MemoryBanks(np.eye(2), np.full((2, 2), 0.5), 0.9)
         with pytest.raises(ContractError):
-            knn_positives(DenseMatrix.from_array(np.eye(2)), banks, 2)
+            knn_positives(np.eye(2), banks, 2)
 
     def test_self_never_included(self, rng):
         n = 10
         banks = MemoryBanks(rng.standard_normal((n, 4)), np.full((n, 2), 0.5), 0.9)
-        out = knn_positives(DenseMatrix.from_array(banks.repr_bank), banks, 3)
+        out = knn_positives(banks.repr_bank, banks, 3)
         for i in range(n):
             assert i not in out[i]
 
@@ -239,7 +239,7 @@ class TestKnnPositives:
         z, bank = make(rng, n), make(rng, n)
         banks = MemoryBanks(bank, np.full((n, 2), 0.5), 0.9)
         expected = argsort_knn_oracle(z, banks, k)
-        assert np.array_equal(knn_positives(DenseMatrix.from_array(z), banks, k), expected)
+        assert np.array_equal(knn_positives(z, banks, k), expected)
         if ties and k < n - 1:  # the tie rule decides the k-th place somewhere
             sims = unit_rows(z) @ unit_rows(bank).T
             np.fill_diagonal(sims, -np.inf)
@@ -250,13 +250,13 @@ class TestKnnPositives:
 class TestLabelNegatives:
     def test_no_disagreement_empty(self):
         banks = MemoryBanks(np.eye(2), np.array([[0.9, 0.1], [0.8, 0.2]]), 0.9)
-        p = DenseMatrix.from_rows([[0.7, 0.3], [0.6, 0.4]])
+        p = np.array([[0.7, 0.3], [0.6, 0.4]])
         negs = label_negatives(p, banks, np.array([[1], [0]]))
         assert all(len(x) == 0 for x in negs)
 
     def test_enumeration(self):
         banks = MemoryBanks(np.eye(3), np.array([[0.9, 0.1], [0.1, 0.9], [0.2, 0.8]]), 0.9)
-        p = DenseMatrix.from_rows([[0.9, 0.1], [0.9, 0.1], [0.9, 0.1]])
+        p = np.array([[0.9, 0.1], [0.9, 0.1], [0.9, 0.1]])
         negs = label_negatives(p, banks, np.array([[2], [2], [1]]))
         # bank argmaxes (0,1,1); node argmaxes all 0 -> disagree {1,2} minus positives
         assert list(negs[0]) == [1]
@@ -265,7 +265,7 @@ class TestLabelNegatives:
 
     def test_positive_exclusion(self):
         banks = MemoryBanks(np.eye(2), np.array([[0.9, 0.1], [0.1, 0.9]]), 0.9)
-        p = DenseMatrix.from_rows([[0.9, 0.1], [0.9, 0.1]])
+        p = np.array([[0.9, 0.1], [0.9, 0.1]])
         negs = label_negatives(p, banks, np.array([[1], [1]]))
         assert list(negs[0]) == []  # bank 1 disagrees but is a positive
         assert all(1 not in set(negs[i]) for i in range(2))
@@ -281,14 +281,14 @@ class TestLossGraph:
         banks = MemoryBanks(np.eye(2), np.eye(2), 0.9)
         p = [[1.0, 0.0], [0.0, 1.0]]
         z = [[1.0, 0.0], [0.0, 1.0]]
-        conf = ConfidentSet(np.array([0, 1]), np.array([0, 1]), 0.9)
+        conf = ConfidentSet(np.array([0, 1]), np.array([0, 1]))
         sets = ContrastSets(np.zeros((2, 0), dtype=int))
         assert graph_loss(p, z, banks, conf, sets, 0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_positive_cosine(self):
         banks = MemoryBanks(np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2), 0.9)
         z = [[3.0, 0.0]]  # cos with bank row 1 is exactly 1
-        conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int), 0.9)
+        conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int))
         sets = ContrastSets(np.array([[1]]))
         out = graph_loss([[0.5, 0.5]], z, banks, conf, sets, 1.0, 0.0)
         assert out == pytest.approx(-1.0, abs=1e-12)
@@ -296,7 +296,7 @@ class TestLossGraph:
     def test_negative_term_sign(self):
         banks = MemoryBanks(np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2), 0.9)
         z = [[3.0, 0.0]]
-        conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int), 0.9)
+        conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int))
         sets = ContrastSets(np.zeros((1, 0), dtype=int))
         out = graph_loss([[0.5, 0.5]], z, banks, conf, sets, 0.0, 0.7)
         assert out == pytest.approx(0.7, abs=1e-12)
@@ -305,7 +305,7 @@ class TestLossGraph:
 class TestClosedFormContrast:
     def inputs(self, rng, n=40, h=6, c=3, k=4):
         z0 = rng.standard_normal((n, h))
-        p0 = row_softmax(2.0 * rng.standard_normal((n, c)))
+        p0 = evaluate(row_softmax, 2.0 * rng.standard_normal((n, c)))
         banks = MemoryBanks(rng.standard_normal((n, h)), rng.dirichlet(np.ones(c), n), 0.9)
         positives = knn_positives(z0, banks, k)
         own = np.argmax(p0, axis=1)
@@ -454,8 +454,8 @@ def test_masked_adjacency_matches_constant_normalization(rng):
     wt = tape.leaf(w.reshape(-1, 1))
     adj_live = masked_adjacency_on_tape(layout, wt)
     ref = normalize_adjacency(g, w)
-    dense_live = adj_live.densify().a
-    assert np.max(np.abs(dense_live - ref.densify().a)) <= 1e-12
+    dense_live = adj_live.densify()
+    assert np.max(np.abs(dense_live - ref.densify())) <= 1e-12
 
 
 def test_mask_one_equals_physical_deletion(rng):
@@ -476,7 +476,7 @@ def test_mask_one_equals_physical_deletion(rng):
             g.num_classes,
         )
         fo_removed = forward(m, normalize_adjacency(g_removed), g_removed.features)
-        assert np.max(np.abs(fo_masked.predictions.a - fo_removed.predictions.a)) <= 1e-12
+        assert np.max(np.abs(fo_masked.predictions - fo_removed.predictions)) <= 1e-12
 
 
 def test_graph_loss_gradients_wrt_deltas(rng):
@@ -484,22 +484,26 @@ def test_graph_loss_gradients_wrt_deltas(rng):
     model = init_model(3, 4, 3, 2, seed=4)
     layout = AdjacencyLayout(g.n, g.edges)
     fo = forward(model, normalize_adjacency(g), g.features)
-    banks = MemoryBanks(fo.representations.a.copy(), fo.predictions.a.copy(), 0.9)
+    banks = MemoryBanks(fo.representations.copy(), fo.predictions.copy(), 0.9)
     conf = select_confident(fo.predictions, 0.5)
     sets = ContrastSets(knn_positives(fo.representations, banks, 3))
     delta_a0 = rng.uniform(0.2, 0.8, (g.num_edges, 1))
     params = model.parameters()
 
     def f_dx(dx):
+        tape = dx.tape
         adj = normalize_adjacency(g, 1.0 - delta_a0.ravel())
-        z, p = forward_on_tape(dx.tape, params, adj, apply_feature_delta(g.features.a, dx))
+        x = apply_feature_delta(tape.constant(g.features), dx)
+        z, p = forward_on_tape(tape, [tape.constant(w) for w in params], adj, x)
         return loss_graph(p, z, banks, conf, sets, 0.5, 0.5)
 
-    assert grad_check(f_dx, rng.uniform(-0.2, 0.2, g.features.a.shape)) <= 1e-4
+    assert grad_check(f_dx, rng.uniform(-0.2, 0.2, g.features.shape)) <= 1e-4
 
     def f_da(da):
+        tape = da.tape
         adj_live = masked_adjacency_on_tape(layout, apply_structure_delta(g, da))
-        z, p = forward_on_tape(da.tape, params, adj_live, g.features.a)
+        constants = [tape.constant(w) for w in params]
+        z, p = forward_on_tape(tape, constants, adj_live, tape.constant(g.features))
         return loss_graph(p, z, banks, conf, sets, 0.5, 0.5)
 
     assert grad_check(f_da, delta_a0) <= 1e-4

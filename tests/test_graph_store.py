@@ -13,31 +13,54 @@ from graphsfda.graph_store import (
     save_graph,
     split_nodes,
 )
-from graphsfda.numerics import DenseMatrix
 
 from conftest import random_graph
 
 
 def single_node_graph():
-    return TargetGraph(1, [], DenseMatrix.from_rows([[1.0]]), [0], 1)
+    return TargetGraph(1, [], np.array([[1.0]]), [0], 1)
 
 
 class TestTargetGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ContractError):
-            TargetGraph(2, [(1, 1)], DenseMatrix.zeros(2, 1), None, 2)
+            TargetGraph(2, [(1, 1)], np.zeros((2, 1)), None, 2)
 
     def test_rejects_duplicate(self):
         with pytest.raises(ContractError):
-            TargetGraph(2, [(0, 1), (1, 0)], DenseMatrix.zeros(2, 1), None, 2)
+            TargetGraph(2, [(0, 1), (1, 0)], np.zeros((2, 1)), None, 2)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ContractError):
-            TargetGraph(2, [(0, 2)], DenseMatrix.zeros(2, 1), None, 2)
+            TargetGraph(2, [(0, 2)], np.zeros((2, 1)), None, 2)
 
     def test_feature_row_mismatch(self):
         with pytest.raises(ContractError):
-            TargetGraph(3, [], DenseMatrix.zeros(2, 1), None, 2)
+            TargetGraph(3, [], np.zeros((2, 1)), None, 2)
+
+    def test_features_float64_array(self):
+        x = [[1, 2, 3], [4, 5, 6]]
+        g = TargetGraph(2, [], x, None, 2)
+        assert g.features.dtype == np.float64 and g.features.shape == (2, 3)
+        assert g.feature_dim == 3 and list(g.features.ravel()) == [1, 2, 3, 4, 5, 6]
+
+    def test_features_must_be_2d(self):
+        for features in (np.zeros(2), np.zeros((2, 1, 1))):
+            with pytest.raises(ContractError, match="features must be an"):
+                TargetGraph(2, [], features, None, 2)
+
+    def test_nonfinite_features_rejected(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ContractError, match="finite"):
+                TargetGraph(1, [], [[1.0, bad]], None, 2)
+
+    def test_features_read_only(self):
+        x = np.array([[1.0, 2.0]])
+        g = TargetGraph(1, [], x, None, 2)
+        with pytest.raises(ValueError):
+            g.features[0, 0] = 5.0
+        x[0, 0] = 5.0  # the graph holds its own copy
+        assert g.features[0, 0] == 1.0
 
     @pytest.mark.parametrize(
         "edges, message",
@@ -57,9 +80,9 @@ class TestTargetGraph:
     )
     def test_array_validation(self, edges, message):
         with pytest.raises(ContractError, match=message):
-            TargetGraph(4, edges, DenseMatrix.zeros(4, 1), None, 2)
+            TargetGraph(4, edges, np.zeros((4, 1)), None, 2)
         with pytest.raises(ContractError, match=message):
-            TargetGraph(4, np.array(edges), DenseMatrix.zeros(4, 1), None, 2)
+            TargetGraph(4, np.array(edges), np.zeros((4, 1)), None, 2)
 
     def test_validation_matches_per_edge_loop(self, rng):
         def loop_oracle(n, edges):
@@ -80,14 +103,14 @@ class TestTargetGraph:
                      for _ in range(int(rng.integers(0, 8)))]
             expected = loop_oracle(5, edges)
             try:
-                TargetGraph(5, edges, DenseMatrix.zeros(5, 1), None, 2)
+                TargetGraph(5, edges, np.zeros((5, 1)), None, 2)
                 message = None
             except ContractError as exc:
                 message = str(exc)
             assert message == expected, edges
 
     def test_edges_canonical_read_only_array(self):
-        g = TargetGraph(4, [(3, 1), (0, 2)], DenseMatrix.zeros(4, 1), None, 2)
+        g = TargetGraph(4, [(3, 1), (0, 2)], np.zeros((4, 1)), None, 2)
         assert g.edges.dtype == np.int64
         assert np.array_equal(g.edges, [[1, 3], [0, 2]])
         with pytest.raises(ValueError):
@@ -96,29 +119,29 @@ class TestTargetGraph:
     @pytest.mark.parametrize("edges", [[], (), np.zeros((0, 2), dtype=np.int64)],
                              ids=["list", "tuple", "array"])
     def test_empty_edge_list(self, edges):
-        g = TargetGraph(3, edges, DenseMatrix.zeros(3, 1), None, 2)
+        g = TargetGraph(3, edges, np.zeros((3, 1)), None, 2)
         assert g.edges.shape == (0, 2) and g.num_edges == 0
-        assert np.array_equal(normalize_adjacency(g).densify().a, np.eye(3))
+        assert np.array_equal(normalize_adjacency(g).densify(), np.eye(3))
 
 
 class TestNormalizeAdjacency:
     def test_isolated_node(self):
         adj = normalize_adjacency(single_node_graph())
-        assert np.array_equal(adj.densify().a, [[1.0]])
+        assert np.array_equal(adj.densify(), [[1.0]])
 
     def test_two_nodes_one_edge(self):
-        g = TargetGraph(2, [(0, 1)], DenseMatrix.zeros(2, 1), None, 1)
-        dense = normalize_adjacency(g).densify().a
+        g = TargetGraph(2, [(0, 1)], np.zeros((2, 1)), None, 1)
+        dense = normalize_adjacency(g).densify()
         assert np.allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_zero_weight_equals_deletion(self, rng):
         g = random_graph(rng, 8, 3, 2)
         weights = np.ones(g.num_edges)
         weights[0] = 0.0
-        masked = normalize_adjacency(g, weights).densify().a
+        masked = normalize_adjacency(g, weights).densify()
         removed = normalize_adjacency(
             TargetGraph(g.n, g.edges[1:], g.features, g.labels, g.num_classes)
-        ).densify().a
+        ).densify()
         assert np.array_equal(masked, removed) or np.max(np.abs(masked - removed)) <= 1e-15
 
     def test_weight_out_of_range(self, rng):
@@ -131,19 +154,19 @@ class TestNormalizeAdjacency:
     def test_exactly_symmetric(self, rng):
         g = random_graph(rng, 20, 2, 2, edge_p=0.4)
         w = rng.uniform(0.0, 1.0, g.num_edges)
-        dense = normalize_adjacency(g, w).densify().a
+        dense = normalize_adjacency(g, w).densify()
         assert np.array_equal(dense, dense.T)  # bitwise, by shared per-edge values
 
     def test_row_sums_positive(self, rng):
         g = random_graph(rng, 15, 2, 2, edge_p=0.3)
-        sums = normalize_adjacency(g).densify().a.sum(axis=1)
+        sums = normalize_adjacency(g).densify().sum(axis=1)
         assert np.all(sums > 0)
 
     def test_row_sums_one_on_regular_graphs(self):
         # cycle: every node has degree 2, so normalization gives rows summing to 1
         n = 6
-        g = TargetGraph(n, [(i, (i + 1) % n) for i in range(n)], DenseMatrix.zeros(n, 1), None, 1)
-        sums = normalize_adjacency(g).densify().a.sum(axis=1)
+        g = TargetGraph(n, [(i, (i + 1) % n) for i in range(n)], np.zeros((n, 1)), None, 1)
+        sums = normalize_adjacency(g).densify().sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
@@ -154,7 +177,7 @@ class TestFileFormat:
         back = load_graph(tmp_path / "g")
         assert back.n == g.n
         assert np.array_equal(back.edges, g.edges)
-        assert np.array_equal(back.features.a, g.features.a)
+        assert np.array_equal(back.features, g.features)
         assert np.array_equal(back.labels, g.labels)
         assert back.num_classes == g.num_classes
 
@@ -254,8 +277,8 @@ class TestMakeShiftPair:
         s1, t1 = make_shift_pair(spec)
         s2, t2 = make_shift_pair(spec)
         assert np.array_equal(s1.edges, s2.edges) and np.array_equal(t1.edges, t2.edges)
-        assert np.array_equal(s1.features.a, s2.features.a)
-        assert np.array_equal(t1.features.a, t2.features.a)
+        assert np.array_equal(s1.features, s2.features)
+        assert np.array_equal(t1.features, t2.features)
 
     def test_shared_spaces(self):
         src, tgt = make_shift_pair(ShiftSpec(nodes_per_class=15, seed=2))
@@ -277,8 +300,8 @@ class TestMakeShiftPair:
         src, tgt = make_shift_pair(spec)
         se = np.sqrt(2.0 / spec.nodes_per_class)  # unit feature noise, two samples
         for c in range(spec.num_classes):
-            mu_s = src.features.a[src.labels == c].mean(axis=0)
-            mu_t = tgt.features.a[tgt.labels == c].mean(axis=0)
+            mu_s = src.features[src.labels == c].mean(axis=0)
+            mu_t = tgt.features[tgt.labels == c].mean(axis=0)
             assert np.max(np.abs(mu_s - mu_t)) < 3.0 * se
 
     def test_larger_shift_degrades_frozen_model(self):
@@ -300,17 +323,17 @@ class TestMakeShiftPair:
                     model, src, split_nodes(src, seed), epochs=100, lr=1e-2
                 )
                 fo = forward(trained, normalize_adjacency(tgt), tgt.features)
-                accs.append(np.mean(np.argmax(fo.predictions.a, axis=1) == tgt.labels))
+                accs.append(np.mean(np.argmax(fo.predictions, axis=1) == tgt.labels))
             mean_acc.append(np.mean(accs))
         assert mean_acc[0] >= mean_acc[1] >= mean_acc[2]
 
 
 def test_neighbor_adjacency_with_mask(rng):
-    g = TargetGraph(4, [(0, 1), (1, 2), (2, 3)], DenseMatrix.zeros(4, 1), None, 1)
+    g = TargetGraph(4, [(0, 1), (1, 2), (2, 3)], np.zeros((4, 1)), None, 1)
     layout = AdjacencyLayout(g.n, g.edges)
 
     def neighbors(weights):
-        dense = layout.neighbors(np.asarray(weights, dtype=np.float64)).densify().a
+        dense = layout.neighbors(np.asarray(weights, dtype=np.float64)).densify()
         assert set(np.unique(dense)) <= {0.0, 1.0} and not dense.diagonal().any()
         return [list(np.flatnonzero(row)) for row in dense]
 

@@ -19,7 +19,6 @@ from graphsfda.model_adaptation import (
     _normalized_centroids,
 )
 from graphsfda.numerics import (
-    DenseMatrix,
     SparseAdjacency,
     Tape,
     Tensor,
@@ -114,8 +113,8 @@ class TestPseudoLabels:
 
     def test_onehot_shape(self):
         pl = PseudoLabels(np.array([2, 0]), 3)
-        assert np.array_equal(pl.onehot.sum(axis=1), [1.0, 1.0])
-        assert set(np.unique(pl.onehot)) <= {0.0, 1.0}
+        assert pl.class_id.dtype == np.int64 and np.array_equal(pl.class_id, [2, 0])
+        assert pl.num_classes == 3
 
 
 class TestPrototypes:
@@ -183,7 +182,7 @@ class TestConfidenceWeights:
 
 def weighted_ce(p, pl, w):
     """The loss on plain probabilities and an (n x 1) weight column."""
-    return evaluate(lambda t: loss_weighted_ce(t, pl, w), p)[0, 0]
+    return evaluate(lambda t, wt: loss_weighted_ce(t, pl, wt), p, w)[0, 0]
 
 
 class TestWeightedCE:
@@ -264,7 +263,7 @@ class TestInstancePrototypeLoss:
     def test_bad_temperature(self):
         with pytest.raises(ContractError):
             loss_instance_prototype(
-                DenseMatrix.from_rows([[1.0, 0.0]]),
+                np.array([[1.0, 0.0]]),
                 self.two_class_protos(),
                 PseudoLabels(np.array([0]), 2),
                 0.0,
@@ -278,8 +277,9 @@ def dense_instance_prototype_oracle(z, protos, pl, tau, batch_indices=None):
     n = pl.class_id.size
     keep = ~protos.empty[pl.class_id]
     inv_tau = 1.0 / tau
+    const = z.tape.constant
     zn = l2_normalize_rows(z)
-    proto_sims = matmul(zn, _normalized_centroids(protos).T.copy())
+    proto_sims = matmul(zn, const(_normalized_centroids(protos).T.copy()))
     pos = select_cols(proto_sims, pl.class_id)
     pos_exp = exp(mul_scalar(pos, inv_tau))
     proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)
@@ -290,9 +290,9 @@ def dense_instance_prototype_oracle(z, protos, pl, tau, batch_indices=None):
         batch = np.asarray(batch_indices, dtype=np.int64)
         others = exp(mul_scalar(matmul(zn, transpose(gather_rows(zn, batch))), inv_tau))
         not_self = (batch[None, :] != np.arange(n)[:, None]).astype(np.float64)
-        inst_sum = row_sum(mul(others, not_self))
+        inst_sum = row_sum(mul(others, const(not_self)))
     per_node = sub(mul_scalar(pos, inv_tau), log(add(proto_sum, inst_sum)))
-    kept_total = sum_all(mul(per_node, keep.astype(np.float64).reshape(-1, 1)))
+    kept_total = sum_all(mul(per_node, const(keep.astype(np.float64).reshape(-1, 1))))
     return mul_scalar(kept_total, -1.0 / int(keep.sum()))
 
 
@@ -376,7 +376,7 @@ def test_losses_are_tensor_only(rng):
     pl = PseudoLabels(np.array([0, 1, 0, 1]), 2)
     protos = Prototypes(rng.standard_normal((2, 3)), np.array([2, 2]))
     banks = MemoryBanks(rng.standard_normal((4, 3)), rng.dirichlet(np.ones(2), 4), 0.9)
-    conf = ConfidentSet(np.array([0, 2]), np.array([0, 0]), 0.5)
+    conf = ConfidentSet(np.array([0, 2]), np.array([0, 0]))
     sets = ContrastSets(np.array([[1], [2], [3], [0]]))
     losses = {
         "confidence_weights": (lambda z: confidence_weights(z, protos, pl), [z0]),
@@ -404,7 +404,7 @@ def test_model_loss_gradients_on_random_instance(rng):
     model = init_model(4, 5, 3, 2, seed=6)
     adj = normalize_adjacency(g)
     fo = forward(model, adj, g.features)
-    banks = MemoryBanks(fo.representations.a.copy(), fo.predictions.a.copy(), 0.9)
+    banks = MemoryBanks(fo.representations.copy(), fo.predictions.copy(), 0.9)
     from graphsfda.graph_store import AdjacencyLayout
 
     pl = neighborhood_pseudo_labels(
@@ -413,7 +413,8 @@ def test_model_loss_gradients_on_random_instance(rng):
     protos = compute_prototypes(pl, banks)
 
     def f(*params):
-        z, p = forward_on_tape(params[0].tape, list(params), adj, g.features.a)
+        tape = params[0].tape
+        z, p = forward_on_tape(tape, list(params), adj, tape.constant(g.features))
         w = confidence_weights(z, protos, pl)
         l_ce = loss_weighted_ce(p, pl, w)
         l_co = loss_instance_prototype(z, protos, pl, 0.2)

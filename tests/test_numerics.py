@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from graphsfda import numerics
-from graphsfda.errors import ContractError, NumericalError, ShapeError
+from graphsfda.errors import ContractError, ShapeError
 from graphsfda.numerics import (
-    DenseMatrix,
     SparseAdjacency,
     Tape,
     add,
@@ -16,6 +15,7 @@ from graphsfda.numerics import (
     backward,
     concat_rows,
     div,
+    evaluate,
     exp,
     exp_sum_others,
     gather_rows,
@@ -42,61 +42,41 @@ from graphsfda.numerics import (
 )
 
 
-def dm(rows):
-    return DenseMatrix.from_rows(rows)
-
-
-class TestDenseMatrix:
-    def test_fields(self):
-        m = DenseMatrix(2, 3, [1, 2, 3, 4, 5, 6])
-        assert m.rows == 2 and m.cols == 3
-        assert list(m.data) == [1, 2, 3, 4, 5, 6]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            DenseMatrix(2, 2, [1, 2, 3])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericalError):
-            DenseMatrix(1, 2, [1.0, np.inf])
-
-    def test_read_only(self):
-        m = dm([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            m.a[0, 0] = 5.0
-
-
 class TestMatmul:
     def test_identity(self):
-        a = dm([[1.0, 2.0], [3.0, 4.0]])
-        out = matmul(a, dm([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(out.a, a.a)
+        a = [[1.0, 2.0], [3.0, 4.0]]
+        out = evaluate(matmul, a, [[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(out, a)
 
     def test_hand_case(self):
-        out = matmul(dm([[1.0, 0.0], [0.0, 2.0]]), dm([[3.0], [4.0]]))
-        assert np.array_equal(out.a, [[3.0], [8.0]])
+        out = evaluate(matmul, [[1.0, 0.0], [0.0, 2.0]], [[3.0], [4.0]])
+        assert np.array_equal(out, [[3.0], [8.0]])
 
     def test_shape_error_names_shapes(self):
         with pytest.raises(ShapeError, match="2x3 @ 2x2"):
-            matmul(DenseMatrix.zeros(2, 3), DenseMatrix.zeros(2, 2))
+            evaluate(matmul, np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def spmm_value(adj, x):
+    return evaluate(lambda t: spmm(adj, t), x)
 
 
 class TestSpmm:
     def test_zero_edges(self):
         adj = SparseAdjacency(3, [0, 0, 0, 0], [], [])
-        out = spmm(adj, dm([[1.0], [2.0], [3.0]]))
-        assert np.array_equal(out.a, np.zeros((3, 1)))
+        out = spmm_value(adj, [[1.0], [2.0], [3.0]])
+        assert np.array_equal(out, np.zeros((3, 1)))
 
     def test_identity_pattern(self):
         adj = SparseAdjacency(2, [0, 1, 2], [0, 1], [1.0, 1.0])
-        x = dm([[5.0, 1.0], [2.0, 3.0]])
-        assert np.array_equal(spmm(adj, x).a, x.a)
+        x = [[5.0, 1.0], [2.0, 3.0]]
+        assert np.array_equal(spmm_value(adj, x), x)
 
     def test_path_graph(self):
         # unweighted 3-node path, no self-loops
         adj = SparseAdjacency(3, [0, 1, 3, 4], [1, 0, 2, 1], [1.0] * 4)
-        out = spmm(adj, dm([[1.0], [2.0], [3.0]]))
-        assert np.array_equal(out.a, [[2.0], [4.0], [2.0]])
+        out = spmm_value(adj, [[1.0], [2.0], [3.0]])
+        assert np.array_equal(out, [[2.0], [4.0], [2.0]])
 
     def test_matches_densified_matmul(self, rng):
         for _ in range(20):
@@ -114,59 +94,59 @@ class TestSpmm:
                 offsets.append(len(cols))
             adj = SparseAdjacency(n, offsets, cols, vals)
             x = rng.standard_normal((n, 3))
-            dense = adj.densify().a @ x
-            assert np.max(np.abs(spmm(adj, x) - dense)) <= 1e-12
+            dense = adj.densify() @ x
+            assert np.max(np.abs(spmm_value(adj, x) - dense)) <= 1e-12
 
     def test_dimension_mismatch(self):
         adj = SparseAdjacency(2, [0, 0, 0], [], [])
         with pytest.raises(ShapeError):
-            spmm(adj, DenseMatrix.zeros(3, 1))
+            spmm_value(adj, np.zeros((3, 1)))
 
 
 class TestRowSoftmax:
     def test_symmetry(self):
-        assert np.allclose(row_softmax(dm([[0.0, 0.0]])).a, [[0.5, 0.5]])
+        assert np.allclose(evaluate(row_softmax, [[0.0, 0.0]]), [[0.5, 0.5]])
 
     def test_stability(self):
-        out = row_softmax(dm([[1000.0, 1000.0]])).a
+        out = evaluate(row_softmax, [[1000.0, 1000.0]])
         assert np.allclose(out, [[0.5, 0.5]])
         assert np.isfinite(out).all()
 
     def test_closed_form(self):
-        out = row_softmax(dm([[0.0, np.log(3.0)]])).a
+        out = evaluate(row_softmax, [[0.0, np.log(3.0)]])
         assert np.allclose(out, [[0.25, 0.75]], atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
-        out = row_softmax(DenseMatrix.from_array(rng.standard_normal((20, 7)) * 50))
-        assert np.max(np.abs(out.a.sum(axis=1) - 1.0)) <= 1e-9
+        out = evaluate(row_softmax, rng.standard_normal((20, 7)) * 50)
+        assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-9
 
     def test_shift_invariance(self, rng):
         # |c| kept <= 1e3 so that x + c itself stays exact to ~1e-13; larger
         # shifts round the *input* away before softmax ever runs
         x = rng.standard_normal((8, 5))
         for c in (-7.5, 3.0, 1000.0):
-            a = row_softmax(DenseMatrix.from_array(x)).a
-            b = row_softmax(DenseMatrix.from_array(x + c)).a
+            a = evaluate(row_softmax, x)
+            b = evaluate(row_softmax, x + c)
             assert np.max(np.abs(a - b)) <= 1e-12
 
 
 class TestL2Normalize:
     def test_hand_case(self):
-        assert np.allclose(l2_normalize_rows(dm([[3.0, 4.0]])).a, [[0.6, 0.8]])
+        assert np.allclose(evaluate(l2_normalize_rows, [[3.0, 4.0]]), [[0.6, 0.8]])
 
     def test_zero_row_unchanged(self):
-        assert np.array_equal(l2_normalize_rows(dm([[0.0, 0.0]])).a, [[0.0, 0.0]])
+        assert np.array_equal(evaluate(l2_normalize_rows, [[0.0, 0.0]]), [[0.0, 0.0]])
 
     def test_already_unit(self):
-        assert np.allclose(l2_normalize_rows(dm([[1.0, 0.0]])).a, [[1.0, 0.0]])
+        assert np.allclose(evaluate(l2_normalize_rows, [[1.0, 0.0]]), [[1.0, 0.0]])
 
     def test_unit_norms(self, rng):
-        out = l2_normalize_rows(DenseMatrix.from_array(rng.standard_normal((30, 6)))).a
+        out = evaluate(l2_normalize_rows, rng.standard_normal((30, 6)))
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-9
 
     def test_bad_eps(self):
         with pytest.raises(ContractError):
-            l2_normalize_rows(dm([[1.0]]), eps=0.0)
+            evaluate(lambda t: l2_normalize_rows(t, eps=0.0), [[1.0]])
 
 
 class TestBackward:
@@ -233,6 +213,80 @@ class TestBackward:
             gc.enable()
 
 
+class TestConstants:
+    def test_consumer_pulls_only_into_live_operands(self):
+        tape = Tape()
+        x = tape.leaf([[1.0, 2.0]])
+        value = np.array([[3.0, 4.0]])
+        c = tape.constant(value)
+        assert c.value is value  # recorded without a copy
+        y = mul(x, c)
+        assert [parent for parent, _ in tape._pulls[y.index]] == [x.index]
+        backward(tape, sum_all(y))
+        assert c.grad is None
+        assert np.array_equal(x.grad, [[3.0, 4.0]])
+
+    def test_op_over_constants_is_constant(self):
+        tape = Tape()
+        a = tape.constant(np.eye(2))
+        w = tape.constant([[1.0, 2.0], [3.0, 4.0]])
+        x = tape.leaf([[1.0], [1.0]])
+        h = matmul(a, w)
+        assert tape._pulls[h.index] is None
+        backward(tape, sum_all(matmul(h, x)))
+        assert a.grad is None and w.grad is None and h.grad is None
+        assert np.array_equal(x.grad, [[4.0], [6.0]])
+
+    def test_constant_must_be_2d(self):
+        with pytest.raises(ShapeError):
+            Tape().constant(np.ones(3))
+
+
+IDENTITY_2 = SparseAdjacency(2, [0, 1, 2], [0, 1], [1.0, 1.0])
+# op and the shapes of its tensor operands
+OPS = {
+    "matmul": (matmul, [(2, 2), (2, 2)]),
+    "add": (add, [(2, 2), (2, 2)]),
+    "sub": (sub, [(2, 2), (2, 2)]),
+    "mul": (mul, [(2, 2), (2, 2)]),
+    "div": (div, [(2, 2), (2, 2)]),
+    "add_bias": (add_bias, [(2, 2), (1, 2)]),
+    "scale_rows": (scale_rows, [(2, 2), (2, 1)]),
+    "concat_rows": (concat_rows, [(2, 2), (2, 2)]),
+    "spmm": (lambda x: spmm(IDENTITY_2, x), [(2, 2)]),
+    "row_softmax": (row_softmax, [(2, 2)]),
+    "l2_normalize_rows": (l2_normalize_rows, [(2, 2)]),
+    "neg": (neg, [(2, 2)]),
+    "add_scalar": (lambda a: add_scalar(a, 1.0), [(2, 2)]),
+    "mul_scalar": (lambda a: mul_scalar(a, 2.0), [(2, 2)]),
+    "relu": (relu, [(2, 2)]),
+    "exp": (exp, [(2, 2)]),
+    "log": (log, [(2, 2)]),
+    "log_clamped": (log_clamped, [(2, 2)]),
+    "exp_sum_others": (lambda a: exp_sum_others(a, np.array([0, 1]), 1.0), [(2, 2)]),
+    "pow_scalar": (lambda a: pow_scalar(a, 2.0), [(2, 2)]),
+    "transpose": (transpose, [(2, 2)]),
+    "row_sum": (row_sum, [(2, 2)]),
+    "sum_all": (sum_all, [(2, 2)]),
+    "mean_all": (mean_all, [(2, 2)]),
+    "gather_rows": (lambda a: gather_rows(a, np.array([1, 0])), [(2, 2)]),
+    "select_cols": (lambda a: select_cols(a, np.array([1, 0])), [(2, 2)]),
+    "segment_sum": (lambda a: segment_sum(a, np.array([0, 0]), 1), [(2, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(OPS))
+def test_op_rejects_plain_operand(name):
+    op, shapes = OPS[name]
+    tape = Tape()
+    assert op(*(tape.leaf(np.ones(shape)) for shape in shapes)).tape is tape
+    for plain in range(len(shapes)):
+        operands = [np.ones(shape) if i == plain else tape.leaf(np.ones(shape))
+                    for i, shape in enumerate(shapes)]
+        with pytest.raises(ContractError, match="expected a Tensor operand"):
+            op(*operands)
+
+
 class TestGradCheck:
     def test_sum_of_squares(self):
         err = grad_check(lambda x: sum_all(mul(x, x)), np.array([[1.0, 2.0]]), step=1e-4)
@@ -240,7 +294,9 @@ class TestGradCheck:
 
     def test_linear_exact(self):
         c = np.array([[2.0, -3.0]])
-        err = grad_check(lambda x: sum_all(mul(x, c)), np.array([[0.3, 0.7]]), step=1e-4)
+        err = grad_check(
+            lambda x: sum_all(mul(x, x.tape.constant(c))), np.array([[0.3, 0.7]]), step=1e-4
+        )
         assert err < 1e-10
 
     def test_step_contract(self):
@@ -286,8 +342,8 @@ def test_binary_and_structural_gradients(rng):
         "segsum": lambda a: mean_all(pow_scalar(segment_sum(a, seg, 2), 2.0)),
         "concat": lambda a: mean_all(mul_scalar(concat_rows(a, a), 0.5)),
         "rowsum": lambda a: mean_all(pow_scalar(row_sum(a), 2.0)),
-        "bias": lambda a: mean_all(add_bias(a, np.array([[1.0, -1.0, 0.5]]))),
-        "scale": lambda a: mean_all(scale_rows(a, np.array([[1.0], [2.0], [0.5], [3.0]]))),
+        "bias": lambda a: mean_all(add_bias(a, a.tape.constant([[1.0, -1.0, 0.5]]))),
+        "scale": lambda a: mean_all(scale_rows(a, a.tape.constant([[1.0], [2.0], [0.5], [3.0]]))),
         "softmax": lambda a: mean_all(mul(row_softmax(a), a)),
         "l2norm": lambda a: mean_all(mul(l2_normalize_rows(a), a)),
         "logclamp": lambda a: mean_all(log_clamped(a)),
@@ -379,10 +435,10 @@ def test_spmm_bitwise_equals_scatter_add(rng, structure, live):
     x = tape.leaf(x0)
     v = tape.leaf(values) if live else values
     y = spmm(adj.with_values(v), x)
-    backward(tape, sum_all(mul(y, g)))
+    backward(tape, sum_all(mul(y, tape.constant(g))))
     assert np.array_equal(y.value, scatter_spmm(adj, values, x0))
     assert np.array_equal(x.grad, scatter_spmm_grad_x(adj, values, g))
-    assert np.array_equal(spmm(adj.with_values(values), x0), y.value)
+    assert np.array_equal(spmm_value(adj.with_values(values), x0), y.value)
 
 
 def test_with_values_shares_the_tables(monkeypatch, rng):
@@ -397,7 +453,7 @@ def test_with_values_shares_the_tables(monkeypatch, rng):
     for values in (np.ones(adj.nnz), tape.leaf(np.ones((adj.nnz, 1)))):
         other = adj.with_values(values)
         assert other._by_row is tables[0] and other._by_col is tables[1]
-        spmm(other, np.ones((30, 2)))
+        spmm(other, tape.constant(np.ones((30, 2))))
 
 
 def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
@@ -439,7 +495,10 @@ def test_exp_sum_others_gradient(rng, monkeypatch, cols, block):
     idx = EXP_SUM_COLS[cols]
     weight = rng.uniform(0.5, 1.5, size=(7, 1))  # a different upstream gradient per row
     a0 = rng.standard_normal((7, 3))
-    assert grad_check(lambda a: sum_all(mul(exp_sum_others(a, idx, 0.7), weight)), a0) <= 1e-6
+    def f(a):
+        return sum_all(mul(exp_sum_others(a, idx, 0.7), a.tape.constant(weight)))
+
+    assert grad_check(f, a0) <= 1e-6
     own = idx[None, :] == np.arange(7)[:, None]
     dense = np.where(own, 0.0, np.exp(0.7 * a0 @ a0[idx].T)).sum(axis=1, keepdims=True)
     value = numerics.evaluate(lambda a: exp_sum_others(a, idx, 0.7), a0)
@@ -461,7 +520,7 @@ def test_log_clamped_gradient_zero_on_clamped_entries():
     g0 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     tape = Tape()
     x = tape.leaf(x0)
-    backward(tape, sum_all(mul(log_clamped(x), g0)))
+    backward(tape, sum_all(mul(log_clamped(x), tape.constant(g0))))
     live = x0 > 1e-12
     assert np.array_equal(x.grad[~live], np.zeros(3))
     assert np.array_equal(x.grad[live], g0[live] / x0[live])
@@ -474,7 +533,7 @@ def test_composite_losses_pass_grad_check_at_random_points(rng):
         x = rng.standard_normal((5, 4)) + 0.1
 
         def f(t):
-            z = l2_normalize_rows(relu(matmul(t, w)))
+            z = l2_normalize_rows(relu(matmul(t, t.tape.constant(w))))
             p = row_softmax(matmul(z, transpose(z)))
             return neg(mean_all(log_clamped(p)))
 
@@ -496,5 +555,5 @@ class TestSparseAdjacencyValidation:
 
     def test_densify_round_trip(self):
         adj = SparseAdjacency(3, [0, 1, 3, 4], [1, 0, 2, 1], [1.0, 2.0, 3.0, 4.0])
-        d = adj.densify().a
+        d = adj.densify()
         assert d[0, 1] == 1.0 and d[1, 0] == 2.0 and d[1, 2] == 3.0 and d[2, 1] == 4.0
