@@ -3,8 +3,12 @@
 Each epoch alternates: several model updates against the adaptation loss
 (deltas frozen, banks refreshed after every step), then feature-offset
 steps and budget-projected structure steps against the graph loss (model
-frozen). After the last epoch the continuous edge mask is sampled once into
-a discrete refined graph and predictions are read off a final forward pass.
+frozen). The target graph gets one `AdjacencyLayout` per call, normalized
+once per epoch after the graph steps: the accuracy forward and the next
+epoch's model and feature steps share it. After the last epoch the
+continuous edge mask is sampled once into a keep mask, and the final forward
+pass reads it off the same layout as 0/1 edge weights, which equals the
+forward pass over the refined graph with the dropped edges deleted.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .graph_adaptation import (
     finalize_structure,
     knn_positives,
     loss_graph as _loss_graph,
-    masked_adjacency_on_tape,
     pgd_step_structure,
     select_confident,
 )
@@ -167,8 +170,11 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     deltas = AdaptationDeltas.zeros(n, g.feature_dim, e, budget)
     layout = AdjacencyLayout(n, g.edges)
     x_base = g.features
+    weights = apply_structure_delta(g, deltas)
+    adj = layout.normalized(weights)
+    x_prime = x_base + deltas.delta_x
 
-    source_fo = forward(model, layout.normalized(np.ones(e)), g.features)
+    source_fo = forward(model, adj, g.features)
     banks = init_banks(source_fo, cfg.bank_momentum)
     opt = AdamState([p.shape for p in model.parameters()], cfg.model_lr)
 
@@ -181,9 +187,6 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     quiet_epochs = 0
     prev = (None, None)
     for _ in range(cfg.epochs):
-        weights = apply_structure_delta(g, deltas)
-        adj = layout.normalized(weights)
-        x_prime = x_base + deltas.delta_x
         neighbors = layout.neighbors(weights)
 
         loss_m = None
@@ -192,7 +195,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             protos = compute_prototypes(pl, banks)
             tape = Tape()
             params = [tape.leaf(p) for p in model.parameters()]
-            z, p = forward_on_tape(tape, params, adj, tape.constant(x_prime))
+            z, p = forward_on_tape(params, adj, tape.constant(x_prime))
             w = confidence_weights(z, protos, pl)
             l_ce = loss_weighted_ce(p, pl, w)
             batch = None
@@ -221,7 +224,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             dx = tape.leaf(deltas.delta_x)
             params = [tape.constant(w) for w in model_params]
             x = apply_feature_delta(tape.constant(x_base), dx)
-            z, p = forward_on_tape(tape, params, adj, x)
+            z, p = forward_on_tape(params, adj, x)
             l_g = _graph_loss_on_tape(p, z, banks, cfg)
             loss_g = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
             backward(tape, l_g)
@@ -230,20 +233,22 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         for _ in range(cfg.structure_steps):
             tape = Tape()
             da = tape.leaf(deltas.delta_a.reshape(-1, 1))
-            adj_live = masked_adjacency_on_tape(layout, apply_structure_delta(g, da))
+            adj_live = layout.normalized(apply_structure_delta(g, da))
             params = [tape.constant(w) for w in model_params]
             x = tape.constant(x_base + deltas.delta_x)
-            z, p = forward_on_tape(tape, params, adj_live, x)
+            z, p = forward_on_tape(params, adj_live, x)
             l_g = _graph_loss_on_tape(p, z, banks, cfg)
             loss_g = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
             backward(tape, l_g)
             deltas = pgd_step_structure(deltas, da.grad.ravel(), cfg.delta_lr, budget)
 
+        weights = apply_structure_delta(g, deltas)
+        adj = layout.normalized(weights)
+        x_prime = x_base + deltas.delta_x
         report.loss_model_trace.append(loss_m)
         report.loss_graph_trace.append(loss_g)
         if g.labels is not None:
-            adj_now = layout.normalized(apply_structure_delta(g, deltas))
-            fo = forward(model, adj_now, x_base + deltas.delta_x)
+            fo = forward(model, adj, x_prime)
             pred = np.argmax(fo.predictions, axis=1)
             report.accuracy_trace.append(evaluate_accuracy(pred, g.labels))
 
@@ -257,9 +262,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         else:
             quiet_epochs = 0
 
-    sampled = finalize_structure(g, deltas, finalize_seed)
-    refined = TargetGraph(n, sampled.edges, x_base + deltas.delta_x, g.labels, g.num_classes)
-    fo = forward(model, normalize_adjacency(refined), refined.features)
+    keep = finalize_structure(g, deltas, finalize_seed)
+    refined = TargetGraph(n, g.edges[keep], x_prime, g.labels, g.num_classes)
+    fo = forward(model, layout.normalized(keep.astype(np.float64)), refined.features)
     predictions = np.argmax(fo.predictions, axis=1)
     report.edges_deleted = e - refined.num_edges
     if g.labels is not None:

@@ -140,12 +140,12 @@ def init_model(d: int, h: int, num_classes: int, num_layers: int, seed: int) -> 
     return GnnModel(layers, glorot(h, num_classes), np.zeros((1, num_classes)))
 
 
-def forward_on_tape(tape: Tape, params: list, adj_hat: SparseAdjacency, x):
-    """Recorded forward pass; `params`, the values of `adj_hat` and `x` are
-    each live tensors or tape constants.
+def forward_on_tape(params: list, adj_hat: SparseAdjacency, x):
+    """Recorded forward pass on the tape of its operands; `params`, the
+    values of `adj_hat` and `x` are each live tensors or tape constants.
 
     A live edge mask enters as an adjacency whose values are a Tensor (see
-    `masked_adjacency_on_tape`); `spmm` differentiates into them."""
+    `AdjacencyLayout.normalized`); `spmm` differentiates into them."""
     *layer_ws, cls_w, cls_b = params
     h = x
     for w in layer_ws:
@@ -163,7 +163,7 @@ def forward(model: GnnModel, adj_hat: SparseAdjacency, x) -> ForwardOutput:
         raise ShapeError(f"adjacency is {adj_hat.n}x{adj_hat.n}, features have {xv.shape[0]} rows")
     tape = Tape()
     params = [tape.constant(w) for w in model.parameters()]
-    z, p = forward_on_tape(tape, params, adj_hat, tape.constant(xv))
+    z, p = forward_on_tape(params, adj_hat, tape.constant(xv))
     return ForwardOutput(z.value, p.value)
 
 
@@ -231,7 +231,7 @@ def pretrain_source(
     for _ in range(epochs):
         tape = Tape()
         params = [tape.leaf(p) for p in model.parameters()]
-        _, p_out = forward_on_tape(tape, params, adj, tape.constant(source.features))
+        _, p_out = forward_on_tape(params, adj, tape.constant(source.features))
         train_p = gather_rows(p_out, split.train)
         picked = select_cols(train_p, labels[split.train])
         loss = neg(mean_all(log_clamped(picked)))

@@ -5,8 +5,10 @@ moves by projected gradient descent on a relaxed per-edge deletion mask
 delta in [0,1]^e whose total mass stays under a budget; the projection
 clips into the box and, when the budget binds, shifts by a bisection-found
 multiplier. An edge with mask delta carries weight 1 - delta through the
-normalized adjacency, so delta = 1 reproduces deletion exactly, and the
-final discrete graph is drawn once, edge e kept with probability 1 - delta_e.
+normalized adjacency (`AdjacencyLayout.normalized`, recorded on the mask's
+tape in a structure step), so delta = 1 reproduces deletion exactly. The
+final discrete graph is drawn once as a keep mask, edge e kept with
+probability 1 - delta_e.
 
 The training signal is a self-training loss: cross-entropy on
 high-confidence nodes plus a neighborhood contrast that pulls each node
@@ -29,21 +31,17 @@ import numpy as np
 
 from .banks import MemoryBanks
 from .errors import ContractError, ShapeError
-from .graph_store import AdjacencyLayout, TargetGraph
+from .graph_store import TargetGraph
 from .numerics import (
-    SparseAdjacency,
     Tensor,
     add,
     add_scalar,
-    concat_rows,
     gather_rows,
     l2_normalize_rows,
     log_clamped,
     mean_all,
     mul,
     neg,
-    pow_scalar,
-    segment_sum,
     select_cols,
     sum_all,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "ContrastSets",
     "apply_feature_delta",
     "apply_structure_delta",
-    "masked_adjacency_on_tape",
     "select_confident",
     "knn_positives",
     "loss_graph",
@@ -133,25 +130,6 @@ def apply_structure_delta(g: TargetGraph, deltas):
             f"edge mask has {da.shape[0]} entries for {g.num_edges} edges"
         )
     return 1.0 - da
-
-
-def masked_adjacency_on_tape(layout: AdjacencyLayout, edge_weights: Tensor) -> SparseAdjacency:
-    """Normalized adjacency whose entries are a live function of the edge
-    weights, on the layout's structure.
-
-    One value per undirected edge feeds both mirror slots, so the matrix
-    stays exactly symmetric.
-    """
-    e = layout.edge_u.size
-    dup = gather_rows(edge_weights, np.concatenate([np.arange(e), np.arange(e)]))
-    seg = np.concatenate([layout.edge_u, layout.edge_v])
-    deg = add_scalar(segment_sum(dup, seg, layout.n), 1.0)
-    s = pow_scalar(deg, -0.5)
-    per_edge = mul(
-        mul(edge_weights, gather_rows(s, layout.edge_u)), gather_rows(s, layout.edge_v)
-    )
-    per_diag = mul(s, s)
-    return layout.adjacency(gather_rows(concat_rows(per_edge, per_diag), layout.entry_source))
 
 
 def select_confident(p, threshold: float) -> ConfidentSet:
@@ -314,13 +292,13 @@ def feature_gd_step(
     return AdaptationDeltas(deltas.delta_x - step * grad, deltas.delta_a, deltas.budget)
 
 
-def finalize_structure(g: TargetGraph, deltas: AdaptationDeltas, seed: int) -> TargetGraph:
-    """Draw the discrete graph: edge e survives with probability 1 - delta_e.
-    The surviving edges keep their order."""
+def finalize_structure(g: TargetGraph, deltas: AdaptationDeltas, seed: int) -> np.ndarray:
+    """Draw the discrete graph as a boolean keep mask over `g.edges`: edge e
+    survives with probability 1 - delta_e. `g.edges[keep]` are the surviving
+    edges in their order."""
     if deltas.delta_a.shape != (g.num_edges,):
         raise ContractError(
             f"mask has {deltas.delta_a.shape[0]} entries for {g.num_edges} edges"
         )
     rng = np.random.default_rng(seed)
-    keep = rng.random(g.num_edges) < (1.0 - deltas.delta_a)
-    return TargetGraph(g.n, g.edges[keep], g.features, g.labels, g.num_classes)
+    return rng.random(g.num_edges) < (1.0 - deltas.delta_a)

@@ -5,10 +5,12 @@ integer class labels. The edges are one read-only (e, 2) int64 array of
 (min, max) pairs; row i is edge i for every mask and weight vector. The
 features are one read-only, finite float64 (n, d) array, checked where a
 graph is built, so no NaN enters the program through a graph. Every
-sparse matrix over a graph is its one `AdjacencyLayout` carrying values. The
-text format is three UTF-8 files sharing a prefix (`.meta`, `.edges`, `.feat`)
-plus an optional `.labels`; floats are written with enough digits to
-round-trip exactly.
+sparse matrix over a graph is its one `AdjacencyLayout` carrying values, and
+the normalized adjacency has one formula, `AdjacencyLayout.normalized`,
+written in tape ops: recorded on the tape of live edge weights, evaluated
+for constant ones. The text format is three UTF-8 files sharing a prefix
+(`.meta`, `.edges`, `.feat`) plus an optional `.labels`; floats are written
+with enough digits to round-trip exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .numerics import SparseAdjacency
+from .numerics import (
+    SparseAdjacency,
+    Tensor,
+    concat_rows,
+    evaluate,
+    gather_rows,
+    mul,
+    pow_scalar,
+    segment_sum,
+)
 
 __all__ = [
     "TargetGraph",
@@ -149,7 +160,8 @@ class AdjacencyLayout:
     undirected edge j (used for both of its mirror slots), index e+i refers to
     the self-loop of node i. Sharing one value per edge keeps every matrix on
     the layout exactly symmetric. `adjacency` puts values on the checked
-    structure without checking it again.
+    structure without checking it again. A graph with some edges deleted is
+    this layout with weight 0 on them.
     """
 
     __slots__ = ("n", "edge_u", "edge_v", "entry_source", "_structure")
@@ -174,19 +186,31 @@ class AdjacencyLayout:
         array or an (nnz x 1) Tensor."""
         return self._structure.with_values(values)
 
-    def normalized(self, edge_weights: np.ndarray) -> SparseAdjacency:
-        """The normalized adjacency under constant per-edge weights.
+    def normalized(self, edge_weights) -> SparseAdjacency:
+        """The normalized adjacency under per-edge weights: an (e,) array of
+        constants, or an (e x 1) Tensor whose tape then records the entries
+        as a live function of the weights.
 
         Entry (i,j) is w_ij / sqrt(d_i * d_j) where d is the weighted degree
-        plus one for the implicit unit self-loop.
+        plus one for the implicit unit self-loop. One value per undirected
+        edge feeds both mirror slots, so the matrix stays exactly symmetric.
         """
-        deg = np.ones(self.n)
-        np.add.at(deg, self.edge_u, edge_weights)
-        np.add.at(deg, self.edge_v, edge_weights)
-        s = np.power(deg, -0.5)
-        per_edge = edge_weights * s[self.edge_u] * s[self.edge_v]
-        per_diag = s * s
-        return self.adjacency(np.concatenate([per_edge, per_diag])[self.entry_source])
+        if isinstance(edge_weights, Tensor):
+            return self.adjacency(self._normalized_values(edge_weights))
+        column = np.asarray(edge_weights, dtype=np.float64).reshape(-1, 1)
+        return self.adjacency(evaluate(self._normalized_values, column))
+
+    def _normalized_values(self, w: Tensor) -> Tensor:
+        """The (nnz x 1) entries of the normalized adjacency, one per CSR slot.
+        Each degree sums its self-loop's 1 first, then the edges at u, then
+        the edges at v."""
+        nodes = np.arange(self.n)
+        terms = concat_rows(w.tape.constant(np.ones((self.n, 1))), concat_rows(w, w))
+        deg = segment_sum(terms, np.concatenate([nodes, self.edge_u, self.edge_v]), self.n)
+        s = pow_scalar(deg, -0.5)
+        per_edge = mul(mul(w, gather_rows(s, self.edge_u)), gather_rows(s, self.edge_v))
+        per_diag = mul(s, s)
+        return gather_rows(concat_rows(per_edge, per_diag), self.entry_source)
 
     def neighbors(self, edge_weights: np.ndarray) -> SparseAdjacency:
         """0/1 neighbour matrix: 1 on both slots of every edge with positive
@@ -408,12 +432,19 @@ def make_shift_pair(spec: ShiftSpec):
     reads them.
     """
     rng = np.random.default_rng(spec.seed)
+    # unit directions keep |means| <= separation; only the shifted sum can overflow
     means = spec.class_mean_separation * _unit_directions(
         rng, spec.num_classes, spec.feature_dim
     )
     n, src_edges, src_feats, labels = _sample_sbm(rng, spec, means)
 
-    shifted = means + spec.target_mean_shift * _unit_directions(rng, 1, spec.feature_dim)
+    with np.errstate(over="ignore"):
+        shifted = means + spec.target_mean_shift * _unit_directions(rng, 1, spec.feature_dim)
+    if not np.isfinite(shifted).all():
+        raise ContractError(
+            "shifted class means overflow float64: reduce class_mean_separation "
+            "or target_mean_shift"
+        )
     _, tgt_edges, tgt_feats, _ = _sample_sbm(rng, spec, shifted)
     tgt_edges = _rewire(rng, n, tgt_edges, spec.edge_noise)
 

@@ -3,8 +3,8 @@
 Everything here is float64 and two-dimensional. The tape records exactly the
 primitives a small graph-convolution stack and its losses need: dense and
 sparse products, row softmax, row L2 normalization, gathers, segment sums and
-the usual elementwise operations. No broadcasting beyond the explicit bias and
-row-scale ops, no GPU, no higher-order derivatives.
+the usual elementwise operations. No broadcasting beyond the explicit bias
+op, no GPU, no higher-order derivatives.
 
 There is one sparse product, `spmm`, over one sparse type whose values may be
 a recorded tensor: that is how a live edge mask reaches the convolution.
@@ -444,16 +444,6 @@ def mul(a, b):
     return tape._record(av * bv, [(a.index, lambda g: g * bv), (b.index, lambda g: g * av)])
 
 
-def div(a, b):
-    tape = _tape_of(a, b)
-    av, bv = a.value, b.value
-    _same_shape(av, bv, "div")
-    out = av / bv
-    return tape._record(
-        out, [(a.index, lambda g: g / bv), (b.index, lambda g: -g * out / bv)]
-    )
-
-
 def neg(a):
     tape = _tape_of(a)
     return tape._record(-a.value, [(a.index, lambda g: -g)])
@@ -591,21 +581,6 @@ def add_bias(x, b):
         raise ShapeError(f"add_bias: bias {bv.shape} does not fit {xv.shape}")
     return tape._record(
         xv + bv, [(x.index, lambda g: g), (b.index, lambda g: g.sum(axis=0, keepdims=True))]
-    )
-
-
-def scale_rows(x, s):
-    """Multiply row i of an nxk tensor by scalar s[i] (s is nx1)."""
-    tape = _tape_of(x, s)
-    xv, sv = x.value, s.value
-    if sv.shape != (xv.shape[0], 1):
-        raise ShapeError(f"scale_rows: scale {sv.shape} does not fit {xv.shape}")
-    return tape._record(
-        xv * sv,
-        [
-            (x.index, lambda g: g * sv),
-            (s.index, lambda g: (g * xv).sum(axis=1, keepdims=True)),
-        ],
     )
 
 

@@ -371,5 +371,7 @@ def test_documented_exit_codes(workspace, tmp_path, case):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    if 2 <= code <= 4:
+        assert "Warning" not in proc.stderr, proc.stderr
     if code:
         assert proc.stderr.strip().splitlines()[-1].startswith(f"{argv[0]}: "), proc.stderr

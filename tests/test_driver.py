@@ -90,6 +90,18 @@ class TestInvariantsAndReport:
         assert len(report.loss_model_trace) == len(report.loss_graph_trace)
         assert len(report.accuracy_trace) == len(report.loss_model_trace)
 
+    def test_predictions_equal_forward_over_refined_graph(self, fixture_pair):
+        model, tgt = fixture_pair
+        adapted, refined, pred, report = adapt(model, tgt, quick_cfg(delta_lr=0.5))
+        assert report.edges_deleted > 0
+        kept = {tuple(edge) for edge in refined.edges.tolist()}
+        keep = np.array([tuple(edge) in kept for edge in tgt.edges.tolist()])
+        masked = forward(adapted, normalize_adjacency(tgt, keep.astype(float)), refined.features)
+        deleted = forward(adapted, normalize_adjacency(refined), refined.features)
+        assert masked.representations.tobytes() == deleted.representations.tobytes()
+        assert masked.predictions.tobytes() == deleted.predictions.tobytes()
+        assert np.array_equal(pred, np.argmax(deleted.predictions, axis=1))
+
     def test_report_json_schema(self, fixture_pair, tmp_path):
         model, tgt = fixture_pair
         _, _, _, report = adapt(model, tgt, quick_cfg())

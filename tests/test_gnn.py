@@ -112,13 +112,13 @@ class TestForward:
         params = m.parameters()
 
         def loss_wrt_params(*ps):
-            z, p = forward_on_tape(ps[0].tape, list(ps), adj, ps[0].tape.constant(g.features))
+            z, p = forward_on_tape(list(ps), adj, ps[0].tape.constant(g.features))
             return mean_all(mul(p, p))
 
         assert grad_check(loss_wrt_params, [w.copy() for w in params]) <= 1e-4
 
         def loss_wrt_x(x):
-            z, p = forward_on_tape(x.tape, [x.tape.constant(w) for w in params], adj, x)
+            z, p = forward_on_tape([x.tape.constant(w) for w in params], adj, x)
             return mean_all(mul(p, p))
 
         assert grad_check(loss_wrt_x, g.features.copy()) <= 1e-4

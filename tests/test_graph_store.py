@@ -286,6 +286,14 @@ class TestMakeShiftPair:
         assert src.feature_dim == tgt.feature_dim
         assert src.labels is not None and tgt.labels is not None
 
+    def test_overflowing_shifted_means_rejected(self):
+        spec = ShiftSpec(
+            nodes_per_class=5, feature_dim=1, class_mean_separation=1.7e308,
+            target_mean_shift=1.7e308,
+        )
+        with pytest.raises(ContractError, match="shifted class means overflow"):
+            make_shift_pair(spec)
+
     def test_no_shift_class_means_close(self):
         # with every shift knob at zero the two domains are iid draws, so
         # class-conditional means differ by sampling noise only

@@ -414,7 +414,7 @@ def test_model_loss_gradients_on_random_instance(rng):
 
     def f(*params):
         tape = params[0].tape
-        z, p = forward_on_tape(tape, list(params), adj, tape.constant(g.features))
+        z, p = forward_on_tape(list(params), adj, tape.constant(g.features))
         w = confidence_weights(z, protos, pl)
         l_ce = loss_weighted_ce(p, pl, w)
         l_co = loss_instance_prototype(z, protos, pl, 0.2)
