@@ -30,6 +30,7 @@ from .graph_store import (
     load_graph,
     make_shift_pair,
     normalize_adjacency,
+    read_table,
     read_text,
     save_graph,
     split_nodes,
@@ -134,18 +135,12 @@ def _echo_config(cfg: dict, out_dir: Path) -> None:
 
 
 def _read_mask(path, num_edges: int) -> np.ndarray:
-    values = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        if not raw.strip():
-            continue
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: not a real number") from None
-        if not 0.0 <= value <= 1.0:  # NaN fails too
-            raise ParseError(f"{path}:{lineno}: mask entry {value} outside [0,1]")
-        values.append(value)
-    mask = np.array(values)
+    values, lines = read_table(path, 1, np.float64)
+    mask = values.ravel()
+    outside = np.flatnonzero(~((mask >= 0.0) & (mask <= 1.0)))  # NaN fails too
+    if outside.size:
+        i = outside[0]
+        raise ParseError(f"{path}:{lines[i]}: mask entry {mask[i]} outside [0,1]")
     if mask.size != num_edges:
         raise ContractError(f"{path}: {mask.size} mask entries for {num_edges} edges")
     return mask

@@ -25,7 +25,6 @@ from .errors import ContractError, NumericalError
 from .gnn import AdamState, ForwardOutput, GnnModel, forward, forward_on_tape
 from .graph_adaptation import (
     AdaptationDeltas,
-    ContrastSets,
     apply_feature_delta,
     apply_structure_delta,
     feature_gd_step,
@@ -285,15 +284,7 @@ def _trace_delta(before, after) -> float:
 def _graph_loss_on_tape(p, z, banks, cfg: AdaptConfig):
     conf = select_confident(p.value, cfg.confidence_threshold)
     positives = knn_positives(z.value, banks, cfg.k_neighbors)
-    return _loss_graph(
-        p,
-        z,
-        banks,
-        conf,
-        ContrastSets(positives),
-        cfg.positive_weight,
-        cfg.negative_weight,
-    )
+    return _loss_graph(p, z, banks, conf, positives, cfg.positive_weight, cfg.negative_weight)
 
 
 def export_embeddings(model: GnnModel, g: TargetGraph, deltas, path) -> None:

@@ -52,7 +52,6 @@ KNN_BLOCK_ROWS = 128
 __all__ = [
     "AdaptationDeltas",
     "ConfidentSet",
-    "ContrastSets",
     "apply_feature_delta",
     "apply_structure_delta",
     "select_confident",
@@ -101,17 +100,6 @@ class ConfidentSet:
 
     def __len__(self):
         return self.node_ids.size
-
-
-class ContrastSets:
-    """Per-node positive (top-K bank) indices. The negatives are implied:
-    every bank row whose banked argmax differs from the node's live argmax,
-    minus the node's positives."""
-
-    __slots__ = ("positives",)
-
-    def __init__(self, positives: np.ndarray):
-        self.positives = np.asarray(positives, dtype=np.int64)
 
 
 def apply_feature_delta(x: Tensor, dx: Tensor) -> Tensor:
@@ -204,7 +192,7 @@ def loss_graph(
     z: Tensor,
     banks: MemoryBanks,
     conf: ConfidentSet,
-    sets: ContrastSets,
+    positives: np.ndarray,
     alpha: float,
     beta: float,
 ) -> Tensor:
@@ -212,10 +200,13 @@ def loss_graph(
 
     The contrast terms are raw cosine sums against frozen bank rows: the
     positive sum is subtracted (weight alpha), the negative sum added
-    (weight beta). Both are recorded as one product of the normalized live
-    representations with the constant `_contrast_weights`. The negatives
-    depend on p only through its argmax, which carries no gradient. An
-    empty confident set contributes zero cross-entropy.
+    (weight beta). The positives are the (n, k) bank row indices of
+    `knn_positives`; the negatives are every bank row whose banked argmax
+    differs from the node's live argmax, minus the node's positives. Both
+    are recorded as one product of the normalized live representations
+    with the constant `_contrast_weights`. The negatives depend on p only
+    through its argmax, which carries no gradient. An empty confident set
+    contributes zero cross-entropy.
     """
     if alpha < 0 or beta < 0:
         raise ContractError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
@@ -223,7 +214,7 @@ def loss_graph(
         pv = p.value
     except AttributeError:
         raise ContractError("loss_graph needs p recorded on a tape") from None
-    weights = _contrast_weights(pv, banks, sets.positives, alpha, beta)
+    weights = _contrast_weights(pv, banks, positives, alpha, beta)
     total = sum_all(mul(l2_normalize_rows(z), z.tape.constant(weights)))
     if len(conf):
         picked = select_cols(gather_rows(p, conf.node_ids), conf.labels)

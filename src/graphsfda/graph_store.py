@@ -2,15 +2,20 @@
 
 Graphs are undirected, without self-loops, with node features and optional
 integer class labels. The edges are one read-only (e, 2) int64 array of
-(min, max) pairs; row i is edge i for every mask and weight vector. The
-features are one read-only, finite float64 (n, d) array, checked where a
-graph is built, so no NaN enters the program through a graph. Every
-sparse matrix over a graph is its one `AdjacencyLayout` carrying values, and
-the normalized adjacency has one formula, `AdjacencyLayout.normalized`,
-written in tape ops: recorded on the tape of live edge weights, evaluated
-for constant ones. The text format is three UTF-8 files sharing a prefix
-(`.meta`, `.edges`, `.feat`) plus an optional `.labels`; floats are written
-with enough digits to round-trip exactly.
+(min, max) pairs; row i is edge i for every mask and weight vector. One
+vectorized function, `edge_fault`, holds the edge rules for the constructor
+and the file reader alike. The features are one read-only, finite float64
+(n, d) array, checked where a graph is built, so no NaN enters the program
+through a graph. Every sparse matrix over a graph is its one
+`AdjacencyLayout` carrying values, and the normalized adjacency has one
+formula, `AdjacencyLayout.normalized`, written in tape ops: recorded on the
+tape of live edge weights, evaluated for constant ones.
+
+The text format is three UTF-8 files sharing a prefix (`.meta`, `.edges`,
+`.feat`) plus an optional `.labels`; floats are written with enough digits
+to round-trip exactly. `read_table` parses every text table, these files
+and an edge mask alike, in one NumPy conversion, and each file is checked
+for format (field count, number syntax, int64 range) before content.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ __all__ = [
     "ShiftSpec",
     "AdjacencyLayout",
     "normalize_adjacency",
+    "edge_fault",
+    "read_table",
     "load_graph",
     "save_graph",
     "split_nodes",
@@ -46,6 +53,34 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
+
+
+def _first_same_pair(pairs: np.ndarray) -> np.ndarray:
+    """For each (u, v) row, the index of the first row joining the same two
+    nodes in either orientation (its own index if none comes earlier)."""
+    _, first, inverse = np.unique(
+        np.sort(pairs, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    return first[inverse.ravel()]
+
+
+def edge_fault(n: int, pairs: np.ndarray):
+    """(index, reason) of the first invalid (u, v) row in input order, or
+    None if every row is a valid undirected edge: a self-loop, an endpoint
+    outside [0, n), or a repeat of an earlier row in either orientation."""
+    loop = pairs[:, 0] == pairs[:, 1]
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    repeat = _first_same_pair(pairs) != np.arange(len(pairs))
+    bad = np.flatnonzero(loop | outside | repeat)
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    u, v = (int(a) for a in pairs[i])
+    if loop[i]:
+        return i, f"self-loop ({u},{v}) not allowed"
+    if outside[i]:
+        return i, f"edge ({u},{v}) endpoint outside [0,{n})"
+    return i, f"duplicate undirected edge {(min(u, v), max(u, v))}"
 
 
 class TargetGraph:
@@ -60,23 +95,9 @@ class TargetGraph:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ContractError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
-        canon = np.sort(pairs, axis=1)
-        # the first bad pair in input order decides: loop, range, then repeat
-        loop = pairs[:, 0] == pairs[:, 1]
-        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        key = canon[:, 0] * n + canon[:, 1]  # one id per in-range pair
-        order = np.argsort(key, kind="stable")  # a repeat sorts after its first
-        repeat = np.zeros(len(pairs), dtype=bool)
-        repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
-        bad = np.flatnonzero(loop | outside | repeat)
-        if bad.size:
-            i = bad[0]
-            u, v = (int(a) for a in pairs[i])
-            if loop[i]:
-                raise ContractError(f"self-loop ({u},{v}) not allowed")
-            if outside[i]:
-                raise ContractError(f"edge ({u},{v}) endpoint outside [0,{n})")
-            raise ContractError(f"duplicate undirected edge {(min(u, v), max(u, v))}")
+        fault = edge_fault(n, pairs)
+        if fault is not None:
+            raise ContractError(fault[1])
         features = np.array(features, dtype=np.float64, order="C")
         if features.ndim != 2:
             raise ContractError(f"features must be an (n, d) array, got ndim={features.ndim}")
@@ -90,6 +111,7 @@ class TargetGraph:
                 raise ContractError(f"expected {n} labels, got {labels.shape}")
             if num_classes and labels.size and (labels.min() < 0 or labels.max() >= num_classes):
                 raise ContractError("label outside [0, num_classes)")
+        canon = np.sort(pairs, axis=1)
         canon.setflags(write=False)
         features.setflags(write=False)
         self.n = int(n)
@@ -251,84 +273,77 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _parse_int_fields(line: str, count: int, path, lineno: int):
-    parts = line.split()
-    if len(parts) != count:
-        raise ParseError(f"{path}:{lineno}: expected {count} fields, got {len(parts)}")
+def read_table(path, width: int, dtype):
+    """A whitespace-separated text table as a (rows, width) array of `dtype`
+    (np.int64 or np.float64), and the 1-based line number of each row;
+    blank lines are skipped.
+
+    All rows are converted in one NumPy call, which applies Python's `int`
+    or `float` to each token. Only if that fails are the rows converted one
+    by one, to name in a ParseError the first line with the wrong number of
+    fields or a token that is not a `dtype` number (an integer beyond int64
+    included)."""
+    fields = [line.split() for line in read_text(path).splitlines()]
+    rows = [row for row in fields if row]
+    line_numbers = np.flatnonzero(list(map(bool, fields))) + 1
     try:
-        return [int(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from None
+        return np.array(rows, dtype=dtype).reshape(len(rows), width), line_numbers
+    except (ValueError, OverflowError):
+        for line, row in zip(line_numbers, rows):
+            if len(row) != width:
+                message = f"expected {width} fields, got {len(row)}"
+                raise ParseError(f"{path}:{line}: {message}") from None
+            try:
+                np.array(row, dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"{path}:{line}: {exc}") from None
+        raise
 
 
 def load_graph(prefix) -> TargetGraph:
-    """Read `<prefix>.meta/.edges/.feat` (+ optional `.labels`)."""
+    """Read `<prefix>.meta/.edges/.feat` (+ optional `.labels`).
+
+    Each file is checked in two passes: its format first (field count,
+    number syntax, int64 range), then its content (edge rules, finite
+    features). A ParseError names the first line with a format fault, or,
+    in a well-formed file, the first line with a content fault. A pair that
+    repeats an earlier one the other way round is dropped with a warning.
+    """
     prefix = Path(prefix)
     meta_path = prefix.with_suffix(prefix.suffix + ".meta")
-    lines = read_text(meta_path).strip().splitlines()
-    if len(lines) != 1:
+    meta, _ = read_table(meta_path, 3, np.int64)
+    if len(meta) != 1:
         raise ParseError(f"{meta_path}:1: meta must be a single 'n d C' line")
-    n, d, num_classes = _parse_int_fields(lines[0], 3, meta_path, 1)
+    n, d, num_classes = (int(x) for x in meta[0])
     if n < 0 or d < 1 or num_classes < 1:
         raise ContractError(f"{meta_path}: invalid sizes n={n} d={d} C={num_classes}")
 
     edges_path = prefix.with_suffix(prefix.suffix + ".edges")
-    seen = {}
-    edges = []
-    for lineno, raw in enumerate(read_text(edges_path).splitlines(), 1):
-        if not raw.strip():
-            continue
-        u, v = _parse_int_fields(raw, 2, edges_path, lineno)
-        if u == v:
-            raise ParseError(f"{edges_path}:{lineno}: self-loop {u} {v}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"{edges_path}:{lineno}: endpoint outside [0,{n})")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            if seen[key] == (u, v):
-                raise ParseError(f"{edges_path}:{lineno}: duplicate edge {u} {v}")
-            warnings.warn(
-                f"{edges_path}:{lineno}: directed pair {u} {v} symmetrized",
-                stacklevel=2,
-            )
-            continue
-        seen[key] = (u, v)
-        edges.append(key)
+    pairs, lines = read_table(edges_path, 2, np.int64)
+    mirrored = pairs[_first_same_pair(pairs), 0] != pairs[:, 0]
+    edges, edge_lines = pairs[~mirrored], lines[~mirrored]
+    fault = edge_fault(n, edges)
+    stop = np.inf if fault is None else edge_lines[fault[0]]
+    warned = mirrored & (lines < stop)
+    for line, (u, v) in zip(lines[warned], pairs[warned]):
+        warnings.warn(f"{edges_path}:{line}: directed pair {u} {v} symmetrized", stacklevel=2)
+    if fault is not None:
+        raise ParseError(f"{edges_path}:{stop}: {fault[1]}")
 
     feat_path = prefix.with_suffix(prefix.suffix + ".feat")
-    rows = []
-    row_lines = []
-    for lineno, raw in enumerate(read_text(feat_path).splitlines(), 1):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != d:
-            raise ParseError(f"{feat_path}:{lineno}: expected {d} values, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"{feat_path}:{lineno}: {exc}") from None
-        row_lines.append(lineno)
-    if len(rows) != n:
-        raise ContractError(f"{feat_path}: {len(rows)} feature rows for n={n}")
-    values = np.array(rows, dtype=np.float64).reshape(n, d)
+    values, feat_lines = read_table(feat_path, d, np.float64)
+    if len(values) != n:
+        raise ContractError(f"{feat_path}: {len(values)} feature rows for n={n}")
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        lineno = row_lines[int(np.argmin(finite))]
-        raise ParseError(f"{feat_path}:{lineno}: non-finite feature value")
+        raise ParseError(f"{feat_path}:{feat_lines[np.argmin(finite)]}: non-finite feature value")
 
     labels = None
     labels_path = prefix.with_suffix(prefix.suffix + ".labels")
     if labels_path.exists():
-        vals = []
-        for lineno, raw in enumerate(read_text(labels_path).splitlines(), 1):
-            if not raw.strip():
-                continue
-            (y,) = _parse_int_fields(raw, 1, labels_path, lineno)
-            vals.append(y)
-        if len(vals) != n:
-            raise ContractError(f"{labels_path}: {len(vals)} labels for n={n}")
-        labels = np.array(vals, dtype=np.int64)
+        labels = read_table(labels_path, 1, np.int64)[0].ravel()
+        if len(labels) != n:
+            raise ContractError(f"{labels_path}: {len(labels)} labels for n={n}")
 
     return TargetGraph(n, edges, values, labels, num_classes)
 

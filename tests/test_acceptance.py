@@ -14,7 +14,6 @@ from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy
 from graphsfda.gnn import ForwardOutput, forward, forward_on_tape, init_model, predict, pretrain_source
 from graphsfda.graph_adaptation import (
     AdaptationDeltas,
-    ContrastSets,
     apply_feature_delta,
     apply_structure_delta,
     finalize_structure,
@@ -72,7 +71,6 @@ def test_criterion_1_gradient_fidelity():
         protos = compute_prototypes(pl, banks)
         conf = select_confident(fo.predictions, 0.5)
         positives = knn_positives(fo.representations, banks, 5)
-        sets = ContrastSets(positives)
         params = model.parameters()
 
         def model_loss(z, p):
@@ -84,7 +82,7 @@ def test_criterion_1_gradient_fidelity():
             )
 
         def graph_loss(z, p):
-            return loss_graph(p, z, banks, conf, sets, 0.5, 0.5)
+            return loss_graph(p, z, banks, conf, positives, 0.5, 0.5)
 
         for loss_fn in (model_loss, graph_loss):
             # wrt model parameters (extractor and classifier together)

@@ -254,6 +254,14 @@ def _nan_feature_graph(ws, tmp):
     return str(tmp / "nan")
 
 
+def _oversized_label_graph(ws, tmp):
+    _graph_copy(ws, tmp, "big")
+    lines = (tmp / "big.labels").read_text().splitlines()
+    lines[1] = "99999999999999999999"  # beyond int64
+    (tmp / "big.labels").write_text("\n".join(lines) + "\n")
+    return str(tmp / "big")
+
+
 def _short_feature_graph(ws, tmp):
     _graph_copy(ws, tmp, "short")
     lines = (tmp / "short.feat").read_text().splitlines()
@@ -322,6 +330,8 @@ EXIT_CASES = {
     "adapt-feature-nan": (3, lambda ws, tmp: [
         "adapt", *_config(ws, tmp, target_graph=_nan_feature_graph(ws, tmp))]),
     "eval-feature-nan": (3, lambda ws, tmp: _scored(ws, tmp, "eval", _nan_feature_graph(ws, tmp))),
+    "eval-label-overflow": (3, lambda ws, tmp: _scored(
+        ws, tmp, "eval", _oversized_label_graph(ws, tmp))),
     "eval-feature-short": (3, lambda ws, tmp: _scored(ws, tmp, "eval", _short_feature_graph(ws, tmp))),
     "export-feature-short": (3, lambda ws, tmp: _scored(
         ws, tmp, "export-embeddings", _short_feature_graph(ws, tmp))),

@@ -10,7 +10,6 @@ from graphsfda.gnn import forward, forward_on_tape, init_model
 from graphsfda.graph_adaptation import (
     AdaptationDeltas,
     ConfidentSet,
-    ContrastSets,
     apply_feature_delta,
     apply_structure_delta,
     feature_gd_step,
@@ -271,9 +270,11 @@ class TestLabelNegatives:
         assert all(1 not in set(negs[i]) for i in range(2))
 
 
-def graph_loss(p, z, banks, conf, sets, alpha, beta):
+def graph_loss(p, z, banks, conf, positives, alpha, beta):
     """The graph loss of plain probabilities and representations."""
-    return evaluate(lambda pt, zt: loss_graph(pt, zt, banks, conf, sets, alpha, beta), p, z)[0, 0]
+    return evaluate(
+        lambda pt, zt: loss_graph(pt, zt, banks, conf, positives, alpha, beta), p, z
+    )[0, 0]
 
 
 class TestLossGraph:
@@ -282,23 +283,23 @@ class TestLossGraph:
         p = [[1.0, 0.0], [0.0, 1.0]]
         z = [[1.0, 0.0], [0.0, 1.0]]
         conf = ConfidentSet(np.array([0, 1]), np.array([0, 1]))
-        sets = ContrastSets(np.zeros((2, 0), dtype=int))
-        assert graph_loss(p, z, banks, conf, sets, 0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
+        positives = np.zeros((2, 0), dtype=int)
+        assert graph_loss(p, z, banks, conf, positives, 0.0, 0.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_positive_cosine(self):
         banks = MemoryBanks(np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2), 0.9)
         z = [[3.0, 0.0]]  # cos with bank row 1 is exactly 1
         conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int))
-        sets = ContrastSets(np.array([[1]]))
-        out = graph_loss([[0.5, 0.5]], z, banks, conf, sets, 1.0, 0.0)
+        positives = np.array([[1]])
+        out = graph_loss([[0.5, 0.5]], z, banks, conf, positives, 1.0, 0.0)
         assert out == pytest.approx(-1.0, abs=1e-12)
 
     def test_negative_term_sign(self):
         banks = MemoryBanks(np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2), 0.9)
         z = [[3.0, 0.0]]
         conf = ConfidentSet(np.array([], dtype=int), np.array([], dtype=int))
-        sets = ContrastSets(np.zeros((1, 0), dtype=int))
-        out = graph_loss([[0.5, 0.5]], z, banks, conf, sets, 0.0, 0.7)
+        positives = np.zeros((1, 0), dtype=int)
+        out = graph_loss([[0.5, 0.5]], z, banks, conf, positives, 0.0, 0.7)
         assert out == pytest.approx(0.7, abs=1e-12)
 
 
@@ -324,7 +325,7 @@ class TestClosedFormContrast:
         assert len(conf)
         results = []
         for loss in (
-            lambda p, z: loss_graph(p, z, banks, conf, ContrastSets(positives), alpha, beta),
+            lambda p, z: loss_graph(p, z, banks, conf, positives, alpha, beta),
             lambda p, z: dense_loss_graph_oracle(p, z, banks, conf, positives, alpha, beta),
         ):
             tape = Tape()
@@ -350,8 +351,8 @@ def test_graph_loss_memory_below_one_dense_matrix(rng):
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         conf = select_confident(p.value, 0.9)
-        sets = ContrastSets(knn_positives(z.value, banks, 5))
-        backward(tape, loss_graph(p, z, banks, conf, sets, 0.5, 0.5))
+        positives = knn_positives(z.value, banks, 5)
+        backward(tape, loss_graph(p, z, banks, conf, positives, 0.5, 0.5))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -488,7 +489,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
     fo = forward(model, normalize_adjacency(g), g.features)
     banks = MemoryBanks(fo.representations.copy(), fo.predictions.copy(), 0.9)
     conf = select_confident(fo.predictions, 0.5)
-    sets = ContrastSets(knn_positives(fo.representations, banks, 3))
+    positives = knn_positives(fo.representations, banks, 3)
     delta_a0 = rng.uniform(0.2, 0.8, (g.num_edges, 1))
     params = model.parameters()
 
@@ -497,7 +498,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
         adj = normalize_adjacency(g, 1.0 - delta_a0.ravel())
         x = apply_feature_delta(tape.constant(g.features), dx)
         z, p = forward_on_tape([tape.constant(w) for w in params], adj, x)
-        return loss_graph(p, z, banks, conf, sets, 0.5, 0.5)
+        return loss_graph(p, z, banks, conf, positives, 0.5, 0.5)
 
     assert grad_check(f_dx, rng.uniform(-0.2, 0.2, g.features.shape)) <= 1e-4
 
@@ -506,6 +507,6 @@ def test_graph_loss_gradients_wrt_deltas(rng):
         adj_live = layout.normalized(apply_structure_delta(g, da))
         constants = [tape.constant(w) for w in params]
         z, p = forward_on_tape(constants, adj_live, tape.constant(g.features))
-        return loss_graph(p, z, banks, conf, sets, 0.5, 0.5)
+        return loss_graph(p, z, banks, conf, positives, 0.5, 0.5)
 
     assert grad_check(f_da, delta_a0) <= 1e-4

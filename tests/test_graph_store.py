@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,77 @@ from graphsfda.graph_store import (
 )
 
 from conftest import random_graph
+
+
+def per_line_edge_scan(text, n):
+    """Reference reader: one `.edges` line at a time with Python ints.
+
+    Returns the loaded (min, max) edges, the lines that warned of a
+    symmetrized pair, and the line of the first fault (None if the file
+    loads). A field-count or number-syntax fault ends the scan like any
+    other, and an integer of any size is compared with [0, n)."""
+    seen, edges, warned = {}, [], []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts:
+            continue
+        try:
+            u, v = (int(p) for p in parts)
+        except ValueError:  # a token that is not an integer, or not two fields
+            return edges, warned, lineno
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return edges, warned, lineno
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            if seen[key] == (u, v):
+                return edges, warned, lineno
+            warned.append(lineno)
+            continue
+        seen[key] = (u, v)
+        edges.append(key)
+    return edges, warned, None
+
+
+def first_format_fault(text, width):
+    """Line of the first non-blank line without `width` int64 tokens, or None."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts:
+            continue
+        try:
+            if len(parts) == width and all(-(2**63) <= int(p) < 2**63 for p in parts):
+                continue
+        except ValueError:
+            pass
+        return lineno
+    return None
+
+
+def random_edge_text(rng, n):
+    """An `.edges` text with blank lines, ids in [-1, n], loops, exact and
+    mirrored repeats and, in some files, lines with 1 or 3 fields,
+    non-integer tokens or integers beyond int64."""
+    malformed = ["3", "0 1 2", "1 x", "0.5 1", "1e3 2", f"{2**63} 1", f"0 {-(2**63) - 1}"]
+    format_rate = rng.choice([0.0, 0.0, 0.1])
+    low = rng.choice([-1, 0, 0])
+    lines, pairs = [], []
+    for _ in range(int(rng.integers(0, 12))):
+        r = rng.random()
+        if r < 0.1:
+            lines.append(str(rng.choice(["", "  ", "\t"])))
+            continue
+        if r < 0.1 + format_rate:
+            lines.append(str(rng.choice(malformed)))
+            continue
+        if pairs and r < 0.45:
+            u, v = pairs[int(rng.integers(len(pairs)))]
+            if rng.random() < 0.7:
+                u, v = v, u
+        else:
+            u, v = (int(a) for a in rng.integers(low, n + (low < 0), size=2))
+        pairs.append((u, v))
+        lines.append(f"{u}{' ' * int(rng.integers(1, 3))}{v}")
+    return "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
 
 
 def single_node_graph():
@@ -223,6 +297,54 @@ class TestFileFormat:
         (tmp_path / "t.feat").write_text("1 xyz\n")
         with pytest.raises(ParseError, match="t.feat:1"):
             load_graph(tmp_path / "t")
+
+    @pytest.mark.parametrize(
+        "suffix, text, line",
+        [
+            (".edges", "0 1\n\n1 99999999999999999999\n", 3),
+            (".labels", "0\n99999999999999999999\n", 2),
+        ],
+        ids=["edges", "labels"],
+    )
+    def test_integer_beyond_int64_names_line(self, tmp_path, suffix, text, line):
+        (tmp_path / "t.meta").write_text("2 1 2\n")
+        (tmp_path / "t.edges").write_text("0 1\n")
+        (tmp_path / "t.feat").write_text("1\n2\n")
+        (tmp_path / f"t{suffix}").write_text(text)
+        with pytest.raises(ParseError, match=rf"t\{suffix}:{line}: .*too large"):
+            load_graph(tmp_path / "t")
+
+    def test_edges_match_per_line_scan(self, tmp_path, rng):
+        n = 5
+        (tmp_path / "t.meta").write_text(f"{n} 1 2\n")
+        (tmp_path / "t.feat").write_text("0\n" * n)
+        outcomes = {"format": 0, "content": 0, "loaded": 0, "warned": 0}
+        for _ in range(600):
+            text = random_edge_text(rng, n)
+            (tmp_path / "t.edges").write_text(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    g, line = load_graph(tmp_path / "t"), None
+                except ParseError as exc:
+                    g, line = None, int(re.search(r"t\.edges:(\d+): ", str(exc)).group(1))
+            got_warned = [int(re.search(r"t\.edges:(\d+): ", str(w.message)).group(1))
+                          for w in caught]
+            format_line = first_format_fault(text, 2)
+            if format_line is not None:
+                # a file with a format fault is named at its first one
+                assert (line, got_warned) == (format_line, []), text
+                outcomes["format"] += 1
+                continue
+            edges, warned, fault_line = per_line_edge_scan(text, n)
+            assert (line, got_warned) == (fault_line, warned), text
+            if g is None:
+                outcomes["content"] += 1
+            else:
+                assert g.edges.tolist() == [list(e) for e in edges], text
+                outcomes["loaded"] += 1
+            outcomes["warned"] += bool(warned)
+        assert min(outcomes.values()) >= 30, outcomes
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_line(self, tmp_path, value):

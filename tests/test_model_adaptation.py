@@ -6,7 +6,7 @@ import pytest
 from graphsfda import numerics
 from graphsfda.banks import MemoryBanks
 from graphsfda.errors import ContractError
-from graphsfda.graph_adaptation import ConfidentSet, ContrastSets, loss_graph
+from graphsfda.graph_adaptation import ConfidentSet, loss_graph
 from graphsfda.model_adaptation import (
     PseudoLabels,
     Prototypes,
@@ -377,13 +377,13 @@ def test_losses_are_tensor_only(rng):
     protos = Prototypes(rng.standard_normal((2, 3)), np.array([2, 2]))
     banks = MemoryBanks(rng.standard_normal((4, 3)), rng.dirichlet(np.ones(2), 4), 0.9)
     conf = ConfidentSet(np.array([0, 2]), np.array([0, 0]))
-    sets = ContrastSets(np.array([[1], [2], [3], [0]]))
+    positives = np.array([[1], [2], [3], [0]])
     losses = {
         "confidence_weights": (lambda z: confidence_weights(z, protos, pl), [z0]),
         "loss_weighted_ce": (lambda p, w: loss_weighted_ce(p, pl, w), [p0, np.ones((4, 1))]),
         "loss_instance_prototype": (lambda z: loss_instance_prototype(z, protos, pl, 0.2), [z0]),
         "loss_model": (lambda a, b: loss_model(a, b, 0.3), [[[1.0]], [[2.0]]]),
-        "loss_graph": (lambda p, z: loss_graph(p, z, banks, conf, sets, 0.5, 0.5), [p0, z0]),
+        "loss_graph": (lambda p, z: loss_graph(p, z, banks, conf, positives, 0.5, 0.5), [p0, z0]),
     }
     for name, (f, values) in losses.items():
         tape = Tape()
