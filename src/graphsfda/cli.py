@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -64,6 +65,18 @@ def _fail(code: int, message: str) -> int:
 
 def _unwritable(command: str, exc: OSError) -> int:
     return _fail(EXIT_DATA, f"{command}: cannot write output: {exc}")
+
+
+def _load_graph(path, command: str):
+    """`load_graph`, printing each warning it raises (a symmetrized pair) as
+    one `<command>: warning: ...` line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return load_graph(path)
+        finally:
+            for w in caught:
+                print(f"{command}: warning: {w.message}", file=sys.stderr)
 
 
 def load_run_config(path) -> dict:
@@ -189,7 +202,7 @@ def cmd_pretrain(args) -> int:
     if not cfg["source_graph"]:
         return _fail(EXIT_DATA, "pretrain: config needs source_graph")
     try:
-        source = load_graph(cfg["source_graph"])
+        source = _load_graph(cfg["source_graph"], "pretrain")
     except (ParseError, ContractError, OSError) as exc:
         return _fail(EXIT_DATA, f"pretrain: {exc}")
     if source.labels is None:
@@ -240,7 +253,7 @@ def cmd_adapt(args) -> int:
     if not cfg["target_graph"] or not cfg["checkpoint"]:
         return _fail(EXIT_DATA, "adapt: config needs target_graph and checkpoint")
     try:
-        target = load_graph(cfg["target_graph"])
+        target = _load_graph(cfg["target_graph"], "adapt")
     except (ParseError, ContractError, OSError) as exc:
         return _fail(EXIT_DATA, f"adapt: {exc}")
     try:
@@ -286,7 +299,7 @@ def _load_eval_inputs(args, command: str):
     missing, unreadable or does not fit the graph, and a mask whose length
     does not fit it, are incompatible artifacts (4)."""
     try:
-        graph = load_graph(args.graph)
+        graph = _load_graph(args.graph, command)
     except (ParseError, ContractError, OSError) as exc:
         return _fail(EXIT_DATA, f"{command}: {exc}")
     try:

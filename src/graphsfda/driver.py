@@ -5,7 +5,11 @@ Each epoch alternates: several model updates against the adaptation loss
 steps and budget-projected structure steps against the graph loss (model
 frozen). The target graph gets one `AdjacencyLayout` per call, normalized
 once per epoch after the graph steps: the accuracy forward and the next
-epoch's model and feature steps share it. After the last epoch the
+epoch's model and feature steps share it. The network is evaluated once per
+model state: one forward pass, recorded with the parameters as leaves, fills
+the banks at the start or gives the accuracy at the end of an epoch, and the
+next model step differentiates it; a further model step in the same epoch
+records its own. After the last epoch the
 continuous edge mask is sampled once into a keep mask, and the final forward
 pass reads it off the same layout as 0/1 edge weights, which equals the
 forward pass over the refined graph with the dropped edges deleted.
@@ -153,6 +157,11 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     Deterministic for fixed (model, graph, config). With all loop counts or
     epochs at zero the predictions coincide bit-for-bit with the unadapted
     model on the unmodified graph.
+
+    A labelled run with one model step per epoch makes epochs + 2 forward
+    passes: one for the banks, one per epoch that serves both its accuracy
+    and the next epoch's model step, and the final prediction. No forward
+    tape is kept past the model steps into the graph steps.
     """
     if model.input_dim != g.feature_dim:
         raise ContractError(
@@ -173,8 +182,8 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     adj = layout.normalized(weights)
     x_prime = x_base + deltas.delta_x
 
-    source_fo = forward(model, adj, g.features)
-    banks = init_banks(source_fo, cfg.bank_momentum)
+    recorded = _record_forward(model, adj, x_prime)
+    banks = init_banks(_outputs(recorded), cfg.bank_momentum)
     opt = AdamState([p.shape for p in model.parameters()], cfg.model_lr)
 
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -190,31 +199,10 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
 
         loss_m = None
         for _ in range(cfg.model_steps):
-            pl = neighborhood_pseudo_labels(neighbors, banks)
-            protos = compute_prototypes(pl, banks)
-            tape = Tape()
-            params = [tape.leaf(p) for p in model.parameters()]
-            z, p = forward_on_tape(params, adj, tape.constant(x_prime))
-            w = confidence_weights(z, protos, pl)
-            l_ce = loss_weighted_ce(p, pl, w)
-            batch = None
-            if cfg.batch_size:
-                batch = batch_rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-            l_co = loss_instance_prototype(
-                z,
-                protos,
-                pl,
-                cfg.temperature,
-                batch_indices=batch,
-                include_positive_in_denominator=cfg.include_positive_in_denominator,
-            )
-            _check_finite(float(l_ce.value[0, 0]), "weighted cross-entropy (model loss)")
-            _check_finite(float(l_co.value[0, 0]), "instance-prototype contrast (model loss)")
-            l_m = loss_model(l_ce, l_co, cfg.contrast_mix)
-            backward(tape, l_m)
-            opt.step(model.parameters(), [t.grad for t in params])
-            banks = momentum_update(banks, ForwardOutput(z.value, p.value))
-            loss_m = float(l_m.value[0, 0])
+            recorded = recorded or _record_forward(model, adj, x_prime)
+            banks, loss_m = _model_step(recorded, model, opt, neighbors, banks, cfg, batch_rng)
+            recorded = None  # the step changed the model
+        recorded = None  # no forward tape lives on into the graph steps
 
         loss_g = None
         model_params = model.parameters()
@@ -247,8 +235,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         report.loss_model_trace.append(loss_m)
         report.loss_graph_trace.append(loss_g)
         if g.labels is not None:
-            fo = forward(model, adj, x_prime)
-            pred = np.argmax(fo.predictions, axis=1)
+            # the next epoch's first model step differentiates this pass
+            recorded = _record_forward(model, adj, x_prime)
+            pred = np.argmax(_outputs(recorded).predictions, axis=1)
             report.accuracy_trace.append(evaluate_accuracy(pred, g.labels))
 
         delta_m = _trace_delta(prev[0], loss_m)
@@ -261,6 +250,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         else:
             quiet_epochs = 0
 
+    recorded = None  # the final prediction reads another adjacency
     keep = finalize_structure(g, deltas, finalize_seed)
     refined = TargetGraph(n, g.edges[keep], x_prime, g.labels, g.num_classes)
     fo = forward(model, layout.normalized(keep.astype(np.float64)), refined.features)
@@ -271,6 +261,49 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     report.deltas = deltas
     report.seconds = time.perf_counter() - started
     return model, refined, predictions, report
+
+
+def _record_forward(model: GnnModel, adj, x):
+    """(tape, parameter leaves, representations, predictions) of one
+    forward pass recorded with the parameters as leaves: its values serve
+    the banks and the accuracy, and one model step differentiates it."""
+    tape = Tape()
+    params = [tape.leaf(p) for p in model.parameters()]
+    z, p = forward_on_tape(params, adj, tape.constant(x))
+    return tape, params, z, p
+
+
+def _outputs(recorded) -> ForwardOutput:
+    _, _, z, p = recorded
+    return ForwardOutput(z.value, p.value)
+
+
+def _model_step(recorded, model, opt, neighbors, banks, cfg: AdaptConfig, batch_rng):
+    """One Adam step on the model loss, differentiating the recorded forward
+    pass of the current model; returns the refreshed banks and the loss."""
+    tape, params, z, p = recorded
+    pl = neighborhood_pseudo_labels(neighbors, banks)
+    protos = compute_prototypes(pl, banks)
+    w = confidence_weights(z, protos, pl)
+    l_ce = loss_weighted_ce(p, pl, w)
+    batch = None
+    if cfg.batch_size:
+        n = banks.n
+        batch = batch_rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+    l_co = loss_instance_prototype(
+        z,
+        protos,
+        pl,
+        cfg.temperature,
+        batch_indices=batch,
+        include_positive_in_denominator=cfg.include_positive_in_denominator,
+    )
+    _check_finite(float(l_ce.value[0, 0]), "weighted cross-entropy (model loss)")
+    _check_finite(float(l_co.value[0, 0]), "instance-prototype contrast (model loss)")
+    l_m = loss_model(l_ce, l_co, cfg.contrast_mix)
+    backward(tape, l_m)
+    opt.step(model.parameters(), [t.grad for t in params])
+    return momentum_update(banks, _outputs(recorded)), float(l_m.value[0, 0])
 
 
 def _trace_delta(before, after) -> float:

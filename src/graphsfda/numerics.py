@@ -47,6 +47,8 @@ from .errors import ContractError, NumericalError, ShapeError
 
 # rows of the n x m exponential block that exp_sum_others holds at once
 EXP_SUM_BLOCK_ROWS = 128
+# stored entries whose products the value gradient of spmm holds at once
+SPMM_GRAD_CHUNK_ENTRIES = 2048
 
 __all__ = [
     "SparseAdjacency",
@@ -156,13 +158,25 @@ class _JaggedDiagonals:
 
     def product(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row i of the result: the sum of `values[e] * x[sources[e]]` over
-        row i's entries e, accumulated from 0.0 in row order."""
-        out = np.zeros((self.inverse.size, x.shape[1]))
+        row i's entries e, accumulated from 0.0 in row order.
+
+        Each diagonal is gathered into one preallocated n x h buffer,
+        multiplied and added in place, so no diagonal allocates. The gather
+        uses `mode="clip"` because NumPy buffers the output of a `take` in
+        its default mode "raise"; no index is ever clipped, since
+        `SparseAdjacency` range-checks the column indices the tables are
+        built from and `spmm` checks that x has one row per node."""
+        n = self.inverse.size
+        out = np.zeros((n, x.shape[1]))
+        buf = np.empty_like(out)
         v = values[self.entries]
         bounds = self.bounds
         for k in range(len(bounds) - 1):
             lo, hi = bounds[k], bounds[k + 1]
-            out[: hi - lo] += v[lo:hi] * x[self.sources[lo:hi]]
+            o, b = out[: hi - lo], buf[: hi - lo]
+            np.take(x, self.sources[lo:hi], axis=0, out=b, mode="clip")
+            np.multiply(b, v[lo:hi], out=b)
+            np.add(o, b, out=o)
         return out[self.inverse]
 
 
@@ -377,7 +391,10 @@ def spmm(adj: SparseAdjacency, x):
     Differentiates into `x` and into the stored values of `adj`, each unless
     it is a constant; constant stored values are recorded as a constant.
     The product and the x-gradient run over the jagged-diagonal tables of
-    `adj`'s structure."""
+    `adj`'s structure, each through one n x h buffer; the value gradient
+    works through SPMM_GRAD_CHUNK_ENTRIES stored entries at a time. None of
+    the three builds an nnz x h array, and each is bitwise equal to its
+    scatter-add or whole-array form."""
     vals = adj.values if isinstance(adj.values, Tensor) else _tape_of(x).constant(adj.values)
     tape = _tape_of(vals, x)
     xv, vv = x.value, vals.value
@@ -388,10 +405,31 @@ def spmm(adj: SparseAdjacency, x):
     return tape._record(
         out,
         [
-            (vals.index, lambda g: (g[rows] * xv[cols]).sum(axis=1, keepdims=True)),
+            (vals.index, lambda g: _entry_dots(g, rows, xv, cols)),
             (x.index, lambda g: adj._by_col.product(vv, g)),
         ],
     )
+
+
+def _entry_dots(a, rows, b, cols):
+    """The (nnz x 1) column of `a[rows[e]] . b[cols[e]]`, the gradient of
+    `spmm` into its stored values. It gathers, multiplies and sums
+    SPMM_GRAD_CHUNK_ENTRIES entries at a time, in place; each row keeps
+    NumPy's own reduction, so the column is bitwise equal to
+    `(a[rows] * b[cols]).sum(axis=1, keepdims=True)` without its two
+    nnz x h arrays. Neither index is clipped: see `_JaggedDiagonals.product`."""
+    nnz, chunk = rows.size, SPMM_GRAD_CHUNK_ENTRIES
+    out = np.empty((nnz, 1))
+    buf_a = np.empty((min(nnz, chunk), a.shape[1]))
+    buf_b = np.empty_like(buf_a)
+    for lo in range(0, nnz, chunk):
+        hi = min(lo + chunk, nnz)
+        ca, cb = buf_a[: hi - lo], buf_b[: hi - lo]
+        np.take(a, rows[lo:hi], axis=0, out=ca, mode="clip")
+        np.take(b, cols[lo:hi], axis=0, out=cb, mode="clip")
+        np.multiply(ca, cb, out=ca)
+        ca.sum(axis=1, out=out[lo:hi, 0])
+    return out
 
 
 def row_softmax(a):

@@ -10,10 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# the smallest workload, and the only model-only one with a sampled contrast batch
 @pytest.mark.bench
-def test_smallest_workload_runs_and_matches_reference():
+@pytest.mark.parametrize("workload", ["adapt-long-n300", "sparse-n20k"])
+def test_workload_runs_and_matches_reference(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "adapt-long-n300",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "5", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

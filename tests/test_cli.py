@@ -369,19 +369,37 @@ EXIT_CASES = {
 }
 
 
+def _cli_process(argv):
+    """The CLI run in a fresh interpreter, as a shell runs it."""
+    src = str(Path(graphsfda.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "graphsfda.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
 @pytest.mark.parametrize("case", list(EXIT_CASES))
 def test_documented_exit_codes(workspace, tmp_path, case):
     code, make_argv = EXIT_CASES[case]
     argv = make_argv(workspace, tmp_path)
-    src = str(Path(graphsfda.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphsfda.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = _cli_process(argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if 2 <= code <= 4:
         assert "Warning" not in proc.stderr, proc.stderr
     if code:
         assert proc.stderr.strip().splitlines()[-1].startswith(f"{argv[0]}: "), proc.stderr
+
+
+def test_symmetrized_pair_warns_in_one_line(workspace, tmp_path):
+    prefix = _graph_copy(workspace, tmp_path, "mirrored")
+    edges = Path(prefix + ".edges")
+    u, v = edges.read_text().splitlines()[0].split()
+    edges.write_text(edges.read_text() + f"{v} {u}\n")
+    proc = _cli_process(["eval", "--checkpoint", str(workspace / "model.ckpt"), "--graph", prefix])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"eval: warning: {edges}:{len(edges.read_text().splitlines())}: "
+        f"directed pair {v} {u} symmetrized"
+    ]

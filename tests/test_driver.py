@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from graphsfda import driver, gnn
 from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy, export_embeddings
 from graphsfda.errors import ContractError, NumericalError
 from graphsfda.gnn import forward, init_model, predict, pretrain_source
@@ -78,6 +79,26 @@ class TestDeterminism:
         assert np.array_equal(r1[1].edges, r2[1].edges)
         for a, b in zip(r1[0].parameters(), r2[0].parameters()):
             assert np.array_equal(a, b)
+
+
+class TestForwardPasses:
+    @pytest.mark.parametrize("model_steps, passes", [(1, 3 + 2), (2, 2 * 3 + 2)])
+    def test_one_forward_per_model_state(self, fixture_pair, monkeypatch, model_steps, passes):
+        # per epoch one pass serves the accuracy and the next model step; a
+        # second model step records its own; plus the banks and the final pass
+        calls = []
+        original = gnn.forward_on_tape
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (driver, gnn):
+            monkeypatch.setattr(module, "forward_on_tape", counted)
+        model, tgt = fixture_pair
+        cfg = quick_cfg(epochs=3, model_steps=model_steps, feature_steps=0, structure_steps=0)
+        adapt(model, tgt, cfg)
+        assert len(calls) == passes
 
 
 class TestInvariantsAndReport:

@@ -386,6 +386,12 @@ def scatter_spmm_grad_x(adj, values, g):
     return gx
 
 
+def spmm_grad_values(adj, g, x):
+    """The value gradient of `spmm` as one row-wise product of two nnz x h
+    gathers, kept as the bitwise oracle of its chunked form."""
+    return (g[adj.rows_expanded()] * x[adj.col_indices]).sum(axis=1, keepdims=True)
+
+
 def csr(n, dense_pattern):
     """Canonical CSR structure of a boolean n x n pattern."""
     rows, cols = np.nonzero(dense_pattern)
@@ -433,6 +439,21 @@ def test_spmm_bitwise_equals_scatter_add(rng, structure, live):
     assert np.array_equal(y.value, scatter_spmm(adj, values, x0))
     assert np.array_equal(x.grad, scatter_spmm_grad_x(adj, values, g))
     assert np.array_equal(spmm_value(adj.with_values(values), x0), y.value)
+    if live:
+        assert np.array_equal(v.grad, spmm_grad_values(adj, g, x0))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10_000], ids=["chunk1", "chunk7", "one-chunk"])
+def test_spmm_value_gradient_across_chunks(rng, monkeypatch, chunk):
+    monkeypatch.setattr(numerics, "SPMM_GRAD_CHUNK_ENTRIES", chunk)
+    adj = SPMM_STRUCTURES["hub-row"](rng)
+    values = rng.standard_normal((adj.nnz, 1))
+    x0 = rng.standard_normal((adj.n, 32)) * 10.0 ** rng.uniform(-8, 8, (adj.n, 32))
+    g = rng.standard_normal((adj.n, 32))
+    tape = Tape()
+    v = tape.leaf(values)
+    backward(tape, sum_all(mul(spmm(adj.with_values(v), tape.constant(x0)), tape.constant(g))))
+    assert np.array_equal(v.grad, spmm_grad_values(adj, g, x0))
 
 
 def test_with_values_shares_the_tables(monkeypatch, rng):
