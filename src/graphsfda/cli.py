@@ -273,11 +273,9 @@ def cmd_adapt(args) -> int:
     except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, f"adapt: {exc}")
 
-    # refined keeps a subset of the target's edges in their order; match ids u*n + v
-    kept = np.isin(target.edges @ [target.n, 1], refined.edges @ [target.n, 1])
     try:
         save_graph(refined, out_dir / "refined")
-        np.savetxt(out_dir / "refined.mask", report.deltas.delta_a[kept], fmt="%.17g")
+        np.savetxt(out_dir / "refined.mask", report.deltas.delta_a[report.keep], fmt="%.17g")
         save_checkpoint(adapted, out_dir / "adapted.ckpt")
         report.save(out_dir / "report.json")
         np.savetxt(out_dir / "predictions.txt", predictions, fmt="%d")

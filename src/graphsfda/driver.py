@@ -6,13 +6,13 @@ steps and budget-projected structure steps against the graph loss (model
 frozen). The target graph gets one `AdjacencyLayout` per call, normalized
 once per epoch after the graph steps: the accuracy forward and the next
 epoch's model and feature steps share it. The network is evaluated once per
-model state: one forward pass, recorded with the parameters as leaves, fills
-the banks at the start or gives the accuracy at the end of an epoch, and the
-next model step differentiates it; a further model step in the same epoch
-records its own. After the last epoch the
-continuous edge mask is sampled once into a keep mask, and the final forward
-pass reads it off the same layout as 0/1 edge weights, which equals the
-forward pass over the refined graph with the dropped edges deleted.
+model state: one pass of `gnn.record_forward` fills the banks at the start
+or gives the accuracy at the end of an epoch, and the next model step
+differentiates it; a further model step in the same epoch records its own.
+After the last epoch the continuous edge mask is sampled once into a keep
+mask, and the final forward pass reads it off the same layout as 0/1 edge
+weights, which equals the forward pass over the refined graph with the
+dropped edges deleted. The report carries the keep mask for export.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .banks import init_banks, momentum_update
 from .errors import ContractError, NumericalError
-from .gnn import AdamState, ForwardOutput, GnnModel, forward, forward_on_tape
+from .gnn import AdamState, GnnModel, forward, forward_on_tape, record_forward, recorded_outputs
 from .graph_adaptation import (
     AdaptationDeltas,
     apply_feature_delta,
@@ -106,7 +106,8 @@ class AdaptConfig:
 class AdaptReport:
     """Per-epoch traces plus the final outcome. Entries are None for phases
     that ran zero steps in that epoch. `deltas` carries the learned feature
-    offset and edge mask for export; it stays out of the JSON document."""
+    offset and edge mask for export, and `keep` marks the target edges the
+    refined graph kept; both stay out of the JSON document."""
 
     loss_model_trace: list = field(default_factory=list)
     loss_graph_trace: list = field(default_factory=list)
@@ -115,6 +116,7 @@ class AdaptReport:
     edges_deleted: int = 0
     seconds: float = 0.0
     deltas: AdaptationDeltas | None = None
+    keep: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,8 +184,8 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     adj = layout.normalized(weights)
     x_prime = x_base + deltas.delta_x
 
-    recorded = _record_forward(model, adj, x_prime)
-    banks = init_banks(_outputs(recorded), cfg.bank_momentum)
+    recorded = record_forward(model, adj, x_prime)
+    banks = init_banks(recorded_outputs(recorded), cfg.bank_momentum)
     opt = AdamState([p.shape for p in model.parameters()], cfg.model_lr)
 
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -199,7 +201,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
 
         loss_m = None
         for _ in range(cfg.model_steps):
-            recorded = recorded or _record_forward(model, adj, x_prime)
+            recorded = recorded or record_forward(model, adj, x_prime)
             banks, loss_m = _model_step(recorded, model, opt, neighbors, banks, cfg, batch_rng)
             recorded = None  # the step changed the model
         recorded = None  # no forward tape lives on into the graph steps
@@ -236,8 +238,8 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         report.loss_graph_trace.append(loss_g)
         if g.labels is not None:
             # the next epoch's first model step differentiates this pass
-            recorded = _record_forward(model, adj, x_prime)
-            pred = np.argmax(_outputs(recorded).predictions, axis=1)
+            recorded = record_forward(model, adj, x_prime)
+            pred = np.argmax(recorded_outputs(recorded).predictions, axis=1)
             report.accuracy_trace.append(evaluate_accuracy(pred, g.labels))
 
         delta_m = _trace_delta(prev[0], loss_m)
@@ -259,23 +261,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     if g.labels is not None:
         report.final_accuracy = evaluate_accuracy(predictions, g.labels)
     report.deltas = deltas
+    report.keep = keep
     report.seconds = time.perf_counter() - started
     return model, refined, predictions, report
-
-
-def _record_forward(model: GnnModel, adj, x):
-    """(tape, parameter leaves, representations, predictions) of one
-    forward pass recorded with the parameters as leaves: its values serve
-    the banks and the accuracy, and one model step differentiates it."""
-    tape = Tape()
-    params = [tape.leaf(p) for p in model.parameters()]
-    z, p = forward_on_tape(params, adj, tape.constant(x))
-    return tape, params, z, p
-
-
-def _outputs(recorded) -> ForwardOutput:
-    _, _, z, p = recorded
-    return ForwardOutput(z.value, p.value)
 
 
 def _model_step(recorded, model, opt, neighbors, banks, cfg: AdaptConfig, batch_rng):
@@ -303,7 +291,7 @@ def _model_step(recorded, model, opt, neighbors, banks, cfg: AdaptConfig, batch_
     l_m = loss_model(l_ce, l_co, cfg.contrast_mix)
     backward(tape, l_m)
     opt.step(model.parameters(), [t.grad for t in params])
-    return momentum_update(banks, _outputs(recorded)), float(l_m.value[0, 0])
+    return momentum_update(banks, recorded_outputs(recorded)), float(l_m.value[0, 0])
 
 
 def _trace_delta(before, after) -> float:

@@ -8,8 +8,12 @@ are frozen or a live function of the edge mask. The recorded pass takes
 tensors only: the parameters, the features and the adjacency's values are
 each a live leaf or a tape constant, so one pass serves model adaptation
 (live parameters), feature adaptation (a live offset) and structure
-adaptation (a live edge mask). Everything runs full-batch; there is no
-dropout, keeping recorded computations exactly differentiable.
+adaptation (a live edge mask). `record_forward` records the pass of one
+model state with its parameters as leaves; `forward` returns its values,
+pretraining reads a state's validation accuracy off it and trains on it,
+and the adaptation loop does the same with its banks and model steps.
+Everything runs full-batch; there is no dropout, keeping recorded
+computations exactly differentiable.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ __all__ = [
     "init_model",
     "forward",
     "forward_on_tape",
+    "record_forward",
+    "recorded_outputs",
     "predict",
     "pretrain_source",
     "save_checkpoint",
@@ -154,17 +160,30 @@ def forward_on_tape(params: list, adj_hat: SparseAdjacency, x):
     return h, row_softmax(logits)
 
 
+def record_forward(model: GnnModel, adj_hat: SparseAdjacency, x):
+    """(tape, parameter leaves, representations, predictions) of one forward
+    pass recorded with the parameters as leaves: its values serve every
+    reader of the model state, and one training step differentiates it."""
+    tape = Tape()
+    params = [tape.leaf(p) for p in model.parameters()]
+    z, p = forward_on_tape(params, adj_hat, tape.constant(x))
+    return tape, params, z, p
+
+
+def recorded_outputs(recorded) -> ForwardOutput:
+    """The values of a recorded forward pass, as arrays."""
+    _, _, z, p = recorded
+    return ForwardOutput(z.value, p.value)
+
+
 def forward(model: GnnModel, adj_hat: SparseAdjacency, x) -> ForwardOutput:
-    """Forward pass over constants, returning arrays."""
+    """The values of the recorded forward pass, after a shape check."""
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape[1] != model.input_dim:
         raise ShapeError(f"features have {xv.shape[1]} dims, model expects {model.input_dim}")
     if adj_hat.n != xv.shape[0]:
         raise ShapeError(f"adjacency is {adj_hat.n}x{adj_hat.n}, features have {xv.shape[0]} rows")
-    tape = Tape()
-    params = [tape.constant(w) for w in model.parameters()]
-    z, p = forward_on_tape(params, adj_hat, tape.constant(xv))
-    return ForwardOutput(z.value, p.value)
+    return recorded_outputs(record_forward(model, adj_hat, xv))
 
 
 def predict(model: GnnModel, adj_hat: SparseAdjacency, x) -> np.ndarray:
@@ -216,7 +235,11 @@ def pretrain_source(
 
     Full-batch Adam on mean cross-entropy over train nodes. Keeps the
     best-validation parameters and reports validation and test accuracy for
-    that checkpoint; the test number is a sanity check only.
+    that checkpoint; the test number is a sanity check only. Each model
+    state is evaluated once: its recorded forward pass gives its validation
+    accuracy and the next epoch differentiates it, so `epochs` epochs make
+    epochs + 1 passes. The initial state is a candidate only when no epoch
+    runs.
     """
     if source.labels is None:
         raise ContractError("pretraining needs source labels")
@@ -225,36 +248,26 @@ def pretrain_source(
     labels = source.labels
     opt = AdamState([p.shape for p in model.parameters()], lr, weight_decay=weight_decay)
 
-    best = model.copy()
     best_val = -1.0
     history = []
-    for _ in range(epochs):
-        tape = Tape()
-        params = [tape.leaf(p) for p in model.parameters()]
-        _, p_out = forward_on_tape(params, adj, tape.constant(source.features))
-        train_p = gather_rows(p_out, split.train)
-        picked = select_cols(train_p, labels[split.train])
-        loss = neg(mean_all(log_clamped(picked)))
-        backward(tape, loss)
-        history.append(float(loss.value[0, 0]))
-
-        live = model.parameters()
-        opt.step(live, [t.grad for t in params])
-
-        pred = predict(model, adj, source.features)
+    for epoch in range(epochs + 1):
+        tape, params, _, p_out = record_forward(model, adj, source.features)
+        pred = np.argmax(p_out.value, axis=1)
         val_acc = _accuracy(pred, labels, split.val)
-        if val_acc > best_val:
-            best_val = val_acc
-            best = model.copy()
+        if (epoch or not epochs) and val_acc > best_val:
+            best, best_val, best_pred = model.copy(), val_acc, pred
+        if epoch < epochs:
+            train_p = gather_rows(p_out, split.train)
+            picked = select_cols(train_p, labels[split.train])
+            loss = neg(mean_all(log_clamped(picked)))
+            backward(tape, loss)
+            history.append(float(loss.value[0, 0]))
+            opt.step(model.parameters(), [t.grad for t in params])
+        tape = None  # the next pass is recorded without this one alive
 
-    if epochs == 0:
-        best = model
-        pred = predict(model, adj, source.features)
-        best_val = _accuracy(pred, labels, split.val)
-    pred = predict(best, adj, source.features)
     return best, {
-        "val_acc": _accuracy(pred, labels, split.val),
-        "test_acc": _accuracy(pred, labels, split.test),
+        "val_acc": best_val,
+        "test_acc": _accuracy(best_pred, labels, split.test),
         "train_loss": history,
     }
 

@@ -64,13 +64,15 @@ def _first_same_pair(pairs: np.ndarray) -> np.ndarray:
     return first[inverse.ravel()]
 
 
-def edge_fault(n: int, pairs: np.ndarray):
+def edge_fault(n: int, pairs: np.ndarray, repeat=None):
     """(index, reason) of the first invalid (u, v) row in input order, or
     None if every row is a valid undirected edge: a self-loop, an endpoint
-    outside [0, n), or a repeat of an earlier row in either orientation."""
+    outside [0, n), or a repeat of an earlier row in either orientation.
+    `repeat` marks the repeats when the caller has already grouped the rows."""
     loop = pairs[:, 0] == pairs[:, 1]
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
-    repeat = _first_same_pair(pairs) != np.arange(len(pairs))
+    if repeat is None:
+        repeat = _first_same_pair(pairs) != np.arange(len(pairs))
     bad = np.flatnonzero(loop | outside | repeat)
     if not bad.size:
         return None
@@ -320,9 +322,11 @@ def load_graph(prefix) -> TargetGraph:
 
     edges_path = prefix.with_suffix(prefix.suffix + ".edges")
     pairs, lines = read_table(edges_path, 2, np.int64)
-    mirrored = pairs[_first_same_pair(pairs), 0] != pairs[:, 0]
+    first = _first_same_pair(pairs)
+    mirrored = pairs[first, 0] != pairs[:, 0]
     edges, edge_lines = pairs[~mirrored], lines[~mirrored]
-    fault = edge_fault(n, edges)
+    # a kept row repeats exactly when its first same pair, always kept, is earlier
+    fault = edge_fault(n, edges, (first != np.arange(len(pairs)))[~mirrored])
     stop = np.inf if fault is None else edge_lines[fault[0]]
     warned = mirrored & (lines < stop)
     for line, (u, v) in zip(lines[warned], pairs[warned]):

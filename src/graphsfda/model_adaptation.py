@@ -18,8 +18,6 @@ under differentiation.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .banks import MemoryBanks
@@ -77,11 +75,6 @@ class Prototypes:
     def __init__(self, centroids: np.ndarray, counts: np.ndarray):
         self.centroids = centroids
         self.counts = counts
-
-    @property
-    def empty(self) -> np.ndarray:
-        """Classes with no assigned node; their centroid rows are zero."""
-        return self.counts == 0
 
 
 def neighborhood_pseudo_labels(neighbors: SparseAdjacency, banks: MemoryBanks) -> PseudoLabels:
@@ -149,20 +142,12 @@ def loss_instance_prototype(
     sampled batch). By default the positive is excluded from the denominator,
     matching the weighting this loss is defined with; flip
     `include_positive_in_denominator` for the more common normalization.
-    Nodes whose pseudo-class has no members are skipped with a warning.
+    Every node's pseudo-class must have a prototype, as it has when the
+    prototypes are built from the same pseudo-labels.
     """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
     n = pl.class_id.size
-    keep = ~protos.empty[pl.class_id]
-    if not np.all(keep):
-        warnings.warn(
-            f"{int((~keep).sum())} node(s) skipped: empty pseudo-class prototype",
-            stacklevel=2,
-        )
-    if not np.any(keep):
-        return mul_scalar(mean_all(z), 0.0)
-
     inv_tau = 1.0 / tau
     zn = l2_normalize_rows(z)
     proto_sims = matmul(zn, z.tape.constant(_normalized_centroids(protos).T.copy()))
@@ -176,8 +161,7 @@ def loss_instance_prototype(
     if include_positive_in_denominator:
         denom = add(denom, pos_exp)
     per_node = sub(mul_scalar(pos, inv_tau), log(denom))
-    kept_total = sum_all(mul(per_node, z.tape.constant(keep.astype(np.float64).reshape(-1, 1))))
-    return mul_scalar(kept_total, -1.0 / int(keep.sum()))
+    return mul_scalar(sum_all(per_node), -1.0 / max(n, 1))
 
 
 def loss_model(l_ce: Tensor, l_co: Tensor, lam: float) -> Tensor:

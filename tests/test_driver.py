@@ -144,6 +144,15 @@ class TestInvariantsAndReport:
         with pytest.raises(NumericalError, match="contrast"):
             adapt(model, tgt, quick_cfg(temperature=1e-4))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's mean of no nodes
+    @pytest.mark.parametrize("batch_size", [0, 4])
+    def test_zero_node_target_aborts_on_weighted_ce(self, batch_size):
+        from graphsfda.graph_store import TargetGraph
+
+        empty = TargetGraph(0, [], np.zeros((0, 8)), None, 3)
+        with pytest.raises(NumericalError, match="weighted cross-entropy"):
+            adapt(init_model(8, 8, 3, 2, seed=0), empty, quick_cfg(batch_size=batch_size))
+
 
 class TestUnlabelledAndBatchModes:
     def test_unlabelled_target_has_no_accuracy(self, fixture_pair):

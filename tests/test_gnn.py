@@ -3,8 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from graphsfda import gnn
 from graphsfda.errors import ContractError, ShapeError
 from graphsfda.gnn import (
+    AdamState,
     forward,
     forward_on_tape,
     init_model,
@@ -20,7 +22,17 @@ from graphsfda.graph_store import (
     normalize_adjacency,
     split_nodes,
 )
-from graphsfda.numerics import Tape, backward, grad_check, mean_all, mul
+from graphsfda.numerics import (
+    Tape,
+    backward,
+    gather_rows,
+    grad_check,
+    log_clamped,
+    mean_all,
+    mul,
+    neg,
+    select_cols,
+)
 
 from conftest import random_graph
 
@@ -175,6 +187,88 @@ class TestPretrain:
         hist = np.array(metrics["train_loss"])
         drops = np.sum(np.diff(hist) <= 1e-12)
         assert drops >= 0.9 * (hist.size - 1)
+
+
+def two_pass_pretrain_oracle(model, source, split, epochs, lr, weight_decay=5e-4):
+    """Pretraining as it was with a separate evaluation pass: each epoch
+    trains on one forward pass, then `predict` evaluates the new state, and
+    the best state is evaluated once more at the end. Also returns the
+    validation accuracy of every evaluated state."""
+    model = model.copy()
+    adj = normalize_adjacency(source)
+    labels = source.labels
+    opt = AdamState([p.shape for p in model.parameters()], lr, weight_decay=weight_decay)
+
+    def accuracy(pred, ids):
+        return float(np.mean(pred[ids] == labels[ids])) if ids.size else 0.0
+
+    best, best_val, history, vals = model.copy(), -1.0, [], []
+    for _ in range(epochs):
+        tape = Tape()
+        params = [tape.leaf(p) for p in model.parameters()]
+        _, p_out = forward_on_tape(params, adj, tape.constant(source.features))
+        picked = select_cols(gather_rows(p_out, split.train), labels[split.train])
+        loss = neg(mean_all(log_clamped(picked)))
+        backward(tape, loss)
+        history.append(float(loss.value[0, 0]))
+        opt.step(model.parameters(), [t.grad for t in params])
+        vals.append(accuracy(predict(model, adj, source.features), split.val))
+        if vals[-1] > best_val:
+            best_val, best = vals[-1], model.copy()
+    if epochs == 0:
+        best = model
+        vals.append(accuracy(predict(model, adj, source.features), split.val))
+    pred = predict(best, adj, source.features)
+    metrics = {
+        "val_acc": accuracy(pred, split.val),
+        "test_acc": accuracy(pred, split.test),
+        "train_loss": history,
+    }
+    return best, metrics, vals
+
+
+def shift_source(separation):
+    spec = ShiftSpec(nodes_per_class=100, num_classes=3, feature_dim=8,
+                     class_mean_separation=separation, seed=0)
+    return make_shift_pair(spec)[0]
+
+
+class TestPretrainMatchesTwoPassOracle:
+    def check_bitwise(self, src, epochs, lr):
+        split = split_nodes(src, 0)
+        model = init_model(src.feature_dim, 16, src.num_classes, 2, seed=0)
+        trained, metrics = pretrain_source(model, src, split, epochs=epochs, lr=lr)
+        expected, expected_metrics, vals = two_pass_pretrain_oracle(model, src, split, epochs, lr)
+        for a, b in zip(trained.parameters(), expected.parameters()):
+            assert a.tobytes() == b.tobytes()
+        assert metrics == expected_metrics
+        return vals
+
+    @pytest.mark.parametrize("epochs", [0, 1, 7])
+    def test_bitwise_equal(self, epochs):
+        self.check_bitwise(shift_source(2.0), epochs, 1e-2)
+
+    def test_bitwise_equal_when_validation_ties_and_falls_after_best(self):
+        vals = self.check_bitwise(shift_source(0.5), 12, 0.1)
+        best = int(np.argmax(vals))
+        after = vals[best + 1:]
+        # strict selection keeps the first best state; later ones tie or fall
+        assert min(after) < vals[best] and vals[best] in after
+
+    @pytest.mark.parametrize("epochs", [0, 1, 5])
+    def test_one_forward_per_model_state(self, monkeypatch, epochs):
+        calls = []
+        original = gnn.forward_on_tape
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(gnn, "forward_on_tape", counted)
+        src = separable_source(1)
+        model = init_model(src.feature_dim, 8, 3, 2, seed=1)
+        pretrain_source(model, src, split_nodes(src, 1), epochs=epochs)
+        assert len(calls) == epochs + 1
 
 
 class TestCheckpoint:

@@ -131,7 +131,7 @@ class TestPrototypes:
     def test_empty_class_flagged_zero(self):
         banks = banks_with([[1, 0]], repr_=[[2.0, 2.0]])
         protos = compute_prototypes(PseudoLabels(np.array([0]), 2), banks)
-        assert protos.empty[1]
+        assert protos.counts[1] == 0
         assert np.array_equal(protos.centroids[1], [0.0, 0.0])
 
     def test_order_invariance(self, rng):
@@ -233,14 +233,6 @@ class TestInstancePrototypeLoss:
         misaligned = instance_prototype([[0.7, 0.7]], self.two_class_protos(), pl, 0.5)
         assert aligned < misaligned
 
-    def test_empty_class_nodes_skipped(self):
-        protos = Prototypes(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1, 0]))
-        z = [[1.0, 0.0], [0.0, 1.0]]
-        pl = PseudoLabels(np.array([0, 1]), 2)
-        with pytest.warns(UserWarning, match="skipped"):
-            out = instance_prototype(z, protos, pl, 0.2)
-        assert np.isfinite(out)
-
     def test_batch_restriction_matches_full_on_all_indices(self, rng):
         z = rng.standard_normal((5, 3))
         protos = Prototypes(rng.standard_normal((2, 3)), np.array([2, 3]))
@@ -275,7 +267,6 @@ def dense_instance_prototype_oracle(z, protos, pl, tau, batch_indices=None):
     n x batch) exponential matrix on the tape, the self terms subtracted
     (full) or masked out (batch). Kept as the reference of the streamed op."""
     n = pl.class_id.size
-    keep = ~protos.empty[pl.class_id]
     inv_tau = 1.0 / tau
     const = z.tape.constant
     zn = l2_normalize_rows(z)
@@ -292,8 +283,7 @@ def dense_instance_prototype_oracle(z, protos, pl, tau, batch_indices=None):
         not_self = (batch[None, :] != np.arange(n)[:, None]).astype(np.float64)
         inst_sum = row_sum(mul(others, const(not_self)))
     per_node = sub(mul_scalar(pos, inv_tau), log(add(proto_sum, inst_sum)))
-    kept_total = sum_all(mul(per_node, const(keep.astype(np.float64).reshape(-1, 1))))
-    return mul_scalar(kept_total, -1.0 / int(keep.sum()))
+    return mul_scalar(sum_all(per_node), -1.0 / n)
 
 
 def value_and_grad(f, z0):
