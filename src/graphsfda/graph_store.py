@@ -14,12 +14,15 @@ tape of live edge weights, evaluated for constant ones.
 The text format is three UTF-8 files sharing a prefix (`.meta`, `.edges`,
 `.feat`) plus an optional `.labels`; floats are written with enough digits
 to round-trip exactly. `read_table` parses every text table, these files
-and an edge mask alike, in one NumPy conversion, and each file is checked
-for format (field count, number syntax, int64 range) before content.
+and an edge mask alike, with NumPy's C reader (`np.loadtxt`); text that is
+not plain ASCII, and any table that reader refuses, takes the per-line
+path, which names the faulty line. Each file is checked for format (field
+count, number syntax, int64 range) before content.
 """
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -275,17 +278,58 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+# The ASCII separators of `str.split` and `str.splitlines` other than space,
+# tab and newline. NumPy's C reader ends no line at most of them (it splits
+# fields there instead), so text holding any takes the per-line path.
+_SPLIT_ONLY_SEPARATORS = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _c_read_table(text: str, width: int, dtype):
+    """`read_table`'s result for `text`, parsed by NumPy's C reader
+    (`np.loadtxt`), or None where the per-line path must decide.
+
+    It declines text that is not ASCII or holds a separator the two readers
+    split differently, and any table the C reader refuses or warns about
+    or that is not `width` fields wide. On the text it accepts, every token
+    the C reader converts is one Python's `int` or `float` converts to the
+    same bits; Python also accepts some tokens the C reader refuses
+    (`1_0`), which is why refusal means fallback and not a fault."""
+    if not text.isascii() or any(c in text for c in _SPLIT_ONLY_SEPARATORS):
+        return None
+    if not text or text.isspace():  # loadtxt warns that there is no data
+        return np.empty((0, width), dtype), np.empty(0, np.intp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if values.shape[1] != width:
+        return None
+    rows = len(values)
+    if rows == text.count("\n") + (not text.endswith("\n")):
+        return values, np.arange(1, rows + 1)
+    # loadtxt skips blank and whitespace-only lines, as the per-line path does
+    return values, np.flatnonzero([bool(line.strip()) for line in text.split("\n")]) + 1
+
+
 def read_table(path, width: int, dtype):
     """A whitespace-separated text table as a (rows, width) array of `dtype`
     (np.int64 or np.float64), and the 1-based line number of each row;
     blank lines are skipped.
 
-    All rows are converted in one NumPy call, which applies Python's `int`
-    or `float` to each token. Only if that fails are the rows converted one
-    by one, to name in a ParseError the first line with the wrong number of
-    fields or a token that is not a `dtype` number (an integer beyond int64
-    included)."""
-    fields = [line.split() for line in read_text(path).splitlines()]
+    A plain ASCII table is parsed by NumPy's C reader (`_c_read_table`).
+    Any other text, and any table the C reader declines, takes the per-line
+    path: all rows are converted in one NumPy call, which applies Python's
+    `int` or `float` to each token, and only if that fails are the rows
+    converted one by one, to name in a ParseError the first line with the
+    wrong number of fields or a token that is not a `dtype` number (an
+    integer beyond int64 included)."""
+    text = read_text(path)
+    parsed = _c_read_table(text, width, dtype)
+    if parsed is not None:
+        return parsed
+    fields = [line.split() for line in text.splitlines()]
     rows = [row for row in fields if row]
     line_numbers = np.flatnonzero(list(map(bool, fields))) + 1
     try:
@@ -317,7 +361,7 @@ def load_graph(prefix) -> TargetGraph:
     if len(meta) != 1:
         raise ParseError(f"{meta_path}:1: meta must be a single 'n d C' line")
     n, d, num_classes = (int(x) for x in meta[0])
-    if n < 0 or d < 1 or num_classes < 1:
+    if n < 1 or d < 1 or num_classes < 1:
         raise ContractError(f"{meta_path}: invalid sizes n={n} d={d} C={num_classes}")
 
     edges_path = prefix.with_suffix(prefix.suffix + ".edges")

@@ -269,6 +269,15 @@ def _short_feature_graph(ws, tmp):
     return str(tmp / "short")
 
 
+def _zero_node_graph(ws, tmp):
+    """The target's sizes with n = 0, and empty node and edge files."""
+    _, d, num_classes = (ws / "pair_tgt.meta").read_text().split()
+    (tmp / "zero.meta").write_text(f"0 {d} {num_classes}\n")
+    for suffix in (".edges", ".feat", ".labels"):
+        (tmp / f"zero{suffix}").write_text("")
+    return str(tmp / "zero")
+
+
 def _undecodable_feature_graph(ws, tmp):
     prefix = _graph_copy(ws, tmp, "latin")
     _not_utf8(prefix + ".feat")
@@ -335,6 +344,8 @@ EXIT_CASES = {
     "eval-feature-short": (3, lambda ws, tmp: _scored(ws, tmp, "eval", _short_feature_graph(ws, tmp))),
     "export-feature-short": (3, lambda ws, tmp: _scored(
         ws, tmp, "export-embeddings", _short_feature_graph(ws, tmp))),
+    "adapt-zero-nodes": (3, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, target_graph=_zero_node_graph(ws, tmp))]),
     "eval-graph-missing": (3, lambda ws, tmp: _scored(ws, tmp, "eval", str(tmp / "absent"))),
     "eval-mask-missing": (3, lambda ws, tmp: [
         *_scored(ws, tmp, "eval", str(ws / "pair_tgt")), "--mask", str(tmp / "absent.mask")]),

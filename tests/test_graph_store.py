@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from graphsfda import graph_store
 from graphsfda.errors import ContractError, ParseError
 from graphsfda.gnn import forward, init_model, pretrain_source
 from graphsfda.graph_store import (
@@ -13,6 +14,8 @@ from graphsfda.graph_store import (
     load_graph,
     make_shift_pair,
     normalize_adjacency,
+    read_table,
+    read_text,
     save_graph,
     split_nodes,
 )
@@ -89,6 +92,72 @@ def random_edge_text(rng, n):
         pairs.append((u, v))
         lines.append(f"{u}{' ' * int(rng.integers(1, 3))}{v}")
     return "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
+
+
+def per_line_read_table(path, width, dtype):
+    """Reference reader: `read_table`'s per-line path alone, one `str.split`
+    per line and one NumPy conversion of the lists of tokens."""
+    fields = [line.split() for line in read_text(path).splitlines()]
+    rows = [row for row in fields if row]
+    line_numbers = np.flatnonzero(list(map(bool, fields))) + 1
+    try:
+        return np.array(rows, dtype=dtype).reshape(len(rows), width), line_numbers
+    except (ValueError, OverflowError):
+        for line, row in zip(line_numbers, rows):
+            if len(row) != width:
+                message = f"expected {width} fields, got {len(row)}"
+                raise ParseError(f"{path}:{line}: {message}") from None
+            try:
+                np.array(row, dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"{path}:{line}: {exc}") from None
+        raise
+
+
+TABLE_TOKENS = {
+    np.int64: {
+        "plain": ["0", "7", "-3", "+5", "-0", "007", "0009", "123456789",
+                  str(2**63 - 1), str(-(2**63))],
+        "odd": [str(2**63), str(-(2**63) - 1), "99999999999999999999", "1_0", "\u0663",
+                "1.0", "0x10", "1e3", "x", "#"],
+    },
+    np.float64: {
+        "plain": ["0", "-0.0", "1.5", ".5", "5.", "1e5", "1E-5", "-2.5e+300", "007.25",
+                  "0.1", "5e-324", "2.4e-324", "1e-400", "1e400", "-1e400", "inf", "-inf",
+                  "Infinity", "nan", "-nan", "+NaN", "1.7976931348623159e308"],
+        "odd": ["1_0.5", "\u0663", "0x1p3", "1e", "nan(1)", "1,5", "1.2.3", "-", "1d3",
+                "1j", "x"],
+    },
+}
+
+
+def random_table_text(rng, width, dtype):
+    """A table of about `width` fields per line: mostly plain numbers, and in
+    some files blank or whitespace-only lines, lines of width - 1 or width + 1
+    fields, tokens the C reader refuses (some of which Python accepts), form
+    feeds or file separators between fields, no final newline, or no rows."""
+    tokens = TABLE_TOKENS[dtype]
+    if rng.random() < 0.06:
+        return str(rng.choice(["", " ", "\n", "  \n\t\n", "\t"]))
+    odd_rate = rng.choice([0.0, 0.0, 0.05])
+    count_rate = rng.choice([0.0, 0.0, 0.0, 0.05])
+    blank_rate = rng.choice([0.0, 0.15])
+    separators = [" ", "  ", "\t", " \t "] + (["\x0c", "\x1c"] if rng.random() < 0.1 else [])
+    lines = []
+    for _ in range(int(rng.integers(1, 10))):
+        if rng.random() < blank_rate:
+            lines.append(str(rng.choice(["", "  ", "\t"])))
+            continue
+        fields = width
+        if rng.random() < count_rate:
+            fields = max(1, width + int(rng.choice([-1, 1])))
+        row = [str(rng.choice(tokens["odd" if rng.random() < odd_rate else "plain"]))
+               for _ in range(fields)]
+        if dtype is np.float64 and rng.random() < 0.5:
+            row[0] = repr(float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)))
+        sep = str(rng.choice(separators))
+        lines.append(" " * int(rng.integers(0, 2)) + sep.join(row) + "\t" * int(rng.integers(0, 2)))
+    return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
 
 
 def single_node_graph():
@@ -345,6 +414,37 @@ class TestFileFormat:
                 outcomes["loaded"] += 1
             outcomes["warned"] += bool(warned)
         assert min(outcomes.values()) >= 30, outcomes
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64], ids=["int64", "float64"])
+    def test_read_table_matches_per_line_reader(self, tmp_path, rng, monkeypatch, dtype):
+        def outcome(read, path, width):
+            try:
+                values, lines = read(path, width, dtype)
+            except ParseError as exc:
+                return str(exc)
+            return (values.shape, values.dtype, values.view(np.int64).tolist(),
+                    lines.dtype, lines.tolist())
+
+        paths = {"c_reader": 0, "fallback": 0}
+
+        def counted(text, width, dtype):
+            parsed = c_read_table(text, width, dtype)
+            paths["fallback" if parsed is None else "c_reader"] += 1
+            return parsed
+
+        c_read_table = graph_store._c_read_table
+        monkeypatch.setattr(graph_store, "_c_read_table", counted)
+        loaded = 0
+        for i in range(400):
+            width = int(rng.integers(1, 4))
+            text = random_table_text(rng, width, dtype)
+            path = tmp_path / f"t{i}.txt"
+            path.write_text(text, encoding="utf-8")
+            got = outcome(read_table, path, width)
+            assert got == outcome(per_line_read_table, path, width), repr(text)
+            loaded += not isinstance(got, str)
+        assert min(paths["c_reader"], paths["fallback"], loaded, 400 - loaded) >= 30, \
+            (paths, loaded)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_line(self, tmp_path, value):
