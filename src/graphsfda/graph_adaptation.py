@@ -18,7 +18,10 @@ the live forward pass.
 
 Neither the contrast nor its selection builds an n x n array. The nearest
 bank entries come from row blocks of the similarity matrix, so the kNN
-holds KNN_BLOCK_ROWS x n values at a time. The negative sum over every
+holds KNN_BLOCK_ROWS x n values at a time. On large graphs a block is not
+partitioned whole: the maxima of strided column groups give a threshold
+that no positive falls below, and only the groups that reach it are
+ordered (see `knn_positives`). The negative sum over every
 differently-labelled bank row collapses onto per-class sums of the
 normalized bank rows, so the contrast is one product of the normalized live
 representations with a constant n x h weight (see `_contrast_weights`).
@@ -30,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .banks import MemoryBanks
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericalError, ShapeError
 from .graph_store import TargetGraph
 from .numerics import (
     Tensor,
@@ -48,6 +51,10 @@ from .numerics import (
 
 # rows of the similarity matrix the kNN holds at once (KNN_BLOCK_ROWS x n)
 KNN_BLOCK_ROWS = 128
+# columns per strided group of the kNN pre-filter, and the fewest groups
+# for which grouping pays; with fewer, each column is its own group
+KNN_GROUP_SIZE = 16
+KNN_MIN_GROUPS = 64
 
 __all__ = [
     "AdaptationDeltas",
@@ -134,14 +141,32 @@ def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
     """Top-k cosine-similar bank rows per node, self excluded, ties to the
     lower index.
 
-    Works through KNN_BLOCK_ROWS rows of the similarity matrix at a time:
-    a partition finds each row's k-th largest similarity, and only the
-    entries at or above it are ordered, by (-similarity, index). That is
-    the order of a stable descending sort of the whole row."""
+    Works through KNN_BLOCK_ROWS rows of the similarity matrix at a time.
+    The n columns fall into w = n // KNN_GROUP_SIZE strided groups: group j
+    holds columns j, j+w, j+2w, ..., and one pass takes each group's
+    maximum. The k largest maxima are k distinct entries, so the k-th
+    largest group maximum is at most the k-th largest entry: it is a
+    threshold that keeps every positive and every tie at the k-th place.
+    Only the entries of groups whose maximum reaches it are gathered and
+    ordered, by (-similarity, index). That is the order of a stable
+    descending sort of the whole row. With fewer than KNN_MIN_GROUPS groups
+    (or fewer than k, or than KNN_GROUP_SIZE) each column is its own group
+    and the partition runs on the whole row.
+
+    A non-finite entry in `z` or in the representation bank raises
+    NumericalError: the row would have no defined order."""
     zv = np.asarray(z, dtype=np.float64)
     n = banks.n
     if not (1 <= k < n):
         raise ContractError(f"k must lie in [1, {n}), got {k}")
+    _require_finite(zv, "z")
+    _require_finite(banks.repr_bank, "representation bank")
+    size = KNN_GROUP_SIZE
+    width = n // size  # groups; column c is in group c % width
+    if width < max(KNN_MIN_GROUPS, size, k):
+        size, width = 1, n
+    tail = n - size * width  # < width: the first `tail` groups hold one more column
+    spread = width * np.arange(size + 1)  # group j's columns are j + spread below n
     an = _safe_normalize(zv)
     bnt = _safe_normalize(banks.repr_bank).T.copy()
     out = np.empty((an.shape[0], k), dtype=np.int64)
@@ -149,13 +174,27 @@ def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
         sims = an[start : start + KNN_BLOCK_ROWS] @ bnt
         own = np.arange(start, min(start + sims.shape[0], n))
         sims[own - start, own] = -np.inf
-        kth = np.partition(sims, n - k, axis=1)[:, n - k]
-        flat = np.flatnonzero(sims >= kth[:, None])  # row-major: rows come sorted
-        rows, cols = np.divmod(flat, n)
-        order = np.lexsort((cols, -sims.ravel()[flat], rows))
+        maxima = sims
+        if size > 1:
+            maxima = sims[:, : size * width].reshape(-1, size, width).max(axis=1)
+            np.maximum(maxima[:, :tail], sims[:, size * width :], out=maxima[:, :tail])
+        kth = np.partition(maxima, width - k, axis=1)[:, width - k]
+        flat = np.flatnonzero(maxima >= kth[:, None])  # row-major: rows come sorted
+        rows, cols = np.divmod(flat, width)
+        if size > 1:  # from each group that reaches kth, the entries that do
+            cols = cols[:, None] + spread
+            keep = (cols < n) & (sims[rows[:, None], np.minimum(cols, n - 1)] >= kth[rows, None])
+            rows, cols = np.broadcast_to(rows[:, None], cols.shape)[keep], cols[keep]
+        order = np.lexsort((cols, -sims[rows, cols], rows))
         first = np.searchsorted(rows, np.arange(sims.shape[0]))
         out[start : start + sims.shape[0]] = cols[order][first[:, None] + np.arange(k)]
     return out
+
+
+def _require_finite(x: np.ndarray, name: str) -> None:
+    if not np.isfinite(x).all():
+        row = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise NumericalError(f"kNN positives: {name} has a non-finite entry in row {row}")
 
 
 def _safe_normalize(x: np.ndarray) -> np.ndarray:

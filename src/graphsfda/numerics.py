@@ -584,11 +584,6 @@ def pow_scalar(a, p: float):
     return tape._record(av ** p, [(a.index, lambda g: g * p * av ** (p - 1.0))])
 
 
-def transpose(a):
-    tape = _tape_of(a)
-    return tape._record(a.value.T.copy(), [(a.index, lambda g: g.T.copy())])
-
-
 def row_sum(a):
     tape = _tape_of(a)
     k = a.value.shape[1]

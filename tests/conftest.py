@@ -18,6 +18,12 @@ def random_graph(rng, n, d, num_classes, edge_p=0.3, labelled=True):
     )
 
 
+def transposed(a):
+    """a^T recorded on a's tape. Only the dense test oracles build z z^T, so
+    the op lives here and not in `graphsfda.numerics`."""
+    return a.tape._record(a.value.T.copy(), [(a.index, lambda g: g.T.copy())])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -5,7 +5,7 @@ import pytest
 
 from graphsfda import graph_adaptation
 from graphsfda.banks import MemoryBanks
-from graphsfda.errors import ContractError
+from graphsfda.errors import ContractError, NumericalError
 from graphsfda.gnn import forward, forward_on_tape, init_model
 from graphsfda.graph_adaptation import (
     AdaptationDeltas,
@@ -86,6 +86,27 @@ def tie_heavy_rows(rng, n, h=6):
     signs = rng.choice([-1.0, 1.0], size=(n, h))
     support = np.argsort(rng.random((n, h)), axis=1) < 4
     return signs * support
+
+
+def knn_operands(rng, n, k, kind, group_size):
+    """(z, representation bank) for the kNN tests."""
+    if kind == "gauss":
+        return rng.standard_normal((n, 6)), rng.standard_normal((n, 6))
+    if kind == "ties":
+        return tie_heavy_rows(rng, n), tie_heavy_rows(rng, n)
+    if kind == "repeated":  # each bank row four times, and z the bank itself
+        bank = np.repeat(rng.standard_normal((-(-n // 4), 6)), 4, axis=0)[:n]
+        return bank.copy(), bank
+    if kind == "all-equal":  # every entry of a row ties; row 0 of z is zero
+        z = tie_heavy_rows(rng, n)
+        z[0] = 0.0
+        return z, np.tile([1.0, 1.0, 1.0, 1.0, 0.0, 0.0], (n, 1))
+    # "one-group": row 0's k nearest bank rows all lie in strided group 3
+    z, bank = tie_heavy_rows(rng, n), tie_heavy_rows(rng, n)
+    z[0] = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+    bank[:, 4:] = 0.0
+    bank[3 + (n // group_size) * np.arange(k), 4:] = 1.0 + np.arange(k)[:, None]
+    return z, bank
 
 
 def pair_mask(shape, per_node_indices):
@@ -220,30 +241,71 @@ class TestKnnPositives:
             assert i not in out[i]
 
     @pytest.mark.parametrize(
-        "n, block, k, ties",
+        "n, block, k, bank, group",
         [
-            (53, 8, 5, False),  # last block partial
-            (64, 16, 3, False),  # blocks tile the rows exactly
-            (53, 8, 5, True),
-            (200, 7, 4, True),
-            (41, 1, 40, True),  # one row per block, every other row kept
-            (401, None, 5, True),  # the module's own block size
+            # the module's grouping rule; these keep their first ids
+            pytest.param(53, 8, 5, "gauss", None, id="53-8-5-False"),  # last block partial
+            pytest.param(64, 16, 3, "gauss", None, id="64-16-3-False"),  # blocks tile the rows
+            pytest.param(53, 8, 5, "ties", None, id="53-8-5-True"),
+            pytest.param(200, 7, 4, "ties", None, id="200-7-4-True"),
+            # one row per block, every other row kept
+            pytest.param(41, 1, 40, "ties", None, id="41-1-40-True"),
+            pytest.param(401, None, 5, "ties", None, id="401-None-5-True"),  # module block size
+            # grouped path forced: (group size, fewest groups)
+            pytest.param(200, 16, 4, "ties", (4, 1), id="grouped-ties"),
+            pytest.param(300, 64, 5, "repeated", (16, 1), id="grouped-repeated-rows"),
+            pytest.param(64, 16, 5, "all-equal", (4, 1), id="grouped-all-equal"),
+            pytest.param(53, 8, 5, "gauss", (4, 1), id="grouped-n-not-multiple"),
+            pytest.param(101, 32, 7, "ties", (8, 1), id="grouped-n-not-multiple-ties"),
+            pytest.param(64, 16, 16, "ties", (4, 1), id="grouped-largest-k"),
+            pytest.param(64, 16, 17, "ties", (4, 1), id="k-beyond-groups"),  # whole rows
+            # fewer groups than the 4 leftover columns need: whole rows
+            pytest.param(20, 8, 1, "ties", (16, 1), id="groups-below-group-size"),
+            pytest.param(64, 16, 5, "one-group", (8, 1), id="grouped-top-k-in-one-group"),
+            pytest.param(1100, None, 5, "gauss", None, id="grouped-module-rule"),
         ],
     )
-    def test_blocked_equals_full_stable_argsort(self, rng, monkeypatch, n, block, k, ties):
+    def test_blocked_equals_full_stable_argsort(self, rng, monkeypatch, n, block, k, bank, group):
         if block is not None:
             monkeypatch.setattr(graph_adaptation, "KNN_BLOCK_ROWS", block)
         assert graph_adaptation.KNN_BLOCK_ROWS < n
-        make = tie_heavy_rows if ties else (lambda rng, n: rng.standard_normal((n, 6)))
-        z, bank = make(rng, n), make(rng, n)
-        banks = MemoryBanks(bank, np.full((n, 2), 0.5), 0.9)
-        expected = argsort_knn_oracle(z, banks, k)
-        assert np.array_equal(knn_positives(z, banks, k), expected)
-        if ties and k < n - 1:  # the tie rule decides the k-th place somewhere
-            sims = unit_rows(z) @ unit_rows(bank).T
+        if group is not None:
+            monkeypatch.setattr(graph_adaptation, "KNN_GROUP_SIZE", group[0])
+            monkeypatch.setattr(graph_adaptation, "KNN_MIN_GROUPS", group[1])
+        z, repr_bank = knn_operands(rng, n, k, bank, graph_adaptation.KNN_GROUP_SIZE)
+        banks = MemoryBanks(repr_bank, np.full((n, 2), 0.5), 0.9)
+        partitioned = []
+        partition = np.partition
+
+        def spy(a, kth, axis):
+            partitioned.append(a.shape[axis])
+            return partition(a, kth, axis=axis)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "partition", spy)
+            got = knn_positives(z, banks, k)
+        assert np.array_equal(got, argsort_knn_oracle(z, banks, k))
+        # grouping needs at least max(KNN_MIN_GROUPS, KNN_GROUP_SIZE, k) groups,
+        # and then no whole row is partitioned
+        size = graph_adaptation.KNN_GROUP_SIZE
+        grouped = n // size >= max(graph_adaptation.KNN_MIN_GROUPS, size, k)
+        assert set(partitioned) == {n // size if grouped else n}
+        if bank in ("ties", "all-equal", "one-group") and k < n - 1:  # exact cosines:
+            # the tie rule decides the k-th place somewhere
+            sims = unit_rows(z) @ unit_rows(repr_bank).T
             np.fill_diagonal(sims, -np.inf)
             ranked = -np.sort(-sims, axis=1)
             assert np.any(ranked[:, k - 1] == ranked[:, k])
+
+    @pytest.mark.parametrize("operand", ["z", "representation bank"])
+    @pytest.mark.parametrize("row", [3, 9])  # the last row used to raise IndexError
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_raises(self, rng, operand, row, bad):
+        z, bank = rng.standard_normal((10, 4)), rng.standard_normal((10, 4))
+        (z if operand == "z" else bank)[row, 1] = bad
+        banks = MemoryBanks(bank, np.full((10, 2), 0.5), 0.9)
+        with pytest.raises(NumericalError, match=f"{operand} has a non-finite entry in row {row}"):
+            knn_positives(z, banks, 3)
 
 
 class TestLabelNegatives:

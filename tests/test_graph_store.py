@@ -385,20 +385,22 @@ class TestFileFormat:
 
     def test_edges_match_per_line_scan(self, tmp_path, rng):
         n = 5
-        (tmp_path / "t.meta").write_text(f"{n} 1 2\n")
-        (tmp_path / "t.feat").write_text("0\n" * n)
         outcomes = {"format": 0, "content": 0, "loaded": 0, "warned": 0}
-        for _ in range(600):
+        for i in range(600):
+            # each draw under a fresh prefix: truncating one file 600 times
+            # is slow on some filesystems
             text = random_edge_text(rng, n)
-            (tmp_path / "t.edges").write_text(text)
+            (tmp_path / f"t{i}.meta").write_text(f"{n} 1 2\n")
+            (tmp_path / f"t{i}.feat").write_text("0\n" * n)
+            (tmp_path / f"t{i}.edges").write_text(text)
+            named = re.compile(rf"t{i}\.edges:(\d+): ")
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    g, line = load_graph(tmp_path / "t"), None
+                    g, line = load_graph(tmp_path / f"t{i}"), None
                 except ParseError as exc:
-                    g, line = None, int(re.search(r"t\.edges:(\d+): ", str(exc)).group(1))
-            got_warned = [int(re.search(r"t\.edges:(\d+): ", str(w.message)).group(1))
-                          for w in caught]
+                    g, line = None, int(named.search(str(exc)).group(1))
+            got_warned = [int(named.search(str(w.message)).group(1)) for w in caught]
             format_line = first_format_fault(text, 2)
             if format_line is not None:
                 # a file with a format fault is named at its first one

@@ -36,10 +36,9 @@ from graphsfda.numerics import (
     select_cols,
     sub,
     sum_all,
-    transpose,
 )
 
-from conftest import random_graph
+from conftest import random_graph, transposed
 
 
 def banks_with(pred, repr_=None):
@@ -275,11 +274,11 @@ def dense_instance_prototype_oracle(z, protos, pl, tau, batch_indices=None):
     pos_exp = exp(mul_scalar(pos, inv_tau))
     proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)
     if batch_indices is None:
-        inst_exp = exp(mul_scalar(matmul(zn, transpose(zn)), inv_tau))
+        inst_exp = exp(mul_scalar(matmul(zn, transposed(zn)), inv_tau))
         inst_sum = sub(row_sum(inst_exp), select_cols(inst_exp, np.arange(n)))
     else:
         batch = np.asarray(batch_indices, dtype=np.int64)
-        others = exp(mul_scalar(matmul(zn, transpose(gather_rows(zn, batch))), inv_tau))
+        others = exp(mul_scalar(matmul(zn, transposed(gather_rows(zn, batch))), inv_tau))
         not_self = (batch[None, :] != np.arange(n)[:, None]).astype(np.float64)
         inst_sum = row_sum(mul(others, const(not_self)))
     per_node = sub(mul_scalar(pos, inv_tau), log(add(proto_sum, inst_sum)))

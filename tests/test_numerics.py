@@ -36,8 +36,9 @@ from graphsfda.numerics import (
     spmm,
     sub,
     sum_all,
-    transpose,
 )
+
+from conftest import transposed
 
 
 class TestMatmul:
@@ -261,7 +262,6 @@ OPS = {
     "log_clamped": (log_clamped, [(2, 2)]),
     "exp_sum_others": (lambda a: exp_sum_others(a, np.array([0, 1]), 1.0), [(2, 2)]),
     "pow_scalar": (lambda a: pow_scalar(a, 2.0), [(2, 2)]),
-    "transpose": (transpose, [(2, 2)]),
     "row_sum": (row_sum, [(2, 2)]),
     "sum_all": (sum_all, [(2, 2)]),
     "mean_all": (mean_all, [(2, 2)]),
@@ -324,7 +324,7 @@ def test_binary_and_structural_gradients(rng):
         "add": lambda a, b: mean_all(add(a, b)),
         "sub": lambda a, b: mean_all(sub(a, b)),
         "mul": lambda a, b: mean_all(mul(a, b)),
-        "matmul": lambda a, b: mean_all(matmul(a, transpose(b))),
+        "matmul": lambda a, b: mean_all(matmul(a, transposed(b))),
     }
     for name, f in cases.items():
         assert grad_check(f, [a0, b0]) <= 1e-6, name
@@ -549,7 +549,7 @@ def test_composite_losses_pass_grad_check_at_random_points(rng):
 
         def f(t):
             z = l2_normalize_rows(relu(matmul(t, t.tape.constant(w))))
-            p = row_softmax(matmul(z, transpose(z)))
+            p = row_softmax(matmul(z, transposed(z)))
             return neg(mean_all(log_clamped(p)))
 
         assert grad_check(f, x, step=1e-4) <= 1e-4
