@@ -30,6 +30,7 @@ from .graph_store import (
     ShiftSpec,
     load_graph,
     make_shift_pair,
+    mask_fault,
     normalize_adjacency,
     read_table,
     read_text,
@@ -150,10 +151,9 @@ def _echo_config(cfg: dict, out_dir: Path) -> None:
 def _read_mask(path, num_edges: int) -> np.ndarray:
     values, lines = read_table(path, 1, np.float64)
     mask = values.ravel()
-    outside = np.flatnonzero(~((mask >= 0.0) & (mask <= 1.0)))  # NaN fails too
-    if outside.size:
-        i = outside[0]
-        raise ParseError(f"{path}:{lines[i]}: mask entry {mask[i]} outside [0,1]")
+    fault = mask_fault(mask)
+    if fault is not None:
+        raise ParseError(f"{path}:{lines[fault[0]]}: mask {fault[1]}")
     if mask.size != num_edges:
         raise ContractError(f"{path}: {mask.size} mask entries for {num_edges} edges")
     return mask

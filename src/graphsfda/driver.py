@@ -18,8 +18,9 @@ dropped edges deleted. The report carries the keep mask for export.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,10 @@ class AdaptConfig:
     include_positive_in_denominator: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(f"{f.name} must be finite, got {value}")
         if not (0.0 <= self.contrast_mix <= 1.0):
             raise ContractError("contrast_mix must lie in [0,1]")
         if self.positive_weight < 0 or self.negative_weight < 0:
@@ -176,8 +181,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     started = time.perf_counter()
     model = model.copy()
     n, e = g.n, g.num_edges
-    budget = cfg.budget_fraction * e
-    deltas = AdaptationDeltas.zeros(n, g.feature_dim, e, budget)
+    deltas = AdaptationDeltas.zeros(n, g.feature_dim, e, cfg.budget_fraction * e)
     layout = AdjacencyLayout(n, g.edges)
     x_base = g.features
     weights = apply_structure_delta(g, deltas)
@@ -229,7 +233,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             l_g = _graph_loss_on_tape(p, z, banks, cfg)
             loss_g = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
             backward(tape, l_g)
-            deltas = pgd_step_structure(deltas, da.grad.ravel(), cfg.delta_lr, budget)
+            deltas = pgd_step_structure(deltas, da.grad.ravel(), cfg.delta_lr)
 
         weights = apply_structure_delta(g, deltas)
         adj = layout.normalized(weights)

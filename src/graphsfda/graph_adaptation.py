@@ -3,12 +3,13 @@
 Features move by plain gradient descent on an additive offset. Structure
 moves by projected gradient descent on a relaxed per-edge deletion mask
 delta in [0,1]^e whose total mass stays under a budget; the projection
-clips into the box and, when the budget binds, shifts by a bisection-found
-multiplier. An edge with mask delta carries weight 1 - delta through the
-normalized adjacency (`AdjacencyLayout.normalized`, recorded on the mask's
-tape in a structure step), so delta = 1 reproduces deletion exactly. The
-final discrete graph is drawn once as a keep mask, edge e kept with
-probability 1 - delta_e.
+clips into the box and, when the budget binds, shifts by the multiplier
+that puts the clipped mass on the budget, solved exactly between the sorted
+kinks of that mass. An edge with mask delta carries weight 1 - delta
+through the normalized adjacency (`AdjacencyLayout.normalized`, recorded on
+the mask's tape in a structure step), so delta = 1 reproduces deletion
+exactly. The final discrete graph is drawn once as a keep mask, edge e kept
+with probability 1 - delta_e.
 
 The training signal is a self-training loss: cross-entropy on
 high-confidence nodes plus a neighborhood contrast that pulls each node
@@ -34,7 +35,7 @@ import numpy as np
 
 from .banks import MemoryBanks
 from .errors import ContractError, NumericalError, ShapeError
-from .graph_store import TargetGraph
+from .graph_store import TargetGraph, mask_fault
 from .numerics import (
     Tensor,
     add,
@@ -81,8 +82,11 @@ class AdaptationDeltas:
         delta_a = np.asarray(delta_a, dtype=np.float64).ravel()
         if not np.isfinite(delta_x).all():
             raise ContractError("feature delta must be finite")
-        if delta_a.size and (delta_a.min() < 0.0 or delta_a.max() > 1.0):
-            raise ContractError("edge mask entries must lie in [0,1]")
+        if not budget >= 0:  # NaN fails too
+            raise ContractError(f"budget must be nonnegative, got {budget}")
+        fault = mask_fault(delta_a)
+        if fault is not None:
+            raise ContractError(f"edge mask {fault[1]}")
         if delta_a.sum() > budget + 1e-6:
             raise ContractError(
                 f"edge mask mass {delta_a.sum():.6g} exceeds budget {budget:.6g}"
@@ -247,8 +251,8 @@ def loss_graph(
     through its argmax, which carries no gradient. An empty confident set
     contributes zero cross-entropy.
     """
-    if alpha < 0 or beta < 0:
-        raise ContractError(f"alpha and beta must be nonnegative, got {alpha}, {beta}")
+    if not (0.0 <= alpha < np.inf and 0.0 <= beta < np.inf):  # NaN fails too
+        raise ContractError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
     try:
         pv = p.value
     except AttributeError:
@@ -263,51 +267,54 @@ def loss_graph(
 
 
 def project_budget(v, budget: float) -> np.ndarray:
-    """Euclidean-style projection into { x in [0,1]^e : sum(x) <= budget }.
+    """Euclidean projection into { x in [0,1]^e : sum(x) <= budget }.
 
-    Clipping into the box suffices when the budget has slack; otherwise a
-    bisection on the shift multiplier drives the clipped sum onto the budget
-    to within 1e-9. Projecting a feasible point returns it unchanged.
+    Clipping into the box suffices when the budget has slack; otherwise the
+    projection is clip(v - gamma, 0, 1) for the gamma at which that mass
+    equals the budget. The mass is piecewise linear and nonincreasing in
+    gamma, with kinks at v - 1 (an entry leaves 1) and v (it reaches 0):
+    its value at every sorted kink is a suffix sum of slope times segment
+    length, and gamma is solved for on the one segment that crosses the
+    budget, in O(e log e). The sum then equals the budget to rounding, and
+    projecting the result again returns it to rounding. Projecting a
+    feasible point returns it unchanged.
+
+    A non-finite entry of `v` raises NumericalError; a negative or NaN
+    budget, ContractError.
     """
-    if budget < 0:
+    if not budget >= 0:  # NaN fails too
         raise ContractError(f"budget must be nonnegative, got {budget}")
     v = np.asarray(v, dtype=np.float64).ravel()
+    if not np.isfinite(v).all():
+        i = int(np.argmin(np.isfinite(v)))
+        raise NumericalError(f"edge mask step has non-finite entry {v[i]} at edge {i}")
     clipped = np.clip(v, 0.0, 1.0)
     if clipped.sum() <= budget:
         return clipped
-    # accept only the feasible side of the |residual| <= 1e-9 band, so the
-    # output sum never exceeds the budget and re-projection is a no-op
-    lo, hi = 0.0, float(v.max())
-    gamma = hi
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        residual = np.clip(v - mid, 0.0, 1.0).sum() - budget
-        if -1e-9 <= residual <= 0.0:
-            gamma = mid
-            break
-        if residual > 0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        gamma = hi  # residual(hi) <= 0, so the budget holds
-    return np.clip(v - gamma, 0.0, 1.0)
+    kinks = np.concatenate([v - 1.0, v])
+    order = np.argsort(kinks)
+    kinks = kinks[order]
+    inside = np.cumsum(np.where(order < v.size, 1, -1))[:-1]  # entries in (0,1) past each kink
+    mass = np.append(np.cumsum((inside * np.diff(kinks))[::-1])[::-1], 0.0)
+    j = np.count_nonzero(mass[1:] > budget)  # mass[j] > budget >= mass[j + 1]
+    return np.clip(v - (kinks[j] + (mass[j] - budget) / inside[j]), 0.0, 1.0)
 
 
 def pgd_step_structure(
-    deltas: AdaptationDeltas, grad: np.ndarray, step: float, budget: float
+    deltas: AdaptationDeltas, grad: np.ndarray, step: float
 ) -> AdaptationDeltas:
-    """Gradient step on the edge mask followed by the budget projection.
+    """Gradient step on the edge mask followed by the projection onto the
+    budget that `deltas` carries.
 
     A zero step size degenerates to re-projecting the current (feasible)
-    mask, which leaves it unchanged."""
+    mask, which leaves it unchanged to rounding."""
     if step < 0:
         raise ContractError(f"step size must be nonnegative, got {step}")
     grad = np.asarray(grad, dtype=np.float64).ravel()
     if grad.shape != deltas.delta_a.shape:
         raise ShapeError(f"mask grad {grad.shape} vs mask {deltas.delta_a.shape}")
-    new_a = project_budget(deltas.delta_a - step * grad, budget)
-    return AdaptationDeltas(deltas.delta_x, new_a, budget)
+    new_a = project_budget(deltas.delta_a - step * grad, deltas.budget)
+    return AdaptationDeltas(deltas.delta_x, new_a, deltas.budget)
 
 
 def feature_gd_step(

@@ -4,12 +4,13 @@ Graphs are undirected, without self-loops, with node features and optional
 integer class labels. The edges are one read-only (e, 2) int64 array of
 (min, max) pairs; row i is edge i for every mask and weight vector. One
 vectorized function, `edge_fault`, holds the edge rules for the constructor
-and the file reader alike. The features are one read-only, finite float64
-(n, d) array, checked where a graph is built, so no NaN enters the program
-through a graph. Every sparse matrix over a graph is its one
-`AdjacencyLayout` carrying values, and the normalized adjacency has one
-formula, `AdjacencyLayout.normalized`, written in tape ops: recorded on the
-tape of live edge weights, evaluated for constant ones.
+and the file reader alike, and one, `mask_fault`, the [0,1] rule (NaN
+failing it) for every edge mask and edge weight vector. The features are
+one read-only, finite float64 (n, d) array, checked where a graph is built,
+so no NaN enters the program through a graph. Every sparse matrix over a
+graph is its one `AdjacencyLayout` carrying values, and the normalized
+adjacency has one formula, `AdjacencyLayout.normalized`, written in tape
+ops: recorded on the tape of live edge weights, evaluated for constant ones.
 
 The text format is three UTF-8 files sharing a prefix (`.meta`, `.edges`,
 `.feat`) plus an optional `.labels`; floats are written with enough digits
@@ -48,6 +49,7 @@ __all__ = [
     "AdjacencyLayout",
     "normalize_adjacency",
     "edge_fault",
+    "mask_fault",
     "read_table",
     "load_graph",
     "save_graph",
@@ -86,6 +88,16 @@ def edge_fault(n: int, pairs: np.ndarray, repeat=None):
     if outside[i]:
         return i, f"edge ({u},{v}) endpoint outside [0,{n})"
     return i, f"duplicate undirected edge {(min(u, v), max(u, v))}"
+
+
+def mask_fault(values: np.ndarray):
+    """(index, reason) of the first entry outside [0,1], NaN included, or
+    None if every entry of an edge mask or edge weight vector lies in it."""
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, f"entry {values[i]} outside [0,1]"
 
 
 class TargetGraph:
@@ -260,8 +272,9 @@ def normalize_adjacency(g: TargetGraph, edge_weights=None) -> SparseAdjacency:
         w = np.asarray(edge_weights, dtype=np.float64).ravel()
         if w.shape != (e,):
             raise ContractError(f"expected {e} edge weights, got {w.shape}")
-        if w.size and (w.min() < 0.0 or w.max() > 1.0):
-            raise ContractError("edge weights must lie in [0,1]")
+        fault = mask_fault(w)
+        if fault is not None:
+            raise ContractError(f"edge weight {fault[1]}")
     return AdjacencyLayout(g.n, g.edges).normalized(w)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,16 @@ def quick_cfg(**kw):
     base = dict(epochs=3, seed=0)
     base.update(kw)
     return AdaptConfig(**base)
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(AdaptConfig) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_non_finite_float(name, value):
+    with pytest.raises(ContractError, match=name):
+        AdaptConfig(**{name: value})
 
 
 @pytest.fixture(scope="module")

@@ -159,6 +159,14 @@ class TestDeltas:
         d = AdaptationDeltas.zeros(3, 2, 4, 0.0)
         assert d.delta_a.sum() == 0.0
 
+    def test_nan_mask_entry(self):
+        with pytest.raises(ContractError):
+            AdaptationDeltas(np.zeros((2, 1)), np.array([0.5, np.nan]), 1.0)
+
+    def test_nan_budget(self):
+        with pytest.raises(ContractError):
+            AdaptationDeltas(np.zeros((2, 1)), np.zeros(1), np.nan)
+
 
 class TestApplyFeatureDelta:
     def test_zero_delta_identity(self, rng):
@@ -364,6 +372,14 @@ class TestLossGraph:
         out = graph_loss([[0.5, 0.5]], z, banks, conf, positives, 0.0, 0.7)
         assert out == pytest.approx(0.7, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5)])
+    def test_non_finite_weight(self, alpha, beta):
+        banks = MemoryBanks(np.eye(2), np.eye(2), 0.9)
+        conf = ConfidentSet(np.array([0]), np.array([0]))
+        positives = np.zeros((2, 0), dtype=int)
+        with pytest.raises(ContractError):
+            graph_loss(np.eye(2), np.eye(2), banks, conf, positives, alpha, beta)
+
 
 class TestClosedFormContrast:
     def inputs(self, rng, n=40, h=6, c=3, k=4):
@@ -454,27 +470,87 @@ class TestProjectBudget:
             project_budget([0.5], -1.0)
 
 
+def exact_projection_cases():
+    """(name, v, budget) for the exact projection at e = 1, 50 and 20,000."""
+    rng = np.random.default_rng(14)
+    for e in (1, 50, 20_000):
+        grid = np.round(rng.uniform(-0.5, 1.5, e), 1)  # heavy ties
+        yield f"grid-{e}", grid, 0.3 * np.clip(grid, 0.0, 1.0).sum()
+        yield f"equal-{e}", np.full(e, 0.7), 0.25 * e
+        yield f"zero-budget-{e}", rng.uniform(-0.5, 1.5, e), 0.0
+        yield f"above-one-{e}", rng.uniform(1.001, 3.0, e), 0.4 * e
+        yield f"all-but-full-{e}", rng.uniform(1.0, 3.0, e), np.nextafter(float(e), 0.0)
+        # entries on both kinks of gamma = 0.25 (out 0 and out 1), between and below
+        kinks = np.array([0.25, 1.25, 0.25 + rng.uniform(0.01, 0.99), rng.uniform(-1.0, 0.2)])
+        v = kinks[np.arange(e) % 4]
+        yield f"on-kinks-{e}", v, np.clip(v - 0.25, 0.0, 1.0).sum()
+
+
+EXACT_CASES = list(exact_projection_cases())
+
+
+class TestExactProjection:
+    @pytest.mark.parametrize(
+        "v, budget", [case[1:] for case in EXACT_CASES], ids=[case[0] for case in EXACT_CASES]
+    )
+    def test_projection_properties(self, v, budget):
+        out = project_budget(v, budget)
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        if np.clip(v, 0.0, 1.0).sum() <= budget:
+            assert np.array_equal(out, np.clip(v, 0.0, 1.0))
+            return
+        assert abs(out.sum() - budget) <= 1e-9 * max(1.0, budget)
+        interior = (out > 0.0) & (out < 1.0)
+        if interior.any():  # one multiplier, and every other entry on its side of it
+            gamma = v[interior] - out[interior]
+            assert np.ptp(gamma) <= 1e-12
+            assert (v[out == 0.0] <= gamma[0] + 1e-12).all()
+            assert (v[out == 1.0] >= gamma[0] + 1.0 - 1e-12).all()
+        if v.size <= 50:
+            assert np.max(np.abs(out - grid_project_oracle(v, budget))) <= 1e-5
+        assert np.max(np.abs(project_budget(out, budget) - out)) <= 1e-9
+
+    def test_entries_on_the_kinks(self):
+        for name, v, budget in EXACT_CASES:
+            if name.startswith("on-kinks"):
+                expected = np.clip(v - 0.25, 0.0, 1.0)
+                assert np.max(np.abs(project_budget(v, budget) - expected)) <= 1e-12, name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(NumericalError):
+            project_budget([0.5, bad, 0.2], 1.0)
+
+    def test_nan_budget(self):
+        with pytest.raises(ContractError):
+            project_budget([0.9, 0.9], np.nan)
+
+
 class TestSteps:
     def deltas(self):
         return AdaptationDeltas(np.zeros((3, 2)), np.array([0.1, 0.2]), 1.0)
 
     def test_pgd_zero_grad_fixed_point(self):
         d = self.deltas()
-        out = pgd_step_structure(d, np.zeros(2), 0.05, 1.0)
+        out = pgd_step_structure(d, np.zeros(2), 0.05)
         assert np.allclose(out.delta_a, d.delta_a, atol=1e-12)
 
     def test_pgd_zero_step(self):
         d = self.deltas()
-        out = pgd_step_structure(d, np.array([5.0, -3.0]), 0.0, 1.0)
+        out = pgd_step_structure(d, np.array([5.0, -3.0]), 0.0)
         assert np.array_equal(out.delta_a, d.delta_a)
 
     def test_pgd_saturation_under_headroom(self):
         d = AdaptationDeltas(np.zeros((3, 2)), np.zeros(3), 0.4)
         grad = np.array([-1000.0, 0.0, 0.0])
-        out = pgd_step_structure(d, grad, 0.01, 0.4)
+        out = pgd_step_structure(d, grad, 0.01)
         assert out.delta_a[0] == pytest.approx(0.4, abs=1e-8)  # headroom binds
-        big = pgd_step_structure(AdaptationDeltas(np.zeros((3, 2)), np.zeros(3), 3.0), grad, 0.01, 3.0)
+        big = pgd_step_structure(AdaptationDeltas(np.zeros((3, 2)), np.zeros(3), 3.0), grad, 0.01)
         assert big.delta_a[0] == pytest.approx(1.0, abs=1e-12)  # box binds
+
+    def test_pgd_nan_step(self):
+        with pytest.raises(NumericalError):
+            pgd_step_structure(self.deltas(), np.array([1.0, -1.0]), np.nan)
 
     def test_feature_step_examples(self, rng):
         d = AdaptationDeltas(np.zeros((2, 2)), np.zeros(0), 0.0)

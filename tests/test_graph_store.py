@@ -13,6 +13,7 @@ from graphsfda.graph_store import (
     TargetGraph,
     load_graph,
     make_shift_pair,
+    mask_fault,
     normalize_adjacency,
     read_table,
     read_text,
@@ -294,6 +295,13 @@ class TestNormalizeAdjacency:
         with pytest.raises(ContractError):
             normalize_adjacency(g, bad)
 
+    def test_nan_weight(self, rng):
+        g = random_graph(rng, 5, 2, 2)
+        bad = np.ones(g.num_edges)
+        bad[-1] = np.nan
+        with pytest.raises(ContractError):
+            normalize_adjacency(g, bad)
+
     def test_exactly_symmetric(self, rng):
         g = random_graph(rng, 20, 2, 2, edge_p=0.4)
         w = rng.uniform(0.0, 1.0, g.num_edges)
@@ -311,6 +319,13 @@ class TestNormalizeAdjacency:
         g = TargetGraph(n, [(i, (i + 1) % n) for i in range(n)], np.zeros((n, 1)), None, 1)
         sums = normalize_adjacency(g).densify().sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+
+def test_mask_fault_names_first_entry_outside_unit_interval():
+    assert mask_fault(np.array([0.0, 1.0, 0.5])) is None
+    assert mask_fault(np.zeros(0)) is None
+    assert mask_fault(np.array([0.2, np.nan, 1.5])) == (1, "entry nan outside [0,1]")
+    assert mask_fault(np.array([1.0, -0.0, -1e-300]))[0] == 2
 
 
 class TestFileFormat:
