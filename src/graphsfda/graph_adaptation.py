@@ -308,25 +308,43 @@ def pgd_step_structure(
 
     A zero step size degenerates to re-projecting the current (feasible)
     mask, which leaves it unchanged to rounding."""
-    if step < 0:
-        raise ContractError(f"step size must be nonnegative, got {step}")
+    _require_step(step)
     grad = np.asarray(grad, dtype=np.float64).ravel()
     if grad.shape != deltas.delta_a.shape:
         raise ShapeError(f"mask grad {grad.shape} vs mask {deltas.delta_a.shape}")
-    new_a = project_budget(deltas.delta_a - step * grad, deltas.budget)
+    with np.errstate(over="ignore", invalid="ignore"):  # project_budget names it
+        stepped = deltas.delta_a - step * grad
+    new_a = project_budget(stepped, deltas.budget)
     return AdaptationDeltas(deltas.delta_x, new_a, deltas.budget)
 
 
 def feature_gd_step(
     deltas: AdaptationDeltas, grad: np.ndarray, step: float
 ) -> AdaptationDeltas:
-    """Unconstrained gradient step on the feature offset."""
-    if step < 0:
-        raise ContractError(f"step size must be nonnegative, got {step}")
+    """Unconstrained gradient step on the feature offset.
+
+    A non-finite entry of the new offset raises NumericalError naming it."""
+    _require_step(step)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != deltas.delta_x.shape:
         raise ShapeError(f"feature grad {grad.shape} vs delta {deltas.delta_x.shape}")
-    return AdaptationDeltas(deltas.delta_x - step * grad, deltas.delta_a, deltas.budget)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        new_x = deltas.delta_x - step * grad
+    finite = np.isfinite(new_x)
+    if not finite.all():
+        node, feature = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NumericalError(
+            f"feature step has non-finite entry {new_x[node, feature]} "
+            f"at node {node}, feature {feature}"
+        )
+    return AdaptationDeltas(new_x, deltas.delta_a, deltas.budget)
+
+
+def _require_step(step: float) -> None:
+    """A negative step size is a ContractError, a NaN one a NumericalError."""
+    if not step >= 0:  # NaN fails too
+        kind = NumericalError if np.isnan(step) else ContractError
+        raise kind(f"step size must be nonnegative, got {step}")
 
 
 def finalize_structure(g: TargetGraph, deltas: AdaptationDeltas, seed: int) -> np.ndarray:

@@ -8,7 +8,8 @@ InfoNCE-style term whose denominator holds only negatives (the remaining
 prototypes and the other instances), so its value can legitimately be
 negative. The instance half of that denominator is one
 `numerics.exp_sum_others` over the whole graph or a sampled batch: it
-streams row blocks, so no n x n (or n x batch) array is kept.
+streams row blocks, so no n x n (or n x batch) array is kept, and over the
+whole graph it computes each unordered node pair once.
 
 Loss functions take tensors recorded on a tape and return tensors on it;
 read a value off one with `numerics.evaluate`. Selection steps (argmax
@@ -155,8 +156,7 @@ def loss_instance_prototype(
     pos_exp = exp(mul_scalar(pos, inv_tau))
     proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)
 
-    cols = np.arange(n) if batch_indices is None else batch_indices
-    inst_sum = exp_sum_others(zn, cols, inv_tau)
+    inst_sum = exp_sum_others(zn, batch_indices, inv_tau)
     denom = add(proto_sum, inst_sum)
     if include_positive_in_denominator:
         denom = add(denom, pos_exp)

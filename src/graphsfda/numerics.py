@@ -22,7 +22,8 @@ bitwise equal to it.
 One fused op, `exp_sum_others`, sums `exp(scale * a_i . a_j)` over a set of
 columns j other than i without holding the n x m matrix: it works through
 row blocks in the forward pass and recomputes each block in the backward
-pass, so the instance contrast needs O(n * block) memory.
+pass, so the instance contrast needs O(n * block) memory. Over every node
+it computes each unordered pair once, in upper-triangular strips.
 
 Every op takes `Tensor` operands only. A tape records two kinds of input:
 `leaf`, a value that is differentiated, and `constant`, one that is not (the
@@ -531,50 +532,107 @@ def log_clamped(a, floor: float = 1e-12):
 def exp_sum_others(a, cols, scale: float):
     """The n x 1 column `out[i]` = sum over j with `cols[j] != i` of
     `exp(scale * a_i . a_cols[j])`: row i of `exp(scale * a a[cols]^T)`
-    summed with the entries that pair i with itself left out.
+    summed with the entries that pair i with itself left out. `cols` None
+    means every node, j = 0..n-1.
 
     A plain sum of exponentials, without a max-shift, so it overflows where
     the dense formula does. Works through EXP_SUM_BLOCK_ROWS rows at a time
     and keeps none of them: the backward pass recomputes each block and
     pulls it into both the row operand and the gathered columns, the
     blockwise recomputation of the online softmax (Milakov & Gimelshein,
-    arXiv 1805.02867) and FlashAttention (Dao et al., arXiv 2205.14135)."""
+    arXiv 1805.02867) and FlashAttention (Dao et al., arXiv 2205.14135).
+
+    Over every node the matrix E of the pairs j != i is symmetric, so each
+    unordered pair is computed once: rows [s, s+B) meet only columns
+    [s, n), with the pairs j <= i zeroed (by assignment, so an overflowing
+    self pair cannot turn the sum into NaN). The strip's row sums go to
+    its rows and its column sums to its columns, and the gradient
+    `scale * (g * (E a) + E (g * a))` is one product of E with [a | g * a]
+    taken strip by strip, once as the strip and once as its transpose."""
     tape = _tape_of(a)
     av = a.value
+    n = av.shape[0]
+    if cols is None:
+        out = np.zeros((n, 1))
+        for start, stop, strip in _upper_strips(av, scale):
+            out[start:stop, 0] += strip.sum(axis=1)
+            out[start:, 0] += strip.sum(axis=0)
+
+        def pull(g):
+            h = av.shape[1]
+            x = np.concatenate([av, g * av], axis=1)
+            y = np.zeros_like(x)
+            for start, stop, strip in _upper_strips(av, scale):
+                y[start:stop] += strip @ x[start:]
+                y[start:] += strip.T @ x[start:stop]
+            ga = g * y[:, :h]
+            ga += y[:, h:]
+            ga *= scale
+            return ga
+
+        return tape._record(out, [(a.index, pull)])
+
     idx = np.asarray(cols, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("exp_sum_others cols must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ContractError("exp_sum_others column id out of range")
-    n, block = av.shape[0], EXP_SUM_BLOCK_ROWS
     b = av[idx]
     out = np.empty((n, 1))
-    for start in range(0, n, block):
-        out[start : start + block, 0] = _exp_block(av, b, idx, start, block, scale).sum(axis=1)
+    for start, stop, block in _column_blocks(av, b, idx, scale):
+        out[start:stop, 0] = block.sum(axis=1)
 
     def pull(g):
         b = av[idx]
         ga = np.empty_like(av)
         gb = np.zeros_like(b)
-        for start in range(0, n, block):
-            w = _exp_block(av, b, idx, start, block, scale)
-            w *= g[start : start + block] * scale
-            ga[start : start + block] = w @ b
-            gb += w.T @ av[start : start + block]
+        for start, stop, w in _column_blocks(av, b, idx, scale):
+            w *= g[start:stop] * scale
+            ga[start:stop] = w @ b
+            gb += w.T @ av[start:stop]
         np.add.at(ga, idx, gb)
         return ga
 
     return tape._record(out, [(a.index, pull)])
 
 
-def _exp_block(av, b, cols, start, block, scale):
-    """`exp(scale * av[start:start+block] @ b^T)`, zero where `cols[j]` is
-    the row's own index."""
-    e = av[start : start + block] @ b.T
+def _upper_strips(av, scale):
+    """Yield `(start, stop, strip)` per EXP_SUM_BLOCK_ROWS rows: the strip
+    is `exp(scale * av[start:stop] @ av[start:]^T)` with the pairs j <= i,
+    the leading lower triangle and diagonal, zeroed. Every strip is a view
+    of one buffer, valid until the next is yielded."""
+    n, block = av.shape[0], EXP_SUM_BLOCK_ROWS
+    buf = np.empty(min(block, n) * n)
+    lower = np.tri(min(block, n), dtype=bool)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        strip = _exp_block(av[start:stop], av[start:], scale, buf)
+        m = stop - start
+        strip[:, :m][lower[:m, :m]] = 0.0
+        yield start, stop, strip
+
+
+def _column_blocks(av, b, cols, scale):
+    """Yield `(start, stop, block)` per EXP_SUM_BLOCK_ROWS rows: the block
+    is `exp(scale * av[start:stop] @ b^T)`, zero where `cols[j]` is the
+    row's own index. Every block is a view of one buffer, valid until the
+    next is yielded."""
+    n, block = av.shape[0], EXP_SUM_BLOCK_ROWS
+    buf = np.empty(min(block, n) * b.shape[0])
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        e = _exp_block(av[start:stop], b, scale, buf)
+        own = np.flatnonzero((cols >= start) & (cols < stop))
+        e[cols[own] - start, own] = 0.0
+        yield start, stop, e
+
+
+def _exp_block(rows, b, scale, buf):
+    """`exp(scale * rows @ b^T)`, computed in the front of the flat `buf`."""
+    e = buf[: rows.shape[0] * b.shape[0]].reshape(rows.shape[0], b.shape[0])
+    np.matmul(rows, b.T, out=e)
     e *= scale
     np.exp(e, out=e)
-    own = np.flatnonzero((cols >= start) & (cols < start + e.shape[0]))
-    e[cols[own] - start, own] = 0.0
     return e
 
 

@@ -548,9 +548,39 @@ class TestSteps:
         big = pgd_step_structure(AdaptationDeltas(np.zeros((3, 2)), np.zeros(3), 3.0), grad, 0.01)
         assert big.delta_a[0] == pytest.approx(1.0, abs=1e-12)  # box binds
 
+    def test_pgd_overflow(self):
+        # finite operands whose step overflows, without a RuntimeWarning
+        with pytest.raises(NumericalError, match="non-finite entry -inf at edge 1"):
+            pgd_step_structure(self.deltas(), np.array([0.0, 1e308]), 1e10)
+
     def test_pgd_nan_step(self):
         with pytest.raises(NumericalError):
             pgd_step_structure(self.deltas(), np.array([1.0, -1.0]), np.nan)
+
+    @pytest.mark.parametrize("which,step", [
+        ("structure", -0.1), ("feature", -0.1), ("feature", np.nan),  # structure NaN: above
+    ], ids=["structure-negative", "feature-negative", "feature-nan"])
+    def test_bad_step_size(self, which, step):
+        d = self.deltas()
+        kind = NumericalError if np.isnan(step) else ContractError
+        with pytest.raises(kind, match="step size"):
+            if which == "structure":
+                pgd_step_structure(d, np.zeros(2), step)
+            else:
+                feature_gd_step(d, np.zeros((3, 2)), step)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_feature_step_non_finite_gradient(self, bad):
+        grad = np.zeros((3, 2))
+        grad[1, 0] = bad
+        grad[2, 1] = bad  # only the first bad entry is named
+        with pytest.raises(NumericalError, match="at node 1, feature 0"):
+            feature_gd_step(self.deltas(), grad, 0.1)
+
+    def test_feature_step_overflow(self):
+        # finite operands whose step overflows
+        with pytest.raises(NumericalError, match="entry -inf at node 0, feature 1"):
+            feature_gd_step(self.deltas(), np.array([[0.0, 1e308], [0, 0], [0, 0]]), 1e10)
 
     def test_feature_step_examples(self, rng):
         d = AdaptationDeltas(np.zeros((2, 2)), np.zeros(0), 0.0)

@@ -261,6 +261,7 @@ OPS = {
     "log": (log, [(2, 2)]),
     "log_clamped": (log_clamped, [(2, 2)]),
     "exp_sum_others": (lambda a: exp_sum_others(a, np.array([0, 1]), 1.0), [(2, 2)]),
+    "exp_sum_others-all": (lambda a: exp_sum_others(a, None, 1.0), [(2, 2)]),
     "pow_scalar": (lambda a: pow_scalar(a, 2.0), [(2, 2)]),
     "row_sum": (row_sum, [(2, 2)]),
     "sum_all": (sum_all, [(2, 2)]),
@@ -498,26 +499,75 @@ def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
 
 EXP_SUM_COLS = {
     "full": np.arange(7),
+    "all": None,  # every node, each unordered pair computed once
     "batch-with-own-rows": np.array([5, 0, 3, 3]),  # rows 0, 3 and 5 leave out their own
     "batch-of-one": np.array([6]),  # row 6 has nothing left to sum
 }
+
+
+def dense_exp_others(a0, cols, scale):
+    """The dense n x m matrix that `exp_sum_others` sums, self pairs zeroed."""
+    idx = np.arange(a0.shape[0]) if cols is None else cols
+    own = idx[None, :] == np.arange(a0.shape[0])[:, None]
+    with np.errstate(over="ignore"):  # an overflowing self pair is zeroed
+        return np.where(own, 0.0, np.exp(scale * a0 @ a0[idx].T))
+
+
+def check_exp_sum_others(rng, a0, cols):
+    """Gradient against finite differences, value against the dense sum."""
+    weight = rng.uniform(0.5, 1.5, size=(a0.shape[0], 1))  # a different upstream gradient per row
+    def f(a):
+        return sum_all(mul(exp_sum_others(a, cols, 0.7), a.tape.constant(weight)))
+
+    assert grad_check(f, a0) <= 1e-6
+    value = numerics.evaluate(lambda a: exp_sum_others(a, cols, 0.7), a0)
+    dense = dense_exp_others(a0, cols, 0.7).sum(axis=1, keepdims=True)
+    assert np.allclose(value, dense, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 12], ids=["block1", "block3", "block-n", "block-n+5"])
 @pytest.mark.parametrize("cols", list(EXP_SUM_COLS))
 def test_exp_sum_others_gradient(rng, monkeypatch, cols, block):
     monkeypatch.setattr(numerics, "EXP_SUM_BLOCK_ROWS", block)
-    idx = EXP_SUM_COLS[cols]
-    weight = rng.uniform(0.5, 1.5, size=(7, 1))  # a different upstream gradient per row
-    a0 = rng.standard_normal((7, 3))
-    def f(a):
-        return sum_all(mul(exp_sum_others(a, idx, 0.7), a.tape.constant(weight)))
+    check_exp_sum_others(rng, rng.standard_normal((7, 3)), EXP_SUM_COLS[cols])
 
-    assert grad_check(f, a0) <= 1e-6
-    own = idx[None, :] == np.arange(7)[:, None]
-    dense = np.where(own, 0.0, np.exp(0.7 * a0 @ a0[idx].T)).sum(axis=1, keepdims=True)
-    value = numerics.evaluate(lambda a: exp_sum_others(a, idx, 0.7), a0)
-    assert np.allclose(value, dense, rtol=1e-14, atol=0.0)
+
+@pytest.mark.parametrize("n", [1, 4, 5], ids=["one-node", "n=block", "n=block+1"])
+def test_exp_sum_others_all_nodes_at_block_edges(rng, monkeypatch, n):
+    monkeypatch.setattr(numerics, "EXP_SUM_BLOCK_ROWS", 4)
+    a0 = rng.standard_normal((n, 3))
+    check_exp_sum_others(rng, a0, None)
+    if n == 1:
+        tape = Tape()
+        a = tape.leaf(a0)
+        out = exp_sum_others(a, None, 0.7)
+        backward(tape, sum_all(out))
+        assert out.value[0, 0] == 0.0 and np.array_equal(a.grad, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("cols", ["all", "full"])
+def test_exp_sum_others_self_overflow_stays_finite(rng, monkeypatch, cols):
+    # unit rows at 1/tau = 800: every exp(800 * a_i . a_i) overflows, the
+    # off-diagonal pairs (cosines below 709 / 800) do not
+    monkeypatch.setattr(numerics, "EXP_SUM_BLOCK_ROWS", 3)
+    n, scale = 7, 800.0
+    a0 = rng.standard_normal((n, 8))
+    a0 /= np.linalg.norm(a0, axis=1, keepdims=True)
+    cos = a0 @ a0.T
+    assert np.max(cos[~np.eye(n, dtype=bool)]) < 709.0 / scale
+    idx = EXP_SUM_COLS[cols]
+    tape = Tape()
+    a = tape.leaf(a0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = exp_sum_others(a, idx, scale)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        backward(tape, sum_all(out))
+    e = dense_exp_others(a0, idx, scale)
+    assert np.all(np.isfinite(e))
+    assert np.allclose(out.value, e.sum(axis=1, keepdims=True), rtol=1e-12, atol=0.0)
+    dense_grad = 2.0 * scale * (e @ a0)  # upstream gradient 1, E symmetric
+    assert np.all(np.isfinite(a.grad))
+    assert np.allclose(a.grad, dense_grad, rtol=1e-12, atol=0.0)
 
 
 def test_exp_sum_others_rejects_bad_columns():
