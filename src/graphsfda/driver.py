@@ -12,7 +12,11 @@ differentiates it; a further model step in the same epoch records its own.
 After the last epoch the continuous edge mask is sampled once into a keep
 mask, and the final forward pass reads it off the same layout as 0/1 edge
 weights, which equals the forward pass over the refined graph with the
-dropped edges deleted. The report carries the keep mask for export.
+dropped edges deleted. When the keep mask equals the last epoch's edge
+weights (the mask is integral), that epoch's recorded pass already read
+this adjacency and gives the predictions, so a labelled run with one model
+step per epoch makes epochs + 1 forward passes, otherwise epochs + 2. The
+report carries the keep mask for export.
 """
 
 from __future__ import annotations
@@ -165,10 +169,13 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     epochs at zero the predictions coincide bit-for-bit with the unadapted
     model on the unmodified graph.
 
-    A labelled run with one model step per epoch makes epochs + 2 forward
-    passes: one for the banks, one per epoch that serves both its accuracy
-    and the next epoch's model step, and the final prediction. No forward
-    tape is kept past the model steps into the graph steps.
+    A labelled run with one model step per epoch makes epochs + 1 forward
+    passes when the edge mask is integral, otherwise epochs + 2: one for
+    the banks, one per epoch that serves both its accuracy and the next
+    epoch's model step, and the final prediction, unless the sampled keep
+    mask equals the last epoch's edge weights (always so without structure
+    steps or with a zero budget) and that epoch's pass is reused. No
+    forward tape is kept past the model steps into the graph steps.
     """
     if model.input_dim != g.feature_dim:
         raise ContractError(
@@ -256,10 +263,14 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         else:
             quiet_epochs = 0
 
-    recorded = None  # the final prediction reads another adjacency
     keep = finalize_structure(g, deltas, finalize_seed)
     refined = TargetGraph(n, g.edges[keep], x_prime, g.labels, g.num_classes)
-    fo = forward(model, layout.normalized(keep.astype(np.float64)), refined.features)
+    if recorded is not None and np.array_equal(keep, weights):
+        # the last pass already read these 0/1 weights, features and model
+        fo = recorded_outputs(recorded)
+    else:
+        recorded = None  # the final prediction reads another adjacency
+        fo = forward(model, layout.normalized(keep.astype(np.float64)), refined.features)
     predictions = np.argmax(fo.predictions, axis=1)
     report.edges_deleted = e - refined.num_edges
     if g.labels is not None:

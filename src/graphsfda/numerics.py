@@ -31,7 +31,11 @@ active and passive inputs of reverse-mode differentiation; Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., 2008). An op drops every pull
 into a constant, and an op left with no pull is itself a constant, so a
 product of constants records nothing to differentiate and `backward` leaves
-the `.grad` of every constant at None. `evaluate(f, *values)` runs a
+the `.grad` of every constant at None. The reverse sweep holds only the
+gradient frontier, the adjoints not yet propagated: an op's gradient is
+dropped as soon as it has been pulled into the op's operands, so only leaves
+keep a `.grad` and the sweep never holds one gradient per node (Griewank &
+Walther; Chen et al., arXiv 1604.06174). `evaluate(f, *values)` runs a
 function on plain values through a fresh tape. `grad_check` compares
 `backward` against central finite differences and is the ground truth for
 every composite loss built on top of this module.
@@ -121,12 +125,6 @@ class SparseAdjacency:
         """Row id of every stored entry, in storage order."""
         return self._rows_expanded
 
-    def densify(self) -> np.ndarray:
-        values = self.values.value if isinstance(self.values, Tensor) else self.values
-        out = np.zeros((self.n, self.n))
-        out[self._rows_expanded, self.col_indices] = values.ravel()
-        return out
-
 
 class _JaggedDiagonals:
     """Jagged-diagonal (JDS) index of a sparse product's stored entries.
@@ -162,7 +160,8 @@ class _JaggedDiagonals:
         row i's entries e, accumulated from 0.0 in row order.
 
         Each diagonal is gathered into one preallocated n x h buffer,
-        multiplied and added in place, so no diagonal allocates. The gather
+        multiplied and added in place, so no diagonal allocates, and the
+        finished rows are permuted back into the buffer. Each gather
         uses `mode="clip"` because NumPy buffers the output of a `take` in
         its default mode "raise"; no index is ever clipped, since
         `SparseAdjacency` range-checks the column indices the tables are
@@ -178,7 +177,7 @@ class _JaggedDiagonals:
             np.take(x, self.sources[lo:hi], axis=0, out=b, mode="clip")
             np.multiply(b, v[lo:hi], out=b)
             np.add(o, b, out=o)
-        return out[self.inverse]
+        return np.take(out, self.inverse, axis=0, out=buf, mode="clip")
 
 
 def _entry_values(values, nnz: int):
@@ -273,12 +272,14 @@ class Tape:
 
 
 def backward(tape: Tape, scalar_output: Tensor) -> None:
-    """Populate `.grad` on every node of `tape` from a 1x1 output.
+    """Populate `.grad` on every leaf of `tape` from a 1x1 output.
 
-    Unreachable live nodes get zero gradients; constants keep `.grad` None.
-    The reverse sweep visits nodes in strictly decreasing index order with
-    plain array accumulation, so two runs over the same tape produce
-    bit-identical gradients.
+    Unreachable leaves get zero gradients; constants and op outputs get
+    `.grad` None. The reverse sweep visits nodes in strictly decreasing
+    index order with plain array accumulation, so two runs over the same
+    tape produce bit-identical gradients. It holds only the gradient
+    frontier: an op's gradient is dropped as soon as its pulls have run,
+    so the sweep keeps the adjoints not yet propagated, not one per node.
     """
     if _tape_of(scalar_output) is not tape:
         raise ContractError("output must be a Tensor recorded on this tape")
@@ -289,17 +290,18 @@ def backward(tape: Tape, scalar_output: Tensor) -> None:
     grads: list = [None] * len(tape.nodes)
     grads[scalar_output.index] = np.ones((1, 1))
     for k in range(scalar_output.index, -1, -1):
-        g = grads[k]
-        if g is None:
-            continue
-        for parent_index, vjp in tape._pulls[k] or ():
+        g, pulls = grads[k], tape._pulls[k]
+        if g is None or not pulls:
+            continue  # unreached, or a leaf, which keeps its gradient
+        grads[k] = None  # the frontier moves past an op once its pulls have run
+        for parent_index, vjp in pulls:
             contrib = vjp(g)
             if grads[parent_index] is None:
                 grads[parent_index] = contrib
             else:
                 grads[parent_index] = grads[parent_index] + contrib
     for node, pulls, g in zip(tape.nodes, tape._pulls, grads):
-        if g is None and pulls is not None:
+        if g is None and pulls == []:
             g = np.zeros_like(node.value)
         node.grad = g
 
@@ -458,8 +460,14 @@ def l2_normalize_rows(a, eps: float = 1e-12):
     out = np.where(small, av, av / safe)
 
     def pull(g, y=out, small=small, safe=safe):
-        projected = (g - y * (y * g).sum(axis=1, keepdims=True)) / safe
-        return np.where(small, g, projected)
+        # (g - y * rowsum(y * g)) / safe, with g itself on the small rows,
+        # built in one n x k buffer
+        projected = y * g
+        np.multiply(y, projected.sum(axis=1, keepdims=True), out=projected)
+        np.subtract(g, projected, out=projected)
+        projected /= safe
+        np.copyto(projected, g, where=small)
+        return projected
 
     return tape._record(out, [(a.index, pull)])
 

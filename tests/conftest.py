@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphsfda.graph_store import TargetGraph
+from graphsfda.numerics import Tensor
 
 
 def random_graph(rng, n, d, num_classes, edge_p=0.3, labelled=True):
@@ -22,6 +25,30 @@ def transposed(a):
     """a^T recorded on a's tape. Only the dense test oracles build z z^T, so
     the op lives here and not in `graphsfda.numerics`."""
     return a.tape._record(a.value.T.copy(), [(a.index, lambda g: g.T.copy())])
+
+
+def densify(adj):
+    """The dense n x n matrix of a `SparseAdjacency`. Only the tests compare
+    against dense matrices, so this lives here and not in
+    `graphsfda.numerics`."""
+    values = adj.values.value if isinstance(adj.values, Tensor) else adj.values
+    out = np.zeros((adj.n, adj.n))
+    out[adj.rows_expanded(), adj.col_indices] = values.ravel()
+    return out
+
+
+def traced_peak(fn):
+    """`(fn(), peak)`: `peak` is the most memory, in bytes, that tracemalloc
+    saw allocated while `fn` ran, above what it saw when `fn` started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

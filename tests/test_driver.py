@@ -93,10 +93,18 @@ class TestDeterminism:
 
 
 class TestForwardPasses:
-    @pytest.mark.parametrize("model_steps, passes", [(1, 3 + 2), (2, 2 * 3 + 2)])
-    def test_one_forward_per_model_state(self, fixture_pair, monkeypatch, model_steps, passes):
+    @pytest.mark.parametrize(
+        "model_steps, structure_steps, passes",
+        [(1, 0, 3 + 1), (2, 0, 2 * 3 + 1), (1, 1, 3 + 2 + 3)],
+    )
+    def test_one_forward_per_model_state(
+        self, fixture_pair, monkeypatch, model_steps, structure_steps, passes
+    ):
         # per epoch one pass serves the accuracy and the next model step; a
-        # second model step records its own; plus the banks and the final pass
+        # second model step records its own; plus the banks pass. The final
+        # prediction reuses the last epoch's pass while the edge mask stays
+        # integral; a structure step makes it fractional, so the final pass
+        # runs, and each structure step records a pass of its own
         calls = []
         original = gnn.forward_on_tape
 
@@ -107,9 +115,38 @@ class TestForwardPasses:
         for module in (driver, gnn):
             monkeypatch.setattr(module, "forward_on_tape", counted)
         model, tgt = fixture_pair
-        cfg = quick_cfg(epochs=3, model_steps=model_steps, feature_steps=0, structure_steps=0)
-        adapt(model, tgt, cfg)
+        cfg = quick_cfg(
+            epochs=3, model_steps=model_steps, feature_steps=0, structure_steps=structure_steps
+        )
+        _, _, _, report = adapt(model, tgt, cfg)
+        weights = driver.apply_structure_delta(tgt, report.deltas)
+        assert np.array_equal(report.keep, weights) == (structure_steps == 0)
         assert len(calls) == passes
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(structure_steps=0), dict(structure_steps=1, budget_fraction=0.0)],
+        ids=["no-structure-step", "zero-budget"],
+    )
+    def test_reused_pass_equals_final_forward(self, fixture_pair, monkeypatch, overrides):
+        outputs = []
+        original = gnn.recorded_outputs
+
+        def kept(recorded):
+            outputs.append(original(recorded))
+            return outputs[-1]
+
+        def no_final_pass(*args):
+            raise AssertionError("the final prediction ran a pass of its own")
+
+        monkeypatch.setattr(driver, "recorded_outputs", kept)
+        monkeypatch.setattr(driver, "forward", no_final_pass)
+        model, tgt = fixture_pair
+        adapted, refined, pred, report = adapt(model, tgt, quick_cfg(**overrides))
+        keep = report.keep.astype(float)
+        fo = forward(adapted, normalize_adjacency(tgt, keep), refined.features)
+        assert outputs[-1].predictions.tobytes() == fo.predictions.tobytes()
+        assert np.array_equal(pred, np.argmax(fo.predictions, axis=1))
 
 
 class TestInvariantsAndReport:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -41,7 +39,7 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import random_graph
+from conftest import random_graph, traced_peak
 
 
 def grid_project_oracle(v, budget, step=1e-6):
@@ -422,18 +420,16 @@ def test_graph_loss_memory_below_one_dense_matrix(rng):
     banks = MemoryBanks(rng.standard_normal((n, h)), rng.dirichlet(np.ones(c), n), 0.9)
     z0 = rng.standard_normal((n, h))
     p0 = rng.dirichlet(np.full(c, 0.3), n)
-    tracemalloc.start()
-    try:
-        tape = Tape()
-        z, p = tape.leaf(z0), tape.leaf(p0)
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+    tape = Tape()
+    z, p = tape.leaf(z0), tape.leaf(p0)
+
+    def graph_step():
         conf = select_confident(p.value, 0.9)
         positives = knn_positives(z.value, banks, 5)
         backward(tape, loss_graph(p, z, banks, conf, positives, 0.5, 0.5))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+        return conf
+
+    conf, peak = traced_peak(graph_step)
     assert len(conf) and peak < n * n * 8  # one dense n x n float64 array
 
 

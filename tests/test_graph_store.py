@@ -21,7 +21,7 @@ from graphsfda.graph_store import (
     split_nodes,
 )
 
-from conftest import random_graph
+from conftest import densify, random_graph
 
 
 def per_line_edge_scan(text, n):
@@ -265,27 +265,27 @@ class TestTargetGraph:
     def test_empty_edge_list(self, edges):
         g = TargetGraph(3, edges, np.zeros((3, 1)), None, 2)
         assert g.edges.shape == (0, 2) and g.num_edges == 0
-        assert np.array_equal(normalize_adjacency(g).densify(), np.eye(3))
+        assert np.array_equal(densify(normalize_adjacency(g)), np.eye(3))
 
 
 class TestNormalizeAdjacency:
     def test_isolated_node(self):
         adj = normalize_adjacency(single_node_graph())
-        assert np.array_equal(adj.densify(), [[1.0]])
+        assert np.array_equal(densify(adj), [[1.0]])
 
     def test_two_nodes_one_edge(self):
         g = TargetGraph(2, [(0, 1)], np.zeros((2, 1)), None, 1)
-        dense = normalize_adjacency(g).densify()
+        dense = densify(normalize_adjacency(g))
         assert np.allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_zero_weight_equals_deletion(self, rng):
         g = random_graph(rng, 8, 3, 2)
         weights = np.ones(g.num_edges)
         weights[0] = 0.0
-        masked = normalize_adjacency(g, weights).densify()
-        removed = normalize_adjacency(
+        masked = densify(normalize_adjacency(g, weights))
+        removed = densify(normalize_adjacency(
             TargetGraph(g.n, g.edges[1:], g.features, g.labels, g.num_classes)
-        ).densify()
+        ))
         assert np.array_equal(masked, removed) or np.max(np.abs(masked - removed)) <= 1e-15
 
     def test_weight_out_of_range(self, rng):
@@ -305,19 +305,19 @@ class TestNormalizeAdjacency:
     def test_exactly_symmetric(self, rng):
         g = random_graph(rng, 20, 2, 2, edge_p=0.4)
         w = rng.uniform(0.0, 1.0, g.num_edges)
-        dense = normalize_adjacency(g, w).densify()
+        dense = densify(normalize_adjacency(g, w))
         assert np.array_equal(dense, dense.T)  # bitwise, by shared per-edge values
 
     def test_row_sums_positive(self, rng):
         g = random_graph(rng, 15, 2, 2, edge_p=0.3)
-        sums = normalize_adjacency(g).densify().sum(axis=1)
+        sums = densify(normalize_adjacency(g)).sum(axis=1)
         assert np.all(sums > 0)
 
     def test_row_sums_one_on_regular_graphs(self):
         # cycle: every node has degree 2, so normalization gives rows summing to 1
         n = 6
         g = TargetGraph(n, [(i, (i + 1) % n) for i in range(n)], np.zeros((n, 1)), None, 1)
-        sums = normalize_adjacency(g).densify().sum(axis=1)
+        sums = densify(normalize_adjacency(g)).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
@@ -580,7 +580,7 @@ def test_neighbor_adjacency_with_mask(rng):
     layout = AdjacencyLayout(g.n, g.edges)
 
     def neighbors(weights):
-        dense = layout.neighbors(np.asarray(weights, dtype=np.float64)).densify()
+        dense = densify(layout.neighbors(np.asarray(weights, dtype=np.float64)))
         assert set(np.unique(dense)) <= {0.0, 1.0} and not dense.diagonal().any()
         return [list(np.flatnonzero(row)) for row in dense]
 

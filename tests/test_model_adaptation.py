@@ -1,12 +1,12 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from graphsfda import numerics
-from graphsfda.banks import MemoryBanks
+from graphsfda.banks import MemoryBanks, init_banks
 from graphsfda.errors import ContractError
+from graphsfda.gnn import init_model, record_forward, recorded_outputs
 from graphsfda.graph_adaptation import ConfidentSet, loss_graph
+from graphsfda.graph_store import AdjacencyLayout
 from graphsfda.model_adaptation import (
     PseudoLabels,
     Prototypes,
@@ -38,7 +38,7 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import random_graph, transposed
+from conftest import random_graph, traced_peak, transposed
 
 
 def banks_with(pred, repr_=None):
@@ -320,17 +320,38 @@ def test_contrast_memory_below_one_dense_matrix(rng):
     z0 = rng.standard_normal((n, h))
     pl = PseudoLabels(rng.integers(0, c, n), c)
     protos = Prototypes(rng.standard_normal((c, h)), np.bincount(pl.class_id, minlength=c))
-    tracemalloc.start()
-    try:
-        tape = Tape()
-        z = tape.leaf(z0)
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        backward(tape, loss_instance_prototype(z, protos, pl, 0.2))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    tape = Tape()
+    z = tape.leaf(z0)
+    _, peak = traced_peak(lambda: backward(tape, loss_instance_prototype(z, protos, pl, 0.2)))
     assert np.all(np.isfinite(z.grad)) and peak < n * n * 8  # one dense n x n float64 array
+
+
+def test_model_loss_backward_holds_only_its_frontier():
+    # the model step's loss over a 2-layer forward pass at n = 4000, h = 32,
+    # with a sampled contrast batch as on large graphs: the sweep holds about
+    # 4 n x h arrays at its peak; keeping every node's gradient held about 12
+    n, d, h, c = 4000, 16, 32, 3
+    rng = np.random.default_rng(0)
+    ring = np.arange(n)
+    pairs = np.concatenate(
+        [np.stack([ring, (ring + 1) % n], axis=1), rng.integers(0, n, (3 * n, 2))]
+    )
+    edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    layout = AdjacencyLayout(n, edges)
+    ones = np.ones(len(edges))
+    model = init_model(d, h, c, 2, seed=0)
+    recorded = record_forward(model, layout.normalized(ones), rng.standard_normal((n, d)))
+    tape, params, z, p = recorded
+    banks = init_banks(recorded_outputs(recorded), 0.9)
+    pl = neighborhood_pseudo_labels(layout.neighbors(ones), banks)
+    protos = compute_prototypes(pl, banks)
+    batch = rng.choice(n, size=256, replace=False)
+    l_ce = loss_weighted_ce(p, pl, confidence_weights(z, protos, pl))
+    l_co = loss_instance_prototype(z, protos, pl, 0.2, batch_indices=batch)
+    l_m = loss_model(l_ce, l_co, 0.2)
+    _, peak = traced_peak(lambda: backward(tape, l_m))
+    assert all(np.all(np.isfinite(t.grad)) for t in params)
+    assert peak < 6 * n * h * 8
 
 
 def mixed(l_ce, l_co, lam):

@@ -38,7 +38,7 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import transposed
+from conftest import densify, traced_peak, transposed
 
 
 class TestMatmul:
@@ -93,7 +93,7 @@ class TestSpmm:
                 offsets.append(len(cols))
             adj = SparseAdjacency(n, offsets, cols, vals)
             x = rng.standard_normal((n, 3))
-            dense = adj.densify() @ x
+            dense = densify(adj) @ x
             assert np.max(np.abs(spmm_value(adj, x) - dense)) <= 1e-12
 
     def test_dimension_mismatch(self):
@@ -194,6 +194,21 @@ class TestBackward:
         g1 = x.grad.copy()
         backward(tape, out)
         assert np.array_equal(g1, x.grad)
+
+    def test_sweep_holds_only_its_frontier(self):
+        # a chain of K live ops: the sweep drops each op's gradient once it
+        # has pulled it into its operand, so it never holds K of them
+        k, c, shape = 20, 2.0, (2000, 64)
+        tape = Tape()
+        x = tape.leaf(np.ones(shape))
+        chain = [x]
+        for _ in range(k):
+            chain.append(mul_scalar(chain[-1], c))
+        out = sum_all(chain[-1])
+        _, peak = traced_peak(lambda: backward(tape, out))
+        assert peak < 4 * x.value.nbytes
+        assert all(t.grad is None for t in chain[1:] + [out])
+        assert np.array_equal(x.grad, np.full(shape, c**k))
 
     def test_dropped_tape_freed_without_cyclic_gc(self, rng):
         gc.disable()
@@ -620,5 +635,5 @@ class TestSparseAdjacencyValidation:
 
     def test_densify_round_trip(self):
         adj = SparseAdjacency(3, [0, 1, 3, 4], [1, 0, 2, 1], [1.0, 2.0, 3.0, 4.0])
-        d = adj.densify()
+        d = densify(adj)
         assert d[0, 1] == 1.0 and d[1, 0] == 2.0 and d[1, 2] == 3.0 and d[2, 1] == 4.0
