@@ -31,7 +31,15 @@ import numpy as np
 
 from .banks import init_banks, momentum_update
 from .errors import ContractError, NumericalError
-from .gnn import AdamState, GnnModel, forward, forward_on_tape, record_forward, recorded_outputs
+from .gnn import (
+    AdamState,
+    GnnModel,
+    evaluate_accuracy,
+    forward,
+    forward_on_tape,
+    record_forward,
+    recorded_outputs,
+)
 from .graph_adaptation import (
     AdaptationDeltas,
     apply_feature_delta,
@@ -139,19 +147,6 @@ class AdaptReport:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2), encoding="utf-8")
-
-
-def evaluate_accuracy(predictions, labels) -> float:
-    """Fraction of exact matches."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ContractError(
-            f"{predictions.shape[0]} predictions vs {labels.shape[0]} labels"
-        )
-    if predictions.size == 0:
-        return 0.0
-    return float(np.mean(predictions == labels))
 
 
 def _check_finite(value: float, term: str) -> float:
@@ -285,18 +280,18 @@ def _model_step(recorded, model, opt, neighbors, banks, cfg: AdaptConfig, batch_
     """One Adam step on the model loss, differentiating the recorded forward
     pass of the current model; returns the refreshed banks and the loss."""
     tape, params, z, p = recorded
-    pl = neighborhood_pseudo_labels(neighbors, banks)
-    protos = compute_prototypes(pl, banks)
-    w = confidence_weights(z, protos, pl)
-    l_ce = loss_weighted_ce(p, pl, w)
+    labels = neighborhood_pseudo_labels(neighbors, banks)
+    centroids = compute_prototypes(labels, banks)
+    w = confidence_weights(z, centroids, labels)
+    l_ce = loss_weighted_ce(p, labels, w)
     batch = None
     if cfg.batch_size:
         n = banks.n
         batch = batch_rng.choice(n, size=min(cfg.batch_size, n), replace=False)
     l_co = loss_instance_prototype(
         z,
-        protos,
-        pl,
+        centroids,
+        labels,
         cfg.temperature,
         batch_indices=batch,
         include_positive_in_denominator=cfg.include_positive_in_denominator,

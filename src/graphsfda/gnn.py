@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericalError, ShapeError
 from .graph_store import SplitMask, TargetGraph, normalize_adjacency
 from .numerics import (
     SparseAdjacency,
@@ -50,6 +50,7 @@ __all__ = [
     "record_forward",
     "recorded_outputs",
     "predict",
+    "evaluate_accuracy",
     "pretrain_source",
     "save_checkpoint",
     "load_checkpoint",
@@ -192,13 +193,12 @@ def predict(model: GnnModel, adj_hat: SparseAdjacency, x) -> np.ndarray:
 
 
 class AdamState:
-    """First-order adaptive moment optimizer over a list of arrays."""
+    """First-order adaptive moment optimizer over a list of arrays, with
+    moment decays 0.9 and 0.999 and 1e-8 added to the root of the second
+    moment."""
 
-    def __init__(self, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    def __init__(self, shapes, lr, weight_decay=0.0):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
@@ -206,7 +206,7 @@ class AdamState:
 
     def step(self, params: list, grads: list) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for i, (p, g) in enumerate(zip(params, grads)):
             if self.weight_decay:
                 g = g + self.weight_decay * p
@@ -214,13 +214,20 @@ class AdamState:
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-def _accuracy(pred: np.ndarray, labels: np.ndarray, ids: np.ndarray) -> float:
-    if ids.size == 0:
+def evaluate_accuracy(predictions, labels) -> float:
+    """Fraction of exact matches; zero when there is nothing to match."""
+    predictions = np.asarray(predictions)
+    labels = np.asarray(labels)
+    if predictions.shape != labels.shape:
+        raise ContractError(
+            f"{predictions.shape[0]} predictions vs {labels.shape[0]} labels"
+        )
+    if predictions.size == 0:
         return 0.0
-    return float(np.mean(pred[ids] == labels[ids]))
+    return float(np.mean(predictions == labels))
 
 
 def pretrain_source(
@@ -239,7 +246,8 @@ def pretrain_source(
     state is evaluated once: its recorded forward pass gives its validation
     accuracy and the next epoch differentiates it, so `epochs` epochs make
     epochs + 1 passes. The initial state is a candidate only when no epoch
-    runs.
+    runs. A non-finite training loss raises NumericalError naming its epoch,
+    before the step that would follow it.
     """
     if source.labels is None:
         raise ContractError("pretraining needs source labels")
@@ -253,21 +261,26 @@ def pretrain_source(
     for epoch in range(epochs + 1):
         tape, params, _, p_out = record_forward(model, adj, source.features)
         pred = np.argmax(p_out.value, axis=1)
-        val_acc = _accuracy(pred, labels, split.val)
+        val_acc = evaluate_accuracy(pred[split.val], labels[split.val])
         if (epoch or not epochs) and val_acc > best_val:
             best, best_val, best_pred = model.copy(), val_acc, pred
         if epoch < epochs:
             train_p = gather_rows(p_out, split.train)
             picked = select_cols(train_p, labels[split.train])
             loss = neg(mean_all(log_clamped(picked)))
-            backward(tape, loss)
             history.append(float(loss.value[0, 0]))
+            if not np.isfinite(history[-1]):
+                raise NumericalError(
+                    f"training loss became non-finite ({history[-1]}) "
+                    f"at epoch {epoch + 1} of {epochs}"
+                )
+            backward(tape, loss)
             opt.step(model.parameters(), [t.grad for t in params])
         tape = None  # the next pass is recorded without this one alive
 
     return best, {
         "val_acc": best_val,
-        "test_acc": _accuracy(best_pred, labels, split.test),
+        "test_acc": evaluate_accuracy(best_pred[split.test], labels[split.test]),
         "train_loss": history,
     }
 

@@ -26,7 +26,10 @@ ordered (see `knn_positives`). The negative sum over every
 differently-labelled bank row collapses onto per-class sums of the
 normalized bank rows, so the contrast is one product of the normalized live
 representations with a constant n x h weight (see `_contrast_weights`).
-Memory is linear in n; the kNN is the only O(n^2 h) time.
+Memory is linear in n; the kNN is the only O(n^2 h) time. Every cosine here
+normalizes rows with `numerics.l2_normalize_rows`, read off with `evaluate`
+where no gradient flows, so the kNN, the contrast weights and the live
+representations treat a near-zero row alike.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .numerics import (
     Tensor,
     add,
     add_scalar,
+    evaluate,
     gather_rows,
     l2_normalize_rows,
     log_clamped,
@@ -171,8 +175,8 @@ def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
         size, width = 1, n
     tail = n - size * width  # < width: the first `tail` groups hold one more column
     spread = width * np.arange(size + 1)  # group j's columns are j + spread below n
-    an = _safe_normalize(zv)
-    bnt = _safe_normalize(banks.repr_bank).T.copy()
+    an = evaluate(l2_normalize_rows, zv)
+    bnt = evaluate(l2_normalize_rows, banks.repr_bank).T.copy()
     out = np.empty((an.shape[0], k), dtype=np.int64)
     for start in range(0, an.shape[0], KNN_BLOCK_ROWS):
         sims = an[start : start + KNN_BLOCK_ROWS] @ bnt
@@ -201,11 +205,6 @@ def _require_finite(x: np.ndarray, name: str) -> None:
         raise NumericalError(f"kNN positives: {name} has a non-finite entry in row {row}")
 
 
-def _safe_normalize(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms < 1e-12, 1.0, norms)
-
-
 def _contrast_weights(
     p: np.ndarray, banks: MemoryBanks, positives: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
@@ -219,7 +218,7 @@ def _contrast_weights(
 
     which equals -alpha times the positive cosines plus beta times the
     cosines over the negatives, summed, without listing a negative."""
-    bn = _safe_normalize(banks.repr_bank)
+    bn = evaluate(l2_normalize_rows, banks.repr_bank)
     own = np.argmax(p, axis=1)
     banked = np.argmax(banks.pred_bank, axis=1)
     class_sums = np.zeros((max(p.shape[1], banks.pred_bank.shape[1]), bn.shape[1]))

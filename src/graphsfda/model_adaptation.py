@@ -11,10 +11,13 @@ negative. The instance half of that denominator is one
 streams row blocks, so no n x n (or n x batch) array is kept, and over the
 whole graph it computes each unordered node pair once.
 
-Loss functions take tensors recorded on a tape and return tensors on it;
-read a value off one with `numerics.evaluate`. Selection steps (argmax
-labels, prototype membership) work on concrete values and act as constants
-under differentiation.
+Each step hands the next one a plain array: `neighborhood_pseudo_labels`
+gives the int64 pseudo-label per node, and `compute_prototypes` turns those
+labels into the (C, h) centroid array that the two losses read. Loss
+functions take tensors recorded on a tape and return tensors on it; read a
+value off one with `numerics.evaluate`. Selection steps (argmax labels,
+prototype membership) work on concrete values and act as constants under
+differentiation.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "PseudoLabels",
-    "Prototypes",
     "neighborhood_pseudo_labels",
     "compute_prototypes",
     "confidence_weights",
@@ -58,28 +59,9 @@ __all__ = [
 ]
 
 
-class PseudoLabels:
-    """Pseudo-label class id per node, out of `num_classes` classes."""
-
-    __slots__ = ("class_id", "num_classes")
-
-    def __init__(self, class_id: np.ndarray, num_classes: int):
-        self.class_id = np.asarray(class_id, dtype=np.int64)
-        self.num_classes = int(num_classes)
-
-
-class Prototypes:
-    """Class centroids of the representation bank under current pseudo-labels."""
-
-    __slots__ = ("centroids", "counts")
-
-    def __init__(self, centroids: np.ndarray, counts: np.ndarray):
-        self.centroids = centroids
-        self.counts = counts
-
-
-def neighborhood_pseudo_labels(neighbors: SparseAdjacency, banks: MemoryBanks) -> PseudoLabels:
-    """Argmax of the mean prediction-bank row over each node's neighborhood.
+def neighborhood_pseudo_labels(neighbors: SparseAdjacency, banks: MemoryBanks) -> np.ndarray:
+    """Pseudo-label class id per node (int64): the argmax of the mean
+    prediction-bank row over its neighborhood.
 
     `neighbors` is a 0/1 matrix marking each node's current neighbours
     (`AdjacencyLayout.neighbors`); the means are its product with the bank
@@ -93,45 +75,39 @@ def neighborhood_pseudo_labels(neighbors: SparseAdjacency, banks: MemoryBanks) -
     isolated = (counts == 0)[:, None]
     sums = evaluate(lambda bank: spmm(neighbors, bank), banks.pred_bank)
     agg = np.where(isolated, banks.pred_bank, sums / np.where(isolated, 1.0, counts[:, None]))
-    return PseudoLabels(np.argmax(agg, axis=1), banks.pred_bank.shape[1])
+    return np.argmax(agg, axis=1)
 
 
-def compute_prototypes(pl: PseudoLabels, banks: MemoryBanks) -> Prototypes:
-    """Mean representation-bank row per pseudo-class; empty classes get zero."""
-    num_classes = pl.num_classes
-    counts = np.bincount(pl.class_id, minlength=num_classes).astype(np.int64)
+def compute_prototypes(labels: np.ndarray, banks: MemoryBanks) -> np.ndarray:
+    """(C, h) centroids: the mean representation-bank row per pseudo-class,
+    over the bank's C classes; empty classes get zero."""
+    num_classes = banks.pred_bank.shape[1]
+    counts = np.bincount(labels, minlength=num_classes)
     sums = np.zeros((num_classes, banks.repr_bank.shape[1]))
-    np.add.at(sums, pl.class_id, banks.repr_bank)
-    denom = np.where(counts == 0, 1, counts)[:, None]
-    return Prototypes(sums / denom, counts)
+    np.add.at(sums, labels, banks.repr_bank)
+    return sums / np.where(counts == 0, 1, counts)[:, None]
 
 
-def _normalized_centroids(protos: Prototypes) -> np.ndarray:
-    norms = np.linalg.norm(protos.centroids, axis=1, keepdims=True)
-    safe = np.where(norms < 1e-12, 1.0, norms)
-    return protos.centroids / safe
-
-
-def confidence_weights(z: Tensor, protos: Prototypes, pl: PseudoLabels) -> Tensor:
+def confidence_weights(z: Tensor, centroids: np.ndarray, labels: np.ndarray) -> Tensor:
     """Cosine similarity of each node to its pseudo-class centroid, clamped
     at zero; zero-norm operands give weight zero."""
-    per_node_centroid = _normalized_centroids(protos)[pl.class_id]
+    per_node_centroid = evaluate(l2_normalize_rows, centroids)[labels]
     zn = l2_normalize_rows(z)
     return relu(row_sum(mul(zn, z.tape.constant(per_node_centroid))))
 
 
-def loss_weighted_ce(p: Tensor, pl: PseudoLabels, w) -> Tensor:
+def loss_weighted_ce(p: Tensor, labels: np.ndarray, w) -> Tensor:
     """Confidence-weighted cross-entropy against the pseudo-labels, averaged
     over all nodes. `w` is an (n x 1) column on p's tape, live or a
     constant. Log probabilities are floored at 1e-12."""
-    picked = select_cols(p, pl.class_id)
+    picked = select_cols(p, labels)
     return neg(mean_all(mul(w, log_clamped(picked))))
 
 
 def loss_instance_prototype(
     z: Tensor,
-    protos: Prototypes,
-    pl: PseudoLabels,
+    centroids: np.ndarray,
+    labels: np.ndarray,
     tau: float,
     batch_indices=None,
     include_positive_in_denominator: bool = False,
@@ -143,16 +119,16 @@ def loss_instance_prototype(
     sampled batch). By default the positive is excluded from the denominator,
     matching the weighting this loss is defined with; flip
     `include_positive_in_denominator` for the more common normalization.
-    Every node's pseudo-class must have a prototype, as it has when the
-    prototypes are built from the same pseudo-labels.
+    Every node's pseudo-class must have a centroid row, as it has when the
+    centroids are built from the same pseudo-labels.
     """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
-    n = pl.class_id.size
+    n = labels.size
     inv_tau = 1.0 / tau
     zn = l2_normalize_rows(z)
-    proto_sims = matmul(zn, z.tape.constant(_normalized_centroids(protos).T.copy()))
-    pos = select_cols(proto_sims, pl.class_id)
+    proto_sims = matmul(zn, z.tape.constant(evaluate(l2_normalize_rows, centroids).T.copy()))
+    pos = select_cols(proto_sims, labels)
     pos_exp = exp(mul_scalar(pos, inv_tau))
     proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)
 

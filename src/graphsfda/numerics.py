@@ -448,14 +448,12 @@ def row_softmax(a):
     return tape._record(out, [(a.index, pull)])
 
 
-def l2_normalize_rows(a, eps: float = 1e-12):
-    """Scale each row to unit L2 norm; rows with norm < eps pass unchanged."""
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
+def l2_normalize_rows(a):
+    """Scale each row to unit L2 norm; rows with norm < 1e-12 pass unchanged."""
     tape = _tape_of(a)
     av = a.value
     norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
-    small = norms < eps
+    small = norms < 1e-12
     safe = np.where(small, 1.0, norms)
     out = np.where(small, av, av / safe)
 
@@ -524,12 +522,12 @@ def log(a):
     return tape._record(np.log(av), [(a.index, lambda g: g / av)])
 
 
-def log_clamped(a, floor: float = 1e-12):
-    """log(max(x, floor)); gradient is zero on the clamped region."""
+def log_clamped(a):
+    """log(max(x, 1e-12)); gradient is zero on the clamped region."""
     tape = _tape_of(a)
     av = a.value
-    live = av > floor
-    out = np.log(np.maximum(av, floor))
+    live = av > 1e-12
+    out = np.log(np.maximum(av, 1e-12))
 
     def pull(g):
         return np.divide(g, av, out=np.zeros_like(g), where=live)

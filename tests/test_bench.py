@@ -10,9 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# the smallest workload, and the only model-only one with a sampled contrast batch
+# the smallest workload; the only model-only one, with a sampled contrast
+# batch; and the only one that runs the grouped kNN pre-filter (n >= 1024)
+# and the full-graph contrast
 @pytest.mark.bench
-@pytest.mark.parametrize("workload", ["adapt-long-n300", "sparse-n20k"])
+@pytest.mark.parametrize("workload", ["adapt-long-n300", "sparse-n20k", "adapt-full-n3000"])
 def test_workload_runs_and_matches_reference(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -377,6 +377,7 @@ EXIT_CASES = {
     "eval-checkpoint-directory": (4, lambda ws, tmp: [
         "eval", "--checkpoint", str(tmp), "--graph", str(ws / "pair_tgt")]),
     "temperature-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, temperature=1e-300)]),
+    "pretrain-lr-overflow": (5, lambda ws, tmp: ["pretrain", *_config(ws, tmp, pretrain_lr=1e300)]),
 }
 
 

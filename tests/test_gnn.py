@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphsfda import gnn
-from graphsfda.errors import ContractError, ShapeError
+from graphsfda.errors import ContractError, NumericalError, ShapeError
 from graphsfda.gnn import (
     AdamState,
     forward,
@@ -179,6 +179,13 @@ class TestPretrain:
         model = init_model(3, 4, 2, 2, seed=0)
         with pytest.raises(ContractError):
             pretrain_source(model, g, None, epochs=1)
+
+    def test_non_finite_loss_raises_naming_its_epoch(self):
+        # the first step at this rate overflows the next forward pass
+        src = separable_source(1)
+        model = init_model(src.feature_dim, 8, 3, 2, seed=1)
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericalError, match="epoch 2 of 30"):
+            pretrain_source(model, src, split_nodes(src, 1), epochs=30, lr=1e300)
 
     def test_loss_mostly_nonincreasing(self):
         src = separable_source(3)

@@ -1,5 +1,6 @@
 """Source hygiene, read off the syntax trees of the package: no config key
-that nothing reads, and no import that nothing uses."""
+that nothing reads, no import that nothing uses, and no export that is not
+defined."""
 
 import ast
 from pathlib import Path
@@ -110,3 +111,23 @@ def test_every_import_is_used_or_exported(name):
         if imported not in used and imported not in exported
     ]
     assert not unused, f"{name}.py imports {unused} without using them"
+
+
+def defined_names(module):
+    """Names bound at the top level of `module`: definitions, assignments
+    and imports."""
+    names = set(imported_names(module))
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_export_is_defined(name):
+    undefined = sorted(exported_names(TREES[name]) - defined_names(TREES[name]))
+    assert not undefined, f"{name}.py exports {undefined} without defining them"

@@ -8,15 +8,12 @@ from graphsfda.gnn import init_model, record_forward, recorded_outputs
 from graphsfda.graph_adaptation import ConfidentSet, loss_graph
 from graphsfda.graph_store import AdjacencyLayout
 from graphsfda.model_adaptation import (
-    PseudoLabels,
-    Prototypes,
     compute_prototypes,
     confidence_weights,
     loss_instance_prototype,
     loss_model,
     loss_weighted_ce,
     neighborhood_pseudo_labels,
-    _normalized_centroids,
 )
 from graphsfda.numerics import (
     SparseAdjacency,
@@ -67,7 +64,7 @@ class TestPseudoLabels:
     def test_single_neighbor(self):
         banks = banks_with([[0.5, 0.5], [0.2, 0.8]])
         pl = neighborhood_pseudo_labels(neighbor_matrix([np.array([1]), np.array([0])]), banks)
-        assert pl.class_id[0] == 1
+        assert pl[0] == 1
 
     def test_two_neighbor_mean(self):
         banks = banks_with([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
@@ -75,17 +72,17 @@ class TestPseudoLabels:
             neighbor_matrix([np.array([0, 1]), np.array([2]), np.array([0])]), banks
         )
         # mean of [0.9,0.1] and [0.2,0.8] is [0.55,0.45]
-        assert pl.class_id[0] == 0
+        assert pl[0] == 0
 
     def test_isolated_falls_back_to_own_row(self):
         banks = banks_with([[0.1, 0.9]])
         pl = neighborhood_pseudo_labels(neighbor_matrix([np.array([], dtype=int)]), banks)
-        assert pl.class_id[0] == 1
+        assert pl[0] == 1
 
     def test_tie_breaks_low(self):
         banks = banks_with([[0.5, 0.5]])
         pl = neighborhood_pseudo_labels(neighbor_matrix([np.array([], dtype=int)]), banks)
-        assert pl.class_id[0] == 0
+        assert pl[0] == 0
 
     def test_matches_per_node_loop(self, rng):
         # random graph with masked edges, an isolated node and tie-prone banks
@@ -108,72 +105,72 @@ class TestPseudoLabels:
             assert lists[0].size == 0
             layout = AdjacencyLayout(g.n, g.edges)
             pl = neighborhood_pseudo_labels(layout.neighbors(keep.astype(np.float64)), banks)
-            assert np.array_equal(pl.class_id, loop_pseudo_labels(lists, banks))
+            assert np.array_equal(pl, loop_pseudo_labels(lists, banks))
 
     def test_onehot_shape(self):
-        pl = PseudoLabels(np.array([2, 0]), 3)
-        assert pl.class_id.dtype == np.int64 and np.array_equal(pl.class_id, [2, 0])
-        assert pl.num_classes == 3
+        banks = banks_with([[0.1, 0.2, 0.7], [0.6, 0.3, 0.1]])
+        pl = neighborhood_pseudo_labels(neighbor_matrix([[], []]), banks)
+        assert pl.dtype == np.int64 and np.array_equal(pl, [2, 0])
+        assert compute_prototypes(pl, banks).shape[0] == 3
 
 
 class TestPrototypes:
     def test_singleton(self):
         banks = banks_with([[1.0, 0.0]], repr_=[[3.0, 4.0]])
-        protos = compute_prototypes(PseudoLabels(np.array([0]), 2), banks)
-        assert np.array_equal(protos.centroids[0], [3.0, 4.0])
+        protos = compute_prototypes(np.array([0]), banks)
+        assert np.array_equal(protos[0], [3.0, 4.0])
 
     def test_mean_of_two(self):
         banks = banks_with([[1, 0], [1, 0]], repr_=[[1.0, 0.0], [0.0, 1.0]])
-        protos = compute_prototypes(PseudoLabels(np.array([0, 0]), 2), banks)
-        assert np.allclose(protos.centroids[0], [0.5, 0.5])
+        protos = compute_prototypes(np.array([0, 0]), banks)
+        assert np.allclose(protos[0], [0.5, 0.5])
 
     def test_empty_class_flagged_zero(self):
         banks = banks_with([[1, 0]], repr_=[[2.0, 2.0]])
-        protos = compute_prototypes(PseudoLabels(np.array([0]), 2), banks)
-        assert protos.counts[1] == 0
-        assert np.array_equal(protos.centroids[1], [0.0, 0.0])
+        protos = compute_prototypes(np.array([0]), banks)
+        assert np.array_equal(protos[1], [0.0, 0.0])
 
     def test_order_invariance(self, rng):
         repr_ = rng.standard_normal((10, 4))
         cls = rng.integers(0, 3, 10)
         banks = MemoryBanks(repr_, np.full((10, 3), 1 / 3), 0.9)
-        protos = compute_prototypes(PseudoLabels(cls, 3), banks)
+        protos = compute_prototypes(cls, banks)
         perm = rng.permutation(10)
         banks_p = MemoryBanks(repr_[perm], np.full((10, 3), 1 / 3), 0.9)
-        protos_p = compute_prototypes(PseudoLabels(cls[perm], 3), banks_p)
-        assert np.allclose(protos.centroids, protos_p.centroids, atol=1e-12)
+        protos_p = compute_prototypes(cls[perm], banks_p)
+        assert np.allclose(protos, protos_p, atol=1e-12)
 
 
 class TestConfidenceWeights:
     def test_self_similarity(self):
-        protos = Prototypes(np.array([[1.0, 2.0]]), np.array([1]))
-        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 2.0]])
+        protos = np.array([[1.0, 2.0]])
+        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 2.0]])
         assert np.allclose(w, [[1.0]])
 
     def test_orthogonal(self):
-        protos = Prototypes(np.array([[0.0, 1.0]]), np.array([1]))
-        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 0.0]])
+        protos = np.array([[0.0, 1.0]])
+        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 0.0]])
         assert np.allclose(w, [[0.0]])
 
     def test_hand_cosine(self):
-        protos = Prototypes(np.array([[1.0, 1.0]]), np.array([1]))
-        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 0.0]])
+        protos = np.array([[1.0, 1.0]])
+        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 0.0]])
         assert np.allclose(w, [[1.0 / np.sqrt(2.0)]])
 
     def test_negative_cosine_clamped(self):
-        protos = Prototypes(np.array([[-1.0, 0.0]]), np.array([1]))
-        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 0.0]])
+        protos = np.array([[-1.0, 0.0]])
+        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 0.0]])
         assert np.array_equal(w, [[0.0]])
 
     def test_zero_norm_gives_zero(self):
-        protos = Prototypes(np.array([[0.0, 0.0]]), np.array([0]))
-        w = evaluate(lambda z: confidence_weights(z, protos, PseudoLabels(np.array([0]), 1)), [[1.0, 1.0]])
+        protos = np.array([[0.0, 0.0]])
+        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 1.0]])
         assert np.array_equal(w, [[0.0]])
 
     def test_scale_invariance(self, rng):
         z = rng.standard_normal((6, 3))
-        protos = Prototypes(rng.standard_normal((2, 3)), np.array([3, 3]))
-        pl = PseudoLabels(rng.integers(0, 2, 6), 2)
+        protos = rng.standard_normal((2, 3))
+        pl = rng.integers(0, 2, 6)
         w1 = evaluate(lambda t: confidence_weights(t, protos, pl), z)
         w2 = evaluate(lambda t: confidence_weights(t, protos, pl), 7.3 * z)
         assert np.allclose(w1, w2, atol=1e-12)
@@ -187,23 +184,23 @@ def weighted_ce(p, pl, w):
 class TestWeightedCE:
     def test_perfect_prediction(self):
         p = [[1.0, 0.0]]
-        assert weighted_ce(p, PseudoLabels(np.array([0]), 2), np.array([[1.0]])) == pytest.approx(0.0, abs=1e-9)
+        assert weighted_ce(p, np.array([0]), np.array([[1.0]])) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_binary(self):
         p = [[0.5, 0.5]]
-        out = weighted_ce(p, PseudoLabels(np.array([0]), 2), np.array([[1.0]]))
+        out = weighted_ce(p, np.array([0]), np.array([[1.0]]))
         assert out == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_zero_weights_zero_loss(self, rng):
         p = rng.dirichlet(np.ones(3), 5)
-        out = weighted_ce(p, PseudoLabels(rng.integers(0, 3, 5), 3), np.zeros((5, 1)))
+        out = weighted_ce(p, rng.integers(0, 3, 5), np.zeros((5, 1)))
         assert out == 0.0
 
     def test_nonnegative(self, rng):
         for _ in range(20):
             p = rng.dirichlet(np.ones(4), 6)
             w = rng.uniform(0, 1, (6, 1))
-            pl = PseudoLabels(rng.integers(0, 4, 6), 4)
+            pl = rng.integers(0, 4, 6)
             assert weighted_ce(p, pl, w) >= 0.0
 
 
@@ -214,35 +211,35 @@ def instance_prototype(z, protos, pl, tau, **kwargs):
 
 class TestInstancePrototypeLoss:
     def two_class_protos(self):
-        return Prototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
+        return np.array([[1.0, 0.0], [0.0, 1.0]])
 
     def test_single_node_closed_form(self):
         z = [[1.0, 0.0]]
-        out = instance_prototype(z, self.two_class_protos(), PseudoLabels(np.array([0]), 2), 0.2)
+        out = instance_prototype(z, self.two_class_protos(), np.array([0]), 0.2)
         assert out == pytest.approx(-5.0, abs=1e-9)
 
     def test_huge_temperature_limit(self):
         z = [[1.0, 0.0]]
-        out = instance_prototype(z, self.two_class_protos(), PseudoLabels(np.array([0]), 2), 1e9)
+        out = instance_prototype(z, self.two_class_protos(), np.array([0]), 1e9)
         assert out == pytest.approx(0.0, abs=1e-6)
 
     def test_better_alignment_lowers_loss(self):
-        pl = PseudoLabels(np.array([0]), 2)
+        pl = np.array([0])
         aligned = instance_prototype([[1.0, 0.0]], self.two_class_protos(), pl, 0.5)
         misaligned = instance_prototype([[0.7, 0.7]], self.two_class_protos(), pl, 0.5)
         assert aligned < misaligned
 
     def test_batch_restriction_matches_full_on_all_indices(self, rng):
         z = rng.standard_normal((5, 3))
-        protos = Prototypes(rng.standard_normal((2, 3)), np.array([2, 3]))
-        pl = PseudoLabels(rng.integers(0, 2, 5), 2)
+        protos = rng.standard_normal((2, 3))
+        pl = rng.integers(0, 2, 5)
         full = instance_prototype(z, protos, pl, 0.3)
         batched = instance_prototype(z, protos, pl, 0.3, batch_indices=np.arange(5))
         assert full == pytest.approx(batched, abs=1e-12)
 
     def test_positive_in_denominator_option(self):
         z = [[1.0, 0.0]]
-        pl = PseudoLabels(np.array([0]), 2)
+        pl = np.array([0])
         literal = instance_prototype(z, self.two_class_protos(), pl, 0.2)
         common = instance_prototype(
             z, self.two_class_protos(), pl, 0.2, include_positive_in_denominator=True
@@ -256,7 +253,7 @@ class TestInstancePrototypeLoss:
             loss_instance_prototype(
                 np.array([[1.0, 0.0]]),
                 self.two_class_protos(),
-                PseudoLabels(np.array([0]), 2),
+                np.array([0]),
                 0.0,
             )
 
@@ -265,12 +262,12 @@ def dense_instance_prototype_oracle(z, protos, pl, tau, batch_indices=None):
     """The contrast as it was before `exp_sum_others`: the whole n x n (or
     n x batch) exponential matrix on the tape, the self terms subtracted
     (full) or masked out (batch). Kept as the reference of the streamed op."""
-    n = pl.class_id.size
+    n = pl.size
     inv_tau = 1.0 / tau
     const = z.tape.constant
     zn = l2_normalize_rows(z)
-    proto_sims = matmul(zn, const(_normalized_centroids(protos).T.copy()))
-    pos = select_cols(proto_sims, pl.class_id)
+    proto_sims = matmul(zn, const(evaluate(l2_normalize_rows, protos).T.copy()))
+    pos = select_cols(proto_sims, pl)
     pos_exp = exp(mul_scalar(pos, inv_tau))
     proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)
     if batch_indices is None:
@@ -301,8 +298,8 @@ class TestStreamedContrastMatchesDense:
             monkeypatch.setattr(numerics, "EXP_SUM_BLOCK_ROWS", block)
         n = 300
         z0 = rng.standard_normal((n, 8))
-        protos = Prototypes(rng.standard_normal((3, 8)), np.array([100, 100, 100]))
-        pl = PseudoLabels(rng.integers(0, 3, n), 3)
+        protos = rng.standard_normal((3, 8))
+        pl = rng.integers(0, 3, n)
         # the batch holds some rows' own index and not others'
         cols = None if batch == "full" else rng.choice(n, size=40, replace=False)
         streamed, g_streamed = value_and_grad(
@@ -318,8 +315,8 @@ class TestStreamedContrastMatchesDense:
 def test_contrast_memory_below_one_dense_matrix(rng):
     n, h, c = 2000, 32, 3
     z0 = rng.standard_normal((n, h))
-    pl = PseudoLabels(rng.integers(0, c, n), c)
-    protos = Prototypes(rng.standard_normal((c, h)), np.bincount(pl.class_id, minlength=c))
+    pl = rng.integers(0, c, n)
+    protos = rng.standard_normal((c, h))
     tape = Tape()
     z = tape.leaf(z0)
     _, peak = traced_peak(lambda: backward(tape, loss_instance_prototype(z, protos, pl, 0.2)))
@@ -383,8 +380,8 @@ def test_losses_are_tensor_only(rng):
     """Every loss records onto its operands' tape and refuses plain values."""
     z0 = rng.standard_normal((4, 3))
     p0 = rng.dirichlet(np.ones(2), 4)
-    pl = PseudoLabels(np.array([0, 1, 0, 1]), 2)
-    protos = Prototypes(rng.standard_normal((2, 3)), np.array([2, 2]))
+    pl = np.array([0, 1, 0, 1])
+    protos = rng.standard_normal((2, 3))
     banks = MemoryBanks(rng.standard_normal((4, 3)), rng.dirichlet(np.ones(2), 4), 0.9)
     conf = ConfidentSet(np.array([0, 2]), np.array([0, 0]))
     positives = np.array([[1], [2], [3], [0]])

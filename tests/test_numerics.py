@@ -143,9 +143,23 @@ class TestL2Normalize:
         out = evaluate(l2_normalize_rows, rng.standard_normal((30, 6)))
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-9
 
-    def test_bad_eps(self):
-        with pytest.raises(ContractError):
-            evaluate(lambda t: l2_normalize_rows(t, eps=0.0), [[1.0]])
+    def test_bitwise_equals_plain_formula(self, rng):
+        # the adaptation steps normalized with this formula before they
+        # called l2_normalize_rows; zero rows, rows with norm below 1e-12
+        # and rows whose squares overflow included
+        def plain(x):
+            norm = np.linalg.norm(x, axis=1, keepdims=True)
+            return x / np.where(norm < 1e-12, 1.0, norm)
+
+        for _ in range(20):
+            x = rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-320, 300, (40, 1))
+            x[0] = 0.0
+            x[1] = rng.standard_normal(5) * 1e-14
+            x[2] = rng.standard_normal(5) * 1e200
+            with np.errstate(over="ignore"):
+                out, expected = evaluate(l2_normalize_rows, x), plain(x)
+                assert np.linalg.norm(x[1]) < 1e-12 and np.isinf(np.linalg.norm(x[2]))
+            assert out.tobytes() == expected.tobytes()
 
 
 class TestBackward:
