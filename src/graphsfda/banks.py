@@ -2,7 +2,9 @@
 bank, blended with a momentum coefficient after every model update.
 
 The blend puts weight `momentum` on the NEW value, so momentum 1 replaces the
-banks outright and momentum 0 freezes them.
+banks outright and momentum 0 freezes them. Both functions take the two
+arrays of a forward pass: the (n, h) representations and the (n, C)
+row-stochastic predictions.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .gnn import ForwardOutput
 
 __all__ = ["MemoryBanks", "init_banks", "sharpen", "momentum_update"]
 
@@ -48,15 +49,14 @@ def sharpen(p) -> np.ndarray:
     return sq / sq.sum(axis=1, keepdims=True)
 
 
-def init_banks(fo: ForwardOutput, momentum: float) -> MemoryBanks:
+def init_banks(z: np.ndarray, p: np.ndarray, momentum: float) -> MemoryBanks:
     """First fill is a straight copy: representations as-is, predictions sharpened."""
-    return MemoryBanks(fo.representations.copy(), sharpen(fo.predictions), momentum)
+    return MemoryBanks(z.copy(), sharpen(p), momentum)
 
 
-def momentum_update(banks: MemoryBanks, fo: ForwardOutput) -> MemoryBanks:
-    """Blend new forward outputs into the banks with weight `momentum`."""
-    z = fo.representations
-    p = fo.predictions
+def momentum_update(banks: MemoryBanks, z: np.ndarray, p: np.ndarray) -> MemoryBanks:
+    """Blend new representations and predictions into the banks with weight
+    `momentum`."""
     if z.shape != banks.repr_bank.shape or p.shape != banks.pred_bank.shape:
         raise ShapeError(
             f"bank shapes {banks.repr_bank.shape}/{banks.pred_bank.shape} vs "

@@ -5,14 +5,16 @@ synthetic source/target pair, `pretrain` fits the source model, `adapt` runs
 the adaptation loop and exports its artifacts, `eval` scores a checkpoint on
 a labelled graph, `export-embeddings` dumps node representations.
 
-Metrics go to stdout as `key=value` lines; diagnostics go to stderr. Exit
-codes: 0 success, 2 usage, 3 missing or invalid data or an unwritable
-output path, 4 incompatible artifacts, 5 numerical abort.
+Metrics go to stdout as `key=value` lines; diagnostics go to stderr, one
+line each, prefixed with the subcommand's name. Exit codes: 0 success, 2
+usage, 3 missing or invalid data or an unwritable output path, 4
+incompatible artifacts, 5 numerical abort.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -25,7 +27,7 @@ import numpy as np
 from .driver import AdaptConfig, adapt, evaluate_accuracy, export_embeddings
 from .errors import ContractError, NumericalError, ParseError, ShapeError
 from .gnn import init_model, load_checkpoint, predict, pretrain_source, save_checkpoint
-from .graph_adaptation import AdaptationDeltas
+from .graph_adaptation import AdaptationDeltas, apply_structure_delta
 from .graph_store import (
     ShiftSpec,
     load_graph,
@@ -68,16 +70,18 @@ def _unwritable(command: str, exc: OSError) -> int:
     return _fail(EXIT_DATA, f"{command}: cannot write output: {exc}")
 
 
-def _load_graph(path, command: str):
-    """`load_graph`, printing each warning it raises (a symmetrized pair) as
-    one `<command>: warning: ...` line on stderr."""
+@contextlib.contextmanager
+def _warnings_to_stderr(command: str):
+    """Print each distinct warning raised in the block (a symmetrized pair,
+    a NumPy overflow) once, as one `<command>: warning: ...` line on stderr,
+    when the block ends, before any error it raises is reported."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return load_graph(path)
+            yield
         finally:
-            for w in caught:
-                print(f"{command}: warning: {w.message}", file=sys.stderr)
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"{command}: warning: {message}", file=sys.stderr)
 
 
 def load_run_config(path) -> dict:
@@ -202,7 +206,8 @@ def cmd_pretrain(args) -> int:
     if not cfg["source_graph"]:
         return _fail(EXIT_DATA, "pretrain: config needs source_graph")
     try:
-        source = _load_graph(cfg["source_graph"], "pretrain")
+        with _warnings_to_stderr("pretrain"):
+            source = load_graph(cfg["source_graph"])
     except (ParseError, ContractError, OSError) as exc:
         return _fail(EXIT_DATA, f"pretrain: {exc}")
     if source.labels is None:
@@ -222,14 +227,15 @@ def cmd_pretrain(args) -> int:
     )
     split = split_nodes(source, cfg["seed"])
     try:
-        trained, metrics = pretrain_source(
-            model,
-            source,
-            split,
-            epochs=cfg["pretrain_epochs"],
-            lr=cfg["pretrain_lr"],
-            weight_decay=cfg["pretrain_weight_decay"],
-        )
+        with _warnings_to_stderr("pretrain"):
+            trained, metrics = pretrain_source(
+                model,
+                source,
+                split,
+                epochs=cfg["pretrain_epochs"],
+                lr=cfg["pretrain_lr"],
+                weight_decay=cfg["pretrain_weight_decay"],
+            )
     except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, f"pretrain: {exc}")
     ckpt = Path(cfg["checkpoint"] or out_dir / "model.ckpt")
@@ -253,7 +259,8 @@ def cmd_adapt(args) -> int:
     if not cfg["target_graph"] or not cfg["checkpoint"]:
         return _fail(EXIT_DATA, "adapt: config needs target_graph and checkpoint")
     try:
-        target = _load_graph(cfg["target_graph"], "adapt")
+        with _warnings_to_stderr("adapt"):
+            target = load_graph(cfg["target_graph"])
     except (ParseError, ContractError, OSError) as exc:
         return _fail(EXIT_DATA, f"adapt: {exc}")
     try:
@@ -267,7 +274,8 @@ def cmd_adapt(args) -> int:
     except OSError as exc:
         return _unwritable("adapt", exc)
     try:
-        adapted, refined, predictions, report = adapt(model, target, adapt_cfg)
+        with _warnings_to_stderr("adapt"):
+            adapted, refined, predictions, report = adapt(model, target, adapt_cfg)
     except (ContractError, ShapeError) as exc:
         return _fail(EXIT_INCOMPATIBLE, f"adapt: {exc}")
     except NumericalError as exc:
@@ -297,7 +305,8 @@ def _load_eval_inputs(args, command: str):
     missing, unreadable or does not fit the graph, and a mask whose length
     does not fit it, are incompatible artifacts (4)."""
     try:
-        graph = _load_graph(args.graph, command)
+        with _warnings_to_stderr(command):
+            graph = load_graph(args.graph)
     except (ParseError, ContractError, OSError) as exc:
         return _fail(EXIT_DATA, f"{command}: {exc}")
     try:
@@ -330,7 +339,7 @@ def cmd_eval(args) -> int:
     graph, model, mask = loaded
     if graph.labels is None:
         return _fail(EXIT_DATA, f"eval: {args.graph} has no labels")
-    weights = None if mask is None else 1.0 - mask
+    weights = None if mask is None else apply_structure_delta(graph, mask)
     pred = predict(model, normalize_adjacency(graph, weights), graph.features)
     print(f"acc={evaluate_accuracy(pred, graph.labels):.9f}")
     return EXIT_OK

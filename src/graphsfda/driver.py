@@ -6,9 +6,12 @@ steps and budget-projected structure steps against the graph loss (model
 frozen). The target graph gets one `AdjacencyLayout` per call, normalized
 once per epoch after the graph steps: the accuracy forward and the next
 epoch's model and feature steps share it. The network is evaluated once per
-model state: one pass of `gnn.record_forward` fills the banks at the start
-or gives the accuracy at the end of an epoch, and the next model step
-differentiates it; a further model step in the same epoch records its own.
+model state: one pass of `gnn.record_forward`, a tuple (tape, parameter
+leaves, representations z, predictions p), fills the banks from the arrays
+`z.value` and `p.value` at the start or gives the accuracy at the end of an
+epoch, and the next model step differentiates it; a further model step in
+the same epoch records its own. Edge weights are `apply_structure_delta` of
+the edge-mask array, or of its live leaf in a structure step.
 After the last epoch the continuous edge mask is sampled once into a keep
 mask, and the final forward pass reads it off the same layout as 0/1 edge
 weights, which equals the forward pass over the refined graph with the
@@ -38,7 +41,6 @@ from .gnn import (
     forward,
     forward_on_tape,
     record_forward,
-    recorded_outputs,
 )
 from .graph_adaptation import (
     AdaptationDeltas,
@@ -88,7 +90,6 @@ class AdaptConfig:
     epochs: int = 200
     seed: int = 0
     batch_size: int = 0  # 0 = contrast against the full graph
-    include_positive_in_denominator: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -186,12 +187,13 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     deltas = AdaptationDeltas.zeros(n, g.feature_dim, e, cfg.budget_fraction * e)
     layout = AdjacencyLayout(n, g.edges)
     x_base = g.features
-    weights = apply_structure_delta(g, deltas)
+    weights = apply_structure_delta(g, deltas.delta_a)
     adj = layout.normalized(weights)
     x_prime = x_base + deltas.delta_x
 
+    # no local name keeps the pass's z or p, which would keep its tape alive
     recorded = record_forward(model, adj, x_prime)
-    banks = init_banks(recorded_outputs(recorded), cfg.bank_momentum)
+    banks = init_banks(recorded[2].value, recorded[3].value, cfg.bank_momentum)
     opt = AdamState([p.shape for p in model.parameters()], cfg.model_lr)
 
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -237,7 +239,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             backward(tape, l_g)
             deltas = pgd_step_structure(deltas, da.grad.ravel(), cfg.delta_lr)
 
-        weights = apply_structure_delta(g, deltas)
+        weights = apply_structure_delta(g, deltas.delta_a)
         adj = layout.normalized(weights)
         x_prime = x_base + deltas.delta_x
         report.loss_model_trace.append(loss_m)
@@ -245,7 +247,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         if g.labels is not None:
             # the next epoch's first model step differentiates this pass
             recorded = record_forward(model, adj, x_prime)
-            pred = np.argmax(recorded_outputs(recorded).predictions, axis=1)
+            pred = np.argmax(recorded[3].value, axis=1)
             report.accuracy_trace.append(evaluate_accuracy(pred, g.labels))
 
         delta_m = _trace_delta(prev[0], loss_m)
@@ -262,11 +264,11 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     refined = TargetGraph(n, g.edges[keep], x_prime, g.labels, g.num_classes)
     if recorded is not None and np.array_equal(keep, weights):
         # the last pass already read these 0/1 weights, features and model
-        fo = recorded_outputs(recorded)
+        final_p = recorded[3].value
     else:
         recorded = None  # the final prediction reads another adjacency
-        fo = forward(model, layout.normalized(keep.astype(np.float64)), refined.features)
-    predictions = np.argmax(fo.predictions, axis=1)
+        _, final_p = forward(model, layout.normalized(keep.astype(np.float64)), refined.features)
+    predictions = np.argmax(final_p, axis=1)
     report.edges_deleted = e - refined.num_edges
     if g.labels is not None:
         report.final_accuracy = evaluate_accuracy(predictions, g.labels)
@@ -288,20 +290,13 @@ def _model_step(recorded, model, opt, neighbors, banks, cfg: AdaptConfig, batch_
     if cfg.batch_size:
         n = banks.n
         batch = batch_rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-    l_co = loss_instance_prototype(
-        z,
-        centroids,
-        labels,
-        cfg.temperature,
-        batch_indices=batch,
-        include_positive_in_denominator=cfg.include_positive_in_denominator,
-    )
+    l_co = loss_instance_prototype(z, centroids, labels, cfg.temperature, batch_indices=batch)
     _check_finite(float(l_ce.value[0, 0]), "weighted cross-entropy (model loss)")
     _check_finite(float(l_co.value[0, 0]), "instance-prototype contrast (model loss)")
     l_m = loss_model(l_ce, l_co, cfg.contrast_mix)
     backward(tape, l_m)
     opt.step(model.parameters(), [t.grad for t in params])
-    return momentum_update(banks, recorded_outputs(recorded)), float(l_m.value[0, 0])
+    return momentum_update(banks, z.value, p.value), float(l_m.value[0, 0])
 
 
 def _trace_delta(before, after) -> float:
@@ -325,9 +320,9 @@ def export_embeddings(model: GnnModel, g: TargetGraph, deltas, path) -> None:
         weights = None
         x = g.features
     else:
-        weights = apply_structure_delta(g, deltas)
+        weights = apply_structure_delta(g, deltas.delta_a)
         x = g.features + deltas.delta_x
-    fo = forward(model, normalize_adjacency(g, weights), x)
+    z, _ = forward(model, normalize_adjacency(g, weights), x)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, fo.representations, fmt="%.17g")
+    np.savetxt(path, z, fmt="%.17g")

@@ -9,9 +9,10 @@ tensors only: the parameters, the features and the adjacency's values are
 each a live leaf or a tape constant, so one pass serves model adaptation
 (live parameters), feature adaptation (a live offset) and structure
 adaptation (a live edge mask). `record_forward` records the pass of one
-model state with its parameters as leaves; `forward` returns its values,
-pretraining reads a state's validation accuracy off it and trains on it,
-and the adaptation loop does the same with its banks and model steps.
+model state with its parameters as leaves; `forward` returns its values as
+two arrays, (representations, predictions). Pretraining reads a state's
+validation accuracy off the recorded pass and trains on it, and the
+adaptation loop does the same with its banks and model steps.
 Everything runs full-batch; there is no dropout, keeping recorded
 computations exactly differentiable.
 """
@@ -43,12 +44,10 @@ from .numerics import (
 
 __all__ = [
     "GnnModel",
-    "ForwardOutput",
     "init_model",
     "forward",
     "forward_on_tape",
     "record_forward",
-    "recorded_outputs",
     "predict",
     "evaluate_accuracy",
     "pretrain_source",
@@ -120,16 +119,6 @@ class GnnModel:
         )
 
 
-class ForwardOutput:
-    """Node representations and row-stochastic class predictions, as arrays."""
-
-    __slots__ = ("representations", "predictions")
-
-    def __init__(self, representations: np.ndarray, predictions: np.ndarray):
-        self.representations = representations
-        self.predictions = predictions
-
-
 def init_model(d: int, h: int, num_classes: int, num_layers: int, seed: int) -> GnnModel:
     """Glorot-uniform weights, zero bias, deterministic per seed."""
     if min(d, h, num_classes, num_layers) < 1:
@@ -171,25 +160,21 @@ def record_forward(model: GnnModel, adj_hat: SparseAdjacency, x):
     return tape, params, z, p
 
 
-def recorded_outputs(recorded) -> ForwardOutput:
-    """The values of a recorded forward pass, as arrays."""
-    _, _, z, p = recorded
-    return ForwardOutput(z.value, p.value)
-
-
-def forward(model: GnnModel, adj_hat: SparseAdjacency, x) -> ForwardOutput:
-    """The values of the recorded forward pass, after a shape check."""
+def forward(model: GnnModel, adj_hat: SparseAdjacency, x):
+    """(representations, predictions) of the recorded forward pass, as
+    arrays, after a shape check."""
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape[1] != model.input_dim:
         raise ShapeError(f"features have {xv.shape[1]} dims, model expects {model.input_dim}")
     if adj_hat.n != xv.shape[0]:
         raise ShapeError(f"adjacency is {adj_hat.n}x{adj_hat.n}, features have {xv.shape[0]} rows")
-    return recorded_outputs(record_forward(model, adj_hat, xv))
+    _, _, z, p = record_forward(model, adj_hat, xv)
+    return z.value, p.value
 
 
 def predict(model: GnnModel, adj_hat: SparseAdjacency, x) -> np.ndarray:
     """Argmax class ids."""
-    return np.argmax(forward(model, adj_hat, x).predictions, axis=1)
+    return np.argmax(forward(model, adj_hat, x)[1], axis=1)
 
 
 class AdamState:
@@ -247,10 +232,16 @@ def pretrain_source(
     accuracy and the next epoch differentiates it, so `epochs` epochs make
     epochs + 1 passes. The initial state is a candidate only when no epoch
     runs. A non-finite training loss raises NumericalError naming its epoch,
-    before the step that would follow it.
+    before the step that would follow it. A negative `epochs`, and an `lr`
+    or `weight_decay` that is negative or not finite, raise ContractError.
     """
     if source.labels is None:
         raise ContractError("pretraining needs source labels")
+    if epochs < 0:
+        raise ContractError(f"epochs must be nonnegative, got {epochs}")
+    for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+        if not 0 <= value < np.inf:  # NaN fails too
+            raise ContractError(f"{name} must be finite and nonnegative, got {value}")
     model = model.copy()
     adj = normalize_adjacency(source)
     labels = source.labels

@@ -8,8 +8,10 @@ that puts the clipped mass on the budget, solved exactly between the sorted
 kinks of that mass. An edge with mask delta carries weight 1 - delta
 through the normalized adjacency (`AdjacencyLayout.normalized`, recorded on
 the mask's tape in a structure step), so delta = 1 reproduces deletion
-exactly. The final discrete graph is drawn once as a keep mask, edge e kept
-with probability 1 - delta_e.
+exactly. `apply_structure_delta` is the one place that rule is written: it
+takes the mask as an array, or as a live leaf in a structure step. The
+final discrete graph is drawn once as a keep mask, edge e kept with
+probability 1 - delta_e.
 
 The training signal is a self-training loss: cross-entropy on
 high-confidence nodes plus a neighborhood contrast that pulls each node
@@ -122,12 +124,13 @@ def apply_feature_delta(x: Tensor, dx: Tensor) -> Tensor:
     return add(x, dx)
 
 
-def apply_structure_delta(g: TargetGraph, deltas):
-    """Per-edge weights 1 - delta for the normalized adjacency."""
-    da = deltas.delta_a if isinstance(deltas, AdaptationDeltas) else deltas
-    if isinstance(da, Tensor):
-        return add_scalar(neg(da), 1.0)
-    da = np.asarray(da, dtype=np.float64).ravel()
+def apply_structure_delta(g: TargetGraph, delta_a):
+    """Per-edge weights 1 - delta for the normalized adjacency, from the edge
+    mask: an (e,) array, or a live (e x 1) Tensor whose tape then records
+    the weights."""
+    if isinstance(delta_a, Tensor):
+        return add_scalar(neg(delta_a), 1.0)
+    da = np.asarray(delta_a, dtype=np.float64).ravel()
     if da.shape != (g.num_edges,):
         raise ContractError(
             f"edge mask has {da.shape[0]} entries for {g.num_edges} edges"

@@ -198,9 +198,9 @@ class AdjacencyLayout:
     `entry_source[k]` says which value fills CSR slot k: index j < e refers to
     undirected edge j (used for both of its mirror slots), index e+i refers to
     the self-loop of node i. Sharing one value per edge keeps every matrix on
-    the layout exactly symmetric. `adjacency` puts values on the checked
-    structure without checking it again. A graph with some edges deleted is
-    this layout with weight 0 on them.
+    the layout exactly symmetric. Each matrix puts its values, one per CSR
+    slot, on the checked structure without checking it again. A graph with
+    some edges deleted is this layout with weight 0 on them.
     """
 
     __slots__ = ("n", "edge_u", "edge_v", "entry_source", "_structure")
@@ -220,11 +220,6 @@ class AdjacencyLayout:
         self.entry_source = src[order]
         self._structure = SparseAdjacency(n, offsets, cols[order], np.zeros(order.size))
 
-    def adjacency(self, values) -> SparseAdjacency:
-        """A+I's structure carrying `values`, one per CSR slot: a constant
-        array or an (nnz x 1) Tensor."""
-        return self._structure.with_values(values)
-
     def normalized(self, edge_weights) -> SparseAdjacency:
         """The normalized adjacency under per-edge weights: an (e,) array of
         constants, or an (e x 1) Tensor whose tape then records the entries
@@ -235,9 +230,9 @@ class AdjacencyLayout:
         edge feeds both mirror slots, so the matrix stays exactly symmetric.
         """
         if isinstance(edge_weights, Tensor):
-            return self.adjacency(self._normalized_values(edge_weights))
+            return self._structure.with_values(self._normalized_values(edge_weights))
         column = np.asarray(edge_weights, dtype=np.float64).reshape(-1, 1)
-        return self.adjacency(evaluate(self._normalized_values, column))
+        return self._structure.with_values(evaluate(self._normalized_values, column))
 
     def _normalized_values(self, w: Tensor) -> Tensor:
         """The (nnz x 1) entries of the normalized adjacency, one per CSR slot.
@@ -255,7 +250,7 @@ class AdjacencyLayout:
         """0/1 neighbour matrix: 1 on both slots of every edge with positive
         weight, 0 on deleted edges and on the self-loops."""
         live = np.concatenate([edge_weights > 0.0, np.zeros(self.n, dtype=bool)])
-        return self.adjacency(live[self.entry_source].astype(np.float64))
+        return self._structure.with_values(live[self.entry_source].astype(np.float64))
 
 
 def normalize_adjacency(g: TargetGraph, edge_weights=None) -> SparseAdjacency:

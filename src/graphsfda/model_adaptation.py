@@ -71,7 +71,7 @@ def neighborhood_pseudo_labels(neighbors: SparseAdjacency, banks: MemoryBanks) -
     n = banks.n
     if neighbors.n != n:
         raise ContractError(f"neighbour matrix has {neighbors.n} rows for {n} banked nodes")
-    counts = np.bincount(neighbors.rows_expanded(), neighbors.values.ravel(), n)
+    counts = np.bincount(neighbors.rows, neighbors.values.ravel(), n)
     isolated = (counts == 0)[:, None]
     sums = evaluate(lambda bank: spmm(neighbors, bank), banks.pred_bank)
     agg = np.where(isolated, banks.pred_bank, sums / np.where(isolated, 1.0, counts[:, None]))
@@ -105,22 +105,16 @@ def loss_weighted_ce(p: Tensor, labels: np.ndarray, w) -> Tensor:
 
 
 def loss_instance_prototype(
-    z: Tensor,
-    centroids: np.ndarray,
-    labels: np.ndarray,
-    tau: float,
-    batch_indices=None,
-    include_positive_in_denominator: bool = False,
+    z: Tensor, centroids: np.ndarray, labels: np.ndarray, tau: float, batch_indices=None
 ) -> Tensor:
     """Instance-to-prototype contrast under temperature `tau`.
 
     Per node, the positive is its pseudo-class centroid; negatives are the
     other centroids plus every other instance (optionally restricted to a
-    sampled batch). By default the positive is excluded from the denominator,
-    matching the weighting this loss is defined with; flip
-    `include_positive_in_denominator` for the more common normalization.
-    Every node's pseudo-class must have a centroid row, as it has when the
-    centroids are built from the same pseudo-labels.
+    sampled batch). The positive is left out of the denominator, as in the
+    weighting this loss is defined with. Every node's pseudo-class must have
+    a centroid row, as it has when the centroids are built from the same
+    pseudo-labels.
     """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
@@ -133,10 +127,7 @@ def loss_instance_prototype(
     proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)
 
     inst_sum = exp_sum_others(zn, batch_indices, inv_tau)
-    denom = add(proto_sum, inst_sum)
-    if include_positive_in_denominator:
-        denom = add(denom, pos_exp)
-    per_node = sub(mul_scalar(pos, inv_tau), log(denom))
+    per_node = sub(mul_scalar(pos, inv_tau), log(add(proto_sum, inst_sum)))
     return mul_scalar(sum_all(per_node), -1.0 / max(n, 1))
 
 

@@ -74,12 +74,12 @@ class SparseAdjacency:
 
     Canonical means: `row_offsets` is nondecreasing with n+1 entries, and
     column indices are strictly increasing within every row (hence no
-    duplicate entries). `values` is an (nnz x 1) column, one entry per
-    stored slot: constant, or a Tensor when the entries are differentiated.
+    duplicate entries). `rows` is the row id of every stored entry, in
+    storage order. `values` is an (nnz x 1) column, one entry per stored
+    slot: constant, or a Tensor when the entries are differentiated.
     """
 
-    __slots__ = ("n", "row_offsets", "col_indices", "values", "_rows_expanded",
-                 "_by_row", "_by_col")
+    __slots__ = ("n", "row_offsets", "col_indices", "rows", "values", "_by_row", "_by_col")
 
     def __init__(self, n: int, row_offsets, col_indices, values):
         offsets = np.asarray(row_offsets, dtype=np.int64)
@@ -104,7 +104,7 @@ class SparseAdjacency:
         self.row_offsets = offsets
         self.col_indices = cols
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        self._rows_expanded = rows
+        self.rows = rows
         self._by_row = _JaggedDiagonals(offsets, np.arange(cols.size), cols)
         by_col = np.argsort(cols, kind="stable")
         col_offsets = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
@@ -120,10 +120,6 @@ class SparseAdjacency:
     @property
     def nnz(self) -> int:
         return int(self.col_indices.size)
-
-    def rows_expanded(self) -> np.ndarray:
-        """Row id of every stored entry, in storage order."""
-        return self._rows_expanded
 
 
 class _JaggedDiagonals:
@@ -403,7 +399,7 @@ def spmm(adj: SparseAdjacency, x):
     xv, vv = x.value, vals.value
     if adj.n != xv.shape[0]:
         raise ShapeError(f"spmm: adjacency is {adj.n}x{adj.n}, x has {xv.shape[0]} rows")
-    rows, cols = adj.rows_expanded(), adj.col_indices
+    rows, cols = adj.rows, adj.col_indices
     out = adj._by_row.product(vv, xv)
     return tape._record(
         out,

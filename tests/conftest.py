@@ -33,7 +33,7 @@ def densify(adj):
     `graphsfda.numerics`."""
     values = adj.values.value if isinstance(adj.values, Tensor) else adj.values
     out = np.zeros((adj.n, adj.n))
-    out[adj.rows_expanded(), adj.col_indices] = values.ravel()
+    out[adj.rows, adj.col_indices] = values.ravel()
     return out
 
 

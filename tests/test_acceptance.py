@@ -11,7 +11,7 @@ import pytest
 
 from graphsfda.banks import MemoryBanks, init_banks, momentum_update, sharpen
 from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy
-from graphsfda.gnn import ForwardOutput, forward, forward_on_tape, init_model, predict, pretrain_source
+from graphsfda.gnn import forward, forward_on_tape, init_model, predict, pretrain_source
 from graphsfda.graph_adaptation import (
     AdaptationDeltas,
     apply_feature_delta,
@@ -65,12 +65,12 @@ def test_criterion_1_gradient_fidelity():
         adj = normalize_adjacency(g, weights)
         x_prime = g.features + delta_x0
 
-        fo = forward(model, adj, x_prime)
-        banks = MemoryBanks(fo.representations.copy(), fo.predictions.copy(), 0.9)
+        z0, p0 = forward(model, adj, x_prime)
+        banks = MemoryBanks(z0.copy(), p0.copy(), 0.9)
         pl = neighborhood_pseudo_labels(layout.neighbors(weights), banks)
         protos = compute_prototypes(pl, banks)
-        conf = select_confident(fo.predictions, 0.5)
-        positives = knn_positives(fo.representations, banks, 5)
+        conf = select_confident(p0, 0.5)
+        positives = knn_positives(z0, banks, 5)
         params = model.parameters()
 
         def model_loss(z, p):
@@ -154,30 +154,19 @@ def test_criterion_3_bank_and_sharpening_suite():
         ent = lambda q: -(q * np.log(np.where(q > 0, q, 1.0))).sum(axis=1)
         assert np.all(ent(s) < ent(p))
 
-        banks = init_banks(
-            ForwardOutput(
-                rng.standard_normal((5, 4)),
-                rng.dirichlet(np.ones(3), 5),
-            ),
-            0.9,
-        )
+        banks = init_banks(rng.standard_normal((5, 4)), rng.dirichlet(np.ones(3), 5), 0.9)
         for _ in range(10_000):
             banks = momentum_update(
-                banks,
-                ForwardOutput(
-                    rng.standard_normal((5, 4)),
-                    rng.dirichlet(np.ones(3), 5),
-                ),
+                banks, rng.standard_normal((5, 4)), rng.dirichlet(np.ones(3), 5)
             )
         assert np.max(np.abs(banks.pred_bank.sum(axis=1) - 1.0)) <= 1e-6
 
         z = rng.standard_normal((4, 3))
         pr = rng.dirichlet(np.ones(2), 4)
-        out = ForwardOutput(z, pr)
-        full = momentum_update(MemoryBanks(np.ones((4, 3)), np.full((4, 2), 0.5), 1.0), out)
+        full = momentum_update(MemoryBanks(np.ones((4, 3)), np.full((4, 2), 0.5), 1.0), z, pr)
         assert np.array_equal(full.repr_bank, z)
         assert np.array_equal(full.pred_bank, sharpen(pr))
-        frozen = momentum_update(MemoryBanks(np.ones((4, 3)), np.full((4, 2), 0.5), 0.0), out)
+        frozen = momentum_update(MemoryBanks(np.ones((4, 3)), np.full((4, 2), 0.5), 0.0), z, pr)
         assert np.array_equal(frozen.repr_bank, np.ones((4, 3)))
         assert np.array_equal(frozen.pred_bank, np.full((4, 2), 0.5))
         ok = True
@@ -198,7 +187,7 @@ def test_criterion_4_structural_semantics():
             kill = int(rng.integers(g.num_edges))
             w = np.ones(g.num_edges)
             w[kill] = 0.0
-            masked = forward(model, normalize_adjacency(g, w), g.features)
+            _, p_masked = forward(model, normalize_adjacency(g, w), g.features)
             g_rm = TargetGraph(
                 g.n,
                 [edge for i, edge in enumerate(g.edges) if i != kill],
@@ -206,8 +195,8 @@ def test_criterion_4_structural_semantics():
                 g.labels,
                 g.num_classes,
             )
-            removed = forward(model, normalize_adjacency(g_rm), g_rm.features)
-            assert np.max(np.abs(masked.predictions - removed.predictions)) <= 1e-12
+            _, p_removed = forward(model, normalize_adjacency(g_rm), g_rm.features)
+            assert np.max(np.abs(p_masked - p_removed)) <= 1e-12
             checked += 1
 
         # Bernoulli finalization concentration on 10^4 edges

@@ -378,6 +378,7 @@ EXIT_CASES = {
         "eval", "--checkpoint", str(tmp), "--graph", str(ws / "pair_tgt")]),
     "temperature-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, temperature=1e-300)]),
     "pretrain-lr-overflow": (5, lambda ws, tmp: ["pretrain", *_config(ws, tmp, pretrain_lr=1e300)]),
+    "model-lr-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr=1e300)]),
 }
 
 
@@ -401,7 +402,17 @@ def test_documented_exit_codes(workspace, tmp_path, case):
     if 2 <= code <= 4:
         assert "Warning" not in proc.stderr, proc.stderr
     if code:
-        assert proc.stderr.strip().splitlines()[-1].startswith(f"{argv[0]}: "), proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert lines and all(line.startswith(f"{argv[0]}: ") for line in lines), proc.stderr
+
+
+def test_overflow_warnings_print_once_in_one_line(workspace, tmp_path):
+    # a delta_lr this large overflows a feature step but the run finishes
+    proc = _cli_process(["adapt", *_config(workspace, tmp_path, delta_lr=1e300)])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("adapt: warning: ") for line in lines), proc.stderr
+    assert len(set(lines)) == len(lines)
 
 
 def test_symmetrized_pair_warns_in_one_line(workspace, tmp_path):

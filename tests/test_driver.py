@@ -119,7 +119,7 @@ class TestForwardPasses:
             epochs=3, model_steps=model_steps, feature_steps=0, structure_steps=structure_steps
         )
         _, _, _, report = adapt(model, tgt, cfg)
-        weights = driver.apply_structure_delta(tgt, report.deltas)
+        weights = driver.apply_structure_delta(tgt, report.deltas.delta_a)
         assert np.array_equal(report.keep, weights) == (structure_steps == 0)
         assert len(calls) == passes
 
@@ -129,24 +129,24 @@ class TestForwardPasses:
         ids=["no-structure-step", "zero-budget"],
     )
     def test_reused_pass_equals_final_forward(self, fixture_pair, monkeypatch, overrides):
-        outputs = []
-        original = gnn.recorded_outputs
+        passes = []
+        original = gnn.record_forward
 
-        def kept(recorded):
-            outputs.append(original(recorded))
-            return outputs[-1]
+        def kept(*args):
+            passes.append(original(*args))
+            return passes[-1]
 
         def no_final_pass(*args):
             raise AssertionError("the final prediction ran a pass of its own")
 
-        monkeypatch.setattr(driver, "recorded_outputs", kept)
+        monkeypatch.setattr(driver, "record_forward", kept)
         monkeypatch.setattr(driver, "forward", no_final_pass)
         model, tgt = fixture_pair
         adapted, refined, pred, report = adapt(model, tgt, quick_cfg(**overrides))
         keep = report.keep.astype(float)
-        fo = forward(adapted, normalize_adjacency(tgt, keep), refined.features)
-        assert outputs[-1].predictions.tobytes() == fo.predictions.tobytes()
-        assert np.array_equal(pred, np.argmax(fo.predictions, axis=1))
+        _, p0 = forward(adapted, normalize_adjacency(tgt, keep), refined.features)
+        assert passes[-1][3].value.tobytes() == p0.tobytes()
+        assert np.array_equal(pred, np.argmax(p0, axis=1))
 
 
 class TestInvariantsAndReport:
@@ -165,11 +165,12 @@ class TestInvariantsAndReport:
         assert report.edges_deleted > 0
         kept = {tuple(edge) for edge in refined.edges.tolist()}
         keep = np.array([tuple(edge) in kept for edge in tgt.edges.tolist()])
-        masked = forward(adapted, normalize_adjacency(tgt, keep.astype(float)), refined.features)
-        deleted = forward(adapted, normalize_adjacency(refined), refined.features)
-        assert masked.representations.tobytes() == deleted.representations.tobytes()
-        assert masked.predictions.tobytes() == deleted.predictions.tobytes()
-        assert np.array_equal(pred, np.argmax(deleted.predictions, axis=1))
+        adj_masked = normalize_adjacency(tgt, keep.astype(float))
+        z_masked, p_masked = forward(adapted, adj_masked, refined.features)
+        z_deleted, p_deleted = forward(adapted, normalize_adjacency(refined), refined.features)
+        assert z_masked.tobytes() == z_deleted.tobytes()
+        assert p_masked.tobytes() == p_deleted.tobytes()
+        assert np.array_equal(pred, np.argmax(p_deleted, axis=1))
 
     def test_report_json_schema(self, fixture_pair, tmp_path):
         model, tgt = fixture_pair
@@ -252,8 +253,8 @@ class TestExportEmbeddings:
         export_embeddings(model, tgt, deltas, tmp_path / "z2.txt")
         assert (tmp_path / "z1.txt").read_bytes() == (tmp_path / "z2.txt").read_bytes()
         parsed = np.loadtxt(tmp_path / "z1.txt")
-        fo = forward(model, normalize_adjacency(tgt), tgt.features)
-        assert np.array_equal(parsed, fo.representations)  # %.17g round-trips
+        z0, _ = forward(model, normalize_adjacency(tgt), tgt.features)
+        assert np.array_equal(parsed, z0)  # %.17g round-trips
 
     def test_two_line_fixture(self, tmp_path, rng):
         g = random_graph(rng, 2, 3, 2, edge_p=1.0)

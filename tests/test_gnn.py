@@ -67,34 +67,34 @@ class TestForward:
         m = init_model(4, 5, 3, 2, seed=0)
         for w in m.parameters():
             w[:] = 0.0
-        fo = forward(m, normalize_adjacency(g), g.features)
-        assert np.array_equal(fo.representations, np.zeros((6, 5)))
-        assert np.allclose(fo.predictions, 1.0 / 3.0)
+        z0, p0 = forward(m, normalize_adjacency(g), g.features)
+        assert np.array_equal(z0, np.zeros((6, 5)))
+        assert np.allclose(p0, 1.0 / 3.0)
 
     def test_single_node_single_layer(self, rng):
         x = rng.standard_normal((1, 4))
         g = TargetGraph(1, [], x, None, 2)
         m = init_model(4, 3, 2, 1, seed=5)
-        fo = forward(m, normalize_adjacency(g), g.features)
+        z0, _ = forward(m, normalize_adjacency(g), g.features)
         expected = np.maximum(x @ m.layer_weights[0], 0.0)
-        assert np.allclose(fo.representations, expected, atol=1e-12)
+        assert np.allclose(z0, expected, atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
         g = random_graph(rng, 10, 4, 3)
-        fo = forward(init_model(4, 6, 3, 2, seed=1), normalize_adjacency(g), g.features)
-        assert np.max(np.abs(fo.predictions.sum(axis=1) - 1.0)) <= 1e-9
+        _, p0 = forward(init_model(4, 6, 3, 2, seed=1), normalize_adjacency(g), g.features)
+        assert np.max(np.abs(p0.sum(axis=1) - 1.0)) <= 1e-9
 
     def test_weight_zero_edge_equals_removal(self, rng):
         g = random_graph(rng, 8, 3, 2, edge_p=0.5)
         m = init_model(3, 4, 2, 2, seed=3)
         w = np.ones(g.num_edges)
         w[2] = 0.0
-        fo_masked = forward(m, normalize_adjacency(g, w), g.features)
+        _, p_masked = forward(m, normalize_adjacency(g, w), g.features)
         g_removed = TargetGraph(
             g.n, np.delete(g.edges, 2, axis=0), g.features, g.labels, g.num_classes
         )
-        fo_removed = forward(m, normalize_adjacency(g_removed), g_removed.features)
-        assert np.max(np.abs(fo_masked.predictions - fo_removed.predictions)) <= 1e-12
+        _, p_removed = forward(m, normalize_adjacency(g_removed), g_removed.features)
+        assert np.max(np.abs(p_masked - p_removed)) <= 1e-12
 
     def test_shape_mismatch(self, rng):
         g = random_graph(rng, 6, 4, 3)
@@ -112,10 +112,10 @@ class TestForward:
         x_p = np.empty_like(g.features)
         x_p[perm] = g.features
         g_p = TargetGraph(g.n, edges_p, x_p, None, 2)
-        fo = forward(m, normalize_adjacency(g), g.features)
-        fo_p = forward(m, normalize_adjacency(g_p), g_p.features)
-        assert np.max(np.abs(fo_p.representations[perm] - fo.representations)) <= 1e-12
-        assert np.max(np.abs(fo_p.predictions[perm] - fo.predictions)) <= 1e-12
+        z0, p0 = forward(m, normalize_adjacency(g), g.features)
+        z_perm, p_perm = forward(m, normalize_adjacency(g_p), g_p.features)
+        assert np.max(np.abs(z_perm[perm] - z0)) <= 1e-12
+        assert np.max(np.abs(p_perm[perm] - p0)) <= 1e-12
 
     def test_gradients_wrt_params_and_features(self, rng):
         g = random_graph(rng, 7, 3, 2, edge_p=0.4)
@@ -179,6 +179,24 @@ class TestPretrain:
         model = init_model(3, 4, 2, 2, seed=0)
         with pytest.raises(ContractError):
             pretrain_source(model, g, None, epochs=1)
+
+    @pytest.mark.parametrize(
+        "arguments, named",
+        [
+            (dict(epochs=-1), "epochs"),
+            (dict(lr=-1e-2), "lr"),
+            (dict(lr=float("nan")), "lr"),
+            (dict(lr=float("inf")), "lr"),
+            (dict(weight_decay=-5e-4), "weight_decay"),
+            (dict(weight_decay=float("nan")), "weight_decay"),
+        ],
+        ids=["epochs-negative", "lr-negative", "lr-nan", "lr-inf", "decay-negative", "decay-nan"],
+    )
+    def test_invalid_arguments_raise_up_front(self, arguments, named):
+        src = separable_source(1)
+        model = init_model(src.feature_dim, 8, 3, 2, seed=1)
+        with pytest.raises(ContractError, match=f"^{named} must be"):
+            pretrain_source(model, src, split_nodes(src, 1), **{"epochs": 1, **arguments})
 
     def test_non_finite_loss_raises_naming_its_epoch(self):
         # the first step at this rate overflows the next forward pass

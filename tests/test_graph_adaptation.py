@@ -190,14 +190,14 @@ class TestApplyStructureDelta:
     def test_semantics(self):
         g = self.graph()
         d = AdaptationDeltas(np.zeros((3, 1)), np.array([0.0, 1.0]), 2.0)
-        assert np.allclose(apply_structure_delta(g, d), [1.0, 0.0])
+        assert np.allclose(apply_structure_delta(g, d.delta_a), [1.0, 0.0])
         d2 = AdaptationDeltas(np.zeros((3, 1)), np.array([0.3, 0.0]), 2.0)
-        assert np.allclose(apply_structure_delta(g, d2), [0.7, 1.0])
+        assert np.allclose(apply_structure_delta(g, d2.delta_a), [0.7, 1.0])
 
     def test_alignment_checked(self):
         g = self.graph()
         with pytest.raises(ContractError):
-            apply_structure_delta(g, AdaptationDeltas(np.zeros((3, 1)), np.array([0.5]), 2.0))
+            apply_structure_delta(g, np.array([0.5]))
 
 
 class TestSelectConfident:
@@ -634,7 +634,7 @@ def test_mask_one_equals_physical_deletion(rng):
         kill = int(rng.integers(g.num_edges))
         w = np.ones(g.num_edges)
         w[kill] = 0.0
-        fo_masked = forward(m, normalize_adjacency(g, w), g.features)
+        _, p_masked = forward(m, normalize_adjacency(g, w), g.features)
         g_removed = TargetGraph(
             g.n,
             [e for i, e in enumerate(g.edges) if i != kill],
@@ -642,18 +642,18 @@ def test_mask_one_equals_physical_deletion(rng):
             g.labels,
             g.num_classes,
         )
-        fo_removed = forward(m, normalize_adjacency(g_removed), g_removed.features)
-        assert np.max(np.abs(fo_masked.predictions - fo_removed.predictions)) <= 1e-12
+        _, p_removed = forward(m, normalize_adjacency(g_removed), g_removed.features)
+        assert np.max(np.abs(p_masked - p_removed)) <= 1e-12
 
 
 def test_graph_loss_gradients_wrt_deltas(rng):
     g = random_graph(rng, 12, 3, 3, edge_p=0.35)
     model = init_model(3, 4, 3, 2, seed=4)
     layout = AdjacencyLayout(g.n, g.edges)
-    fo = forward(model, normalize_adjacency(g), g.features)
-    banks = MemoryBanks(fo.representations.copy(), fo.predictions.copy(), 0.9)
-    conf = select_confident(fo.predictions, 0.5)
-    positives = knn_positives(fo.representations, banks, 3)
+    z0, p0 = forward(model, normalize_adjacency(g), g.features)
+    banks = MemoryBanks(z0.copy(), p0.copy(), 0.9)
+    conf = select_confident(p0, 0.5)
+    positives = knn_positives(z0, banks, 3)
     delta_a0 = rng.uniform(0.2, 0.8, (g.num_edges, 1))
     params = model.parameters()
 

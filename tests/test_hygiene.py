@@ -1,8 +1,10 @@
 """Source hygiene, read off the syntax trees of the package: no config key
-that nothing reads, no import that nothing uses, and no export that is not
-defined."""
+that nothing reads or that README's config table leaves out, no import that
+nothing uses, no export that is not defined, and no benchmark phase anchored
+on a function the package no longer calls."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import graphsfda
 
 PACKAGE = Path(graphsfda.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 TREES = {
     path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for path in sorted(PACKAGE.glob("*.py"))
@@ -131,3 +134,53 @@ def defined_names(module):
 def test_every_export_is_defined(name):
     undefined = sorted(exported_names(TREES[name]) - defined_names(TREES[name]))
     assert not undefined, f"{name}.py exports {undefined} without defining them"
+
+
+def readme_config_keys():
+    """The keys in the first column of README's "Run config" table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Run config\n", 1)[1].split("\n## ", 1)[0]
+    keys = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys += re.findall(r"`(\w+)`", line.split("|")[1])
+    return keys
+
+
+def test_readme_config_table_lists_every_key():
+    keys = readme_config_keys()
+    assert len(keys) == len(set(keys)), keys
+    assert sorted(keys) == sorted(ADAPT_FIELDS + EXTRA_KEYS)
+
+
+def benchmark_phase_anchors():
+    """The functions the benchmark's tracer opens and closes its phases on,
+    read from `perfbench/tracer.py` without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "PHASES" for t in node.targets
+        ):
+            phases = ast.literal_eval(node.value)
+            return sorted({anchor for pair in phases.values() for anchor in pair})
+    raise AssertionError("perfbench/tracer.py defines no PHASES")
+
+
+@pytest.mark.parametrize("anchor", benchmark_phase_anchors())
+def test_every_benchmark_phase_anchor_is_a_called_function(anchor):
+    module, _, name = anchor.partition(".")
+    assert module in TREES, f"{anchor}: no module {module}"
+    definition = next(
+        (
+            node
+            for node in TREES[module].body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ),
+        None,
+    )
+    assert definition is not None, f"{anchor} is not a function of the package"
+
+    def is_read(node):
+        return isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+
+    assert read_outside(definition, is_read), f"nothing in the package calls {anchor}"

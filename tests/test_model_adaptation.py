@@ -4,7 +4,7 @@ import pytest
 from graphsfda import numerics
 from graphsfda.banks import MemoryBanks, init_banks
 from graphsfda.errors import ContractError
-from graphsfda.gnn import init_model, record_forward, recorded_outputs
+from graphsfda.gnn import init_model, record_forward
 from graphsfda.graph_adaptation import ConfidentSet, loss_graph
 from graphsfda.graph_store import AdjacencyLayout
 from graphsfda.model_adaptation import (
@@ -237,17 +237,6 @@ class TestInstancePrototypeLoss:
         batched = instance_prototype(z, protos, pl, 0.3, batch_indices=np.arange(5))
         assert full == pytest.approx(batched, abs=1e-12)
 
-    def test_positive_in_denominator_option(self):
-        z = [[1.0, 0.0]]
-        pl = np.array([0])
-        literal = instance_prototype(z, self.two_class_protos(), pl, 0.2)
-        common = instance_prototype(
-            z, self.two_class_protos(), pl, 0.2, include_positive_in_denominator=True
-        )
-        # with the positive included the ratio is < 1, so the loss is positive
-        assert literal == pytest.approx(-5.0, abs=1e-9)
-        assert common > 0.0
-
     def test_bad_temperature(self):
         with pytest.raises(ContractError):
             loss_instance_prototype(
@@ -339,7 +328,7 @@ def test_model_loss_backward_holds_only_its_frontier():
     model = init_model(d, h, c, 2, seed=0)
     recorded = record_forward(model, layout.normalized(ones), rng.standard_normal((n, d)))
     tape, params, z, p = recorded
-    banks = init_banks(recorded_outputs(recorded), 0.9)
+    banks = init_banks(z.value, p.value, 0.9)
     pl = neighborhood_pseudo_labels(layout.neighbors(ones), banks)
     protos = compute_prototypes(pl, banks)
     batch = rng.choice(n, size=256, replace=False)
@@ -410,8 +399,8 @@ def test_model_loss_gradients_on_random_instance(rng):
     g = random_graph(rng, 20, 4, 3, edge_p=0.25)
     model = init_model(4, 5, 3, 2, seed=6)
     adj = normalize_adjacency(g)
-    fo = forward(model, adj, g.features)
-    banks = MemoryBanks(fo.representations.copy(), fo.predictions.copy(), 0.9)
+    z0, p0 = forward(model, adj, g.features)
+    banks = MemoryBanks(z0.copy(), p0.copy(), 0.9)
     from graphsfda.graph_store import AdjacencyLayout
 
     pl = neighborhood_pseudo_labels(

@@ -405,21 +405,21 @@ def scatter_spmm(adj, values, x):
     kept as their bitwise oracle: entries added one at a time, in CSR order,
     into a zeroed output."""
     out = np.zeros((adj.n, x.shape[1]))
-    np.add.at(out, adj.rows_expanded(), values * x[adj.col_indices])
+    np.add.at(out, adj.rows, values * x[adj.col_indices])
     return out
 
 
 def scatter_spmm_grad_x(adj, values, g):
     """The x-gradient of `scatter_spmm` by the same scatter-add."""
     gx = np.zeros((adj.n, g.shape[1]))
-    np.add.at(gx, adj.col_indices, values * g[adj.rows_expanded()])
+    np.add.at(gx, adj.col_indices, values * g[adj.rows])
     return gx
 
 
 def spmm_grad_values(adj, g, x):
     """The value gradient of `spmm` as one row-wise product of two nnz x h
     gathers, kept as the bitwise oracle of its chunked form."""
-    return (g[adj.rows_expanded()] * x[adj.col_indices]).sum(axis=1, keepdims=True)
+    return (g[adj.rows] * x[adj.col_indices]).sum(axis=1, keepdims=True)
 
 
 def csr(n, dense_pattern):
