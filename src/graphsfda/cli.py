@@ -27,13 +27,13 @@ import numpy as np
 from .driver import AdaptConfig, adapt, evaluate_accuracy, export_embeddings
 from .errors import ContractError, NumericalError, ParseError, ShapeError
 from .gnn import init_model, load_checkpoint, predict, pretrain_source, save_checkpoint
-from .graph_adaptation import AdaptationDeltas, apply_structure_delta
+from .graph_adaptation import apply_structure_delta
 from .graph_store import (
+    AdjacencyLayout,
     ShiftSpec,
     load_graph,
     make_shift_pair,
     mask_fault,
-    normalize_adjacency,
     read_table,
     read_text,
     save_graph,
@@ -283,7 +283,7 @@ def cmd_adapt(args) -> int:
 
     try:
         save_graph(refined, out_dir / "refined")
-        np.savetxt(out_dir / "refined.mask", report.deltas.delta_a[report.keep], fmt="%.17g")
+        np.savetxt(out_dir / "refined.mask", report.edge_mask[report.keep], fmt="%.17g")
         save_checkpoint(adapted, out_dir / "adapted.ckpt")
         report.save(out_dir / "report.json")
         np.savetxt(out_dir / "predictions.txt", predictions, fmt="%d")
@@ -299,11 +299,11 @@ def cmd_adapt(args) -> int:
 
 
 def _load_eval_inputs(args, command: str):
-    """The graph, checkpoint and optional mask of `eval` and
-    `export-embeddings`, or the exit code of the first one that fails: a
-    missing or invalid graph or mask is bad data (3); a checkpoint that is
-    missing, unreadable or does not fit the graph, and a mask whose length
-    does not fit it, are incompatible artifacts (4)."""
+    """The graph, checkpoint and edge mask (all zeros without `--mask`) of
+    `eval` and `export-embeddings`, or the exit code of the first one that
+    fails: a missing or invalid graph or mask is bad data (3); a checkpoint
+    that is missing, unreadable or does not fit the graph, and a mask whose
+    length does not fit it, are incompatible artifacts (4)."""
     try:
         with _warnings_to_stderr(command):
             graph = load_graph(args.graph)
@@ -321,7 +321,7 @@ def _load_eval_inputs(args, command: str):
             f"{command}: checkpoint ({model.input_dim}d/{model.num_classes}c) does not "
             f"fit graph ({graph.feature_dim}d/{graph.num_classes}c)",
         )
-    mask = None
+    mask = np.zeros(graph.num_edges)
     if args.mask:
         try:
             mask = _read_mask(args.mask, graph.num_edges)
@@ -339,8 +339,12 @@ def cmd_eval(args) -> int:
     graph, model, mask = loaded
     if graph.labels is None:
         return _fail(EXIT_DATA, f"eval: {args.graph} has no labels")
-    weights = None if mask is None else apply_structure_delta(graph, mask)
-    pred = predict(model, normalize_adjacency(graph, weights), graph.features)
+    adj = AdjacencyLayout(graph.n, graph.edges).normalized(apply_structure_delta(mask))
+    try:
+        with _warnings_to_stderr("eval"):
+            pred = predict(model, adj, graph.features)
+    except NumericalError as exc:
+        return _fail(EXIT_NUMERICAL, f"eval: {exc}")
     print(f"acc={evaluate_accuracy(pred, graph.labels):.9f}")
     return EXIT_OK
 
@@ -350,13 +354,11 @@ def cmd_export_embeddings(args) -> int:
     if isinstance(loaded, int):
         return loaded
     graph, model, mask = loaded
-    deltas = None
-    if mask is not None:
-        deltas = AdaptationDeltas(
-            np.zeros((graph.n, graph.feature_dim)), mask, float(mask.sum())
-        )
     try:
-        export_embeddings(model, graph, deltas, args.out_file)
+        with _warnings_to_stderr("export-embeddings"):
+            export_embeddings(model, graph, mask, args.out_file)
+    except NumericalError as exc:
+        return _fail(EXIT_NUMERICAL, f"export-embeddings: {exc}")
     except OSError as exc:
         return _unwritable("export-embeddings", exc)
     print(f"embeddings={args.out_file}")

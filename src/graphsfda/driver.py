@@ -3,11 +3,16 @@
 Each epoch alternates: several model updates against the adaptation loss
 (deltas frozen, banks refreshed after every step), then feature-offset
 steps and budget-projected structure steps against the graph loss (model
-frozen). The target graph gets one `AdjacencyLayout` per call, normalized
-once per epoch after the graph steps: the accuracy forward and the next
-epoch's model and feature steps share it. The network is evaluated once per
-model state: one pass of `gnn.record_forward`, a tuple (tape, parameter
-leaves, representations z, predictions p), fills the banks from the arrays
+frozen). The feature offset, the edge mask and its budget are plain local
+arrays: a graph step records its delta as the one leaf of a fresh tape,
+`_graph_step` records the frozen model's pass on that tape and
+backpropagates the graph loss, and `feature_gd_step` or
+`pgd_step_structure` returns the new array. The target graph gets one
+`AdjacencyLayout` per call, normalized once per epoch after the graph
+steps: the accuracy forward and the next epoch's model and feature steps
+share it. The network is evaluated once per model state: one pass of
+`gnn.record_forward`, a tuple (tape, parameter leaves, representations z,
+predictions p), fills the banks from the arrays
 `z.value` and `p.value` at the start or gives the accuracy at the end of an
 epoch, and the next model step differentiates it; a further model step in
 the same epoch records its own. Edge weights are `apply_structure_delta` of
@@ -19,7 +24,8 @@ dropped edges deleted. When the keep mask equals the last epoch's edge
 weights (the mask is integral), that epoch's recorded pass already read
 this adjacency and gives the predictions, so a labelled run with one model
 step per epoch makes epochs + 1 forward passes, otherwise epochs + 2. The
-report carries the keep mask for export.
+report carries the edge mask and the keep mask for export; the learned
+offset is in the refined graph's features.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .gnn import (
     record_forward,
 )
 from .graph_adaptation import (
-    AdaptationDeltas,
     apply_feature_delta,
     apply_structure_delta,
     feature_gd_step,
@@ -53,7 +58,7 @@ from .graph_adaptation import (
     pgd_step_structure,
     select_confident,
 )
-from .graph_store import AdjacencyLayout, TargetGraph, normalize_adjacency
+from .graph_store import AdjacencyLayout, TargetGraph
 from .model_adaptation import (
     compute_prototypes,
     confidence_weights,
@@ -123,9 +128,10 @@ class AdaptConfig:
 @dataclass
 class AdaptReport:
     """Per-epoch traces plus the final outcome. Entries are None for phases
-    that ran zero steps in that epoch. `deltas` carries the learned feature
-    offset and edge mask for export, and `keep` marks the target edges the
-    refined graph kept; both stay out of the JSON document."""
+    that ran zero steps in that epoch. `edge_mask` is the learned relaxed
+    edge mask over the target edges, and `keep` marks the edges the refined
+    graph kept; both stay out of the JSON document. The learned feature
+    offset is already in the refined graph's features."""
 
     loss_model_trace: list = field(default_factory=list)
     loss_graph_trace: list = field(default_factory=list)
@@ -133,7 +139,7 @@ class AdaptReport:
     final_accuracy: float | None = None
     edges_deleted: int = 0
     seconds: float = 0.0
-    deltas: AdaptationDeltas | None = None
+    edge_mask: np.ndarray | None = None
     keep: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
@@ -184,12 +190,12 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     started = time.perf_counter()
     model = model.copy()
     n, e = g.n, g.num_edges
-    deltas = AdaptationDeltas.zeros(n, g.feature_dim, e, cfg.budget_fraction * e)
+    delta_x, delta_a, budget = np.zeros((n, g.feature_dim)), np.zeros(e), cfg.budget_fraction * e
     layout = AdjacencyLayout(n, g.edges)
     x_base = g.features
-    weights = apply_structure_delta(g, deltas.delta_a)
+    weights = apply_structure_delta(delta_a)
     adj = layout.normalized(weights)
-    x_prime = x_base + deltas.delta_x
+    x_prime = x_base + delta_x
 
     # no local name keeps the pass's z or p, which would keep its tape alive
     recorded = record_forward(model, adj, x_prime)
@@ -218,30 +224,22 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         model_params = model.parameters()
         for _ in range(cfg.feature_steps):
             tape = Tape()
-            dx = tape.leaf(deltas.delta_x)
-            params = [tape.constant(w) for w in model_params]
+            dx = tape.leaf(delta_x)
             x = apply_feature_delta(tape.constant(x_base), dx)
-            z, p = forward_on_tape(params, adj, x)
-            l_g = _graph_loss_on_tape(p, z, banks, cfg)
-            loss_g = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
-            backward(tape, l_g)
-            deltas = feature_gd_step(deltas, dx.grad, cfg.delta_lr)
+            loss_g = _graph_step(tape, model_params, adj, x, banks, cfg)
+            delta_x = feature_gd_step(delta_x, dx.grad, cfg.delta_lr)
 
         for _ in range(cfg.structure_steps):
             tape = Tape()
-            da = tape.leaf(deltas.delta_a.reshape(-1, 1))
-            adj_live = layout.normalized(apply_structure_delta(g, da))
-            params = [tape.constant(w) for w in model_params]
-            x = tape.constant(x_base + deltas.delta_x)
-            z, p = forward_on_tape(params, adj_live, x)
-            l_g = _graph_loss_on_tape(p, z, banks, cfg)
-            loss_g = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
-            backward(tape, l_g)
-            deltas = pgd_step_structure(deltas, da.grad.ravel(), cfg.delta_lr)
+            da = tape.leaf(delta_a.reshape(-1, 1))
+            adj_live = layout.normalized(apply_structure_delta(da))
+            x = tape.constant(x_base + delta_x)
+            loss_g = _graph_step(tape, model_params, adj_live, x, banks, cfg)
+            delta_a = pgd_step_structure(delta_a, da.grad, cfg.delta_lr, budget)
 
-        weights = apply_structure_delta(g, deltas.delta_a)
+        weights = apply_structure_delta(delta_a)
         adj = layout.normalized(weights)
-        x_prime = x_base + deltas.delta_x
+        x_prime = x_base + delta_x
         report.loss_model_trace.append(loss_m)
         report.loss_graph_trace.append(loss_g)
         if g.labels is not None:
@@ -260,7 +258,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
         else:
             quiet_epochs = 0
 
-    keep = finalize_structure(g, deltas, finalize_seed)
+    keep = finalize_structure(delta_a, finalize_seed)
     refined = TargetGraph(n, g.edges[keep], x_prime, g.labels, g.num_classes)
     if recorded is not None and np.array_equal(keep, weights):
         # the last pass already read these 0/1 weights, features and model
@@ -272,7 +270,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     report.edges_deleted = e - refined.num_edges
     if g.labels is not None:
         report.final_accuracy = evaluate_accuracy(predictions, g.labels)
-    report.deltas = deltas
+    report.edge_mask = delta_a
     report.keep = keep
     report.seconds = time.perf_counter() - started
     return model, refined, predictions, report
@@ -307,22 +305,26 @@ def _trace_delta(before, after) -> float:
     return abs(after - before)
 
 
-def _graph_loss_on_tape(p, z, banks, cfg: AdaptConfig):
+def _graph_step(tape, model_params, adj, x, banks, cfg: AdaptConfig) -> float:
+    """Record the frozen model's pass over `adj` and `x` on the step's tape,
+    take the graph loss, check that it is finite and backpropagate it into
+    the step's leaf; returns the loss."""
+    z, p = forward_on_tape([tape.constant(w) for w in model_params], adj, x)
     conf = select_confident(p.value, cfg.confidence_threshold)
     positives = knn_positives(z.value, banks, cfg.k_neighbors)
-    return _loss_graph(p, z, banks, conf, positives, cfg.positive_weight, cfg.negative_weight)
+    l_g = _loss_graph(p, z, banks, conf, positives, cfg.positive_weight, cfg.negative_weight)
+    loss = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
+    backward(tape, l_g)
+    return loss
 
 
-def export_embeddings(model: GnnModel, g: TargetGraph, deltas, path) -> None:
-    """Write the node representations under the current deltas, one node per
-    line, space-separated with round-trip precision."""
-    if deltas is None:
-        weights = None
-        x = g.features
-    else:
-        weights = apply_structure_delta(g, deltas.delta_a)
-        x = g.features + deltas.delta_x
-    z, _ = forward(model, normalize_adjacency(g, weights), x)
+def export_embeddings(model: GnnModel, g: TargetGraph, edge_mask, path) -> None:
+    """Write the node representations over `g` with the relaxed edge mask
+    `edge_mask` applied (None masks no edge), one node per line,
+    space-separated with round-trip precision."""
+    mask = np.zeros(g.num_edges) if edge_mask is None else edge_mask
+    adj = AdjacencyLayout(g.n, g.edges).normalized(apply_structure_delta(mask))
+    z, _ = forward(model, adj, g.features)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(path, z, fmt="%.17g")

@@ -10,10 +10,12 @@ each a live leaf or a tape constant, so one pass serves model adaptation
 (live parameters), feature adaptation (a live offset) and structure
 adaptation (a live edge mask). `record_forward` records the pass of one
 model state with its parameters as leaves; `forward` returns its values as
-two arrays, (representations, predictions). Pretraining reads a state's
-validation accuracy off the recorded pass and trains on it, and the
-adaptation loop does the same with its banks and model steps.
-Everything runs full-batch; there is no dropout, keeping recorded
+two arrays, (representations, predictions), and raises NumericalError when
+either has a non-finite entry, so `eval` and `export-embeddings` fail on an
+overflowing checkpoint instead of scoring NaN. Pretraining normalizes the
+source graph once off its `AdjacencyLayout`, reads a state's validation
+accuracy off the recorded pass and trains on it, and the adaptation loop
+does the same with its banks and model steps. Everything runs full-batch; there is no dropout, keeping recorded
 computations exactly differentiable.
 """
 
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, NumericalError, ShapeError
-from .graph_store import SplitMask, TargetGraph, normalize_adjacency
+from .graph_store import AdjacencyLayout, SplitMask, TargetGraph
 from .numerics import (
     SparseAdjacency,
     Tape,
@@ -162,13 +164,19 @@ def record_forward(model: GnnModel, adj_hat: SparseAdjacency, x):
 
 def forward(model: GnnModel, adj_hat: SparseAdjacency, x):
     """(representations, predictions) of the recorded forward pass, as
-    arrays, after a shape check."""
+    arrays, after a shape check. A non-finite entry in either, as when
+    finite parameters overflow, raises NumericalError naming its node."""
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape[1] != model.input_dim:
         raise ShapeError(f"features have {xv.shape[1]} dims, model expects {model.input_dim}")
     if adj_hat.n != xv.shape[0]:
         raise ShapeError(f"adjacency is {adj_hat.n}x{adj_hat.n}, features have {xv.shape[0]} rows")
     _, _, z, p = record_forward(model, adj_hat, xv)
+    for name, values in (("representation", z.value), ("prediction", p.value)):
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            node = int(np.argmin(finite))
+            raise NumericalError(f"forward pass gives a non-finite {name} at node {node}")
     return z.value, p.value
 
 
@@ -243,7 +251,7 @@ def pretrain_source(
         if not 0 <= value < np.inf:  # NaN fails too
             raise ContractError(f"{name} must be finite and nonnegative, got {value}")
     model = model.copy()
-    adj = normalize_adjacency(source)
+    adj = AdjacencyLayout(source.n, source.edges).normalized(np.ones(source.num_edges))
     labels = source.labels
     opt = AdamState([p.shape for p in model.parameters()], lr, weight_decay=weight_decay)
 

@@ -5,13 +5,17 @@ moves by projected gradient descent on a relaxed per-edge deletion mask
 delta in [0,1]^e whose total mass stays under a budget; the projection
 clips into the box and, when the budget binds, shifts by the multiplier
 that puts the clipped mass on the budget, solved exactly between the sorted
-kinks of that mass. An edge with mask delta carries weight 1 - delta
-through the normalized adjacency (`AdjacencyLayout.normalized`, recorded on
-the mask's tape in a structure step), so delta = 1 reproduces deletion
+kinks of that mass. Both are plain arrays: `feature_gd_step` and
+`pgd_step_structure` take the current one and return the next, and
+`pgd_step_structure` is the only producer of a mask, so every mask it
+returns lies in the box and under the budget. An edge with mask delta
+carries weight 1 - delta through the normalized adjacency
+(`AdjacencyLayout.normalized`, recorded on the mask's tape in a structure
+step, and checked there when constant), so delta = 1 reproduces deletion
 exactly. `apply_structure_delta` is the one place that rule is written: it
 takes the mask as an array, or as a live leaf in a structure step. The
 final discrete graph is drawn once as a keep mask, edge e kept with
-probability 1 - delta_e.
+probability 1 - delta_e (`finalize_structure`).
 
 The training signal is a self-training loss: cross-entropy on
 high-confidence nodes plus a neighborhood contrast that pulls each node
@@ -40,7 +44,6 @@ import numpy as np
 
 from .banks import MemoryBanks
 from .errors import ContractError, NumericalError, ShapeError
-from .graph_store import TargetGraph, mask_fault
 from .numerics import (
     Tensor,
     add,
@@ -64,7 +67,6 @@ KNN_GROUP_SIZE = 16
 KNN_MIN_GROUPS = 64
 
 __all__ = [
-    "AdaptationDeltas",
     "ConfidentSet",
     "apply_feature_delta",
     "apply_structure_delta",
@@ -76,34 +78,6 @@ __all__ = [
     "feature_gd_step",
     "finalize_structure",
 ]
-
-
-class AdaptationDeltas:
-    """Feature offset plus relaxed per-edge deletion mask under a budget."""
-
-    __slots__ = ("delta_x", "delta_a", "budget")
-
-    def __init__(self, delta_x: np.ndarray, delta_a: np.ndarray, budget: float):
-        delta_x = np.asarray(delta_x, dtype=np.float64)
-        delta_a = np.asarray(delta_a, dtype=np.float64).ravel()
-        if not np.isfinite(delta_x).all():
-            raise ContractError("feature delta must be finite")
-        if not budget >= 0:  # NaN fails too
-            raise ContractError(f"budget must be nonnegative, got {budget}")
-        fault = mask_fault(delta_a)
-        if fault is not None:
-            raise ContractError(f"edge mask {fault[1]}")
-        if delta_a.sum() > budget + 1e-6:
-            raise ContractError(
-                f"edge mask mass {delta_a.sum():.6g} exceeds budget {budget:.6g}"
-            )
-        self.delta_x = delta_x
-        self.delta_a = delta_a
-        self.budget = float(budget)
-
-    @classmethod
-    def zeros(cls, n: int, d: int, num_edges: int, budget: float) -> "AdaptationDeltas":
-        return cls(np.zeros((n, d)), np.zeros(num_edges), budget)
 
 
 class ConfidentSet:
@@ -124,18 +98,13 @@ def apply_feature_delta(x: Tensor, dx: Tensor) -> Tensor:
     return add(x, dx)
 
 
-def apply_structure_delta(g: TargetGraph, delta_a):
+def apply_structure_delta(delta_a):
     """Per-edge weights 1 - delta for the normalized adjacency, from the edge
     mask: an (e,) array, or a live (e x 1) Tensor whose tape then records
-    the weights."""
+    the weights. `AdjacencyLayout.normalized` checks constant weights."""
     if isinstance(delta_a, Tensor):
         return add_scalar(neg(delta_a), 1.0)
-    da = np.asarray(delta_a, dtype=np.float64).ravel()
-    if da.shape != (g.num_edges,):
-        raise ContractError(
-            f"edge mask has {da.shape[0]} entries for {g.num_edges} edges"
-        )
-    return 1.0 - da
+    return 1.0 - np.asarray(delta_a, dtype=np.float64).ravel()
 
 
 def select_confident(p, threshold: float) -> ConfidentSet:
@@ -303,35 +272,32 @@ def project_budget(v, budget: float) -> np.ndarray:
 
 
 def pgd_step_structure(
-    deltas: AdaptationDeltas, grad: np.ndarray, step: float
-) -> AdaptationDeltas:
-    """Gradient step on the edge mask followed by the projection onto the
-    budget that `deltas` carries.
+    delta_a: np.ndarray, grad: np.ndarray, step: float, budget: float
+) -> np.ndarray:
+    """The edge mask after a gradient step and the projection onto the
+    budget (`project_budget`).
 
     A zero step size degenerates to re-projecting the current (feasible)
     mask, which leaves it unchanged to rounding."""
     _require_step(step)
     grad = np.asarray(grad, dtype=np.float64).ravel()
-    if grad.shape != deltas.delta_a.shape:
-        raise ShapeError(f"mask grad {grad.shape} vs mask {deltas.delta_a.shape}")
+    if grad.shape != delta_a.shape:
+        raise ShapeError(f"mask grad {grad.shape} vs mask {delta_a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # project_budget names it
-        stepped = deltas.delta_a - step * grad
-    new_a = project_budget(stepped, deltas.budget)
-    return AdaptationDeltas(deltas.delta_x, new_a, deltas.budget)
+        stepped = delta_a - step * grad
+    return project_budget(stepped, budget)
 
 
-def feature_gd_step(
-    deltas: AdaptationDeltas, grad: np.ndarray, step: float
-) -> AdaptationDeltas:
-    """Unconstrained gradient step on the feature offset.
+def feature_gd_step(delta_x: np.ndarray, grad: np.ndarray, step: float) -> np.ndarray:
+    """The feature offset after an unconstrained gradient step.
 
     A non-finite entry of the new offset raises NumericalError naming it."""
     _require_step(step)
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != deltas.delta_x.shape:
-        raise ShapeError(f"feature grad {grad.shape} vs delta {deltas.delta_x.shape}")
+    if grad.shape != delta_x.shape:
+        raise ShapeError(f"feature grad {grad.shape} vs delta {delta_x.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # named below
-        new_x = deltas.delta_x - step * grad
+        new_x = delta_x - step * grad
     finite = np.isfinite(new_x)
     if not finite.all():
         node, feature = np.unravel_index(np.argmin(finite), finite.shape)
@@ -339,7 +305,7 @@ def feature_gd_step(
             f"feature step has non-finite entry {new_x[node, feature]} "
             f"at node {node}, feature {feature}"
         )
-    return AdaptationDeltas(new_x, deltas.delta_a, deltas.budget)
+    return new_x
 
 
 def _require_step(step: float) -> None:
@@ -349,13 +315,9 @@ def _require_step(step: float) -> None:
         raise kind(f"step size must be nonnegative, got {step}")
 
 
-def finalize_structure(g: TargetGraph, deltas: AdaptationDeltas, seed: int) -> np.ndarray:
-    """Draw the discrete graph as a boolean keep mask over `g.edges`: edge e
-    survives with probability 1 - delta_e. `g.edges[keep]` are the surviving
-    edges in their order."""
-    if deltas.delta_a.shape != (g.num_edges,):
-        raise ContractError(
-            f"mask has {deltas.delta_a.shape[0]} entries for {g.num_edges} edges"
-        )
+def finalize_structure(delta_a: np.ndarray, seed: int) -> np.ndarray:
+    """Draw the discrete graph as a boolean keep mask over the edges of the
+    mask `delta_a`: edge e survives with probability 1 - delta_e, and
+    `g.edges[keep]` are the surviving edges in their order."""
     rng = np.random.default_rng(seed)
-    return rng.random(g.num_edges) < (1.0 - deltas.delta_a)
+    return rng.random(delta_a.size) < (1.0 - delta_a)

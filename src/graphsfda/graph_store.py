@@ -9,8 +9,10 @@ failing it) for every edge mask and edge weight vector. The features are
 one read-only, finite float64 (n, d) array, checked where a graph is built,
 so no NaN enters the program through a graph. Every sparse matrix over a
 graph is its one `AdjacencyLayout` carrying values, and the normalized
-adjacency has one formula, `AdjacencyLayout.normalized`, written in tape
-ops: recorded on the tape of live edge weights, evaluated for constant ones.
+adjacency has one formula and one entry point, `AdjacencyLayout.normalized`,
+written in tape ops: recorded on the tape of live edge weights, evaluated
+for constant ones, which it checks (one per edge, each in [0,1]) for every
+caller.
 
 The text format is three UTF-8 files sharing a prefix (`.meta`, `.edges`,
 `.feat`) plus an optional `.labels`; floats are written with enough digits
@@ -47,7 +49,6 @@ __all__ = [
     "SplitMask",
     "ShiftSpec",
     "AdjacencyLayout",
-    "normalize_adjacency",
     "edge_fault",
     "mask_fault",
     "read_table",
@@ -227,12 +228,20 @@ class AdjacencyLayout:
 
         Entry (i,j) is w_ij / sqrt(d_i * d_j) where d is the weighted degree
         plus one for the implicit unit self-loop. One value per undirected
-        edge feeds both mirror slots, so the matrix stays exactly symmetric.
+        edge feeds both mirror slots, so the matrix stays exactly symmetric;
+        weight 0 behaves exactly like deleting the edge. Constant weights
+        are checked here, for every caller: one per edge, each in [0,1]
+        (`mask_fault`), else ContractError.
         """
         if isinstance(edge_weights, Tensor):
             return self._structure.with_values(self._normalized_values(edge_weights))
-        column = np.asarray(edge_weights, dtype=np.float64).reshape(-1, 1)
-        return self._structure.with_values(evaluate(self._normalized_values, column))
+        w = np.asarray(edge_weights, dtype=np.float64).ravel()
+        if w.shape != self.edge_u.shape:
+            raise ContractError(f"expected {self.edge_u.size} edge weights, got {w.size}")
+        fault = mask_fault(w)
+        if fault is not None:
+            raise ContractError(f"edge weight {fault[1]}")
+        return self._structure.with_values(evaluate(self._normalized_values, w.reshape(-1, 1)))
 
     def _normalized_values(self, w: Tensor) -> Tensor:
         """The (nnz x 1) entries of the normalized adjacency, one per CSR slot.
@@ -251,26 +260,6 @@ class AdjacencyLayout:
         weight, 0 on deleted edges and on the self-loops."""
         live = np.concatenate([edge_weights > 0.0, np.zeros(self.n, dtype=bool)])
         return self._structure.with_values(live[self.entry_source].astype(np.float64))
-
-
-def normalize_adjacency(g: TargetGraph, edge_weights=None) -> SparseAdjacency:
-    """Symmetric degree-normalized adjacency with unit self-loops.
-
-    Optional `edge_weights` (one per undirected edge, in [0,1]) scale each
-    edge before normalization; weight 0 behaves exactly like deleting the
-    edge.
-    """
-    e = g.num_edges
-    if edge_weights is None:
-        w = np.ones(e)
-    else:
-        w = np.asarray(edge_weights, dtype=np.float64).ravel()
-        if w.shape != (e,):
-            raise ContractError(f"expected {e} edge weights, got {w.shape}")
-        fault = mask_fault(w)
-        if fault is not None:
-            raise ContractError(f"edge weight {fault[1]}")
-    return AdjacencyLayout(g.n, g.edges).normalized(w)
 
 
 # ---------------------------------------------------------------------------

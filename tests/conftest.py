@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphsfda.graph_store import TargetGraph
+from graphsfda.graph_store import AdjacencyLayout, TargetGraph
 from graphsfda.numerics import Tensor
 
 
@@ -19,6 +19,14 @@ def random_graph(rng, n, d, num_classes, edge_p=0.3, labelled=True):
     return TargetGraph(
         n, edges, rng.standard_normal((n, d)), labels, num_classes
     )
+
+
+def adjacency(g, edge_weights=None):
+    """The normalized adjacency of `g` under `edge_weights` (every edge
+    weight 1 when None), read off a fresh `AdjacencyLayout`."""
+    if edge_weights is None:
+        edge_weights = np.ones(g.num_edges)
+    return AdjacencyLayout(g.n, g.edges).normalized(edge_weights)
 
 
 def transposed(a):

@@ -212,6 +212,26 @@ class TestExportEmbeddings:
         z = np.loadtxt(tmp_path / "z.txt")
         assert z.shape == (120, 8)
 
+    def test_mask_rows_equal_forward(self, workspace, capsys, tmp_path):
+        from graphsfda.gnn import forward, load_checkpoint
+        from graphsfda.graph_store import AdjacencyLayout
+
+        out_dir = workspace / "out"
+        code, out, _ = run(
+            capsys, "export-embeddings",
+            "--checkpoint", str(out_dir / "adapted.ckpt"),
+            "--graph", str(out_dir / "refined"),
+            "--mask", str(out_dir / "refined.mask"),
+            "--out-file", str(tmp_path / "z.txt"),
+        )
+        assert code == 0 and kv(out, "embeddings") == str(tmp_path / "z.txt")
+        refined = load_graph(out_dir / "refined")
+        mask = np.loadtxt(out_dir / "refined.mask", ndmin=1)
+        assert mask.any()
+        adj = AdjacencyLayout(refined.n, refined.edges).normalized(1.0 - mask)
+        z, _ = forward(load_checkpoint(out_dir / "adapted.ckpt"), adj, refined.features)
+        assert np.loadtxt(tmp_path / "z.txt").tobytes() == z.tobytes()
+
 
 def test_usage_error_is_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -300,6 +320,16 @@ def _truncated_checkpoint(ws, tmp):
     return str(tmp / "cut.ckpt")
 
 
+def _overflowing_checkpoint(ws, tmp):
+    """The trained checkpoint with every parameter scaled by 1e200: finite,
+    but its forward pass overflows."""
+    from graphsfda.gnn import GnnModel, load_checkpoint, save_checkpoint
+
+    params = [1e200 * w for w in load_checkpoint(ws / "model.ckpt").parameters()]
+    save_checkpoint(GnnModel(params[:-2], params[-2], params[-1]), tmp / "huge.ckpt")
+    return str(tmp / "huge.ckpt")
+
+
 def _scored(ws, tmp, command, graph, mask_value=None, checkpoint="model.ckpt"):
     argv = [command, "--checkpoint", str(ws / checkpoint), "--graph", graph]
     if mask_value is not None:
@@ -379,16 +409,25 @@ EXIT_CASES = {
     "temperature-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, temperature=1e-300)]),
     "pretrain-lr-overflow": (5, lambda ws, tmp: ["pretrain", *_config(ws, tmp, pretrain_lr=1e300)]),
     "model-lr-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr=1e300)]),
+    "eval-checkpoint-overflow": (5, lambda ws, tmp: _scored(
+        ws, tmp, "eval", str(ws / "pair_tgt"), checkpoint=_overflowing_checkpoint(ws, tmp))),
+    "export-checkpoint-overflow": (5, lambda ws, tmp: _scored(
+        ws, tmp, "export-embeddings", str(ws / "pair_tgt"),
+        checkpoint=_overflowing_checkpoint(ws, tmp))),
 }
+
+
+def _cli_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(graphsfda.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def _cli_process(argv):
     """The CLI run in a fresh interpreter, as a shell runs it."""
-    src = str(Path(graphsfda.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-m", "graphsfda.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_cli_env(), timeout=300,
     )
 
 
@@ -426,3 +465,20 @@ def test_symmetrized_pair_warns_in_one_line(workspace, tmp_path):
         f"eval: warning: {edges}:{len(edges.read_text().splitlines())}: "
         f"directed pair {v} {u} symmetrized"
     ]
+
+
+def test_readme_demo_runs(tmp_path):
+    """README's "Command line" block, with its /tmp/ paths under tmp_path, run
+    under `bash -e`: every step exits 0 and prints its documented keys."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    script = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("/tmp/", f"{tmp_path}/")
+    prelude = f'graphsfda() {{ "{sys.executable}" -m graphsfda.cli "$@"; }}\n'
+    proc = subprocess.run(
+        ["bash", "-e", "-c", prelude + script],
+        capture_output=True, text=True, env=_cli_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for key in ("val_acc", "final_acc", "acc", "embeddings"):
+        kv(proc.stdout, key)
+    assert np.loadtxt(tmp_path / "demo_z.txt").shape == (300, 32)

@@ -8,10 +8,9 @@ from graphsfda import driver, gnn
 from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy, export_embeddings
 from graphsfda.errors import ContractError, NumericalError
 from graphsfda.gnn import forward, init_model, predict, pretrain_source
-from graphsfda.graph_adaptation import AdaptationDeltas
-from graphsfda.graph_store import ShiftSpec, make_shift_pair, normalize_adjacency, split_nodes
+from graphsfda.graph_store import AdjacencyLayout, ShiftSpec, make_shift_pair, split_nodes
 
-from conftest import random_graph
+from conftest import adjacency, random_graph
 
 
 def quick_cfg(**kw):
@@ -42,7 +41,7 @@ def fixture_pair():
 class TestDegeneracies:
     def test_zero_epochs_reproduces_source_predictions(self, fixture_pair):
         model, tgt = fixture_pair
-        spm = predict(model, normalize_adjacency(tgt), tgt.features)
+        spm = predict(model, adjacency(tgt), tgt.features)
         adapted, refined, pred, report = adapt(model, tgt, quick_cfg(epochs=0))
         assert np.array_equal(pred, spm)
         assert np.array_equal(refined.edges, tgt.edges)
@@ -53,7 +52,7 @@ class TestDegeneracies:
 
     def test_zero_steps_reproduces_source_predictions(self, fixture_pair):
         model, tgt = fixture_pair
-        spm = predict(model, normalize_adjacency(tgt), tgt.features)
+        spm = predict(model, adjacency(tgt), tgt.features)
         _, _, pred, report = adapt(
             model, tgt, quick_cfg(epochs=5, model_steps=0, feature_steps=0, structure_steps=0)
         )
@@ -119,7 +118,7 @@ class TestForwardPasses:
             epochs=3, model_steps=model_steps, feature_steps=0, structure_steps=structure_steps
         )
         _, _, _, report = adapt(model, tgt, cfg)
-        weights = driver.apply_structure_delta(tgt, report.deltas.delta_a)
+        weights = driver.apply_structure_delta(report.edge_mask)
         assert np.array_equal(report.keep, weights) == (structure_steps == 0)
         assert len(calls) == passes
 
@@ -144,7 +143,7 @@ class TestForwardPasses:
         model, tgt = fixture_pair
         adapted, refined, pred, report = adapt(model, tgt, quick_cfg(**overrides))
         keep = report.keep.astype(float)
-        _, p0 = forward(adapted, normalize_adjacency(tgt, keep), refined.features)
+        _, p0 = forward(adapted, adjacency(tgt, keep), refined.features)
         assert passes[-1][3].value.tobytes() == p0.tobytes()
         assert np.array_equal(pred, np.argmax(p0, axis=1))
 
@@ -155,7 +154,7 @@ class TestInvariantsAndReport:
         cfg = quick_cfg(epochs=5, structure_steps=2)
         _, _, _, report = adapt(model, tgt, cfg)
         budget = cfg.budget_fraction * tgt.num_edges
-        assert report.deltas.delta_a.sum() <= budget + 1e-6
+        assert report.edge_mask.sum() <= budget + 1e-6
         assert len(report.loss_model_trace) == len(report.loss_graph_trace)
         assert len(report.accuracy_trace) == len(report.loss_model_trace)
 
@@ -165,9 +164,9 @@ class TestInvariantsAndReport:
         assert report.edges_deleted > 0
         kept = {tuple(edge) for edge in refined.edges.tolist()}
         keep = np.array([tuple(edge) in kept for edge in tgt.edges.tolist()])
-        adj_masked = normalize_adjacency(tgt, keep.astype(float))
+        adj_masked = adjacency(tgt, keep.astype(float))
         z_masked, p_masked = forward(adapted, adj_masked, refined.features)
-        z_deleted, p_deleted = forward(adapted, normalize_adjacency(refined), refined.features)
+        z_deleted, p_deleted = forward(adapted, adjacency(refined), refined.features)
         assert z_masked.tobytes() == z_deleted.tobytes()
         assert p_masked.tobytes() == p_deleted.tobytes()
         assert np.array_equal(pred, np.argmax(p_deleted, axis=1))
@@ -248,13 +247,22 @@ class TestEvaluateAccuracy:
 class TestExportEmbeddings:
     def test_round_trip_and_determinism(self, fixture_pair, tmp_path):
         model, tgt = fixture_pair
-        deltas = AdaptationDeltas.zeros(tgt.n, tgt.feature_dim, tgt.num_edges, 1.0)
-        export_embeddings(model, tgt, deltas, tmp_path / "z1.txt")
-        export_embeddings(model, tgt, deltas, tmp_path / "z2.txt")
+        mask = np.zeros(tgt.num_edges)
+        export_embeddings(model, tgt, mask, tmp_path / "z1.txt")
+        export_embeddings(model, tgt, mask, tmp_path / "z2.txt")
         assert (tmp_path / "z1.txt").read_bytes() == (tmp_path / "z2.txt").read_bytes()
         parsed = np.loadtxt(tmp_path / "z1.txt")
-        z0, _ = forward(model, normalize_adjacency(tgt), tgt.features)
+        z0, _ = forward(model, adjacency(tgt), tgt.features)
         assert np.array_equal(parsed, z0)  # %.17g round-trips
+
+    def test_partly_deleting_mask(self, fixture_pair, tmp_path, rng):
+        model, tgt = fixture_pair
+        mask = rng.uniform(0.0, 1.0, tgt.num_edges)
+        mask[rng.random(tgt.num_edges) < 0.3] = 1.0
+        export_embeddings(model, tgt, mask, tmp_path / "z.txt")
+        adj = AdjacencyLayout(tgt.n, tgt.edges).normalized(1.0 - mask)
+        z, _ = forward(model, adj, tgt.features)
+        assert np.loadtxt(tmp_path / "z.txt").tobytes() == z.tobytes()
 
     def test_two_line_fixture(self, tmp_path, rng):
         g = random_graph(rng, 2, 3, 2, edge_p=1.0)

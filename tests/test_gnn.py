@@ -19,7 +19,6 @@ from graphsfda.graph_store import (
     ShiftSpec,
     TargetGraph,
     make_shift_pair,
-    normalize_adjacency,
     split_nodes,
 )
 from graphsfda.numerics import (
@@ -34,7 +33,7 @@ from graphsfda.numerics import (
     select_cols,
 )
 
-from conftest import random_graph
+from conftest import adjacency, random_graph
 
 
 class TestInitModel:
@@ -67,7 +66,7 @@ class TestForward:
         m = init_model(4, 5, 3, 2, seed=0)
         for w in m.parameters():
             w[:] = 0.0
-        z0, p0 = forward(m, normalize_adjacency(g), g.features)
+        z0, p0 = forward(m, adjacency(g), g.features)
         assert np.array_equal(z0, np.zeros((6, 5)))
         assert np.allclose(p0, 1.0 / 3.0)
 
@@ -75,13 +74,13 @@ class TestForward:
         x = rng.standard_normal((1, 4))
         g = TargetGraph(1, [], x, None, 2)
         m = init_model(4, 3, 2, 1, seed=5)
-        z0, _ = forward(m, normalize_adjacency(g), g.features)
+        z0, _ = forward(m, adjacency(g), g.features)
         expected = np.maximum(x @ m.layer_weights[0], 0.0)
         assert np.allclose(z0, expected, atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
         g = random_graph(rng, 10, 4, 3)
-        _, p0 = forward(init_model(4, 6, 3, 2, seed=1), normalize_adjacency(g), g.features)
+        _, p0 = forward(init_model(4, 6, 3, 2, seed=1), adjacency(g), g.features)
         assert np.max(np.abs(p0.sum(axis=1) - 1.0)) <= 1e-9
 
     def test_weight_zero_edge_equals_removal(self, rng):
@@ -89,18 +88,18 @@ class TestForward:
         m = init_model(3, 4, 2, 2, seed=3)
         w = np.ones(g.num_edges)
         w[2] = 0.0
-        _, p_masked = forward(m, normalize_adjacency(g, w), g.features)
+        _, p_masked = forward(m, adjacency(g, w), g.features)
         g_removed = TargetGraph(
             g.n, np.delete(g.edges, 2, axis=0), g.features, g.labels, g.num_classes
         )
-        _, p_removed = forward(m, normalize_adjacency(g_removed), g_removed.features)
+        _, p_removed = forward(m, adjacency(g_removed), g_removed.features)
         assert np.max(np.abs(p_masked - p_removed)) <= 1e-12
 
     def test_shape_mismatch(self, rng):
         g = random_graph(rng, 6, 4, 3)
         m = init_model(5, 4, 3, 2, seed=0)
         with pytest.raises(ShapeError):
-            forward(m, normalize_adjacency(g), g.features)
+            forward(m, adjacency(g), g.features)
 
     def test_permutation_equivariance(self, rng):
         # relabeling nodes permutes outputs; tolerance covers resummation
@@ -112,14 +111,14 @@ class TestForward:
         x_p = np.empty_like(g.features)
         x_p[perm] = g.features
         g_p = TargetGraph(g.n, edges_p, x_p, None, 2)
-        z0, p0 = forward(m, normalize_adjacency(g), g.features)
-        z_perm, p_perm = forward(m, normalize_adjacency(g_p), g_p.features)
+        z0, p0 = forward(m, adjacency(g), g.features)
+        z_perm, p_perm = forward(m, adjacency(g_p), g_p.features)
         assert np.max(np.abs(z_perm[perm] - z0)) <= 1e-12
         assert np.max(np.abs(p_perm[perm] - p0)) <= 1e-12
 
     def test_gradients_wrt_params_and_features(self, rng):
         g = random_graph(rng, 7, 3, 2, edge_p=0.4)
-        adj = normalize_adjacency(g)
+        adj = adjacency(g)
         m = init_model(3, 4, 2, 2, seed=8)
         params = m.parameters()
 
@@ -156,7 +155,7 @@ class TestPretrain:
             split = split_nodes(src, seed)
             model = init_model(src.feature_dim, 16, src.num_classes, 2, seed=seed)
             trained, _ = pretrain_source(model, src, split, epochs=200, lr=1e-2)
-            pred = predict(trained, normalize_adjacency(src), src.features)
+            pred = predict(trained, adjacency(src), src.features)
             train_acc = np.mean(pred[split.train] == src.labels[split.train])
             assert train_acc >= 0.95, f"seed {seed}: {train_acc}"
 
@@ -220,7 +219,7 @@ def two_pass_pretrain_oracle(model, source, split, epochs, lr, weight_decay=5e-4
     the best state is evaluated once more at the end. Also returns the
     validation accuracy of every evaluated state."""
     model = model.copy()
-    adj = normalize_adjacency(source)
+    adj = adjacency(source)
     labels = source.labels
     opt = AdamState([p.shape for p in model.parameters()], lr, weight_decay=weight_decay)
 

@@ -3,10 +3,9 @@ import pytest
 
 from graphsfda import graph_adaptation
 from graphsfda.banks import MemoryBanks
-from graphsfda.errors import ContractError, NumericalError
+from graphsfda.errors import ContractError, NumericalError, ShapeError
 from graphsfda.gnn import forward, forward_on_tape, init_model
 from graphsfda.graph_adaptation import (
-    AdaptationDeltas,
     ConfidentSet,
     apply_feature_delta,
     apply_structure_delta,
@@ -18,7 +17,7 @@ from graphsfda.graph_adaptation import (
     project_budget,
     select_confident,
 )
-from graphsfda.graph_store import AdjacencyLayout, TargetGraph, normalize_adjacency
+from graphsfda.graph_store import AdjacencyLayout, TargetGraph
 from graphsfda.numerics import (
     Tape,
     Tensor,
@@ -39,7 +38,7 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import random_graph, traced_peak
+from conftest import adjacency, random_graph, traced_peak
 
 
 def grid_project_oracle(v, budget, step=1e-6):
@@ -145,59 +144,57 @@ def dense_loss_graph_oracle(p, z, banks, conf, positives, alpha, beta):
 
 
 class TestDeltas:
+    """The edge mask's invariants, held where they are enforced: constant
+    edge weights are checked by the layout, and `pgd_step_structure`, the
+    only producer of a mask, projects onto the budget."""
+
+    def layout(self):
+        return AdjacencyLayout(3, np.array([[0, 1], [1, 2]]))
+
     def test_box_violation(self):
-        with pytest.raises(ContractError):
-            AdaptationDeltas(np.zeros((2, 2)), np.array([1.2]), 5.0)
+        with pytest.raises(ContractError, match="outside"):
+            self.layout().normalized(apply_structure_delta(np.array([1.2, 0.0])))
 
     def test_budget_violation(self):
-        with pytest.raises(ContractError):
-            AdaptationDeltas(np.zeros((2, 2)), np.array([0.9, 0.9]), 1.0)
+        out = pgd_step_structure(np.array([0.9, 0.9]), np.zeros(2), 0.0, 1.0)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zeros_feasible(self):
-        d = AdaptationDeltas.zeros(3, 2, 4, 0.0)
-        assert d.delta_a.sum() == 0.0
+        assert np.array_equal(pgd_step_structure(np.zeros(4), np.zeros(4), 0.1, 0.0), np.zeros(4))
 
     def test_nan_mask_entry(self):
-        with pytest.raises(ContractError):
-            AdaptationDeltas(np.zeros((2, 1)), np.array([0.5, np.nan]), 1.0)
+        with pytest.raises(ContractError, match="nan"):
+            self.layout().normalized(apply_structure_delta(np.array([0.5, np.nan])))
 
     def test_nan_budget(self):
-        with pytest.raises(ContractError):
-            AdaptationDeltas(np.zeros((2, 1)), np.zeros(1), np.nan)
+        with pytest.raises(ContractError, match="budget"):
+            pgd_step_structure(np.zeros(1), np.zeros(1), 0.1, np.nan)
 
 
 class TestApplyFeatureDelta:
     def test_zero_delta_identity(self, rng):
         x = rng.standard_normal((3, 2))
-        d = AdaptationDeltas.zeros(3, 2, 0, 1.0)
-        assert np.array_equal(evaluate(apply_feature_delta, x, d.delta_x), x)
+        assert np.array_equal(evaluate(apply_feature_delta, x, np.zeros((3, 2))), x)
 
     def test_hand_case(self):
         x = np.array([[1.0, 2.0]])
-        d = AdaptationDeltas(np.array([[-1.0, 0.0]]), np.zeros(0), 1.0)
-        assert np.array_equal(evaluate(apply_feature_delta, x, d.delta_x), [[0.0, 2.0]])
+        assert np.array_equal(evaluate(apply_feature_delta, x, [[-1.0, 0.0]]), [[0.0, 2.0]])
 
     def test_full_masking(self, rng):
         x = rng.standard_normal((4, 3))
-        d = AdaptationDeltas(-x, np.zeros(0), 1.0)
-        assert np.array_equal(evaluate(apply_feature_delta, x, d.delta_x), np.zeros((4, 3)))
+        assert np.array_equal(evaluate(apply_feature_delta, x, -x), np.zeros((4, 3)))
 
 
 class TestApplyStructureDelta:
-    def graph(self):
-        return TargetGraph(3, [(0, 1), (1, 2)], np.zeros((3, 1)), None, 1)
-
     def test_semantics(self):
-        g = self.graph()
-        d = AdaptationDeltas(np.zeros((3, 1)), np.array([0.0, 1.0]), 2.0)
-        assert np.allclose(apply_structure_delta(g, d.delta_a), [1.0, 0.0])
-        d2 = AdaptationDeltas(np.zeros((3, 1)), np.array([0.3, 0.0]), 2.0)
-        assert np.allclose(apply_structure_delta(g, d2.delta_a), [0.7, 1.0])
+        assert np.allclose(apply_structure_delta(np.array([0.0, 1.0])), [1.0, 0.0])
+        assert np.allclose(apply_structure_delta(np.array([0.3, 0.0])), [0.7, 1.0])
 
     def test_alignment_checked(self):
-        g = self.graph()
-        with pytest.raises(ContractError):
-            apply_structure_delta(g, np.array([0.5]))
+        # the layout, where the weights meet the edges, checks their count
+        layout = AdjacencyLayout(3, np.array([[0, 1], [1, 2]]))
+        with pytest.raises(ContractError, match="expected 2 edge weights, got 1"):
+            layout.normalized(apply_structure_delta(np.array([0.5])))
 
 
 class TestSelectConfident:
@@ -523,47 +520,51 @@ class TestExactProjection:
 
 
 class TestSteps:
-    def deltas(self):
-        return AdaptationDeltas(np.zeros((3, 2)), np.array([0.1, 0.2]), 1.0)
+    MASK = np.array([0.1, 0.2])
+    OFFSET = np.zeros((3, 2))
 
     def test_pgd_zero_grad_fixed_point(self):
-        d = self.deltas()
-        out = pgd_step_structure(d, np.zeros(2), 0.05)
-        assert np.allclose(out.delta_a, d.delta_a, atol=1e-12)
+        out = pgd_step_structure(self.MASK, np.zeros(2), 0.05, 1.0)
+        assert np.allclose(out, self.MASK, atol=1e-12)
 
     def test_pgd_zero_step(self):
-        d = self.deltas()
-        out = pgd_step_structure(d, np.array([5.0, -3.0]), 0.0)
-        assert np.array_equal(out.delta_a, d.delta_a)
+        out = pgd_step_structure(self.MASK, np.array([5.0, -3.0]), 0.0, 1.0)
+        assert np.array_equal(out, self.MASK)
 
     def test_pgd_saturation_under_headroom(self):
-        d = AdaptationDeltas(np.zeros((3, 2)), np.zeros(3), 0.4)
         grad = np.array([-1000.0, 0.0, 0.0])
-        out = pgd_step_structure(d, grad, 0.01)
-        assert out.delta_a[0] == pytest.approx(0.4, abs=1e-8)  # headroom binds
-        big = pgd_step_structure(AdaptationDeltas(np.zeros((3, 2)), np.zeros(3), 3.0), grad, 0.01)
-        assert big.delta_a[0] == pytest.approx(1.0, abs=1e-12)  # box binds
+        out = pgd_step_structure(np.zeros(3), grad, 0.01, 0.4)
+        assert out[0] == pytest.approx(0.4, abs=1e-8)  # headroom binds
+        big = pgd_step_structure(np.zeros(3), grad, 0.01, 3.0)
+        assert big[0] == pytest.approx(1.0, abs=1e-12)  # box binds
 
     def test_pgd_overflow(self):
         # finite operands whose step overflows, without a RuntimeWarning
         with pytest.raises(NumericalError, match="non-finite entry -inf at edge 1"):
-            pgd_step_structure(self.deltas(), np.array([0.0, 1e308]), 1e10)
+            pgd_step_structure(self.MASK, np.array([0.0, 1e308]), 1e10, 1.0)
 
     def test_pgd_nan_step(self):
         with pytest.raises(NumericalError):
-            pgd_step_structure(self.deltas(), np.array([1.0, -1.0]), np.nan)
+            pgd_step_structure(self.MASK, np.array([1.0, -1.0]), np.nan, 1.0)
+
+    @pytest.mark.parametrize("which", ["structure", "feature"])
+    def test_grad_shape_checked(self, which):
+        with pytest.raises(ShapeError):
+            if which == "structure":
+                pgd_step_structure(self.MASK, np.zeros(3), 0.1, 1.0)
+            else:
+                feature_gd_step(self.OFFSET, np.zeros((2, 3)), 0.1)
 
     @pytest.mark.parametrize("which,step", [
         ("structure", -0.1), ("feature", -0.1), ("feature", np.nan),  # structure NaN: above
     ], ids=["structure-negative", "feature-negative", "feature-nan"])
     def test_bad_step_size(self, which, step):
-        d = self.deltas()
         kind = NumericalError if np.isnan(step) else ContractError
         with pytest.raises(kind, match="step size"):
             if which == "structure":
-                pgd_step_structure(d, np.zeros(2), step)
+                pgd_step_structure(self.MASK, np.zeros(2), step, 1.0)
             else:
-                feature_gd_step(d, np.zeros((3, 2)), step)
+                feature_gd_step(self.OFFSET, np.zeros((3, 2)), step)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_feature_step_non_finite_gradient(self, bad):
@@ -571,44 +572,40 @@ class TestSteps:
         grad[1, 0] = bad
         grad[2, 1] = bad  # only the first bad entry is named
         with pytest.raises(NumericalError, match="at node 1, feature 0"):
-            feature_gd_step(self.deltas(), grad, 0.1)
+            feature_gd_step(self.OFFSET, grad, 0.1)
 
     def test_feature_step_overflow(self):
         # finite operands whose step overflows
         with pytest.raises(NumericalError, match="entry -inf at node 0, feature 1"):
-            feature_gd_step(self.deltas(), np.array([[0.0, 1e308], [0, 0], [0, 0]]), 1e10)
+            feature_gd_step(self.OFFSET, np.array([[0.0, 1e308], [0, 0], [0, 0]]), 1e10)
 
     def test_feature_step_examples(self, rng):
-        d = AdaptationDeltas(np.zeros((2, 2)), np.zeros(0), 0.0)
+        d = np.zeros((2, 2))
         grad = rng.standard_normal((2, 2))
         out = feature_gd_step(d, grad, 0.1)
-        assert np.allclose(out.delta_x, -0.1 * grad, atol=1e-15)
+        assert np.allclose(out, -0.1 * grad, atol=1e-15)
         two = feature_gd_step(feature_gd_step(d, grad, 0.1), grad, 0.1)
         one = feature_gd_step(d, grad, 0.2)
-        assert np.allclose(two.delta_x, one.delta_x, atol=1e-15)
+        assert np.allclose(two, one, atol=1e-15)
         unchanged = feature_gd_step(d, np.zeros((2, 2)), 0.1)
-        assert np.array_equal(unchanged.delta_x, d.delta_x)
+        assert np.array_equal(unchanged, d)
 
 
 class TestFinalize:
     def test_all_zero_keeps_graph(self, rng):
         g = random_graph(rng, 8, 2, 2, edge_p=0.5)
-        d = AdaptationDeltas.zeros(8, 2, g.num_edges, 1.0)
-        keep = finalize_structure(g, d, seed=3)
+        keep = finalize_structure(np.zeros(g.num_edges), seed=3)
         assert np.array_equal(g.edges[keep], g.edges)
 
     def test_all_one_removes_everything(self, rng):
         g = random_graph(rng, 8, 2, 2, edge_p=0.5)
-        d = AdaptationDeltas(np.zeros((8, 2)), np.ones(g.num_edges), float(g.num_edges))
-        keep = finalize_structure(g, d, seed=3)
+        keep = finalize_structure(np.ones(g.num_edges), seed=3)
         assert keep.sum() == 0
 
     def test_deterministic(self, rng):
         g = random_graph(rng, 10, 2, 2, edge_p=0.5)
-        d = AdaptationDeltas(np.zeros((10, 2)), np.full(g.num_edges, 0.5), float(g.num_edges))
-        assert np.array_equal(
-            finalize_structure(g, d, seed=7), finalize_structure(g, d, seed=7)
-        )
+        mask = np.full(g.num_edges, 0.5)
+        assert np.array_equal(finalize_structure(mask, seed=7), finalize_structure(mask, seed=7))
 
 
 def test_live_normalization_equals_constant_bitwise(rng):
@@ -634,7 +631,7 @@ def test_mask_one_equals_physical_deletion(rng):
         kill = int(rng.integers(g.num_edges))
         w = np.ones(g.num_edges)
         w[kill] = 0.0
-        _, p_masked = forward(m, normalize_adjacency(g, w), g.features)
+        _, p_masked = forward(m, adjacency(g, w), g.features)
         g_removed = TargetGraph(
             g.n,
             [e for i, e in enumerate(g.edges) if i != kill],
@@ -642,7 +639,7 @@ def test_mask_one_equals_physical_deletion(rng):
             g.labels,
             g.num_classes,
         )
-        _, p_removed = forward(m, normalize_adjacency(g_removed), g_removed.features)
+        _, p_removed = forward(m, adjacency(g_removed), g_removed.features)
         assert np.max(np.abs(p_masked - p_removed)) <= 1e-12
 
 
@@ -650,7 +647,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
     g = random_graph(rng, 12, 3, 3, edge_p=0.35)
     model = init_model(3, 4, 3, 2, seed=4)
     layout = AdjacencyLayout(g.n, g.edges)
-    z0, p0 = forward(model, normalize_adjacency(g), g.features)
+    z0, p0 = forward(model, adjacency(g), g.features)
     banks = MemoryBanks(z0.copy(), p0.copy(), 0.9)
     conf = select_confident(p0, 0.5)
     positives = knn_positives(z0, banks, 3)
@@ -659,7 +656,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
 
     def f_dx(dx):
         tape = dx.tape
-        adj = normalize_adjacency(g, 1.0 - delta_a0.ravel())
+        adj = adjacency(g, 1.0 - delta_a0.ravel())
         x = apply_feature_delta(tape.constant(g.features), dx)
         z, p = forward_on_tape([tape.constant(w) for w in params], adj, x)
         return loss_graph(p, z, banks, conf, positives, 0.5, 0.5)
@@ -668,7 +665,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
 
     def f_da(da):
         tape = da.tape
-        adj_live = layout.normalized(apply_structure_delta(g, da))
+        adj_live = layout.normalized(apply_structure_delta(da))
         constants = [tape.constant(w) for w in params]
         z, p = forward_on_tape(constants, adj_live, tape.constant(g.features))
         return loss_graph(p, z, banks, conf, positives, 0.5, 0.5)

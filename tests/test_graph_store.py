@@ -14,14 +14,13 @@ from graphsfda.graph_store import (
     load_graph,
     make_shift_pair,
     mask_fault,
-    normalize_adjacency,
     read_table,
     read_text,
     save_graph,
     split_nodes,
 )
 
-from conftest import densify, random_graph
+from conftest import adjacency, densify, random_graph
 
 
 def per_line_edge_scan(text, n):
@@ -265,25 +264,25 @@ class TestTargetGraph:
     def test_empty_edge_list(self, edges):
         g = TargetGraph(3, edges, np.zeros((3, 1)), None, 2)
         assert g.edges.shape == (0, 2) and g.num_edges == 0
-        assert np.array_equal(densify(normalize_adjacency(g)), np.eye(3))
+        assert np.array_equal(densify(adjacency(g)), np.eye(3))
 
 
 class TestNormalizeAdjacency:
     def test_isolated_node(self):
-        adj = normalize_adjacency(single_node_graph())
+        adj = adjacency(single_node_graph())
         assert np.array_equal(densify(adj), [[1.0]])
 
     def test_two_nodes_one_edge(self):
         g = TargetGraph(2, [(0, 1)], np.zeros((2, 1)), None, 1)
-        dense = densify(normalize_adjacency(g))
+        dense = densify(adjacency(g))
         assert np.allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_zero_weight_equals_deletion(self, rng):
         g = random_graph(rng, 8, 3, 2)
         weights = np.ones(g.num_edges)
         weights[0] = 0.0
-        masked = densify(normalize_adjacency(g, weights))
-        removed = densify(normalize_adjacency(
+        masked = densify(adjacency(g, weights))
+        removed = densify(adjacency(
             TargetGraph(g.n, g.edges[1:], g.features, g.labels, g.num_classes)
         ))
         assert np.array_equal(masked, removed) or np.max(np.abs(masked - removed)) <= 1e-15
@@ -292,32 +291,38 @@ class TestNormalizeAdjacency:
         g = random_graph(rng, 5, 2, 2)
         bad = np.ones(g.num_edges)
         bad[0] = 1.5
-        with pytest.raises(ContractError):
-            normalize_adjacency(g, bad)
+        with pytest.raises(ContractError, match="edge weight entry 1.5 outside"):
+            AdjacencyLayout(g.n, g.edges).normalized(bad)
 
     def test_nan_weight(self, rng):
         g = random_graph(rng, 5, 2, 2)
         bad = np.ones(g.num_edges)
         bad[-1] = np.nan
-        with pytest.raises(ContractError):
-            normalize_adjacency(g, bad)
+        with pytest.raises(ContractError, match="edge weight entry nan outside"):
+            AdjacencyLayout(g.n, g.edges).normalized(bad)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_weight_count_checked(self, rng, extra):
+        g = random_graph(rng, 5, 2, 2, edge_p=0.6)
+        with pytest.raises(ContractError, match=f"expected {g.num_edges} edge weights"):
+            AdjacencyLayout(g.n, g.edges).normalized(np.ones(g.num_edges + extra))
 
     def test_exactly_symmetric(self, rng):
         g = random_graph(rng, 20, 2, 2, edge_p=0.4)
         w = rng.uniform(0.0, 1.0, g.num_edges)
-        dense = densify(normalize_adjacency(g, w))
+        dense = densify(adjacency(g, w))
         assert np.array_equal(dense, dense.T)  # bitwise, by shared per-edge values
 
     def test_row_sums_positive(self, rng):
         g = random_graph(rng, 15, 2, 2, edge_p=0.3)
-        sums = densify(normalize_adjacency(g)).sum(axis=1)
+        sums = densify(adjacency(g)).sum(axis=1)
         assert np.all(sums > 0)
 
     def test_row_sums_one_on_regular_graphs(self):
         # cycle: every node has degree 2, so normalization gives rows summing to 1
         n = 6
         g = TargetGraph(n, [(i, (i + 1) % n) for i in range(n)], np.zeros((n, 1)), None, 1)
-        sums = densify(normalize_adjacency(g)).sum(axis=1)
+        sums = densify(adjacency(g)).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
@@ -569,7 +574,7 @@ class TestMakeShiftPair:
                 trained, _ = pretrain_source(
                     model, src, split_nodes(src, seed), epochs=100, lr=1e-2
                 )
-                _, p0 = forward(trained, normalize_adjacency(tgt), tgt.features)
+                _, p0 = forward(trained, adjacency(tgt), tgt.features)
                 accs.append(np.mean(np.argmax(p0, axis=1) == tgt.labels))
             mean_acc.append(np.mean(accs))
         assert mean_acc[0] >= mean_acc[1] >= mean_acc[2]

@@ -1,7 +1,8 @@
 """Source hygiene, read off the syntax trees of the package: no config key
-that nothing reads or that README's config table leaves out, no import that
-nothing uses, no export that is not defined, and no benchmark phase anchored
-on a function the package no longer calls."""
+that nothing reads or that README's config table leaves out, no parameter
+that its function never reads, no import that nothing uses, no export that
+is not defined, and no benchmark phase anchored on a function the package no
+longer calls."""
 
 import ast
 import re
@@ -79,6 +80,34 @@ def test_every_extra_config_key_is_read(key):
         )
 
     assert read_outside(EXTRA_DEFAULTS, is_read), f"config key {key!r} is never read"
+
+
+def unread_parameters(module):
+    """`line: name` of each parameter of a `def` or `lambda` in `module`
+    that its body never reads; `self`, `cls` and names starting with `_`
+    are exempt."""
+    for node in ast.walk(module):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+        read = {
+            name.id
+            for statement in body
+            for name in ast.walk(statement)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        args = node.args
+        for param in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+            if param is None or param.arg in ("self", "cls") or param.arg.startswith("_"):
+                continue
+            if param.arg not in read:
+                yield f"{node.lineno}: {param.arg}"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_parameter_is_read(name):
+    unread = list(unread_parameters(TREES[name]))
+    assert not unread, f"{name}.py has parameters its functions never read: {unread}"
 
 
 def imported_names(module):

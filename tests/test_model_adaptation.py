@@ -35,7 +35,7 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import random_graph, traced_peak, transposed
+from conftest import adjacency, random_graph, traced_peak, transposed
 
 
 def banks_with(pred, repr_=None):
@@ -392,13 +392,12 @@ def test_losses_are_tensor_only(rng):
 def test_model_loss_gradients_on_random_instance(rng):
     # end-to-end L_M gradient fidelity on a small random instance
     from graphsfda.gnn import forward, forward_on_tape, init_model
-    from graphsfda.graph_store import normalize_adjacency
     from graphsfda.numerics import grad_check
     from conftest import random_graph
 
     g = random_graph(rng, 20, 4, 3, edge_p=0.25)
     model = init_model(4, 5, 3, 2, seed=6)
-    adj = normalize_adjacency(g)
+    adj = adjacency(g)
     z0, p0 = forward(model, adj, g.features)
     banks = MemoryBanks(z0.copy(), p0.copy(), 0.9)
     from graphsfda.graph_store import AdjacencyLayout
