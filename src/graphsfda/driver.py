@@ -22,7 +22,8 @@ mask, and the final forward pass reads it off the same layout as 0/1 edge
 weights, which equals the forward pass over the refined graph with the
 dropped edges deleted. When the keep mask equals the last epoch's edge
 weights (the mask is integral), that epoch's recorded pass already read
-this adjacency and gives the predictions, so a labelled run with one model
+this adjacency and gives the predictions, after the finiteness check of
+`gnn.forward` (`finite_pass`), so a labelled run with one model
 step per epoch makes epochs + 1 forward passes, otherwise epochs + 2. The
 report carries the edge mask and the keep mask for export; the learned
 offset is in the refined graph's features.
@@ -44,6 +45,7 @@ from .gnn import (
     AdamState,
     GnnModel,
     evaluate_accuracy,
+    finite_pass,
     forward,
     forward_on_tape,
     record_forward,
@@ -262,7 +264,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     refined = TargetGraph(n, g.edges[keep], x_prime, g.labels, g.num_classes)
     if recorded is not None and np.array_equal(keep, weights):
         # the last pass already read these 0/1 weights, features and model
-        final_p = recorded[3].value
+        _, final_p = finite_pass(recorded[2].value, recorded[3].value)
     else:
         recorded = None  # the final prediction reads another adjacency
         _, final_p = forward(model, layout.normalized(keep.astype(np.float64)), refined.features)

@@ -11,8 +11,9 @@ each a live leaf or a tape constant, so one pass serves model adaptation
 adaptation (a live edge mask). `record_forward` records the pass of one
 model state with its parameters as leaves; `forward` returns its values as
 two arrays, (representations, predictions), and raises NumericalError when
-either has a non-finite entry, so `eval` and `export-embeddings` fail on an
-overflowing checkpoint instead of scoring NaN. Pretraining normalizes the
+either has a non-finite entry (`finite_pass`, which `adapt` also runs on a
+pass it reuses), so `eval`, `export-embeddings` and `adapt` fail on an
+overflowing model instead of scoring NaN. Pretraining normalizes the
 source graph once off its `AdjacencyLayout`, reads a state's validation
 accuracy off the recorded pass and trains on it, and the adaptation loop
 does the same with its banks and model steps. Everything runs full-batch; there is no dropout, keeping recorded
@@ -49,6 +50,7 @@ __all__ = [
     "init_model",
     "forward",
     "forward_on_tape",
+    "finite_pass",
     "record_forward",
     "predict",
     "evaluate_accuracy",
@@ -172,12 +174,18 @@ def forward(model: GnnModel, adj_hat: SparseAdjacency, x):
     if adj_hat.n != xv.shape[0]:
         raise ShapeError(f"adjacency is {adj_hat.n}x{adj_hat.n}, features have {xv.shape[0]} rows")
     _, _, z, p = record_forward(model, adj_hat, xv)
-    for name, values in (("representation", z.value), ("prediction", p.value)):
+    return finite_pass(z.value, p.value)
+
+
+def finite_pass(z: np.ndarray, p: np.ndarray):
+    """(z, p), the representations and predictions of a forward pass, once
+    every entry is checked finite; else NumericalError naming the node."""
+    for name, values in (("representation", z), ("prediction", p)):
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             node = int(np.argmin(finite))
             raise NumericalError(f"forward pass gives a non-finite {name} at node {node}")
-    return z.value, p.value
+    return z, p
 
 
 def predict(model: GnnModel, adj_hat: SparseAdjacency, x) -> np.ndarray:

@@ -194,32 +194,21 @@ class ShiftSpec:
 
 
 class AdjacencyLayout:
-    """The CSR index of A+I for a fixed edge array, built once per graph.
-
-    `entry_source[k]` says which value fills CSR slot k: index j < e refers to
-    undirected edge j (used for both of its mirror slots), index e+i refers to
-    the self-loop of node i. Sharing one value per edge keeps every matrix on
-    the layout exactly symmetric. Each matrix puts its values, one per CSR
-    slot, on the checked structure without checking it again. A graph with
-    some edges deleted is this layout with weight 0 on them.
+    """The sparse structure of A+I over a fixed edge array (a
+    `SparseAdjacency`, built once per graph), and the two matrices every
+    caller puts on it: the normalized adjacency and the 0/1 neighbour
+    matrix. Each gives the structure one value per edge and one per node,
+    so both are exactly symmetric. A graph with some edges deleted is this
+    layout with weight 0 on them.
     """
 
-    __slots__ = ("n", "edge_u", "edge_v", "entry_source", "_structure")
+    __slots__ = ("n", "edge_u", "edge_v", "_structure")
 
     def __init__(self, n: int, edges):
-        e = len(edges)
-        u, v = edges[:, 0], edges[:, 1]
-        nodes = np.arange(n, dtype=np.int64)
-        rows = np.concatenate([u, v, nodes])
-        cols = np.concatenate([v, u, nodes])
-        src = np.concatenate([np.arange(e), np.arange(e), e + nodes])
-        order = np.lexsort((cols, rows))
-        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         self.n = n
-        self.edge_u = u
-        self.edge_v = v
-        self.entry_source = src[order]
-        self._structure = SparseAdjacency(n, offsets, cols[order], np.zeros(order.size))
+        self.edge_u = edges[:, 0]
+        self.edge_v = edges[:, 1]
+        self._structure = SparseAdjacency(n, edges)
 
     def normalized(self, edge_weights) -> SparseAdjacency:
         """The normalized adjacency under per-edge weights: an (e,) array of
@@ -244,22 +233,22 @@ class AdjacencyLayout:
         return self._structure.with_values(evaluate(self._normalized_values, w.reshape(-1, 1)))
 
     def _normalized_values(self, w: Tensor) -> Tensor:
-        """The (nnz x 1) entries of the normalized adjacency, one per CSR slot.
-        Each degree sums its self-loop's 1 first, then the edges at u, then
-        the edges at v."""
+        """The ((e + n) x 1) entries of the normalized adjacency, one per edge
+        and then one per node. Each degree sums its self-loop's 1 first,
+        then the edges at u, then the edges at v."""
         nodes = np.arange(self.n)
         terms = concat_rows(w.tape.constant(np.ones((self.n, 1))), concat_rows(w, w))
         deg = segment_sum(terms, np.concatenate([nodes, self.edge_u, self.edge_v]), self.n)
         s = pow_scalar(deg, -0.5)
         per_edge = mul(mul(w, gather_rows(s, self.edge_u)), gather_rows(s, self.edge_v))
         per_diag = mul(s, s)
-        return gather_rows(concat_rows(per_edge, per_diag), self.entry_source)
+        return concat_rows(per_edge, per_diag)
 
     def neighbors(self, edge_weights: np.ndarray) -> SparseAdjacency:
         """0/1 neighbour matrix: 1 on both slots of every edge with positive
         weight, 0 on deleted edges and on the self-loops."""
         live = np.concatenate([edge_weights > 0.0, np.zeros(self.n, dtype=bool)])
-        return self._structure.with_values(live[self.entry_source].astype(np.float64))
+        return self._structure.with_values(live.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,19 @@ op, no GPU, no higher-order derivatives.
 
 There is one sparse product, `spmm`, over one sparse type whose values may be
 a recorded tensor: that is how a live edge mask reaches the convolution.
-`SparseAdjacency` builds two jagged-diagonal tables once per checked
-structure (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
-section 3.4), shared by every `with_values` copy: one over the rows for the
-product, one over the columns for its gradient in x. The rows are sorted by
-decreasing entry count and diagonal k holds the k-th entry of every row
-longer than k, so the product is one vectorized multiply-add per diagonal.
-Every output row starts at 0.0 and adds its products one at a time in CSR
-order (the x-gradient: in ascending row order within each column), exactly
-as a scatter-add (`np.add.at`) over the entries would, so the results are
-bitwise equal to it.
+`SparseAdjacency` is the A + I pattern of an undirected edge array, one
+value per edge and one per node, so every matrix it carries is symmetric.
+It builds one jagged-diagonal table over its rows (Saad, *Iterative Methods
+for Sparse Linear Systems*, 2nd ed., section 3.4), shared by every
+`with_values` copy. The rows are sorted by decreasing entry count and
+diagonal k holds the k-th entry of every row longer than k, so the product
+is one vectorized multiply-add per diagonal. Every output row starts at 0.0
+and adds its products one at a time in CSR order, exactly as a scatter-add
+(`np.add.at`) over the entries would, so the results are bitwise equal to
+it. The gradient in x is the transpose product, and on a symmetric matrix
+row j's entries in column order are column j's entries in row order with
+the same values, so the same table gives it, bitwise equal to a
+scatter-add over the columns.
 
 One fused op, `exp_sum_others`, sums `exp(scale * a_i . a_j)` over a set of
 columns j other than i without holding the n x m matrix: it works through
@@ -70,51 +73,54 @@ __all__ = [
 
 
 class SparseAdjacency:
-    """Square sparse matrix in canonical compressed-sparse-row form.
+    """The pattern of A + I over an undirected graph: a symmetric n x n
+    sparse matrix in canonical compressed-sparse-row (CSR) form.
 
-    Canonical means: `row_offsets` is nondecreasing with n+1 entries, and
-    column indices are strictly increasing within every row (hence no
-    duplicate entries). `rows` is the row id of every stored entry, in
-    storage order. `values` is an (nnz x 1) column, one entry per stored
-    slot: constant, or a Tensor when the entries are differentiated.
+    It is built from an (e, 2) array of distinct undirected edges without
+    self-loops (`TargetGraph.edges`); only the endpoints are range-checked
+    here. Its slots are the two mirror slots of every edge and the diagonal
+    of every node, in CSR order: `rows` and `col_indices` give each slot's
+    row and column. `entry_source[k]` names the input value that fills slot
+    k: j < e for edge j, in both of its mirror slots, and e + i for the
+    diagonal of node i. Every matrix is one value per edge and one per node
+    (`with_values`), so it is exactly symmetric. `values` is the (nnz x 1)
+    column of slot values, constant or a Tensor; a new structure carries
+    unit values, the 0/1 pattern of A + I.
     """
 
-    __slots__ = ("n", "row_offsets", "col_indices", "rows", "values", "_by_row", "_by_col")
+    __slots__ = ("n", "col_indices", "rows", "entry_source", "values", "_by_row")
 
-    def __init__(self, n: int, row_offsets, col_indices, values):
-        offsets = np.asarray(row_offsets, dtype=np.int64)
-        cols = np.asarray(col_indices, dtype=np.int64)
-        if offsets.shape != (n + 1,):
-            raise ShapeError(f"row_offsets must have length n+1={n + 1}")
-        if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
-            raise ContractError("row_offsets must start at 0 and be nondecreasing")
-        if offsets[-1] != cols.size:
-            raise ShapeError(f"nnz mismatch: offsets end {offsets[-1]}, {cols.size} columns")
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
-            raise ContractError("column index out of range")
-        # strictly increasing within each row: diffs may only be <=0 at row starts
-        if cols.size > 1:
-            nondec = np.diff(cols) <= 0
-            starts = np.zeros(cols.size - 1, dtype=bool)
-            inner = offsets[1:-1]
-            starts[inner[(inner > 0) & (inner < cols.size)] - 1] = True
-            if np.any(nondec & ~starts):
-                raise ContractError("column indices must be strictly increasing per row")
+    def __init__(self, n: int, edges):
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ContractError(f"edge endpoint outside [0,{n})")
+        e = len(pairs)
+        u, v = pairs[:, 0], pairs[:, 1]
+        nodes = np.arange(n, dtype=np.int64)
+        rows = np.concatenate([u, v, nodes])
+        cols = np.concatenate([v, u, nodes])
+        order = np.lexsort((cols, rows))
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         self.n = n
-        self.row_offsets = offsets
-        self.col_indices = cols
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        self.rows = rows
-        self._by_row = _JaggedDiagonals(offsets, np.arange(cols.size), cols)
-        by_col = np.argsort(cols, kind="stable")
-        col_offsets = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-        self._by_col = _JaggedDiagonals(col_offsets, by_col, rows)
-        self.values = _entry_values(values, cols.size)
+        self.rows = rows[order]
+        self.col_indices = cols[order]
+        self.entry_source = np.concatenate([np.arange(e), np.arange(e), e + nodes])[order]
+        self._by_row = _JaggedDiagonals(offsets, self.col_indices)
+        self.values = np.ones((order.size, 1))
 
     def with_values(self, values) -> "SparseAdjacency":
-        """The same (already checked) structure carrying new entry values."""
+        """The same structure carrying one value per edge and then one per
+        node: an (e + n) x 1 column of finite constants, or a Tensor, whose
+        tape then records the gather into the slots (`gather_rows`)."""
+        live = isinstance(values, Tensor)
+        column = values.value if live else np.asarray(values, dtype=np.float64).reshape(-1, 1)
+        if not (live or np.isfinite(column).all()):
+            raise NumericalError("sparse values must be finite")
+        size = (self.nnz + self.n) // 2  # e + n: two slots per edge, one per node
+        if column.shape != (size, 1):
+            raise ShapeError(f"expected {size} values (e + n), got shape {column.shape}")
         out = copy.copy(self)
-        out.values = _entry_values(values, self.nnz)
+        out.values = gather_rows(values, self.entry_source) if live else column[self.entry_source]
         return out
 
     @property
@@ -123,19 +129,19 @@ class SparseAdjacency:
 
 
 class _JaggedDiagonals:
-    """Jagged-diagonal (JDS) index of a sparse product's stored entries.
+    """Jagged-diagonal (JDS) index of a CSR matrix's stored entries.
 
-    Output row i sums the entries `entries_of_row[offsets[i]:offsets[i+1]]`,
-    in that order. The rows are sorted by decreasing length (stable, so rows
-    of one length keep their order), and diagonal k holds the k-th entry of
-    every row longer than k: a prefix of the sorted rows. Adding the
-    diagonals in turn into a zeroed output therefore gives every row the
-    same sums, in the same order, as a scatter-add over its entries.
+    Output row i sums the entries `offsets[i]:offsets[i+1]`, in CSR order.
+    The rows are sorted by decreasing length (stable, so rows of one length
+    keep their order), and diagonal k holds the k-th entry of every row
+    longer than k: a prefix of the sorted rows. Adding the diagonals in turn
+    into a zeroed output therefore gives every row the same sums, in the
+    same order, as a scatter-add over its entries.
     """
 
     __slots__ = ("entries", "sources", "bounds", "inverse")
 
-    def __init__(self, offsets: np.ndarray, entries_of_row: np.ndarray, sources: np.ndarray):
+    def __init__(self, offsets: np.ndarray, sources: np.ndarray):
         """`sources[e]`: the row of the dense operand that entry e multiplies."""
         n = offsets.size - 1
         lengths = np.diff(offsets)
@@ -147,20 +153,20 @@ class _JaggedDiagonals:
         bounds = np.concatenate([[0], np.cumsum(per_diagonal)])
         diagonal = np.repeat(np.arange(per_diagonal.size), per_diagonal)
         rank = np.arange(bounds[-1]) - np.repeat(bounds[:-1], per_diagonal)
-        self.entries = entries_of_row[offsets[order][rank] + diagonal]
+        self.entries = offsets[order][rank] + diagonal
         self.sources = sources[self.entries]
         self.bounds = bounds.tolist()
 
     def product(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row i of the result: the sum of `values[e] * x[sources[e]]` over
-        row i's entries e, accumulated from 0.0 in row order.
+        row i's entries e, accumulated from 0.0 in CSR order.
 
         Each diagonal is gathered into one preallocated n x h buffer,
         multiplied and added in place, so no diagonal allocates, and the
         finished rows are permuted back into the buffer. Each gather
         uses `mode="clip"` because NumPy buffers the output of a `take` in
         its default mode "raise"; no index is ever clipped, since
-        `SparseAdjacency` range-checks the column indices the tables are
+        `SparseAdjacency` range-checks the edge endpoints the table is
         built from and `spmm` checks that x has one row per node."""
         n = self.inverse.size
         out = np.zeros((n, x.shape[1]))
@@ -174,19 +180,6 @@ class _JaggedDiagonals:
             np.multiply(b, v[lo:hi], out=b)
             np.add(o, b, out=o)
         return np.take(out, self.inverse, axis=0, out=buf, mode="clip")
-
-
-def _entry_values(values, nnz: int):
-    """Stored values as an (nnz x 1) column: a Tensor, or finite constants."""
-    if isinstance(values, Tensor):
-        column = values.value
-    else:
-        column = values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-        if not np.isfinite(column).all():
-            raise NumericalError("sparse values must be finite")
-    if column.shape != (nnz, 1):
-        raise ShapeError(f"nnz mismatch: {nnz} slots, values of shape {column.shape}")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +382,9 @@ def spmm(adj: SparseAdjacency, x):
 
     Differentiates into `x` and into the stored values of `adj`, each unless
     it is a constant; constant stored values are recorded as a constant.
-    The product and the x-gradient run over the jagged-diagonal tables of
-    `adj`'s structure, each through one n x h buffer; the value gradient
+    The product and the x-gradient run over the one jagged-diagonal table
+    of `adj`'s structure, each through one n x h buffer: `adj` is
+    symmetric, so its transpose product is its product. The value gradient
     works through SPMM_GRAD_CHUNK_ENTRIES stored entries at a time. None of
     the three builds an nnz x h array, and each is bitwise equal to its
     scatter-add or whole-array form."""
@@ -405,7 +399,7 @@ def spmm(adj: SparseAdjacency, x):
         out,
         [
             (vals.index, lambda g: _entry_dots(g, rows, xv, cols)),
-            (x.index, lambda g: adj._by_col.product(vv, g)),
+            (x.index, lambda g: adj._by_row.product(vv, g)),
         ],
     )
 

@@ -409,6 +409,9 @@ EXIT_CASES = {
     "temperature-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, temperature=1e-300)]),
     "pretrain-lr-overflow": (5, lambda ws, tmp: ["pretrain", *_config(ws, tmp, pretrain_lr=1e300)]),
     "model-lr-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr=1e300)]),
+    # the last epoch's pass, reused for the final predictions, reads the overflowed model
+    "adapt-final-pass-overflow": (5, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, model_lr=1e300, epochs=1), "--tf", "0", "--ts", "0"]),
     "eval-checkpoint-overflow": (5, lambda ws, tmp: _scored(
         ws, tmp, "eval", str(ws / "pair_tgt"), checkpoint=_overflowing_checkpoint(ws, tmp))),
     "export-checkpoint-overflow": (5, lambda ws, tmp: _scored(

@@ -19,6 +19,7 @@ from graphsfda.graph_store import (
     save_graph,
     split_nodes,
 )
+from graphsfda.numerics import Tape
 
 from conftest import adjacency, densify, random_graph
 
@@ -578,6 +579,28 @@ class TestMakeShiftPair:
                 accs.append(np.mean(np.argmax(p0, axis=1) == tgt.labels))
             mean_acc.append(np.mean(accs))
         assert mean_acc[0] >= mean_acc[1] >= mean_acc[2]
+
+
+def live_normalized(layout, w):
+    tape = Tape()  # held while the entries are recorded on it
+    return layout.normalized(tape.leaf(w.reshape(-1, 1)))
+
+
+LAYOUT_MATRICES = {
+    "normalized": lambda layout, w: layout.normalized(w),
+    "normalized-live": live_normalized,
+    "neighbors": lambda layout, w: layout.neighbors(w),
+}
+
+
+@pytest.mark.parametrize("matrix", list(LAYOUT_MATRICES))
+def test_layout_matrices_equal_their_transpose(rng, matrix):
+    # `spmm` takes its gradient in x, a product with the transpose, from
+    # its one row table: that holds only while every matrix is symmetric
+    g = random_graph(rng, 30, 2, 2, edge_p=0.15)
+    w = rng.uniform(0.0, 1.0, g.num_edges) * (rng.random(g.num_edges) >= 0.3)
+    dense = densify(LAYOUT_MATRICES[matrix](AdjacencyLayout(g.n, g.edges), w))
+    assert np.array_equal(dense, dense.T)
 
 
 def test_neighbor_adjacency_with_mask(rng):

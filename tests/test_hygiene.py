@@ -1,8 +1,8 @@
 """Source hygiene, read off the syntax trees of the package: no config key
 that nothing reads or that README's config table leaves out, no parameter
-that its function never reads, no import that nothing uses, no export that
-is not defined, and no benchmark phase anchored on a function the package no
-longer calls."""
+that its function never reads, no stored slot that nothing reads, no import
+that nothing uses, no export that is not defined, and no benchmark phase
+anchored on a function the package no longer calls."""
 
 import ast
 import re
@@ -108,6 +108,34 @@ def unread_parameters(module):
 def test_every_parameter_is_read(name):
     unread = list(unread_parameters(TREES[name]))
     assert not unread, f"{name}.py has parameters its functions never read: {unread}"
+
+
+def declared_slots():
+    """`Class.slot` for each `__slots__` entry of a package class."""
+    for module in TREES.values():
+        for node in ast.walk(module):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for statement in node.body:
+                if isinstance(statement, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in statement.targets
+                ):
+                    for slot in ast.literal_eval(statement.value):
+                        yield f"{node.name}.{slot}"
+
+
+@pytest.mark.parametrize("slot", sorted(declared_slots()))
+def test_every_slot_is_read(slot):
+    name = slot.partition(".")[2]
+
+    def is_read(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == name
+            and isinstance(node.ctx, ast.Load)
+        )
+
+    assert read_outside(None, is_read), f"{slot} is stored but never read"
 
 
 def imported_names(module):

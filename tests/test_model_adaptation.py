@@ -16,7 +16,6 @@ from graphsfda.model_adaptation import (
     neighborhood_pseudo_labels,
 )
 from graphsfda.numerics import (
-    SparseAdjacency,
     Tape,
     Tensor,
     add,
@@ -45,11 +44,10 @@ def banks_with(pred, repr_=None):
     return MemoryBanks(np.asarray(repr_, dtype=np.float64), pred, 0.9)
 
 
-def neighbor_matrix(lists):
-    """0/1 neighbour matrix whose row i marks the node ids in lists[i]."""
-    cols = [np.sort(np.asarray(ns, dtype=np.int64)) for ns in lists]
-    offsets = np.concatenate([[0], np.cumsum([c.size for c in cols])])
-    return SparseAdjacency(len(lists), offsets, np.concatenate(cols), np.ones(offsets[-1]))
+def neighbor_matrix(n, edges):
+    """0/1 neighbour matrix of the n-node graph with these undirected edges."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return AdjacencyLayout(n, pairs).neighbors(np.ones(len(pairs)))
 
 
 def loop_pseudo_labels(lists, banks):
@@ -63,31 +61,27 @@ def loop_pseudo_labels(lists, banks):
 class TestPseudoLabels:
     def test_single_neighbor(self):
         banks = banks_with([[0.5, 0.5], [0.2, 0.8]])
-        pl = neighborhood_pseudo_labels(neighbor_matrix([np.array([1]), np.array([0])]), banks)
+        pl = neighborhood_pseudo_labels(neighbor_matrix(2, [(0, 1)]), banks)
         assert pl[0] == 1
 
     def test_two_neighbor_mean(self):
-        banks = banks_with([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
-        pl = neighborhood_pseudo_labels(
-            neighbor_matrix([np.array([0, 1]), np.array([2]), np.array([0])]), banks
-        )
-        # mean of [0.9,0.1] and [0.2,0.8] is [0.55,0.45]
+        banks = banks_with([[0.4, 0.6], [0.9, 0.1], [0.2, 0.8]])
+        pl = neighborhood_pseudo_labels(neighbor_matrix(3, [(0, 1), (0, 2)]), banks)
+        # mean of [0.9,0.1] and [0.2,0.8] is [0.55,0.45]; node 0's own row says class 1
         assert pl[0] == 0
 
     def test_isolated_falls_back_to_own_row(self):
         banks = banks_with([[0.1, 0.9]])
-        pl = neighborhood_pseudo_labels(neighbor_matrix([np.array([], dtype=int)]), banks)
+        pl = neighborhood_pseudo_labels(neighbor_matrix(1, []), banks)
         assert pl[0] == 1
 
     def test_tie_breaks_low(self):
         banks = banks_with([[0.5, 0.5]])
-        pl = neighborhood_pseudo_labels(neighbor_matrix([np.array([], dtype=int)]), banks)
+        pl = neighborhood_pseudo_labels(neighbor_matrix(1, []), banks)
         assert pl[0] == 0
 
     def test_matches_per_node_loop(self, rng):
         # random graph with masked edges, an isolated node and tie-prone banks
-        from graphsfda.graph_store import AdjacencyLayout
-
         for _ in range(5):
             g = random_graph(rng, 60, 1, 4, edge_p=0.1)
             keep = (g.edges != 0).all(axis=1)  # node 0 loses every edge
@@ -109,7 +103,7 @@ class TestPseudoLabels:
 
     def test_onehot_shape(self):
         banks = banks_with([[0.1, 0.2, 0.7], [0.6, 0.3, 0.1]])
-        pl = neighborhood_pseudo_labels(neighbor_matrix([[], []]), banks)
+        pl = neighborhood_pseudo_labels(neighbor_matrix(2, []), banks)
         assert pl.dtype == np.int64 and np.array_equal(pl, [2, 0])
         assert compute_prototypes(pl, banks).shape[0] == 3
 

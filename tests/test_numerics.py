@@ -6,6 +6,7 @@ import pytest
 
 from graphsfda import numerics
 from graphsfda.errors import ContractError, ShapeError
+from graphsfda.graph_store import AdjacencyLayout
 from graphsfda.numerics import (
     SparseAdjacency,
     Tape,
@@ -62,42 +63,32 @@ def spmm_value(adj, x):
 
 class TestSpmm:
     def test_zero_edges(self):
-        adj = SparseAdjacency(3, [0, 0, 0, 0], [], [])
+        adj = SparseAdjacency(3, []).with_values(np.zeros(3))
         out = spmm_value(adj, [[1.0], [2.0], [3.0]])
         assert np.array_equal(out, np.zeros((3, 1)))
 
     def test_identity_pattern(self):
-        adj = SparseAdjacency(2, [0, 1, 2], [0, 1], [1.0, 1.0])
+        adj = SparseAdjacency(2, [])  # A + I without edges, unit values
         x = [[5.0, 1.0], [2.0, 3.0]]
         assert np.array_equal(spmm_value(adj, x), x)
 
     def test_path_graph(self):
-        # unweighted 3-node path, no self-loops
-        adj = SparseAdjacency(3, [0, 1, 3, 4], [1, 0, 2, 1], [1.0] * 4)
+        # unweighted 3-node path, zero on the diagonal
+        adj = SparseAdjacency(3, [(0, 1), (1, 2)]).with_values([1.0, 1.0, 0.0, 0.0, 0.0])
         out = spmm_value(adj, [[1.0], [2.0], [3.0]])
         assert np.array_equal(out, [[2.0], [4.0], [2.0]])
 
     def test_matches_densified_matmul(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 51))
-            nnz_rows = []
-            cols = []
-            vals = []
-            offsets = [0]
-            for _ in range(n):
-                row_cols = np.sort(
-                    rng.choice(n, size=int(rng.integers(0, min(n, 6) + 1)), replace=False)
-                )
-                cols.extend(row_cols)
-                vals.extend(rng.standard_normal(row_cols.size))
-                offsets.append(len(cols))
-            adj = SparseAdjacency(n, offsets, cols, vals)
+            adj = random_structure(rng, n, rng.uniform(0.0, 0.3))
+            adj = adj.with_values(rng.standard_normal(value_count(adj)))
             x = rng.standard_normal((n, 3))
             dense = densify(adj) @ x
             assert np.max(np.abs(spmm_value(adj, x) - dense)) <= 1e-12
 
     def test_dimension_mismatch(self):
-        adj = SparseAdjacency(2, [0, 0, 0], [], [])
+        adj = SparseAdjacency(2, [])
         with pytest.raises(ShapeError):
             spmm_value(adj, np.zeros((3, 1)))
 
@@ -270,7 +261,7 @@ class TestConstants:
             Tape().constant(np.ones(3))
 
 
-IDENTITY_2 = SparseAdjacency(2, [0, 1, 2], [0, 1], [1.0, 1.0])
+IDENTITY_2 = SparseAdjacency(2, [])
 # op and the shapes of its tensor operands
 OPS = {
     "matmul": (matmul, [(2, 2), (2, 2)]),
@@ -378,8 +369,8 @@ def test_binary_and_structural_gradients(rng):
 
 
 def test_spmm_gradients_wrt_values_and_x(rng):
-    # entries (0,1) (0,2) (1,2) (2,0) (2,2) in CSR order, values live
-    structure = SparseAdjacency(3, [0, 2, 3, 5], [1, 2, 2, 0, 2], np.zeros(5))
+    # edges (0,1) (0,2) then the three diagonals, values live
+    structure = SparseAdjacency(3, [(0, 1), (0, 2)])
     v0 = rng.uniform(0.2, 1.0, size=(5, 1))
     x0 = rng.standard_normal((3, 2))
 
@@ -391,7 +382,7 @@ def test_spmm_gradients_wrt_values_and_x(rng):
 
 
 def test_spmm_gradient_wrt_dense(rng):
-    adj = SparseAdjacency(3, [0, 2, 3, 4], [0, 2, 1, 0], [0.5, 1.0, -0.7, 0.3])
+    adj = SparseAdjacency(3, [(0, 2), (1, 2)]).with_values([0.5, 1.0, -0.7, 0.3, 0.0])
 
     def f(x):
         y = spmm(adj, x)
@@ -422,108 +413,150 @@ def spmm_grad_values(adj, g, x):
     return (g[adj.rows] * x[adj.col_indices]).sum(axis=1, keepdims=True)
 
 
-def csr(n, dense_pattern):
-    """Canonical CSR structure of a boolean n x n pattern."""
-    rows, cols = np.nonzero(dense_pattern)
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return SparseAdjacency(n, offsets, cols, np.zeros(rows.size))
+def value_count(adj):
+    """e + n: how many values `with_values` takes, one per edge, one per node."""
+    return (adj.nnz + adj.n) // 2
 
 
-def random_pattern(rng, n, p):
-    pattern = rng.random((n, n)) < p
-    pattern[rng.choice(n, size=n // 4, replace=False)] = False  # empty rows
-    return pattern
+def column_grad(adj, g, x):
+    """The gradient of `spmm` into the column `with_values` took: each
+    value's gradient sums those of the slots it fills."""
+    out = np.zeros((value_count(adj), 1))
+    np.add.at(out, adj.entry_source, spmm_grad_values(adj, g, x))
+    return out
 
 
-def hub_pattern(rng, n):
-    pattern = rng.random((n, n)) < 3.0 / n
-    pattern[0, 1:] = True  # row 0 has degree n-1
-    return pattern
+def spread_values(rng, shape):
+    """Magnitudes over 16 decades: any change of summation order shows."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+def unique_edges(u, v):
+    """The distinct undirected edges among the pairs (u, v), self-loops dropped."""
+    pairs = np.sort(np.stack([u, v], axis=1), axis=1)
+    return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0).reshape(-1, 2)
+
+
+def random_edges(rng, n, p, isolated=0):
+    """Each node pair an edge with probability p; the first `isolated`
+    nodes of a random order keep none."""
+    u, v = np.triu_indices(n, k=1)
+    keep = rng.random(u.size) < p
+    lonely = rng.permutation(n)[:isolated]
+    keep &= ~(np.isin(u, lonely) | np.isin(v, lonely))
+    return unique_edges(u[keep], v[keep])
+
+
+def random_structure(rng, n, p, isolated=0):
+    return SparseAdjacency(n, random_edges(rng, n, p, isolated))
+
+
+def hub_edges(rng, n):
+    """Node 0 joined to every other node, plus about 1.5 n random edges."""
+    extra = rng.integers(0, n, size=(3 * n // 2, 2))
+    u = np.concatenate([np.zeros(n - 1, dtype=np.int64), extra[:, 0]])
+    v = np.concatenate([np.arange(1, n), extra[:, 1]])
+    return unique_edges(u, v)
 
 
 SPMM_STRUCTURES = {
-    "random-with-empty-rows": lambda rng: csr(40, random_pattern(rng, 40, 0.2)),
-    "random-dense": lambda rng: csr(17, random_pattern(rng, 17, 0.7)),
-    "no-entries": lambda rng: csr(5, np.zeros((5, 5), dtype=bool)),
-    "single-self-loop": lambda rng: csr(1, np.ones((1, 1), dtype=bool)),
-    "not-symmetric": lambda rng: csr(4, np.array(
-        [[0, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], dtype=bool)),
-    "hub-row": lambda rng: csr(60, hub_pattern(rng, 60)),
-    "hub-column": lambda rng: csr(60, hub_pattern(rng, 60).T),
+    # an isolated node's row holds its diagonal slot alone
+    "random-with-empty-rows": lambda rng: random_structure(rng, 40, 0.2, isolated=10),
+    "random-dense": lambda rng: random_structure(rng, 17, 0.7),
+    "no-entries": lambda rng: SparseAdjacency(5, []),  # diagonal slots only
+    "single-self-loop": lambda rng: SparseAdjacency(1, []),
+    "hub-row": lambda rng: SparseAdjacency(60, hub_edges(rng, 60)),
 }
 
 
+def normalized_random(rng):
+    """The normalized adjacency the program builds: a random graph with
+    isolated nodes and about 30% zero edge weights."""
+    edges = random_edges(rng, 40, 0.2, isolated=10)
+    weights = rng.uniform(0.1, 1.0, len(edges)) * (rng.random(len(edges)) >= 0.3)
+    return AdjacencyLayout(40, edges), weights
+
+
+def normalized_hub(rng):
+    edges = hub_edges(rng, 60)
+    return AdjacencyLayout(60, edges), rng.uniform(0.0, 1.0, len(edges))
+
+
+# built by `AdjacencyLayout.normalized`, live on the edge weights' tape
+NORMALIZED_STRUCTURES = {"normalized-random": normalized_random, "normalized-hub": normalized_hub}
+
+
 @pytest.mark.parametrize("live", [False, True], ids=["frozen", "live"])
-@pytest.mark.parametrize("structure", list(SPMM_STRUCTURES))
+@pytest.mark.parametrize("structure", [*SPMM_STRUCTURES, *NORMALIZED_STRUCTURES])
 def test_spmm_bitwise_equals_scatter_add(rng, structure, live):
-    adj = SPMM_STRUCTURES[structure](rng)
-    # magnitudes over 16 decades: any change of summation order shows
-    values = rng.standard_normal((adj.nnz, 1)) * 10.0 ** rng.uniform(-8, 8, (adj.nnz, 1))
-    x0 = rng.standard_normal((adj.n, 3)) * 10.0 ** rng.uniform(-8, 8, (adj.n, 3))
-    g = rng.standard_normal((adj.n, 3))
+    if structure in SPMM_STRUCTURES:
+        adj = SPMM_STRUCTURES[structure](rng)
+        make, v0 = adj.with_values, spread_values(rng, (value_count(adj), 1))
+    else:
+        layout, weights = NORMALIZED_STRUCTURES[structure](rng)
+        make, v0 = layout.normalized, weights.reshape(-1, 1)
     tape = Tape()
+    v = tape.leaf(v0) if live else v0
+    adj = make(v)
+    values = adj.values.value if live else adj.values  # one per slot
+    x0 = spread_values(rng, (adj.n, 3))
+    g = rng.standard_normal((adj.n, 3))
     x = tape.leaf(x0)
-    v = tape.leaf(values) if live else values
-    y = spmm(adj.with_values(v), x)
+    y = spmm(adj, x)
     backward(tape, sum_all(mul(y, tape.constant(g))))
     assert np.array_equal(y.value, scatter_spmm(adj, values, x0))
     assert np.array_equal(x.grad, scatter_spmm_grad_x(adj, values, g))
-    assert np.array_equal(spmm_value(adj.with_values(values), x0), y.value)
-    if live:
-        assert np.array_equal(v.grad, spmm_grad_values(adj, g, x0))
+    assert np.array_equal(spmm_value(make(v0), x0), y.value)
+    if live and structure in SPMM_STRUCTURES:
+        assert np.array_equal(v.grad, column_grad(adj, g, x0))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 10_000], ids=["chunk1", "chunk7", "one-chunk"])
 def test_spmm_value_gradient_across_chunks(rng, monkeypatch, chunk):
     monkeypatch.setattr(numerics, "SPMM_GRAD_CHUNK_ENTRIES", chunk)
     adj = SPMM_STRUCTURES["hub-row"](rng)
-    values = rng.standard_normal((adj.nnz, 1))
-    x0 = rng.standard_normal((adj.n, 32)) * 10.0 ** rng.uniform(-8, 8, (adj.n, 32))
+    values = rng.standard_normal((value_count(adj), 1))
+    x0 = spread_values(rng, (adj.n, 32))
     g = rng.standard_normal((adj.n, 32))
     tape = Tape()
     v = tape.leaf(values)
     backward(tape, sum_all(mul(spmm(adj.with_values(v), tape.constant(x0)), tape.constant(g))))
-    assert np.array_equal(v.grad, spmm_grad_values(adj, g, x0))
+    assert np.array_equal(v.grad, column_grad(adj, g, x0))
 
 
 def test_with_values_shares_the_tables(monkeypatch, rng):
-    adj = csr(30, random_pattern(rng, 30, 0.3))
-    tables = (adj._by_row, adj._by_col)
+    adj = random_structure(rng, 30, 0.3)
+    table = adj._by_row
 
     def rebuilt(*_):
-        raise AssertionError("jagged-diagonal tables rebuilt")
+        raise AssertionError("jagged-diagonal table rebuilt")
 
     monkeypatch.setattr(numerics, "_JaggedDiagonals", rebuilt)
     tape = Tape()
-    for values in (np.ones(adj.nnz), tape.leaf(np.ones((adj.nnz, 1)))):
+    for values in (np.ones(value_count(adj)), tape.leaf(np.ones((value_count(adj), 1)))):
         other = adj.with_values(values)
-        assert other._by_row is tables[0] and other._by_col is tables[1]
+        assert other._by_row is table
         spmm(other, tape.constant(np.ones((30, 2))))
 
 
 def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
-    # a star plus a sparse random graph; the tables stay O(n + nnz) in size
+    # a star plus a sparse random graph; the table stays O(n + nnz) in size
     n = 20_000
-    extra = rng.integers(0, n, size=(3 * n, 2))
-    u = np.concatenate([np.zeros(n - 1, dtype=np.int64), extra[:, 0]])
-    v = np.concatenate([np.arange(1, n), extra[:, 1]])
-    ids = np.unique(np.concatenate([u * n + v, v * n + u]))
-    rows, cols = ids // n, ids % n
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    values = rng.standard_normal(ids.size)
-    adj = SparseAdjacency(n, offsets, cols, values)
-    degree = int(np.diff(offsets).max())
-    assert degree >= n - 1
-    for table in (adj._by_row, adj._by_col):
-        assert table.entries.size == table.sources.size == adj.nnz
-        assert len(table.bounds) == degree + 1
+    adj = SparseAdjacency(n, hub_edges(rng, n))
+    adj = adj.with_values(rng.standard_normal(value_count(adj)))
+    values = adj.values
+    degree = int(np.bincount(adj.rows).max())
+    assert degree == n  # the hub's n - 1 edges and its diagonal
+    table = adj._by_row
+    assert table.entries.size == table.sources.size == adj.nnz
+    assert len(table.bounds) == degree + 1
     x0 = rng.standard_normal((n, 32))
     tape = Tape()
     x = tape.leaf(x0)
     y = spmm(adj, x)
     backward(tape, sum_all(y))
-    assert np.array_equal(y.value, scatter_spmm(adj, values[:, None], x0))
-    assert np.array_equal(x.grad, scatter_spmm_grad_x(adj, values[:, None], np.ones((n, 32))))
+    assert np.array_equal(y.value, scatter_spmm(adj, values, x0))
+    assert np.array_equal(x.grad, scatter_spmm_grad_x(adj, values, np.ones((n, 32))))
 
 
 EXP_SUM_COLS = {
@@ -635,19 +668,21 @@ def test_composite_losses_pass_grad_check_at_random_points(rng):
 
 
 class TestSparseAdjacencyValidation:
-    def test_bad_offsets(self):
-        with pytest.raises(ContractError):
-            SparseAdjacency(2, [0, 2, 1], [0, 1], [1.0, 1.0])
-
     def test_column_out_of_range(self):
-        with pytest.raises(ContractError):
-            SparseAdjacency(2, [0, 1, 2], [0, 2], [1.0, 1.0])
+        for edge in [(0, 2), (-1, 1)]:
+            with pytest.raises(ContractError, match="endpoint"):
+                SparseAdjacency(2, [edge])
 
-    def test_duplicate_column_rejected(self):
-        with pytest.raises(ContractError):
-            SparseAdjacency(2, [0, 2, 2], [1, 1], [1.0, 1.0])
+    def test_values_one_per_edge_and_node(self):
+        # 1 edge and 3 nodes take 4 values; 5 is the slot count
+        adj = SparseAdjacency(3, [(0, 1)])
+        with pytest.raises(ShapeError, match="expected 4 values"):
+            adj.with_values(np.ones(5))
+        with pytest.raises(ShapeError, match="expected 4 values"):
+            adj.with_values(Tape().leaf(np.ones((3, 1))))
 
     def test_densify_round_trip(self):
-        adj = SparseAdjacency(3, [0, 1, 3, 4], [1, 0, 2, 1], [1.0, 2.0, 3.0, 4.0])
+        adj = SparseAdjacency(3, [(0, 1), (1, 2)]).with_values([1.0, 2.0, 3.0, 4.0, 5.0])
         d = densify(adj)
-        assert d[0, 1] == 1.0 and d[1, 0] == 2.0 and d[1, 2] == 3.0 and d[2, 1] == 4.0
+        assert d[0, 1] == d[1, 0] == 1.0 and d[1, 2] == d[2, 1] == 2.0
+        assert np.array_equal(np.diag(d), [3.0, 4.0, 5.0])
