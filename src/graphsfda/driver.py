@@ -169,7 +169,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
 
     (adapted model, refined target graph, argmax predictions, report).
 
-    Deterministic for fixed (model, graph, config). With all loop counts or
+    Deterministic for fixed (model, graph, config) at a fixed BLAS thread
+    count: another thread count can change the last bits of the matrix
+    products, so repeats are bitwise only per count. With all loop counts or
     epochs at zero the predictions coincide bit-for-bit with the unadapted
     model on the unmodified graph.
 

@@ -4,15 +4,17 @@ Graphs are undirected, without self-loops, with node features and optional
 integer class labels. The edges are one read-only (e, 2) int64 array of
 (min, max) pairs; row i is edge i for every mask and weight vector. One
 vectorized function, `edge_fault`, holds the edge rules for the constructor
-and the file reader alike, and one, `mask_fault`, the [0,1] rule (NaN
-failing it) for every edge mask and edge weight vector. The features are
-one read-only, finite float64 (n, d) array, checked where a graph is built,
-so no NaN enters the program through a graph. Every sparse matrix over a
-graph is its one `AdjacencyLayout` carrying values, and the normalized
-adjacency has one formula and one entry point, `AdjacencyLayout.normalized`,
-written in tape ops: recorded on the tape of live edge weights, evaluated
-for constant ones, which it checks (one per edge, each in [0,1]) for every
-caller.
+and the file reader alike; it finds repeats by sorting one int64 key per
+unordered pair, built from the endpoints, or from their ranks where the
+endpoints span too far for the key to fit. One, `mask_fault`, holds the
+[0,1] rule (NaN failing it) for every edge mask and edge weight vector. The
+features are one read-only, finite float64 (n, d) array, checked where a
+graph is built, so no NaN enters the program through a graph. Every sparse
+matrix over a graph is its one `AdjacencyLayout` carrying values, and the
+normalized adjacency has one formula and one entry point,
+`AdjacencyLayout.normalized`, written in tape ops: recorded on the tape of
+live edge weights, evaluated for constant ones, which it checks (one per
+edge, each in [0,1]) for every caller.
 
 The text format is three UTF-8 files sharing a prefix (`.meta`, `.edges`,
 `.feat`) plus an optional `.labels`; floats are written with enough digits
@@ -61,13 +63,29 @@ __all__ = [
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 
 
+# The largest endpoint span whose pair keys fit int64: span * span - 1 <= 2**63 - 1.
+_MAX_KEY_SPAN = 3_037_000_499
+
+
 def _first_same_pair(pairs: np.ndarray) -> np.ndarray:
     """For each (u, v) row, the index of the first row joining the same two
-    nodes in either orientation (its own index if none comes earlier)."""
-    _, first, inverse = np.unique(
-        np.sort(pairs, axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    return first[inverse.ravel()]
+    nodes in either orientation (its own index if none comes earlier).
+
+    Rows are grouped by one int64 key per unordered pair, (lo - base) * span
+    + (hi - base), exact for every int64 endpoint: where the endpoints span
+    too much for that key, their ranks stand in for them."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if not lo.size:
+        return np.zeros(0, dtype=np.intp)
+    base = int(lo.min())
+    span = int(hi.max()) - base + 1
+    if span > _MAX_KEY_SPAN:
+        values, ranks = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        lo, hi, base, span = ranks[: lo.size], ranks[lo.size :], 0, values.size
+    key = (lo - base) * span + (hi - base)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
 def edge_fault(n: int, pairs: np.ndarray, repeat=None):
@@ -75,15 +93,16 @@ def edge_fault(n: int, pairs: np.ndarray, repeat=None):
     None if every row is a valid undirected edge: a self-loop, an endpoint
     outside [0, n), or a repeat of an earlier row in either orientation.
     `repeat` marks the repeats when the caller has already grouped the rows."""
-    loop = pairs[:, 0] == pairs[:, 1]
-    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    u, v = pairs[:, 0], pairs[:, 1]
+    loop = u == v
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     if repeat is None:
         repeat = _first_same_pair(pairs) != np.arange(len(pairs))
     bad = np.flatnonzero(loop | outside | repeat)
     if not bad.size:
         return None
     i = int(bad[0])
-    u, v = (int(a) for a in pairs[i])
+    u, v = int(u[i]), int(v[i])
     if loop[i]:
         return i, f"self-loop ({u},{v}) not allowed"
     if outside[i]:
@@ -129,7 +148,9 @@ class TargetGraph:
                 raise ContractError(f"expected {n} labels, got {labels.shape}")
             if num_classes and labels.size and (labels.min() < 0 or labels.max() >= num_classes):
                 raise ContractError("label outside [0, num_classes)")
-        canon = np.sort(pairs, axis=1)
+        canon = np.empty(pairs.shape, dtype=np.int64)
+        np.minimum(pairs[:, 0], pairs[:, 1], out=canon[:, 0])
+        np.maximum(pairs[:, 0], pairs[:, 1], out=canon[:, 1])
         canon.setflags(write=False)
         features.setflags(write=False)
         self.n = int(n)
@@ -191,6 +212,8 @@ class ShiftSpec:
             raise ContractError("degenerate shift spec")
         if not (np.isfinite(self.class_mean_separation) and np.isfinite(self.target_mean_shift)):
             raise ContractError("class_mean_separation and target_mean_shift must be finite")
+        if self.seed < 0:
+            raise ContractError(f"seed must be nonnegative, got {self.seed}")
 
 
 class AdjacencyLayout:

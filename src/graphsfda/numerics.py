@@ -99,7 +99,11 @@ class SparseAdjacency:
         nodes = np.arange(n, dtype=np.int64)
         rows = np.concatenate([u, v, nodes])
         cols = np.concatenate([v, u, nodes])
-        order = np.lexsort((cols, rows))
+        # CSR order: by row, then column. Every (row, col) slot is distinct,
+        # so sorting one key gives lexsort's permutation. The keys stay below
+        # n * n, which fits int64 for n up to 3.04e9; the n-length int64
+        # arrays above already exist, and at that n each would take 24 GB.
+        order = np.argsort(rows * n + cols)
         offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         self.n = n
         self.rows = rows[order]

@@ -362,6 +362,8 @@ EXIT_CASES = {
     "gen-synth-means-overflow": (2, lambda ws, tmp: [
         "gen-synth", str(tmp / "pair"), "--nodes-per-class", "5", "--feature-dim", "1",
         "--separation", "1.7e308", "--shift", "1.7e308"]),
+    "gen-synth-seed-negative": (2, lambda ws, tmp: [
+        "gen-synth", str(tmp / "pair"), "--nodes-per-class", "5", "--seed", "-1"]),
     "eval-mask-above-one": (3, lambda ws, tmp: _scored(
         ws, tmp, "eval", str(ws / "out" / "refined"), "1.5", "out/adapted.ckpt")),
     "export-mask-nan": (3, lambda ws, tmp: _scored(

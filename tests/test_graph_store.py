@@ -68,12 +68,27 @@ def first_format_fault(text, width):
     return None
 
 
+# Valid int64 endpoints far outside any graph. 3,037,000,499 is the largest
+# span whose pair keys fit int64 unranked, so a pair (0, 3037000499) needs ranks.
+INT64_EXTREMES = [-(2**63), -(2**62), 2**62, 2**63 - 1, 3_037_000_499]
+
+
+def random_endpoints(rng, low, high, extreme_rate):
+    """Two endpoints: each an id in [low, high), or with probability
+    `extreme_rate` one of `INT64_EXTREMES`."""
+    ids = rng.integers(low, high, size=2)
+    return tuple(int(INT64_EXTREMES[rng.integers(len(INT64_EXTREMES))])
+                 if rng.random() < extreme_rate else int(x) for x in ids)
+
+
 def random_edge_text(rng, n):
     """An `.edges` text with blank lines, ids in [-1, n], loops, exact and
     mirrored repeats and, in some files, lines with 1 or 3 fields,
-    non-integer tokens or integers beyond int64."""
+    non-integer tokens, integers beyond int64 or int64 extremes, repeated
+    like the other pairs."""
     malformed = ["3", "0 1 2", "1 x", "0.5 1", "1e3 2", f"{2**63} 1", f"0 {-(2**63) - 1}"]
     format_rate = rng.choice([0.0, 0.0, 0.1])
+    extreme_rate = rng.choice([0.0, 0.0, 0.05])
     low = rng.choice([-1, 0, 0])
     lines, pairs = [], []
     for _ in range(int(rng.integers(0, 12))):
@@ -89,7 +104,7 @@ def random_edge_text(rng, n):
             if rng.random() < 0.7:
                 u, v = v, u
         else:
-            u, v = (int(a) for a in rng.integers(low, n + (low < 0), size=2))
+            u, v = random_endpoints(rng, low, n + (low < 0), extreme_rate)
         pairs.append((u, v))
         lines.append(f"{u}{' ' * int(rng.integers(1, 3))}{v}")
     return "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
@@ -242,9 +257,17 @@ class TestTargetGraph:
                 seen.add(key)
             return None
 
-        for _ in range(300):
-            edges = [tuple(int(x) for x in rng.integers(-1, 7, size=2))
-                     for _ in range(int(rng.integers(0, 8)))]
+        for i in range(400):
+            # a quarter of the lists mix int64 extremes with exact and
+            # mirrored repeats before and after them
+            extreme_rate = 0.1 if i % 4 == 0 else 0.0
+            edges = []
+            for _ in range(int(rng.integers(0, 8))):
+                if edges and rng.random() < 0.3:
+                    u, v = edges[int(rng.integers(len(edges)))]
+                    edges.append((v, u) if rng.random() < 0.5 else (u, v))
+                else:
+                    edges.append(random_endpoints(rng, -1, 7, extreme_rate))
             expected = loop_oracle(5, edges)
             try:
                 TargetGraph(5, edges, np.zeros((5, 1)), None, 2)
@@ -254,11 +277,12 @@ class TestTargetGraph:
             assert message == expected, edges
 
     def test_edges_canonical_read_only_array(self):
-        g = TargetGraph(4, [(3, 1), (0, 2)], np.zeros((4, 1)), None, 2)
-        assert g.edges.dtype == np.int64
-        assert np.array_equal(g.edges, [[1, 3], [0, 2]])
-        with pytest.raises(ValueError):
-            g.edges[0, 0] = 0
+        for edges in ([(3, 1), (0, 2)], np.asfortranarray([[3, 1], [0, 2]])):
+            g = TargetGraph(4, edges, np.zeros((4, 1)), None, 2)
+            assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+            assert np.array_equal(g.edges, [[1, 3], [0, 2]])
+            with pytest.raises(ValueError):
+                g.edges[0, 0] = 0
 
     @pytest.mark.parametrize("edges", [[], (), np.zeros((0, 2), dtype=np.int64)],
                              ids=["list", "tuple", "array"])
@@ -332,6 +356,44 @@ def test_mask_fault_names_first_entry_outside_unit_interval():
     assert mask_fault(np.zeros(0)) is None
     assert mask_fault(np.array([0.2, np.nan, 1.5])) == (1, "entry nan outside [0,1]")
     assert mask_fault(np.array([1.0, -0.0, -1e-300]))[0] == 2
+
+
+def unique_rows_first_same_pair(pairs):
+    """The row-wise formula `_first_same_pair` replaced: each row's first
+    same-pair index from `np.unique(axis=0)` over the rows sorted in place."""
+    _, first, inverse = np.unique(
+        np.sort(pairs, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    return first[inverse.ravel()]
+
+
+# endpoint pools: small ids, a span at the int64 key limit (3,037,000,499
+# ids: keys fit), one past it (ranks needed), a span of 2**32 + 1 ids, where
+# unranked keys wrap and (1, 2**32 - 1) and (2**32, 2**32) would share one,
+# and the int64 extremes
+FIRST_PAIR_POOLS = {
+    "small": np.arange(-1, 7),
+    "span-at-limit": np.array([0, 1, 3_037_000_497, 3_037_000_498]),
+    "span-past-limit": np.array([0, 1, 3_037_000_498, 3_037_000_499]),
+    "wrapping-span": np.array([0, 1, 2**32 - 1, 2**32]),
+    "negative-base-at-limit": np.array([-(2**63), -(2**63) + 3_037_000_498]),
+    "int64-extremes": np.array([0, 1, 2, *INT64_EXTREMES]),
+}
+
+
+@pytest.mark.parametrize("pool", list(FIRST_PAIR_POOLS))
+def test_first_same_pair_matches_unique_rows(rng, pool):
+    values = FIRST_PAIR_POOLS[pool]
+    for _ in range(200):
+        e = int(rng.integers(0, 12))
+        pairs = values[rng.integers(len(values), size=(e, 2))]
+        # exact and mirrored repeats of earlier rows, before and after extremes
+        repeat = np.flatnonzero(rng.random(e) < 0.3)
+        for i in repeat[repeat > 0]:
+            j = int(rng.integers(i))
+            pairs[i] = pairs[j, ::-1] if rng.random() < 0.5 else pairs[j]
+        got = graph_store._first_same_pair(pairs)
+        assert np.array_equal(got, unique_rows_first_same_pair(pairs)), pairs
 
 
 class TestFileFormat:
@@ -514,6 +576,8 @@ class TestShiftSpec:
             ShiftSpec(edge_noise=1.5)
         with pytest.raises(ContractError):
             ShiftSpec(intra_p=2.0)
+        with pytest.raises(ContractError, match="seed must be nonnegative, got -1"):
+            ShiftSpec(seed=-1)
 
 
 class TestMakeShiftPair:

@@ -539,6 +539,50 @@ def test_with_values_shares_the_tables(monkeypatch, rng):
         spmm(other, tape.constant(np.ones((30, 2))))
 
 
+def lexsort_structure(n, edges):
+    """(rows, col_indices, entry_source, jagged-diagonal table) of A + I,
+    ordered by `np.lexsort` on (row, column): the CSR order by definition."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e, nodes = len(pairs), np.arange(n)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1], nodes])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0], nodes])
+    order = np.lexsort((cols, rows))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    source = np.concatenate([np.arange(e), np.arange(e), e + nodes])[order]
+    return rows[order], cols[order], source, numerics._JaggedDiagonals(offsets, cols[order])
+
+
+def shuffled(rng, edges):
+    """`edges` in a random order, each pair flipped with probability 1/2."""
+    edges = edges[rng.permutation(len(edges))]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return edges
+
+
+CSR_GRAPHS = {
+    "random-with-isolated": lambda rng: (40, random_edges(rng, 40, 0.2, isolated=10)),
+    "random-dense": lambda rng: (17, random_edges(rng, 17, 0.7)),
+    "hub-degree-n-minus-1": lambda rng: (60, hub_edges(rng, 60)),
+    "no-edges": lambda rng: (5, np.zeros((0, 2), dtype=np.int64)),
+    "one-node": lambda rng: (1, np.zeros((0, 2), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("graph", list(CSR_GRAPHS))
+def test_csr_order_is_lexsort_order(rng, graph):
+    for _ in range(5):
+        n, edges = CSR_GRAPHS[graph](rng)
+        edges = shuffled(rng, edges)
+        adj = SparseAdjacency(n, edges)
+        rows, cols, source, table = lexsort_structure(n, edges)
+        assert np.array_equal(adj.rows, rows)
+        assert np.array_equal(adj.col_indices, cols)
+        assert np.array_equal(adj.entry_source, source)
+        for name in table.__slots__:
+            assert np.array_equal(getattr(adj._by_row, name), getattr(table, name)), name
+
+
 def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
     # a star plus a sparse random graph; the table stays O(n + nnz) in size
     n = 20_000
