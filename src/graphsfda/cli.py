@@ -9,6 +9,12 @@ Metrics go to stdout as `key=value` lines; diagnostics go to stderr, one
 line each, prefixed with the subcommand's name. Exit codes: 0 success, 2
 usage, 3 missing or invalid data or an unwritable output path, 4
 incompatible artifacts, 5 numerical abort.
+
+Where the exit codes come from: a subcommand raises, naming once per stage
+the errors that stage maps to a code (`_exit_on`) or raising `_Exit` on a
+failed precondition; `main` alone prints the error line and returns the
+code, and maps `ParseError` to 3 and `NumericalError` to 5 everywhere. Any
+other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 import warnings
 from dataclasses import fields
@@ -61,13 +66,23 @@ _EXTRA_DEFAULTS = {
 }
 
 
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
+class _Exit(Exception):
+    """`_Exit(code, message)`: a documented failure; `main` prints
+    `<command>: <message>` and returns `code`."""
 
 
-def _unwritable(command: str, exc: OSError) -> int:
-    return _fail(EXIT_DATA, f"{command}: cannot write output: {exc}")
+@contextlib.contextmanager
+def _exit_on(code: int, *errors, prefix: str = ""):
+    """Re-raise the listed exceptions from the block as `_Exit(code, prefix + message)`."""
+    try:
+        yield
+    except errors as exc:
+        raise _Exit(code, prefix + str(exc)) from None
+
+
+def _writing_output():
+    """An output path that cannot be written is bad data (3)."""
+    return _exit_on(EXIT_DATA, OSError, prefix="cannot write output: ")
 
 
 @contextlib.contextmanager
@@ -86,8 +101,13 @@ def _warnings_to_stderr(command: str):
 
 def load_run_config(path) -> dict:
     """Read a JSON run config; unknown keys are rejected, missing keys get
-    the documented defaults."""
-    raw = json.loads(read_text(path))
+    the documented defaults. Text that is not JSON, or nests or spells a
+    number beyond what the decoder takes, is a ParseError naming the file."""
+    text = read_text(path)
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     known = set(_ADAPT_FIELDS) | set(_EXTRA_DEFAULTS)
@@ -109,40 +129,37 @@ def _check_type(key: str, value, default) -> None:
     elif isinstance(default, int):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     else:
+        # also false for NaN and for an integer beyond the float range
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok, kind = ok and math.isfinite(value), "a finite number"
+        ok, kind = ok and abs(value) <= sys.float_info.max, "a finite number"
     if not ok:
         raise ContractError(f"{key} must be {kind}, got {value!r}")
 
 
 def _resolve_config(args):
-    """Run config with overrides, and its AdaptConfig; ContractError if invalid."""
-    if getattr(args, "config", None):
+    """Run config with overrides, and its AdaptConfig: a config file that
+    cannot be read is bad data (3), an invalid value a usage error (2)."""
+    with _exit_on(EXIT_DATA, OSError):
         cfg = load_run_config(args.config)
-    else:
-        cfg = {**_ADAPT_FIELDS, **_EXTRA_DEFAULTS}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg["output_dir"] = args.out
-    for flag, key in (
-        ("tm", "model_steps"),
-        ("tf", "feature_steps"),
-        ("ts", "structure_steps"),
-        ("epochs", "epochs"),
-    ):
+    for flag, key in [("tm", "model_steps"), ("tf", "feature_steps"),
+                      ("ts", "structure_steps"), ("epochs", "epochs")]:
         value = getattr(args, flag, None)
         if value is not None:
             cfg[key] = value
-    for key, default in {**_ADAPT_FIELDS, **_EXTRA_DEFAULTS}.items():
-        _check_type(key, cfg[key], default)
-    if min(cfg["hidden_dim"], cfg["num_layers"]) < 1:
-        raise ContractError("hidden_dim and num_layers must be at least 1")
-    if min(cfg["pretrain_epochs"], cfg["pretrain_lr"], cfg["pretrain_weight_decay"]) < 0:
-        raise ContractError(
-            "pretrain_epochs, pretrain_lr and pretrain_weight_decay must be nonnegative"
-        )
-    return cfg, AdaptConfig(**{k: cfg[k] for k in _ADAPT_FIELDS})
+    with _exit_on(EXIT_USAGE, ContractError, prefix="config: "):
+        for key, default in {**_ADAPT_FIELDS, **_EXTRA_DEFAULTS}.items():
+            _check_type(key, cfg[key], default)
+        if min(cfg["hidden_dim"], cfg["num_layers"]) < 1:
+            raise ContractError("hidden_dim and num_layers must be at least 1")
+        if min(cfg["pretrain_epochs"], cfg["pretrain_lr"], cfg["pretrain_weight_decay"]) < 0:
+            raise ContractError(
+                "pretrain_epochs, pretrain_lr and pretrain_weight_decay must be nonnegative"
+            )
+        return cfg, AdaptConfig(**{k: cfg[k] for k in _ADAPT_FIELDS})
 
 
 def _echo_config(cfg: dict, out_dir: Path) -> None:
@@ -163,13 +180,47 @@ def _read_mask(path, num_edges: int) -> np.ndarray:
     return mask
 
 
+def _load_graph(path):
+    """The graph at `path`; a missing or invalid one is bad data (3)."""
+    with _exit_on(EXIT_DATA, ContractError, OSError):
+        return load_graph(path)
+
+
+def _load_checkpoint(path):
+    """The model at `path`; a missing or unreadable one is an incompatible artifact (4)."""
+    with _exit_on(EXIT_INCOMPATIBLE, ContractError, OSError, prefix="checkpoint: "):
+        return load_checkpoint(path)
+
+
+def _load_eval_inputs(args):
+    """The graph, checkpoint and edge mask (all zeros without `--mask`) of
+    `eval` and `export-embeddings`: a missing or invalid graph or mask is
+    bad data (3); a checkpoint that is missing, unreadable or does not fit
+    the graph, and a mask whose length does not fit it, are incompatible
+    artifacts (4)."""
+    graph = _load_graph(args.graph)
+    model = _load_checkpoint(args.checkpoint)
+    if model.input_dim != graph.feature_dim or (
+        graph.num_classes and model.num_classes != graph.num_classes
+    ):
+        raise _Exit(
+            EXIT_INCOMPATIBLE,
+            f"checkpoint ({model.input_dim}d/{model.num_classes}c) does not "
+            f"fit graph ({graph.feature_dim}d/{graph.num_classes}c)",
+        )
+    if not args.mask:
+        return graph, model, np.zeros(graph.num_edges)
+    with _exit_on(EXIT_DATA, OSError), _exit_on(EXIT_INCOMPATIBLE, ContractError):
+        return graph, model, _read_mask(args.mask, graph.num_edges)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_synth(args) -> int:
-    try:
+def cmd_gen_synth(args) -> None:
+    with _exit_on(EXIT_USAGE, ContractError):
         spec = ShiftSpec(
             nodes_per_class=args.nodes_per_class,
             num_classes=args.classes,
@@ -182,187 +233,87 @@ def cmd_gen_synth(args) -> int:
             seed=args.seed if args.seed is not None else 0,
         )
         source, target = make_shift_pair(spec)
-    except ContractError as exc:
-        return _fail(EXIT_USAGE, f"gen-synth: {exc}")
-    try:
+    with _writing_output():
         save_graph(source, f"{args.out_prefix}_src")
         save_graph(target, f"{args.out_prefix}_tgt")
-    except OSError as exc:
-        return _unwritable("gen-synth", exc)
     print(f"source={args.out_prefix}_src")
     print(f"target={args.out_prefix}_tgt")
     print(f"source_edges={source.num_edges}")
     print(f"target_edges={target.num_edges}")
-    return EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    try:
-        cfg, _ = _resolve_config(args)
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_DATA, f"pretrain: {exc}")
-    except ContractError as exc:
-        return _fail(EXIT_USAGE, f"pretrain: config: {exc}")
+def cmd_pretrain(args) -> None:
+    cfg, _ = _resolve_config(args)
     if not cfg["source_graph"]:
-        return _fail(EXIT_DATA, "pretrain: config needs source_graph")
-    try:
-        with _warnings_to_stderr("pretrain"):
-            source = load_graph(cfg["source_graph"])
-    except (ParseError, ContractError, OSError) as exc:
-        return _fail(EXIT_DATA, f"pretrain: {exc}")
+        raise _Exit(EXIT_DATA, "config needs source_graph")
+    source = _load_graph(cfg["source_graph"])
     if source.labels is None:
-        return _fail(EXIT_DATA, f"pretrain: {cfg['source_graph']} has no labels")
+        raise _Exit(EXIT_DATA, f"{cfg['source_graph']} has no labels")
+    # a backbone too large to build stops at NumPy's dimension limit, at an
+    # index-sized layer count or at the allocation itself
+    sizes = f"hidden_dim {cfg['hidden_dim']} and num_layers {cfg['num_layers']}"
+    with _exit_on(EXIT_USAGE, ValueError, OverflowError, MemoryError,
+                  prefix=f"config: cannot build a backbone of {sizes}: "):
+        model = init_model(
+            source.feature_dim, cfg["hidden_dim"], source.num_classes, cfg["num_layers"], cfg["seed"]
+        )
 
     out_dir = Path(cfg["output_dir"])
-    try:
+    with _writing_output():
         _echo_config(cfg, out_dir)
-    except OSError as exc:
-        return _unwritable("pretrain", exc)
-    model = init_model(
-        source.feature_dim,
-        cfg["hidden_dim"],
-        source.num_classes,
-        cfg["num_layers"],
-        cfg["seed"],
-    )
     split = split_nodes(source, cfg["seed"])
-    try:
-        with _warnings_to_stderr("pretrain"):
-            trained, metrics = pretrain_source(
-                model,
-                source,
-                split,
-                epochs=cfg["pretrain_epochs"],
-                lr=cfg["pretrain_lr"],
-                weight_decay=cfg["pretrain_weight_decay"],
-            )
-    except NumericalError as exc:
-        return _fail(EXIT_NUMERICAL, f"pretrain: {exc}")
+    trained, metrics = pretrain_source(
+        model, source, split, epochs=cfg["pretrain_epochs"], lr=cfg["pretrain_lr"],
+        weight_decay=cfg["pretrain_weight_decay"],
+    )
     ckpt = Path(cfg["checkpoint"] or out_dir / "model.ckpt")
-    try:
+    with _writing_output():
         save_checkpoint(trained, ckpt)
-    except OSError as exc:
-        return _unwritable("pretrain", exc)
     print(f"checkpoint={ckpt}")
     print(f"val_acc={metrics['val_acc']:.6f}")
     print(f"test_acc={metrics['test_acc']:.6f}")
-    return EXIT_OK
 
 
-def cmd_adapt(args) -> int:
-    try:
-        cfg, adapt_cfg = _resolve_config(args)
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_DATA, f"adapt: {exc}")
-    except ContractError as exc:
-        return _fail(EXIT_USAGE, f"adapt: config: {exc}")
+def cmd_adapt(args) -> None:
+    cfg, adapt_cfg = _resolve_config(args)
     if not cfg["target_graph"] or not cfg["checkpoint"]:
-        return _fail(EXIT_DATA, "adapt: config needs target_graph and checkpoint")
-    try:
-        with _warnings_to_stderr("adapt"):
-            target = load_graph(cfg["target_graph"])
-    except (ParseError, ContractError, OSError) as exc:
-        return _fail(EXIT_DATA, f"adapt: {exc}")
-    try:
-        model = load_checkpoint(cfg["checkpoint"])
-    except (OSError, ContractError) as exc:
-        return _fail(EXIT_INCOMPATIBLE, f"adapt: checkpoint: {exc}")
+        raise _Exit(EXIT_DATA, "config needs target_graph and checkpoint")
+    target = _load_graph(cfg["target_graph"])
+    model = _load_checkpoint(cfg["checkpoint"])
 
     out_dir = Path(cfg["output_dir"])
-    try:
+    with _writing_output():
         _echo_config(cfg, out_dir)
-    except OSError as exc:
-        return _unwritable("adapt", exc)
-    try:
-        with _warnings_to_stderr("adapt"):
-            adapted, refined, predictions, report = adapt(model, target, adapt_cfg)
-    except (ContractError, ShapeError) as exc:
-        return _fail(EXIT_INCOMPATIBLE, f"adapt: {exc}")
-    except NumericalError as exc:
-        return _fail(EXIT_NUMERICAL, f"adapt: {exc}")
-
-    try:
+    with _exit_on(EXIT_INCOMPATIBLE, ContractError, ShapeError):
+        adapted, refined, predictions, report = adapt(model, target, adapt_cfg)
+    with _writing_output():
         save_graph(refined, out_dir / "refined")
         np.savetxt(out_dir / "refined.mask", report.edge_mask[report.keep], fmt="%.17g")
         save_checkpoint(adapted, out_dir / "adapted.ckpt")
         report.save(out_dir / "report.json")
         np.savetxt(out_dir / "predictions.txt", predictions, fmt="%d")
-    except OSError as exc:
-        return _unwritable("adapt", exc)
     print(f"refined={out_dir / 'refined'}")
     print(f"checkpoint={out_dir / 'adapted.ckpt'}")
     print(f"report={out_dir / 'report.json'}")
     print(f"edges_deleted={report.edges_deleted}")
     if report.final_accuracy is not None:
         print(f"final_acc={report.final_accuracy:.9f}")
-    return EXIT_OK
 
 
-def _load_eval_inputs(args, command: str):
-    """The graph, checkpoint and edge mask (all zeros without `--mask`) of
-    `eval` and `export-embeddings`, or the exit code of the first one that
-    fails: a missing or invalid graph or mask is bad data (3); a checkpoint
-    that is missing, unreadable or does not fit the graph, and a mask whose
-    length does not fit it, are incompatible artifacts (4)."""
-    try:
-        with _warnings_to_stderr(command):
-            graph = load_graph(args.graph)
-    except (ParseError, ContractError, OSError) as exc:
-        return _fail(EXIT_DATA, f"{command}: {exc}")
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except (OSError, ContractError) as exc:
-        return _fail(EXIT_INCOMPATIBLE, f"{command}: checkpoint: {exc}")
-    if model.input_dim != graph.feature_dim or (
-        graph.num_classes and model.num_classes != graph.num_classes
-    ):
-        return _fail(
-            EXIT_INCOMPATIBLE,
-            f"{command}: checkpoint ({model.input_dim}d/{model.num_classes}c) does not "
-            f"fit graph ({graph.feature_dim}d/{graph.num_classes}c)",
-        )
-    mask = np.zeros(graph.num_edges)
-    if args.mask:
-        try:
-            mask = _read_mask(args.mask, graph.num_edges)
-        except (ParseError, OSError) as exc:
-            return _fail(EXIT_DATA, f"{command}: {exc}")
-        except ContractError as exc:
-            return _fail(EXIT_INCOMPATIBLE, f"{command}: {exc}")
-    return graph, model, mask
-
-
-def cmd_eval(args) -> int:
-    loaded = _load_eval_inputs(args, "eval")
-    if isinstance(loaded, int):
-        return loaded
-    graph, model, mask = loaded
+def cmd_eval(args) -> None:
+    graph, model, mask = _load_eval_inputs(args)
     if graph.labels is None:
-        return _fail(EXIT_DATA, f"eval: {args.graph} has no labels")
+        raise _Exit(EXIT_DATA, f"{args.graph} has no labels")
     adj = AdjacencyLayout(graph.n, graph.edges).normalized(apply_structure_delta(mask))
-    try:
-        with _warnings_to_stderr("eval"):
-            pred = predict(model, adj, graph.features)
-    except NumericalError as exc:
-        return _fail(EXIT_NUMERICAL, f"eval: {exc}")
+    pred = predict(model, adj, graph.features)
     print(f"acc={evaluate_accuracy(pred, graph.labels):.9f}")
-    return EXIT_OK
 
 
-def cmd_export_embeddings(args) -> int:
-    loaded = _load_eval_inputs(args, "export-embeddings")
-    if isinstance(loaded, int):
-        return loaded
-    graph, model, mask = loaded
-    try:
-        with _warnings_to_stderr("export-embeddings"):
-            export_embeddings(model, graph, mask, args.out_file)
-    except NumericalError as exc:
-        return _fail(EXIT_NUMERICAL, f"export-embeddings: {exc}")
-    except OSError as exc:
-        return _unwritable("export-embeddings", exc)
+def cmd_export_embeddings(args) -> None:
+    graph, model, mask = _load_eval_inputs(args)
+    with _writing_output():
+        export_embeddings(model, graph, mask, args.out_file)
     print(f"embeddings={args.out_file}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. Warnings print when it
+    ends, then a documented failure prints as one `<command>: <message>`
+    line; any other exception propagates with its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        with (
+            _warnings_to_stderr(args.command),
+            _exit_on(EXIT_DATA, ParseError),
+            _exit_on(EXIT_NUMERICAL, NumericalError),
+        ):
+            args.func(args)
+    except _Exit as exc:
+        code, message = exc.args
+        print(f"{args.command}: {message}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

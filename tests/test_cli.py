@@ -246,6 +246,20 @@ def _config(ws, tmp, **changes):
     return ["--config", str(tmp / "c.json")]
 
 
+def _too_deep_config(tmp):
+    """A config of 100,000 nested arrays: past any decoder's recursion limit."""
+    (tmp / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    return str(tmp / "deep.json")
+
+
+def _long_seed_config(ws, tmp):
+    """The run config with a 5000-digit negative seed: past the digit limit of
+    int conversion where there is one, and a negative seed where there is not."""
+    path = Path(_config(ws, tmp, seed=-1)[1])
+    path.write_text(path.read_text().replace('"seed": -1', '"seed": -' + "9" * 5000))
+    return str(path)
+
+
 def _bad_mask(ws, tmp, value):
     lines = (ws / "out" / "refined.mask").read_text().splitlines()
     lines[1] = value
@@ -348,6 +362,11 @@ EXIT_CASES = {
     "epochs-flag-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp), "--epochs", "-1"]),
     "pretrain-seed-negative": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, seed=-1)]),
     "pretrain-hidden-zero": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, hidden_dim=0)]),
+    "model-lr-int-overflow": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr=10**400)]),
+    "pretrain-lr-int-overflow": (2, lambda ws, tmp: [
+        "pretrain", *_config(ws, tmp, pretrain_lr=10**400)]),
+    "pretrain-hidden-huge": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, hidden_dim=10**20)]),
+    "pretrain-layers-huge": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, num_layers=10**20)]),
     "model-lr-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr=-1)]),
     "delta-lr-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, delta_lr=-0.1)]),
     "pretrain-epochs-negative": (2, lambda ws, tmp: [
@@ -383,6 +402,9 @@ EXIT_CASES = {
         *_scored(ws, tmp, "eval", str(ws / "pair_tgt")), "--mask", str(tmp / "absent.mask")]),
     "adapt-config-not-utf8": (3, lambda ws, tmp: [
         "adapt", "--config", _not_utf8(_config(ws, tmp)[1])]),
+    "adapt-config-too-deep": (3, lambda ws, tmp: ["adapt", "--config", _too_deep_config(tmp)]),
+    "adapt-config-int-too-long": (3, lambda ws, tmp: [
+        "adapt", "--config", _long_seed_config(ws, tmp)]),
     "adapt-feature-not-utf8": (3, lambda ws, tmp: [
         "adapt", *_config(ws, tmp, target_graph=_undecodable_feature_graph(ws, tmp))]),
     "eval-mask-not-utf8": (3, lambda ws, tmp: [
@@ -448,6 +470,26 @@ def test_documented_exit_codes(workspace, tmp_path, case):
     if code:
         lines = proc.stderr.strip().splitlines()
         assert lines and all(line.startswith(f"{argv[0]}: ") for line in lines), proc.stderr
+        errors = [line for line in lines if not line.startswith(f"{argv[0]}: warning: ")]
+        assert len(errors) == 1, proc.stderr
+
+
+def test_malformed_config_names_the_file(workspace, tmp_path, capsys):
+    path = Path(_config(workspace, tmp_path)[1])
+    path.write_text(path.read_text().replace("}", ",}"))  # a trailing comma
+    code, _, err = run(capsys, "adapt", "--config", str(path))
+    assert code == 3
+    assert err.startswith(f"adapt: {path}: "), err
+
+
+def test_unnamed_exception_propagates(workspace, tmp_path, monkeypatch):
+    """An exception no stage names is a bug: `main` has no catch-all."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a documented failure")
+
+    monkeypatch.setattr("graphsfda.cli.adapt", broken)
+    with pytest.raises(RuntimeError, match="not a documented failure"):
+        main(["adapt", *_config(workspace, tmp_path)])
 
 
 def test_overflow_warnings_print_once_in_one_line(workspace, tmp_path):
