@@ -249,8 +249,9 @@ def cmd_pretrain(args) -> None:
     source = _load_graph(cfg["source_graph"])
     if source.labels is None:
         raise _Exit(EXIT_DATA, f"{cfg['source_graph']} has no labels")
-    # a backbone too large to build stops at NumPy's dimension limit, at an
-    # index-sized layer count or at the allocation itself
+    # a backbone too large to build stops at init_model's count of its
+    # parameters, or, where the platform does not report its memory, at
+    # NumPy's dimension limit, an index-sized layer count or the allocation
     sizes = f"hidden_dim {cfg['hidden_dim']} and num_layers {cfg['num_layers']}"
     with _exit_on(EXIT_USAGE, ValueError, OverflowError, MemoryError,
                   prefix=f"config: cannot build a backbone of {sizes}: "):

@@ -201,7 +201,8 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     adj = layout.normalized(weights)
     x_prime = x_base + delta_x
 
-    # no local name keeps the pass's z or p, which would keep its tape alive
+    # no local name keeps the pass's z or p: a held tensor pins its value
+    # (not its tape, which it refers to weakly) past `recorded = None`
     recorded = record_forward(model, adj, x_prime)
     banks = init_banks(recorded[2].value, recorded[3].value, cfg.bank_momentum)
     opt = AdamState([p.shape for p in model.parameters()], cfg.model_lr)

@@ -22,6 +22,7 @@ computations exactly differentiable.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -124,10 +125,20 @@ class GnnModel:
 
 
 def init_model(d: int, h: int, num_classes: int, num_layers: int, seed: int) -> GnnModel:
-    """Glorot-uniform weights, zero bias, deterministic per seed."""
+    """Glorot-uniform weights, zero bias, deterministic per seed.
+
+    Raises MemoryError before the first draw when the parameters alone
+    would take more than the machine's physical memory."""
     if min(d, h, num_classes, num_layers) < 1:
         raise ContractError(
             f"all dimensions must be positive: d={d} h={h} C={num_classes} L={num_layers}"
+        )
+    count = d * h + (num_layers - 1) * h * h + (h + 1) * num_classes
+    memory = _physical_memory()
+    if memory is not None and 8 * count > memory:
+        raise MemoryError(
+            f"its {count} parameters need {8 * count / 2**30:.4g} GiB, "
+            f"more than the machine's {memory / 2**30:.4g} GiB of memory"
         )
     rng = np.random.default_rng(seed)
 
@@ -138,6 +149,14 @@ def init_model(d: int, h: int, num_classes: int, num_layers: int, seed: int) -> 
     layer_dims = [(d, h)] + [(h, h)] * (num_layers - 1)
     layers = [glorot(a, b) for a, b in layer_dims]
     return GnnModel(layers, glorot(h, num_classes), np.zeros((1, num_classes)))
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def forward_on_tape(params: list, adj_hat: SparseAdjacency, x):

@@ -34,10 +34,14 @@ active and passive inputs of reverse-mode differentiation; Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., 2008). An op drops every pull
 into a constant, and an op left with no pull is itself a constant, so a
 product of constants records nothing to differentiate and `backward` leaves
-the `.grad` of every constant at None. The reverse sweep holds only the
-gradient frontier, the adjoints not yet propagated: an op's gradient is
-dropped as soon as it has been pulled into the op's operands, so only leaves
-keep a `.grad` and the sweep never holds one gradient per node (Griewank &
+the `.grad` of every constant at None. A tape holds only what `backward`
+reads: each node's pulls, and its leaves, the only tensors it gives a
+`.grad`. An op output or a constant lives while a caller holds it or a
+pull reads its value, so a pass keeps only the values its backward pass
+needs (a relu's pull, for one, keeps a mask and not its input). The reverse
+sweep holds only the gradient frontier, the adjoints not yet propagated: an
+op's gradient is dropped as soon as it has been pulled into the op's
+operands, and the sweep never holds one gradient per node (Griewank &
 Walther; Chen et al., arXiv 1604.06174). `evaluate(f, *values)` runs a
 function on plain values through a fresh tape. `grad_check` compares
 `backward` against central finite differences and is the ground truth for
@@ -180,10 +184,10 @@ class _JaggedDiagonals:
         for k in range(len(bounds) - 1):
             lo, hi = bounds[k], bounds[k + 1]
             o, b = out[: hi - lo], buf[: hi - lo]
-            np.take(x, self.sources[lo:hi], axis=0, out=b, mode="clip")
+            x.take(self.sources[lo:hi], axis=0, out=b, mode="clip")
             np.multiply(b, v[lo:hi], out=b)
             np.add(o, b, out=o)
-        return np.take(out, self.inverse, axis=0, out=buf, mode="clip")
+        return out.take(self.inverse, axis=0, out=buf, mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +198,10 @@ class _JaggedDiagonals:
 class Tensor:
     """A value recorded on a tape. `grad` is populated by `backward`.
 
-    A tensor refers to its tape weakly: the tape owns its nodes, so a tape
-    nobody holds is freed at once with every value recorded on it, not at
-    the next cyclic garbage collection. Tensors kept past that point still
-    carry their value and gradient, but nothing more can be recorded from
-    them.
+    A tensor refers to its tape weakly, so a tape nobody holds is freed at
+    once, not at the next cyclic garbage collection. Tensors kept past
+    that point still carry their value and gradient, but nothing more can
+    be recorded from them.
     """
 
     __slots__ = ("_tape", "index", "value", "grad")
@@ -225,18 +228,23 @@ class Tensor:
 class Tape:
     """Ordered record of primitive operations.
 
-    Nodes are appended as they are computed, so every operand of node k has
-    index < k and one reverse sweep suffices for all gradients.
+    Nodes are numbered as they are computed, so every operand of node k has
+    index < k and one reverse sweep suffices for all gradients. The tape
+    holds each node's pulls, and of the tensors only its leaves, the ones
+    `backward` gives a gradient: `nodes` lists them in recording order. An
+    op output or a constant lives while a caller or a pull reads it.
     """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-        # per node: [(parent_index, vjp_fn), ...], or None for a constant
+        # per node: [(parent_index, vjp_fn), ...], [] for a leaf, None for a constant
         self._pulls: list = []
 
     def leaf(self, value) -> Tensor:
         """Record a differentiable input, a copy of `value`."""
-        return self._input(np.asarray(value, dtype=np.float64).copy(), [])
+        t = self._input(np.asarray(value, dtype=np.float64).copy(), [])
+        self.nodes.append(t)
+        return t
 
     def constant(self, value) -> Tensor:
         """Record an input that no gradient reaches. `value` is not copied,
@@ -255,13 +263,12 @@ class Tape:
         return self._append(value, live or None)
 
     def _append(self, value: np.ndarray, pulls) -> Tensor:
-        t = Tensor(self, len(self.nodes), value)
-        self.nodes.append(t)
         self._pulls.append(pulls)
-        return t
+        return Tensor(self, len(self._pulls) - 1, value)
 
     def __len__(self):
-        return len(self.nodes)
+        """The number of recorded nodes: leaves, constants and op outputs."""
+        return len(self._pulls)
 
 
 def backward(tape: Tape, scalar_output: Tensor) -> None:
@@ -280,7 +287,7 @@ def backward(tape: Tape, scalar_output: Tensor) -> None:
         raise ContractError(
             f"backward needs a 1x1 output, got {scalar_output.value.shape}"
         )
-    grads: list = [None] * len(tape.nodes)
+    grads: list = [None] * len(tape)
     grads[scalar_output.index] = np.ones((1, 1))
     for k in range(scalar_output.index, -1, -1):
         g, pulls = grads[k], tape._pulls[k]
@@ -293,10 +300,9 @@ def backward(tape: Tape, scalar_output: Tensor) -> None:
                 grads[parent_index] = contrib
             else:
                 grads[parent_index] = grads[parent_index] + contrib
-    for node, pulls, g in zip(tape.nodes, tape._pulls, grads):
-        if g is None and pulls == []:
-            g = np.zeros_like(node.value)
-        node.grad = g
+    for leaf in tape.nodes:
+        g = grads[leaf.index]
+        leaf.grad = np.zeros_like(leaf.value) if g is None else g
 
 
 def evaluate(f, *values) -> np.ndarray:
@@ -422,8 +428,8 @@ def _entry_dots(a, rows, b, cols):
     for lo in range(0, nnz, chunk):
         hi = min(lo + chunk, nnz)
         ca, cb = buf_a[: hi - lo], buf_b[: hi - lo]
-        np.take(a, rows[lo:hi], axis=0, out=ca, mode="clip")
-        np.take(b, cols[lo:hi], axis=0, out=cb, mode="clip")
+        a.take(rows[lo:hi], axis=0, out=ca, mode="clip")
+        b.take(cols[lo:hi], axis=0, out=cb, mode="clip")
         np.multiply(ca, cb, out=ca)
         ca.sum(axis=1, out=out[lo:hi, 0])
     return out

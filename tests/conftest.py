@@ -59,6 +59,20 @@ def traced_peak(fn):
     return result, peak
 
 
+def traced_kept(fn):
+    """`(fn(), kept)`: `kept` is the memory, in bytes, that tracemalloc sees
+    still allocated when `fn` returns, above what it saw when `fn` started:
+    what the result keeps alive."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return result, kept
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

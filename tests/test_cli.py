@@ -367,6 +367,9 @@ EXIT_CASES = {
         "pretrain", *_config(ws, tmp, pretrain_lr=10**400)]),
     "pretrain-hidden-huge": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, hidden_dim=10**20)]),
     "pretrain-layers-huge": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, num_layers=10**20)]),
+    # index-sized, drawn one 8 MB layer at a time: 80 TB of parameters in all
+    "pretrain-layers-many": (2, lambda ws, tmp: [
+        "pretrain", *_config(ws, tmp, hidden_dim=1000, num_layers=10**7)]),
     "model-lr-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr=-1)]),
     "delta-lr-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, delta_lr=-0.1)]),
     "pretrain-epochs-negative": (2, lambda ws, tmp: [

@@ -53,6 +53,11 @@ class TestInitModel:
         with pytest.raises(ContractError):
             init_model(5, 0, 3, 2, seed=0)
 
+    def test_parameters_past_memory_refused_before_any_draw(self):
+        # 5 * 1000 + (10**7 - 1) * 1000**2 + 1001 * 3: about 80 TB of float64
+        with pytest.raises(MemoryError, match="its 9999999008003 parameters"):
+            init_model(5, 1000, 3, 10**7, seed=0)
+
     def test_glorot_bounds(self):
         m = init_model(10, 6, 3, 1, seed=7)
         s = np.sqrt(6.0 / (10 + 6))

@@ -34,7 +34,7 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import adjacency, random_graph, traced_peak, transposed
+from conftest import adjacency, random_graph, traced_kept, traced_peak, transposed
 
 
 def banks_with(pred, repr_=None):
@@ -306,10 +306,9 @@ def test_contrast_memory_below_one_dense_matrix(rng):
     assert np.all(np.isfinite(z.grad)) and peak < n * n * 8  # one dense n x n float64 array
 
 
-def test_model_loss_backward_holds_only_its_frontier():
-    # the model step's loss over a 2-layer forward pass at n = 4000, h = 32,
-    # with a sampled contrast batch as on large graphs: the sweep holds about
-    # 4 n x h arrays at its peak; keeping every node's gradient held about 12
+def model_step_inputs():
+    """The adjacency, neighbour matrix, model and features of a model step at
+    n = 4000, h = 32 over a 2-layer model, with the rng that drew them."""
     n, d, h, c = 4000, 16, 32, 3
     rng = np.random.default_rng(0)
     ring = np.arange(n)
@@ -320,18 +319,53 @@ def test_model_loss_backward_holds_only_its_frontier():
     layout = AdjacencyLayout(n, edges)
     ones = np.ones(len(edges))
     model = init_model(d, h, c, 2, seed=0)
-    recorded = record_forward(model, layout.normalized(ones), rng.standard_normal((n, d)))
-    tape, params, z, p = recorded
+    return layout.normalized(ones), layout.neighbors(ones), model, rng.standard_normal((n, d)), rng
+
+
+def record_model_loss(adj, neighbors, model, x, rng):
+    """(tape, parameter leaves, model loss) of a model step with a sampled
+    contrast batch, as on large graphs."""
+    tape, params, z, p = record_forward(model, adj, x)
     banks = init_banks(z.value, p.value, 0.9)
-    pl = neighborhood_pseudo_labels(layout.neighbors(ones), banks)
+    pl = neighborhood_pseudo_labels(neighbors, banks)
     protos = compute_prototypes(pl, banks)
-    batch = rng.choice(n, size=256, replace=False)
+    batch = rng.choice(banks.n, size=256, replace=False)
     l_ce = loss_weighted_ce(p, pl, confidence_weights(z, protos, pl))
     l_co = loss_instance_prototype(z, protos, pl, 0.2, batch_indices=batch)
-    l_m = loss_model(l_ce, l_co, 0.2)
+    return tape, params, loss_model(l_ce, l_co, 0.2)
+
+
+def n_by_h(x, model):
+    """The bytes of one n x h float64 array."""
+    return x.shape[0] * model.hidden_dim * 8
+
+
+def test_model_loss_backward_holds_only_its_frontier():
+    # the sweep holds about 4 n x h arrays at its peak; keeping every node's
+    # gradient held about 12
+    adj, neighbors, model, x, rng = model_step_inputs()
+    tape, params, l_m = record_model_loss(adj, neighbors, model, x, rng)
     _, peak = traced_peak(lambda: backward(tape, l_m))
     assert all(np.all(np.isfinite(t.grad)) for t in params)
-    assert peak < 6 * n * h * 8
+    assert peak < 6 * n_by_h(x, model)
+
+
+def test_tape_keeps_only_what_backward_reads():
+    # the tape holds its leaves, and an op output lives while a pull reads
+    # it: a recorded pass keeps about 2.4 n x h arrays and the model step
+    # about 6.9 before its sweep, where a tape that held every op output
+    # kept about 6.6 and 12.6
+    adj, neighbors, model, x, rng = model_step_inputs()
+    nh = n_by_h(x, model)
+    recorded, kept = traced_kept(lambda: record_forward(model, adj, x))
+    assert kept <= 3 * nh
+    del recorded
+    (tape, params, l_m), kept = traced_kept(
+        lambda: record_model_loss(adj, neighbors, model, x, rng)
+    )
+    assert kept <= 8 * nh
+    backward(tape, l_m)
+    assert all(np.all(np.isfinite(t.grad)) for t in params)
 
 
 def mixed(l_ce, l_co, lam):
