@@ -8,9 +8,11 @@ arrays: a graph step records its delta as the one leaf of a fresh tape,
 `_graph_step` records the frozen model's pass on that tape and
 backpropagates the graph loss, and `feature_gd_step` or
 `pgd_step_structure` returns the new array. The target graph gets one
-`AdjacencyLayout` per call, normalized once per epoch after the graph
-steps: the accuracy forward and the next epoch's model and feature steps
-share it. The network is evaluated once per model state: one pass of
+`AdjacencyLayout` per call. Only a structure step moves the edge mask, so
+its normalized adjacency and neighbour matrix are built before the first
+epoch and again after each epoch whose structure steps ran: the accuracy
+forward and the next epoch's model and feature steps share them. The
+network is evaluated once per model state: one pass of
 `gnn.record_forward`, a tuple (tape, parameter leaves, representations z,
 predictions p), fills the banks from the arrays
 `z.value` and `p.value` at the start or gives the accuracy at the end of an
@@ -199,6 +201,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     x_base = g.features
     weights = apply_structure_delta(delta_a)
     adj = layout.normalized(weights)
+    neighbors = None  # built by the first epoch that reads it
     x_prime = x_base + delta_x
 
     # no local name keeps the pass's z or p: a held tensor pins its value
@@ -216,7 +219,8 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     quiet_epochs = 0
     prev = (None, None)
     for _ in range(cfg.epochs):
-        neighbors = layout.neighbors(weights)
+        if neighbors is None:
+            neighbors = layout.neighbors(weights)
 
         loss_m = None
         for _ in range(cfg.model_steps):
@@ -242,8 +246,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             loss_g = _graph_step(tape, model_params, adj_live, x, banks, cfg)
             delta_a = pgd_step_structure(delta_a, da.grad, cfg.delta_lr, budget)
 
-        weights = apply_structure_delta(delta_a)
-        adj = layout.normalized(weights)
+        if cfg.structure_steps:
+            weights = apply_structure_delta(delta_a)
+            adj, neighbors = layout.normalized(weights), None
         x_prime = x_base + delta_x
         report.loss_model_trace.append(loss_m)
         report.loss_graph_trace.append(loss_g)

@@ -12,15 +12,20 @@ a recorded tensor: that is how a live edge mask reaches the convolution.
 value per edge and one per node, so every matrix it carries is symmetric.
 It builds one jagged-diagonal table over its rows (Saad, *Iterative Methods
 for Sparse Linear Systems*, 2nd ed., section 3.4), shared by every
-`with_values` copy. The rows are sorted by decreasing entry count and
-diagonal k holds the k-th entry of every row longer than k, so the product
-is one vectorized multiply-add per diagonal. Every output row starts at 0.0
-and adds its products one at a time in CSR order, exactly as a scatter-add
-(`np.add.at`) over the entries would, so the results are bitwise equal to
-it. The gradient in x is the transpose product, and on a symmetric matrix
-row j's entries in column order are column j's entries in row order with
-the same values, so the same table gives it, bitwise equal to a
-scatter-add over the columns.
+`with_values` copy, in windows of JDS_WINDOW_ROWS consecutive rows (sliced
+JDS; Kreutzer et al., SIAM J. Sci. Comput. 36(5), 2014). Inside its window
+a row is ranked by decreasing entry count, and diagonal k of the window
+holds the k-th entry of every window row longer than k. Consecutive
+diagonals of a window share one gather and one multiply, and each diagonal
+is then one vectorized add, so a window's sums and gathers stay in cache.
+Every output row starts at 0.0 and adds its products one at a time in CSR
+order, exactly as a scatter-add (`np.add.at`) over the entries would: a
+window only changes which rows a diagonal's add covers, not the order of
+any row's sum. So the results are bitwise equal to the scatter-add. The
+gradient in x is the transpose product, and on a symmetric matrix row j's
+entries in column order are column j's entries in row order with the same
+values, so the same table gives it, bitwise equal to a scatter-add over
+the columns.
 
 One fused op, `exp_sum_others`, sums `exp(scale * a_i . a_j)` over a set of
 columns j other than i without holding the n x m matrix: it works through
@@ -61,6 +66,9 @@ from .errors import ContractError, NumericalError, ShapeError
 EXP_SUM_BLOCK_ROWS = 128
 # stored entries whose products the value gradient of spmm holds at once
 SPMM_GRAD_CHUNK_ENTRIES = 2048
+# consecutive rows the sparse product sorts and sums together (the window of
+# its jagged-diagonal table), and the most entries one of its gathers holds
+JDS_WINDOW_ROWS = 2048
 
 __all__ = [
     "SparseAdjacency",
@@ -137,57 +145,93 @@ class SparseAdjacency:
 
 
 class _JaggedDiagonals:
-    """Jagged-diagonal (JDS) index of a CSR matrix's stored entries.
+    """Windowed jagged-diagonal index of a CSR matrix's stored entries: the
+    sliced JDS of Kreutzer et al. (SIAM J. Sci. Comput. 36(5), 2014).
 
     Output row i sums the entries `offsets[i]:offsets[i+1]`, in CSR order.
-    The rows are sorted by decreasing length (stable, so rows of one length
-    keep their order), and diagonal k holds the k-th entry of every row
-    longer than k: a prefix of the sorted rows. Adding the diagonals in turn
-    into a zeroed output therefore gives every row the same sums, in the
-    same order, as a scatter-add over its entries.
+    The rows are cut into windows of `window_rows` consecutive rows
+    (JDS_WINDOW_ROWS when the table is built). Inside its window each row
+    takes a rank, by decreasing length (stable, so rows of one length keep
+    their order): `inverse[i]` is row i's rank. Diagonal k of a window holds
+    the k-th entry of every window row longer than k, a prefix of its ranked
+    rows, and `entries` lists the stored entries window by window, diagonal
+    by diagonal, rank by rank. `windows` holds, per window, its first and
+    end row and its groups: runs of consecutive diagonals whose entries,
+    `entries[lo:hi]`, are at most `window_rows`, with each diagonal's
+    length. Adding a window's diagonals in turn into zeroed sums gives every
+    row the same sums, in the same order, as a scatter-add over its entries.
     """
 
-    __slots__ = ("entries", "sources", "bounds", "inverse")
+    __slots__ = ("entries", "sources", "inverse", "windows", "window_rows")
 
     def __init__(self, offsets: np.ndarray, sources: np.ndarray):
         """`sources[e]`: the row of the dense operand that entry e multiplies."""
-        n = offsets.size - 1
+        n, size = offsets.size - 1, JDS_WINDOW_ROWS
         lengths = np.diff(offsets)
-        order = np.argsort(-lengths, kind="stable")
+        nodes = np.arange(n)
+        window = nodes // size
+        order = np.lexsort((-lengths, window))  # stays inside each window
+        rank = nodes - window * size
         self.inverse = np.empty(n, dtype=np.int64)
-        self.inverse[order] = np.arange(n)
-        # rows longer than k, for k = 0 .. max length - 1
-        per_diagonal = n - np.cumsum(np.bincount(lengths, minlength=1))[:-1]
-        bounds = np.concatenate([[0], np.cumsum(per_diagonal)])
-        diagonal = np.repeat(np.arange(per_diagonal.size), per_diagonal)
-        rank = np.arange(bounds[-1]) - np.repeat(bounds[:-1], per_diagonal)
-        self.entries = offsets[order][rank] + diagonal
+        self.inverse[order] = rank
+        # every stored entry as (sorted position, diagonal), position by position
+        ranked = lengths[order]
+        position = np.repeat(nodes, ranked)
+        diagonal = np.arange(position.size) - np.repeat(np.cumsum(ranked) - ranked, ranked)
+        # a window has as many diagonals as its longest row, its first ranked
+        # one: window w's are diagonals[w]:diagonals[w + 1] of the flat list
+        diagonals = np.concatenate([[0], np.cumsum(ranked[::size])])
+        flat = diagonals[window[position]] + diagonal
+        count = np.bincount(flat, minlength=diagonals[-1])
+        start = np.concatenate([[0], np.cumsum(count)])
+        self.entries = np.empty(position.size, dtype=np.int64)
+        self.entries[start[flat] + rank[position]] = offsets[order][position] + diagonal
         self.sources = sources[self.entries]
-        self.bounds = bounds.tolist()
+        self.window_rows = size
+        # a diagonal has at most a window's rows, so each group takes one or more
+        bounds, count = start.tolist(), count.tolist()
+        self.windows = []
+        for w, lo in enumerate(range(0, n, size)):
+            groups, d, end = [], int(diagonals[w]), int(diagonals[w + 1])
+            while d < end:
+                stop = min(int(np.searchsorted(start, bounds[d] + size, "right")) - 1, end)
+                groups.append((bounds[d], bounds[stop], count[d:stop]))
+                d = stop
+            self.windows.append((lo, min(lo + size, n), groups))
 
     def product(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row i of the result: the sum of `values[e] * x[sources[e]]` over
         row i's entries e, accumulated from 0.0 in CSR order.
 
-        Each diagonal is gathered into one preallocated n x h buffer,
-        multiplied and added in place, so no diagonal allocates, and the
-        finished rows are permuted back into the buffer. Each gather
-        uses `mode="clip"` because NumPy buffers the output of a `take` in
-        its default mode "raise"; no index is ever clipped, since
+        A window's rows are summed in one zeroed window x h array. Each group
+        of its diagonals is gathered, multiplied into one window-sized buffer,
+        and each diagonal is then added in place to the prefix of the sums it
+        covers, in diagonal order: row i still adds its entries one at a
+        time, in CSR order. The finished window is permuted back into the
+        result by `inverse`, so the product holds one n x h array and two
+        window x h ones, and no diagonal allocates. Each gather uses
+        `mode="clip"` because NumPy buffers the output of a `take` in its
+        default mode "raise"; no index is ever clipped, since
         `SparseAdjacency` range-checks the edge endpoints the table is
         built from and `spmm` checks that x has one row per node."""
-        n = self.inverse.size
-        out = np.zeros((n, x.shape[1]))
-        buf = np.empty_like(out)
+        n, h = self.inverse.size, x.shape[1]
+        out = np.empty((n, h))
+        sums = np.empty((min(n, self.window_rows), h))
+        buf = np.empty((min(self.entries.size, self.window_rows), h))
         v = values[self.entries]
-        bounds = self.bounds
-        for k in range(len(bounds) - 1):
-            lo, hi = bounds[k], bounds[k + 1]
-            o, b = out[: hi - lo], buf[: hi - lo]
-            x.take(self.sources[lo:hi], axis=0, out=b, mode="clip")
-            np.multiply(b, v[lo:hi], out=b)
-            np.add(o, b, out=o)
-        return out.take(self.inverse, axis=0, out=buf, mode="clip")
+        for first, end, groups in self.windows:
+            acc = sums[: end - first]
+            acc.fill(0.0)
+            for lo, hi, counts in groups:
+                b = buf[: hi - lo]
+                x.take(self.sources[lo:hi], axis=0, out=b, mode="clip")
+                np.multiply(b, v[lo:hi], out=b)
+                for c in counts:
+                    o = acc[:c]
+                    np.add(o, b[:c], out=o)
+                    b = b[c:]
+            acc.take(self.inverse[first:end], axis=0, out=out[first:end], mode="clip")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +437,7 @@ def spmm(adj: SparseAdjacency, x):
     Differentiates into `x` and into the stored values of `adj`, each unless
     it is a constant; constant stored values are recorded as a constant.
     The product and the x-gradient run over the one jagged-diagonal table
-    of `adj`'s structure, each through one n x h buffer: `adj` is
+    of `adj`'s structure, each through two window-sized buffers: `adj` is
     symmetric, so its transpose product is its product. The value gradient
     works through SPMM_GRAD_CHUNK_ENTRIES stored entries at a time. None of
     the three builds an nnz x h array, and each is bitwise equal to its

@@ -123,6 +123,34 @@ class TestForwardPasses:
         assert len(calls) == passes
 
     @pytest.mark.parametrize(
+        "structure_steps, normalized, neighbors", [(0, 1, 1), (1, 1 + 3 * 2 + 1, 3)]
+    )
+    def test_matrices_rebuilt_only_after_a_structure_step(
+        self, fixture_pair, monkeypatch, structure_steps, normalized, neighbors
+    ):
+        # without a structure step the edge weights never move: one
+        # normalized adjacency and one neighbour matrix serve every epoch.
+        # With one, each epoch normalizes for its structure step and after
+        # it, the next epoch rebuilds the neighbour matrix, and the
+        # fractional mask makes the final prediction normalize once more
+        calls = {"normalized": 0, "neighbors": 0}
+
+        def counted(name):
+            original = getattr(AdjacencyLayout, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(AdjacencyLayout, name, counted(name))
+        model, tgt = fixture_pair
+        adapt(model, tgt, quick_cfg(epochs=3, feature_steps=0, structure_steps=structure_steps))
+        assert calls == {"normalized": normalized, "neighbors": neighbors}
+
+    @pytest.mark.parametrize(
         "overrides",
         [dict(structure_steps=0), dict(structure_steps=1, budget_fraction=0.0)],
         ids=["no-structure-step", "zero-budget"],

@@ -459,6 +459,24 @@ def hub_edges(rng, n):
     return unique_edges(u, v)
 
 
+def windowed_edges(rng, n=5000):
+    """About 1.5 n random edges over n nodes (n a multiple of none of the
+    tested windows), with 300 isolated nodes. One node of degree 40 sits in
+    the first default window, one of degree 90 in the second, and a hub
+    joined to every other non-isolated node in the last, so each window has
+    its own longest row."""
+    hubs = {100: 40, 3000: 90, n - 2: n}
+    lonely = rng.choice(np.setdiff1d(np.arange(n), list(hubs)), size=300, replace=False)
+    pairs = rng.integers(0, n, size=(3 * n // 2, 2))
+    spokes = [
+        np.stack([np.full(d, h), rng.choice(n, size=d, replace=False)], axis=1)
+        for h, d in hubs.items()
+    ]
+    pairs = np.concatenate([pairs, *spokes])
+    pairs = pairs[~np.isin(pairs, lonely).any(axis=1)]
+    return unique_edges(pairs[:, 0], pairs[:, 1])
+
+
 SPMM_STRUCTURES = {
     # an isolated node's row holds its diagonal slot alone
     "random-with-empty-rows": lambda rng: random_structure(rng, 40, 0.2, isolated=10),
@@ -466,6 +484,7 @@ SPMM_STRUCTURES = {
     "no-entries": lambda rng: SparseAdjacency(5, []),  # diagonal slots only
     "single-self-loop": lambda rng: SparseAdjacency(1, []),
     "hub-row": lambda rng: SparseAdjacency(60, hub_edges(rng, 60)),
+    "several-windows": lambda rng: SparseAdjacency(5000, windowed_edges(rng)),
 }
 
 
@@ -486,9 +505,24 @@ def normalized_hub(rng):
 NORMALIZED_STRUCTURES = {"normalized-random": normalized_random, "normalized-hub": normalized_hub}
 
 
+# each structure at the default JDS_WINDOW_ROWS (None) and at windows of 1,
+# 3 and 7 rows, which cut even the small structures into several windows
+WINDOWED_STRUCTURES = [
+    (structure, window)
+    for structure in [*SPMM_STRUCTURES, *NORMALIZED_STRUCTURES]
+    for window in (None, 1, 3, 7)
+]
+
+
 @pytest.mark.parametrize("live", [False, True], ids=["frozen", "live"])
-@pytest.mark.parametrize("structure", [*SPMM_STRUCTURES, *NORMALIZED_STRUCTURES])
-def test_spmm_bitwise_equals_scatter_add(rng, structure, live):
+@pytest.mark.parametrize(
+    "structure, window",
+    WINDOWED_STRUCTURES,
+    ids=[s if w is None else f"{s}-window{w}" for s, w in WINDOWED_STRUCTURES],
+)
+def test_spmm_bitwise_equals_scatter_add(rng, monkeypatch, structure, window, live):
+    if window is not None:  # the table takes its window when it is built
+        monkeypatch.setattr(numerics, "JDS_WINDOW_ROWS", window)
     if structure in SPMM_STRUCTURES:
         adj = SPMM_STRUCTURES[structure](rng)
         make, v0 = adj.with_values, spread_values(rng, (value_count(adj), 1))
@@ -580,7 +614,11 @@ def test_csr_order_is_lexsort_order(rng, graph):
         assert np.array_equal(adj.col_indices, cols)
         assert np.array_equal(adj.entry_source, source)
         for name in table.__slots__:
-            assert np.array_equal(getattr(adj._by_row, name), getattr(table, name)), name
+            mine, theirs = getattr(adj._by_row, name), getattr(table, name)
+            if isinstance(theirs, np.ndarray):
+                assert np.array_equal(mine, theirs), name
+            else:  # the windows' row ranges and groups, plain Python values
+                assert mine == theirs, name
 
 
 def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
@@ -591,9 +629,23 @@ def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
     values = adj.values
     degree = int(np.bincount(adj.rows).max())
     assert degree == n  # the hub's n - 1 edges and its diagonal
+    # the table is linear in n + nnz: a window has as many diagonals as its
+    # longest row (the hub's, n, in the first), and no gather holds more
+    # than a window's rows
+    size = numerics.JDS_WINDOW_ROWS
+    lengths = np.bincount(adj.rows, minlength=n)
     table = adj._by_row
     assert table.entries.size == table.sources.size == adj.nnz
-    assert len(table.bounds) == degree + 1
+    assert [(first, end) for first, end, _ in table.windows] == [
+        (lo, min(lo + size, n)) for lo in range(0, n, size)
+    ]
+    diagonals = [sum(len(counts) for *_, counts in groups) for *_, groups in table.windows]
+    assert diagonals == [int(lengths[lo : lo + size].max()) for lo in range(0, n, size)]
+    assert diagonals[0] == degree
+    gathers = [(lo, hi) for *_, groups in table.windows for lo, hi, _ in groups]
+    assert max(hi - lo for lo, hi in gathers) <= size
+    assert [lo for lo, _ in gathers[1:]] == [hi for _, hi in gathers[:-1]]
+    assert gathers[0][0] == 0 and gathers[-1][1] == adj.nnz
     x0 = rng.standard_normal((n, 32))
     tape = Tape()
     x = tape.leaf(x0)
@@ -601,6 +653,21 @@ def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
     backward(tape, sum_all(y))
     assert np.array_equal(y.value, scatter_spmm(adj, values, x0))
     assert np.array_equal(x.grad, scatter_spmm_grad_x(adj, values, np.ones((n, 32))))
+
+
+def test_spmm_holds_two_n_by_h_arrays_and_a_window(rng):
+    # the product's result, a window's sums and one group's gather, besides
+    # the values in table order: no array of one row per stored entry
+    n, h = 20_000, 32
+    adj = SparseAdjacency(n, unique_edges(*rng.integers(0, n, size=(2, 3 * n))))
+    adj = adj.with_values(rng.uniform(0.1, 1.0, value_count(adj)))
+    x0 = rng.standard_normal((n, h))
+    tape = Tape()
+    x = tape.constant(x0)
+    y, peak = traced_peak(lambda: spmm(adj, x))
+    floats = 2 * n * h + numerics.JDS_WINDOW_ROWS * h + adj.nnz
+    assert peak < 8 * floats + 65_536
+    assert np.array_equal(y.value, scatter_spmm(adj, adj.values, x0))
 
 
 EXP_SUM_COLS = {
