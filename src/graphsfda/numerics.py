@@ -171,9 +171,9 @@ class _JaggedDiagonals:
         nodes = np.arange(n)
         window = nodes // size
         order = np.lexsort((-lengths, window))  # stays inside each window
-        rank = nodes - window * size
+        local = nodes - window * size  # a row's, or a position's, place in its window
         self.inverse = np.empty(n, dtype=np.int64)
-        self.inverse[order] = rank
+        self.inverse[order] = local
         # every stored entry as (sorted position, diagonal), position by position
         ranked = lengths[order]
         position = np.repeat(nodes, ranked)
@@ -185,7 +185,7 @@ class _JaggedDiagonals:
         count = np.bincount(flat, minlength=diagonals[-1])
         start = np.concatenate([[0], np.cumsum(count)])
         self.entries = np.empty(position.size, dtype=np.int64)
-        self.entries[start[flat] + rank[position]] = offsets[order][position] + diagonal
+        self.entries[start[flat] + local[position]] = offsets[order][position] + diagonal
         self.sources = sources[self.entries]
         self.window_rows = size
         # a diagonal has at most a window's rows, so each group takes one or more

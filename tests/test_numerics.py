@@ -627,13 +627,13 @@ def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
     adj = SparseAdjacency(n, hub_edges(rng, n))
     adj = adj.with_values(rng.standard_normal(value_count(adj)))
     values = adj.values
-    degree = int(np.bincount(adj.rows).max())
+    lengths = np.bincount(adj.rows, minlength=n)
+    degree = int(lengths.max())
     assert degree == n  # the hub's n - 1 edges and its diagonal
     # the table is linear in n + nnz: a window has as many diagonals as its
     # longest row (the hub's, n, in the first), and no gather holds more
     # than a window's rows
     size = numerics.JDS_WINDOW_ROWS
-    lengths = np.bincount(adj.rows, minlength=n)
     table = adj._by_row
     assert table.entries.size == table.sources.size == adj.nnz
     assert [(first, end) for first, end, _ in table.windows] == [
