@@ -347,6 +347,10 @@ def load_checkpoint(path) -> GnnModel:
         raise ContractError(f"{path}: unsupported checkpoint version {version}")
     if L < 1:
         raise ContractError(f"{path}: checkpoint declares {L} layers")
+    if min(d, h, num_classes) < 1:
+        raise ContractError(
+            f"{path}: checkpoint declares a zero width (d={d}, h={h}, C={num_classes})"
+        )
     expected = offset + 8 * (d * h + (L - 1) * h * h + h * num_classes + num_classes)
     if len(blob) < expected:
         raise ContractError(

@@ -10,22 +10,26 @@ There is one sparse product, `spmm`, over one sparse type whose values may be
 a recorded tensor: that is how a live edge mask reaches the convolution.
 `SparseAdjacency` is the A + I pattern of an undirected edge array, one
 value per edge and one per node, so every matrix it carries is symmetric.
-It builds one jagged-diagonal table over its rows (Saad, *Iterative Methods
-for Sparse Linear Systems*, 2nd ed., section 3.4), shared by every
-`with_values` copy, in windows of JDS_WINDOW_ROWS consecutive rows (sliced
-JDS; Kreutzer et al., SIAM J. Sci. Comput. 36(5), 2014). Inside its window
-a row is ranked by decreasing entry count, and diagonal k of the window
-holds the k-th entry of every window row longer than k. Consecutive
-diagonals of a window share one gather and one multiply, and each diagonal
-is then one vectorized add, so a window's sums and gathers stay in cache.
-Every output row starts at 0.0 and adds its products one at a time in CSR
-order, exactly as a scatter-add (`np.add.at`) over the entries would: a
-window only changes which rows a diagonal's add covers, not the order of
-any row's sum. So the results are bitwise equal to the scatter-add. The
-gradient in x is the transpose product, and on a symmetric matrix row j's
-entries in column order are column j's entries in row order with the same
-values, so the same table gives it, bitwise equal to a scatter-add over
-the columns.
+It has one storage format, a jagged-diagonal table (Saad, *Iterative
+Methods for Sparse Linear Systems*, 2nd ed., section 3.4) in windows of
+JDS_WINDOW_ROWS consecutive rows (sliced JDS; Kreutzer et al., SIAM J.
+Sci. Comput. 36(5), 2014): its slot rows, columns and values are stored
+in the table's order, and every `with_values` copy shares the index
+arrays. Inside its window a row is ranked by decreasing slot count, and
+diagonal k of the window holds the k-th slot, in column order, of every
+window row longer than k. Consecutive diagonals of a window share one
+gather and one multiply, and each diagonal is then one vectorized add, so
+a window's sums and gathers stay in cache. Every output row starts at 0.0
+and adds its products one at a time in column order, exactly as a
+scatter-add (`np.add.at`) over the slots in CSR order would: a window only
+changes which rows a diagonal's add covers, not the order of any row's
+sum. So the results are bitwise equal to the scatter-add. The gradient in
+x is the transpose product, and on a symmetric matrix row j's slots in
+column order are column j's slots in row order with the same values, so
+the same table gives it, bitwise equal to a scatter-add over the columns.
+The gradient into the slot values is one dot product per slot, and each
+edge value's gradient sums its two mirror slots, a sum of two terms that
+does not depend on their order.
 
 One fused op, `exp_sum_others`, sums `exp(scale * a_i . a_j)` over a set of
 columns j other than i without holding the n x m matrix: it works through
@@ -64,10 +68,8 @@ from .errors import ContractError, NumericalError, ShapeError
 
 # rows of the n x m exponential block that exp_sum_others holds at once
 EXP_SUM_BLOCK_ROWS = 128
-# stored entries whose products the value gradient of spmm holds at once
-SPMM_GRAD_CHUNK_ENTRIES = 2048
 # consecutive rows the sparse product sorts and sums together (the window of
-# its jagged-diagonal table), and the most entries one of its gathers holds
+# the jagged-diagonal table), and the most slots one of its gathers holds
 JDS_WINDOW_ROWS = 2048
 
 __all__ = [
@@ -86,21 +88,36 @@ __all__ = [
 
 class SparseAdjacency:
     """The pattern of A + I over an undirected graph: a symmetric n x n
-    sparse matrix in canonical compressed-sparse-row (CSR) form.
+    sparse matrix stored as its windowed jagged-diagonal table, the sliced
+    JDS of Kreutzer et al. (SIAM J. Sci. Comput. 36(5), 2014).
 
     It is built from an (e, 2) array of distinct undirected edges without
     self-loops (`TargetGraph.edges`); only the endpoints are range-checked
     here. Its slots are the two mirror slots of every edge and the diagonal
-    of every node, in CSR order: `rows` and `col_indices` give each slot's
-    row and column. `entry_source[k]` names the input value that fills slot
-    k: j < e for edge j, in both of its mirror slots, and e + i for the
+    of every node: `rows` and `col_indices` give each slot's row and
+    column. `entry_source[k]` names the input value that fills slot k:
+    j < e for edge j, in both of its mirror slots, and e + i for the
     diagonal of node i. Every matrix is one value per edge and one per node
     (`with_values`), so it is exactly symmetric. `values` is the (nnz x 1)
     column of slot values, constant or a Tensor; a new structure carries
     unit values, the 0/1 pattern of A + I.
+
+    The slots are stored in table order. The rows are cut into windows of
+    `window_rows` consecutive rows (JDS_WINDOW_ROWS when the structure is
+    built). Inside its window each row takes a rank, by decreasing slot
+    count (stable, so rows of one length keep their order): `inverse[i]` is
+    row i's rank. Diagonal k of a window holds the k-th slot, in column
+    order, of every window row longer than k, a prefix of its ranked rows,
+    and the slots run window by window, diagonal by diagonal, rank by rank.
+    So each row's slots appear in column order, as in CSR. `windows` holds,
+    per window, its first and end row and its groups: runs of consecutive
+    diagonals whose slots, `lo:hi`, are at most `window_rows`, with each
+    diagonal's length.
     """
 
-    __slots__ = ("n", "col_indices", "rows", "entry_source", "values", "_by_row")
+    __slots__ = (
+        "n", "rows", "col_indices", "entry_source", "values", "inverse", "windows", "window_rows"
+    )
 
     def __init__(self, n: int, edges):
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -111,18 +128,48 @@ class SparseAdjacency:
         nodes = np.arange(n, dtype=np.int64)
         rows = np.concatenate([u, v, nodes])
         cols = np.concatenate([v, u, nodes])
-        # CSR order: by row, then column. Every (row, col) slot is distinct,
-        # so sorting one key gives lexsort's permutation. The keys stay below
-        # n * n, which fits int64 for n up to 3.04e9; the n-length int64
-        # arrays above already exist, and at that n each would take 24 GB.
-        order = np.argsort(rows * n + cols)
-        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        # CSR order, by row, then column, is the step towards the table: row
+        # i's k-th slot is csr[offsets[i] + k]. Every (row, col) slot is
+        # distinct, so sorting one key gives lexsort's permutation. The keys
+        # stay below n * n, which fits int64 for n up to 3.04e9; the n-length
+        # int64 arrays above already exist, and at that n each would take 24 GB.
+        csr = np.argsort(rows * n + cols)
+        lengths = np.bincount(rows, minlength=n)
+        offsets = np.cumsum(lengths) - lengths
+        size = JDS_WINDOW_ROWS
+        window = nodes // size
+        order = np.lexsort((-lengths, window))  # stays inside each window
+        local = nodes - window * size  # a row's, or a rank's, place in its window
+        self.inverse = np.empty(n, dtype=np.int64)
+        self.inverse[order] = local
+        # every slot as (rank position, diagonal), position by position
+        ranked = lengths[order]
+        position = np.repeat(nodes, ranked)
+        diagonal = np.arange(position.size) - np.repeat(np.cumsum(ranked) - ranked, ranked)
+        # a window has as many diagonals as its longest row, its first ranked
+        # one: window w's are diagonals[w]:diagonals[w + 1] of the flat list
+        diagonals = np.concatenate([[0], np.cumsum(ranked[::size])])
+        flat = diagonals[window[position]] + diagonal
+        count = np.bincount(flat, minlength=diagonals[-1])
+        start = np.concatenate([[0], np.cumsum(count)])
+        slots = np.empty(position.size, dtype=np.int64)
+        slots[start[flat] + local[position]] = csr[offsets[order][position] + diagonal]
         self.n = n
-        self.rows = rows[order]
-        self.col_indices = cols[order]
-        self.entry_source = np.concatenate([np.arange(e), np.arange(e), e + nodes])[order]
-        self._by_row = _JaggedDiagonals(offsets, self.col_indices)
-        self.values = np.ones((order.size, 1))
+        self.rows = rows[slots]
+        self.col_indices = cols[slots]
+        self.entry_source = np.concatenate([np.arange(e), np.arange(e), e + nodes])[slots]
+        self.values = np.ones((slots.size, 1))
+        self.window_rows = size
+        # a diagonal has at most a window's rows, so each group takes one or more
+        bounds, count = start.tolist(), count.tolist()
+        self.windows = []
+        for w, lo in enumerate(range(0, n, size)):
+            groups, d, end = [], int(diagonals[w]), int(diagonals[w + 1])
+            while d < end:
+                stop = min(int(np.searchsorted(start, bounds[d] + size, "right")) - 1, end)
+                groups.append((bounds[d], bounds[stop], count[d:stop]))
+                d = stop
+            self.windows.append((lo, min(lo + size, n), groups))
 
     def with_values(self, values) -> "SparseAdjacency":
         """The same structure carrying one value per edge and then one per
@@ -143,94 +190,57 @@ class SparseAdjacency:
     def nnz(self) -> int:
         return int(self.col_indices.size)
 
-
-class _JaggedDiagonals:
-    """Windowed jagged-diagonal index of a CSR matrix's stored entries: the
-    sliced JDS of Kreutzer et al. (SIAM J. Sci. Comput. 36(5), 2014).
-
-    Output row i sums the entries `offsets[i]:offsets[i+1]`, in CSR order.
-    The rows are cut into windows of `window_rows` consecutive rows
-    (JDS_WINDOW_ROWS when the table is built). Inside its window each row
-    takes a rank, by decreasing length (stable, so rows of one length keep
-    their order): `inverse[i]` is row i's rank. Diagonal k of a window holds
-    the k-th entry of every window row longer than k, a prefix of its ranked
-    rows, and `entries` lists the stored entries window by window, diagonal
-    by diagonal, rank by rank. `windows` holds, per window, its first and
-    end row and its groups: runs of consecutive diagonals whose entries,
-    `entries[lo:hi]`, are at most `window_rows`, with each diagonal's
-    length. Adding a window's diagonals in turn into zeroed sums gives every
-    row the same sums, in the same order, as a scatter-add over its entries.
-    """
-
-    __slots__ = ("entries", "sources", "inverse", "windows", "window_rows")
-
-    def __init__(self, offsets: np.ndarray, sources: np.ndarray):
-        """`sources[e]`: the row of the dense operand that entry e multiplies."""
-        n, size = offsets.size - 1, JDS_WINDOW_ROWS
-        lengths = np.diff(offsets)
-        nodes = np.arange(n)
-        window = nodes // size
-        order = np.lexsort((-lengths, window))  # stays inside each window
-        local = nodes - window * size  # a row's, or a position's, place in its window
-        self.inverse = np.empty(n, dtype=np.int64)
-        self.inverse[order] = local
-        # every stored entry as (sorted position, diagonal), position by position
-        ranked = lengths[order]
-        position = np.repeat(nodes, ranked)
-        diagonal = np.arange(position.size) - np.repeat(np.cumsum(ranked) - ranked, ranked)
-        # a window has as many diagonals as its longest row, its first ranked
-        # one: window w's are diagonals[w]:diagonals[w + 1] of the flat list
-        diagonals = np.concatenate([[0], np.cumsum(ranked[::size])])
-        flat = diagonals[window[position]] + diagonal
-        count = np.bincount(flat, minlength=diagonals[-1])
-        start = np.concatenate([[0], np.cumsum(count)])
-        self.entries = np.empty(position.size, dtype=np.int64)
-        self.entries[start[flat] + local[position]] = offsets[order][position] + diagonal
-        self.sources = sources[self.entries]
-        self.window_rows = size
-        # a diagonal has at most a window's rows, so each group takes one or more
-        bounds, count = start.tolist(), count.tolist()
-        self.windows = []
-        for w, lo in enumerate(range(0, n, size)):
-            groups, d, end = [], int(diagonals[w]), int(diagonals[w + 1])
-            while d < end:
-                stop = min(int(np.searchsorted(start, bounds[d] + size, "right")) - 1, end)
-                groups.append((bounds[d], bounds[stop], count[d:stop]))
-                d = stop
-            self.windows.append((lo, min(lo + size, n), groups))
-
     def product(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Row i of the result: the sum of `values[e] * x[sources[e]]` over
-        row i's entries e, accumulated from 0.0 in CSR order.
+        """Row i of the result: the sum of `values[k] * x[col_indices[k]]`
+        over row i's slots k, accumulated from 0.0 in column order.
 
         A window's rows are summed in one zeroed window x h array. Each group
         of its diagonals is gathered, multiplied into one window-sized buffer,
         and each diagonal is then added in place to the prefix of the sums it
-        covers, in diagonal order: row i still adds its entries one at a
-        time, in CSR order. The finished window is permuted back into the
+        covers, in diagonal order: row i still adds its slots one at a time,
+        in column order. The finished window is permuted back into the
         result by `inverse`, so the product holds one n x h array and two
         window x h ones, and no diagonal allocates. Each gather uses
         `mode="clip"` because NumPy buffers the output of a `take` in its
-        default mode "raise"; no index is ever clipped, since
-        `SparseAdjacency` range-checks the edge endpoints the table is
-        built from and `spmm` checks that x has one row per node."""
-        n, h = self.inverse.size, x.shape[1]
+        default mode "raise"; no index is ever clipped, since the
+        constructor range-checks the edge endpoints and `spmm` checks that
+        x has one row per node."""
+        n, h = self.n, x.shape[1]
         out = np.empty((n, h))
         sums = np.empty((min(n, self.window_rows), h))
-        buf = np.empty((min(self.entries.size, self.window_rows), h))
-        v = values[self.entries]
+        buf = np.empty((min(self.nnz, self.window_rows), h))
         for first, end, groups in self.windows:
             acc = sums[: end - first]
             acc.fill(0.0)
             for lo, hi, counts in groups:
                 b = buf[: hi - lo]
-                x.take(self.sources[lo:hi], axis=0, out=b, mode="clip")
-                np.multiply(b, v[lo:hi], out=b)
+                x.take(self.col_indices[lo:hi], axis=0, out=b, mode="clip")
+                np.multiply(b, values[lo:hi], out=b)
                 for c in counts:
                     o = acc[:c]
                     np.add(o, b[:c], out=o)
                     b = b[c:]
             acc.take(self.inverse[first:end], axis=0, out=out[first:end], mode="clip")
+        return out
+
+    def slot_dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The (nnz x 1) column of `a[rows[k]] . b[col_indices[k]]`, the
+        gradient of `spmm` into its slot values. It gathers, multiplies and
+        sums `window_rows` slots at a time, in place; each row keeps NumPy's
+        own reduction, so the column is bitwise equal to
+        `(a[rows] * b[col_indices]).sum(axis=1, keepdims=True)` without its
+        two nnz x h arrays. Neither index is clipped: see `product`."""
+        nnz, chunk = self.nnz, self.window_rows
+        out = np.empty((nnz, 1))
+        buf_a = np.empty((min(nnz, chunk), a.shape[1]))
+        buf_b = np.empty_like(buf_a)
+        for lo in range(0, nnz, chunk):
+            hi = min(lo + chunk, nnz)
+            ca, cb = buf_a[: hi - lo], buf_b[: hi - lo]
+            a.take(self.rows[lo:hi], axis=0, out=ca, mode="clip")
+            b.take(self.col_indices[lo:hi], axis=0, out=cb, mode="clip")
+            np.multiply(ca, cb, out=ca)
+            ca.sum(axis=1, out=out[lo:hi, 0])
         return out
 
 
@@ -436,47 +446,24 @@ def spmm(adj: SparseAdjacency, x):
 
     Differentiates into `x` and into the stored values of `adj`, each unless
     it is a constant; constant stored values are recorded as a constant.
-    The product and the x-gradient run over the one jagged-diagonal table
-    of `adj`'s structure, each through two window-sized buffers: `adj` is
+    The product and the x-gradient read `adj`'s slot values and columns in
+    its own table order, each through two window-sized buffers: `adj` is
     symmetric, so its transpose product is its product. The value gradient
-    works through SPMM_GRAD_CHUNK_ENTRIES stored entries at a time. None of
-    the three builds an nnz x h array, and each is bitwise equal to its
-    scatter-add or whole-array form."""
+    works through a window's worth of slots at a time. None of the three
+    builds an nnz x h array or gathers the values, and each is bitwise
+    equal to its scatter-add or whole-array form."""
     vals = adj.values if isinstance(adj.values, Tensor) else _tape_of(x).constant(adj.values)
     tape = _tape_of(vals, x)
     xv, vv = x.value, vals.value
     if adj.n != xv.shape[0]:
         raise ShapeError(f"spmm: adjacency is {adj.n}x{adj.n}, x has {xv.shape[0]} rows")
-    rows, cols = adj.rows, adj.col_indices
-    out = adj._by_row.product(vv, xv)
     return tape._record(
-        out,
+        adj.product(vv, xv),
         [
-            (vals.index, lambda g: _entry_dots(g, rows, xv, cols)),
-            (x.index, lambda g: adj._by_row.product(vv, g)),
+            (vals.index, lambda g: adj.slot_dots(g, xv)),
+            (x.index, lambda g: adj.product(vv, g)),
         ],
     )
-
-
-def _entry_dots(a, rows, b, cols):
-    """The (nnz x 1) column of `a[rows[e]] . b[cols[e]]`, the gradient of
-    `spmm` into its stored values. It gathers, multiplies and sums
-    SPMM_GRAD_CHUNK_ENTRIES entries at a time, in place; each row keeps
-    NumPy's own reduction, so the column is bitwise equal to
-    `(a[rows] * b[cols]).sum(axis=1, keepdims=True)` without its two
-    nnz x h arrays. Neither index is clipped: see `_JaggedDiagonals.product`."""
-    nnz, chunk = rows.size, SPMM_GRAD_CHUNK_ENTRIES
-    out = np.empty((nnz, 1))
-    buf_a = np.empty((min(nnz, chunk), a.shape[1]))
-    buf_b = np.empty_like(buf_a)
-    for lo in range(0, nnz, chunk):
-        hi = min(lo + chunk, nnz)
-        ca, cb = buf_a[: hi - lo], buf_b[: hi - lo]
-        a.take(rows[lo:hi], axis=0, out=ca, mode="clip")
-        b.take(cols[lo:hi], axis=0, out=cb, mode="clip")
-        np.multiply(ca, cb, out=ca)
-        ca.sum(axis=1, out=out[lo:hi, 0])
-    return out
 
 
 def row_softmax(a):

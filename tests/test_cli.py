@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +335,16 @@ def _truncated_checkpoint(ws, tmp):
     return str(tmp / "cut.ckpt")
 
 
+def _zero_width_checkpoint(ws, tmp):
+    """The trained checkpoint's header with hidden width 0, followed by the
+    C classifier biases, all the parameters those sizes declare."""
+    blob = (ws / "model.ckpt").read_bytes()
+    version, layers, d, _, num_classes = struct.unpack_from("<5I", blob, 4)
+    header = blob[:4] + struct.pack("<5I", version, layers, d, 0, num_classes)
+    (tmp / "thin.ckpt").write_bytes(header + blob[-8 * num_classes:])
+    return str(tmp / "thin.ckpt")
+
+
 def _overflowing_checkpoint(ws, tmp):
     """The trained checkpoint with every parameter scaled by 1e200: finite,
     but its forward pass overflows."""
@@ -433,6 +444,10 @@ EXIT_CASES = {
         "adapt", *_config(ws, tmp, checkpoint=str(tmp))]),
     "eval-checkpoint-directory": (4, lambda ws, tmp: [
         "eval", "--checkpoint", str(tmp), "--graph", str(ws / "pair_tgt")]),
+    "adapt-checkpoint-zero-width": (4, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, checkpoint=_zero_width_checkpoint(ws, tmp))]),
+    "eval-checkpoint-zero-width": (4, lambda ws, tmp: _scored(
+        ws, tmp, "eval", str(ws / "pair_tgt"), checkpoint=_zero_width_checkpoint(ws, tmp))),
     "temperature-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, temperature=1e-300)]),
     "pretrain-lr-overflow": (5, lambda ws, tmp: ["pretrain", *_config(ws, tmp, pretrain_lr=1e300)]),
     "model-lr-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr=1e300)]),

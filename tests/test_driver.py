@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,3 +300,15 @@ class TestExportEmbeddings:
         lines = (tmp_path / "z.txt").read_text().strip().splitlines()
         assert len(lines) == 2
         assert len(lines[0].split()) == 4
+
+
+def test_readme_library_use_runs(capsys):
+    """README's "Library use" block, run as written: it prints the final
+    accuracy and the number of deleted edges."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    accuracy, deleted = capsys.readouterr().out.split()
+    assert 0.0 <= float(accuracy) <= 1.0
+    assert int(deleted) >= 0

@@ -331,6 +331,21 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             load_checkpoint(tmp_path / "bad.ckpt")
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("word, name", [(12, "d"), (16, "h"), (20, "C")])
+    def test_zero_width_rejected(self, tmp_path, layers, word, name):
+        # a header whose d, h or C is 0, followed by exactly the parameter
+        # bytes those sizes declare
+        save_checkpoint(init_model(6, 4, 3, layers, seed=11), tmp_path / "m.ckpt")
+        blob = bytearray((tmp_path / "m.ckpt").read_bytes()[:24])
+        struct.pack_into("<I", blob, word, 0)
+        _, L, d, h, C = struct.unpack_from("<5I", blob, 4)
+        blob += bytes(8 * (d * h + (L - 1) * h * h + h * C + C))
+        path = tmp_path / "thin.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractError, match=f"{path}: .*zero width.*{name}=0"):
+            load_checkpoint(path)
+
     def test_magic_enforced(self, tmp_path):
         (tmp_path / "junk.ckpt").write_bytes(b"NOPE" + b"\0" * 40)
         with pytest.raises(ContractError):

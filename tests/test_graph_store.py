@@ -407,6 +407,27 @@ class TestFileFormat:
         assert np.array_equal(back.labels, g.labels)
         assert back.num_classes == g.num_classes
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_carriage_returns_take_the_c_reader(self, tmp_path, rng, monkeypatch, newline):
+        g = random_graph(rng, 9, 4, 3)
+        save_graph(g, tmp_path / "g")
+        for suffix in (".meta", ".edges", ".feat", ".labels"):
+            path = tmp_path / f"g{suffix}"
+            path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+
+        c_read = graph_store._c_read_table
+
+        def c_reader_only(text, width, dtype):
+            parsed = c_read(text, width, dtype)
+            assert parsed is not None, "a table took the per-line path"
+            return parsed
+
+        monkeypatch.setattr(graph_store, "_c_read_table", c_reader_only)
+        back = load_graph(tmp_path / "g")
+        assert np.array_equal(back.edges, g.edges)
+        assert np.array_equal(back.features, g.features)
+        assert np.array_equal(back.labels, g.labels)
+
     def test_small_fixture(self, tmp_path):
         (tmp_path / "t.meta").write_text("2 3 2\n")
         (tmp_path / "t.edges").write_text("0 1\n")

@@ -1,8 +1,8 @@
 """Source hygiene, read off the syntax trees of the package: no config key
 that nothing reads or that README's config table leaves out, no parameter
-that its function never reads, no stored slot that nothing reads, no import
-that nothing uses, no export that is not defined, and no benchmark phase
-anchored on a function the package no longer calls."""
+that its function never reads, no stored slot or module constant that
+nothing reads, no import that nothing uses, no export that is not defined,
+and no benchmark phase anchored on a function the package no longer calls."""
 
 import ast
 import re
@@ -136,6 +136,34 @@ def test_every_slot_is_read(slot):
         )
 
     assert read_outside(None, is_read), f"{slot} is stored but never read"
+
+
+def module_constants():
+    """`module.NAME` for each module-level UPPER_CASE constant of the package,
+    a leading underscore allowed."""
+    for name, module in TREES.items():
+        for node in module.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"_*[A-Z][A-Z0-9_]*", target.id):
+                    yield f"{name}.{target.id}"
+
+
+@pytest.mark.parametrize("constant", sorted(module_constants()))
+def test_every_module_constant_is_read(constant):
+    module, _, name = constant.partition(".")
+
+    def is_read(node):
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)
+
+    assert read_outside(module_definition(module, name), is_read), f"{constant} is never read"
 
 
 def imported_names(module):

@@ -39,7 +39,7 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import densify, traced_peak, transposed
+from conftest import densify, traced_kept, traced_peak, transposed
 
 
 class TestMatmul:
@@ -391,19 +391,28 @@ def test_spmm_gradient_wrt_dense(rng):
     assert grad_check(f, rng.standard_normal((3, 2))) <= 1e-6
 
 
+def csr_order(adj):
+    """The permutation that puts `adj`'s slots in CSR order, by row and then
+    column, whatever order the structure stores them in."""
+    return np.lexsort((adj.col_indices, adj.rows))
+
+
 def scatter_spmm(adj, values, x):
     """The scatter-add product `spmm` used before its jagged-diagonal tables,
     kept as their bitwise oracle: entries added one at a time, in CSR order,
     into a zeroed output."""
+    csr = csr_order(adj)
     out = np.zeros((adj.n, x.shape[1]))
-    np.add.at(out, adj.rows, values * x[adj.col_indices])
+    np.add.at(out, adj.rows[csr], values[csr] * x[adj.col_indices[csr]])
     return out
 
 
 def scatter_spmm_grad_x(adj, values, g):
-    """The x-gradient of `scatter_spmm` by the same scatter-add."""
+    """The x-gradient of `scatter_spmm` by the same scatter-add over the
+    slots in CSR order, so each column adds its terms in row order."""
+    csr = csr_order(adj)
     gx = np.zeros((adj.n, g.shape[1]))
-    np.add.at(gx, adj.col_indices, values * g[adj.rows])
+    np.add.at(gx, adj.col_indices[csr], values[csr] * g[adj.rows[csr]])
     return gx
 
 
@@ -547,7 +556,8 @@ def test_spmm_bitwise_equals_scatter_add(rng, monkeypatch, structure, window, li
 
 @pytest.mark.parametrize("chunk", [1, 7, 10_000], ids=["chunk1", "chunk7", "one-chunk"])
 def test_spmm_value_gradient_across_chunks(rng, monkeypatch, chunk):
-    monkeypatch.setattr(numerics, "SPMM_GRAD_CHUNK_ENTRIES", chunk)
+    # the value gradient walks a window's worth of slots at a time
+    monkeypatch.setattr(numerics, "JDS_WINDOW_ROWS", chunk)
     adj = SPMM_STRUCTURES["hub-row"](rng)
     values = rng.standard_normal((value_count(adj), 1))
     x0 = spread_values(rng, (adj.n, 32))
@@ -558,32 +568,55 @@ def test_spmm_value_gradient_across_chunks(rng, monkeypatch, chunk):
     assert np.array_equal(v.grad, column_grad(adj, g, x0))
 
 
-def test_with_values_shares_the_tables(monkeypatch, rng):
+def test_with_values_shares_the_tables(rng):
+    # every copy carries new values on the same table arrays and windows
     adj = random_structure(rng, 30, 0.3)
-    table = adj._by_row
-
-    def rebuilt(*_):
-        raise AssertionError("jagged-diagonal table rebuilt")
-
-    monkeypatch.setattr(numerics, "_JaggedDiagonals", rebuilt)
     tape = Tape()
     for values in (np.ones(value_count(adj)), tape.leaf(np.ones((value_count(adj), 1)))):
         other = adj.with_values(values)
-        assert other._by_row is table
+        for name in ("rows", "col_indices", "entry_source", "inverse", "windows"):
+            assert getattr(other, name) is getattr(adj, name), name
+        assert other.window_rows == adj.window_rows
         spmm(other, tape.constant(np.ones((30, 2))))
 
 
-def lexsort_structure(n, edges):
-    """(rows, col_indices, entry_source, jagged-diagonal table) of A + I,
-    ordered by `np.lexsort` on (row, column): the CSR order by definition."""
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    e, nodes = len(pairs), np.arange(n)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1], nodes])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0], nodes])
-    order = np.lexsort((cols, rows))
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    source = np.concatenate([np.arange(e), np.arange(e), e + nodes])[order]
-    return rows[order], cols[order], source, numerics._JaggedDiagonals(offsets, cols[order])
+def loop_structure(n, edges, window):
+    """(rows, col_indices, entry_source, inverse, windows) of A + I in the
+    table order `SparseAdjacency` stores, built row by row in Python: each
+    row's slots sorted by column, each window's rows ranked by decreasing
+    slot count (ties by row), diagonal k the k-th slot of every ranked row
+    longer than k, and each group the longest run of consecutive diagonals
+    of at most `window` slots."""
+    e = len(edges)
+    by_row = [[(i, e + i)] for i in range(n)]  # (column, source), diagonal first
+    for j, (a, b) in enumerate(edges.tolist()):
+        by_row[a].append((b, j))
+        by_row[b].append((a, j))
+    for row in by_row:
+        row.sort()
+    rows, cols, source, inverse, windows = [], [], [], [0] * n, []
+    for first in range(0, n, window):
+        end = min(first + window, n)
+        ranked = sorted(range(first, end), key=lambda i: -len(by_row[i]))
+        for rank, i in enumerate(ranked):
+            inverse[i] = rank
+        lo, lengths = len(rows), []
+        for k in range(len(by_row[ranked[0]])):
+            longer = [i for i in ranked if len(by_row[i]) > k]
+            lengths.append(len(longer))
+            for i in longer:
+                rows.append(i)
+                cols.append(by_row[i][k][0])
+                source.append(by_row[i][k][1])
+        groups = []
+        while lengths:
+            take = 1
+            while take < len(lengths) and sum(lengths[: take + 1]) <= window:
+                take += 1
+            groups.append((lo, lo + sum(lengths[:take]), lengths[:take]))
+            lo, lengths = lo + sum(lengths[:take]), lengths[take:]
+        windows.append((first, end, groups))
+    return rows, cols, source, inverse, windows
 
 
 def shuffled(rng, edges):
@@ -604,21 +637,23 @@ CSR_GRAPHS = {
 
 
 @pytest.mark.parametrize("graph", list(CSR_GRAPHS))
-def test_csr_order_is_lexsort_order(rng, graph):
-    for _ in range(5):
-        n, edges = CSR_GRAPHS[graph](rng)
-        edges = shuffled(rng, edges)
-        adj = SparseAdjacency(n, edges)
-        rows, cols, source, table = lexsort_structure(n, edges)
-        assert np.array_equal(adj.rows, rows)
-        assert np.array_equal(adj.col_indices, cols)
-        assert np.array_equal(adj.entry_source, source)
-        for name in table.__slots__:
-            mine, theirs = getattr(adj._by_row, name), getattr(table, name)
-            if isinstance(theirs, np.ndarray):
-                assert np.array_equal(mine, theirs), name
-            else:  # the windows' row ranges and groups, plain Python values
-                assert mine == theirs, name
+def test_csr_order_is_lexsort_order(rng, monkeypatch, graph):
+    # the stored table, whose rows each keep their slots in CSR order,
+    # against `loop_structure`, at the default window and at windows of 1,
+    # 3 and 7 rows
+    for window in (numerics.JDS_WINDOW_ROWS, 1, 3, 7):
+        monkeypatch.setattr(numerics, "JDS_WINDOW_ROWS", window)
+        for _ in range(5):
+            n, edges = CSR_GRAPHS[graph](rng)
+            edges = shuffled(rng, edges)
+            adj = SparseAdjacency(n, edges)
+            rows, cols, source, inverse, windows = loop_structure(n, edges, window)
+            assert np.array_equal(adj.rows, rows)
+            assert np.array_equal(adj.col_indices, cols)
+            assert np.array_equal(adj.entry_source, source)
+            assert np.array_equal(adj.inverse, inverse)
+            assert adj.windows == windows
+            assert adj.window_rows == window
 
 
 def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
@@ -634,15 +669,14 @@ def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
     # longest row (the hub's, n, in the first), and no gather holds more
     # than a window's rows
     size = numerics.JDS_WINDOW_ROWS
-    table = adj._by_row
-    assert table.entries.size == table.sources.size == adj.nnz
-    assert [(first, end) for first, end, _ in table.windows] == [
+    assert adj.rows.size == adj.entry_source.size == adj.values.size == adj.nnz
+    assert [(first, end) for first, end, _ in adj.windows] == [
         (lo, min(lo + size, n)) for lo in range(0, n, size)
     ]
-    diagonals = [sum(len(counts) for *_, counts in groups) for *_, groups in table.windows]
+    diagonals = [sum(len(counts) for *_, counts in groups) for *_, groups in adj.windows]
     assert diagonals == [int(lengths[lo : lo + size].max()) for lo in range(0, n, size)]
     assert diagonals[0] == degree
-    gathers = [(lo, hi) for *_, groups in table.windows for lo, hi, _ in groups]
+    gathers = [(lo, hi) for *_, groups in adj.windows for lo, hi, _ in groups]
     assert max(hi - lo for lo, hi in gathers) <= size
     assert [lo for lo, _ in gathers[1:]] == [hi for _, hi in gathers[:-1]]
     assert gathers[0][0] == 0 and gathers[-1][1] == adj.nnz
@@ -656,8 +690,11 @@ def test_hub_of_degree_n_minus_1_at_20k_nodes(rng):
 
 
 def test_spmm_holds_two_n_by_h_arrays_and_a_window(rng):
-    # the product's result, a window's sums and one group's gather, besides
-    # the values in table order: no array of one row per stored entry
+    # x and the product's result are the two n x h arrays; the product
+    # allocates the result, a window's sums and one group's gather. It reads
+    # the values in table order, so no array has a row per stored slot.
+    # Besides them, NumPy's ufunc buffer for the broadcast multiply
+    # (`np.getbufsize()` elements) and the op's few Python objects.
     n, h = 20_000, 32
     adj = SparseAdjacency(n, unique_edges(*rng.integers(0, n, size=(2, 3 * n))))
     adj = adj.with_values(rng.uniform(0.1, 1.0, value_count(adj)))
@@ -665,9 +702,19 @@ def test_spmm_holds_two_n_by_h_arrays_and_a_window(rng):
     tape = Tape()
     x = tape.constant(x0)
     y, peak = traced_peak(lambda: spmm(adj, x))
-    floats = 2 * n * h + numerics.JDS_WINDOW_ROWS * h + adj.nnz
-    assert peak < 8 * floats + 65_536
+    floats = n * h + 2 * numerics.JDS_WINDOW_ROWS * h + np.getbufsize()
+    assert peak < 8 * floats + 16_384
     assert np.array_equal(y.value, scatter_spmm(adj, adj.values, x0))
+
+
+def test_structure_keeps_four_words_per_slot(rng):
+    # rows, col_indices, entry_source and the unit values, each one word
+    # per slot in table order, beside the n ranks of `inverse` and the
+    # windows' groups: no second copy of the slots in another order
+    n = 20_000
+    edges = unique_edges(*rng.integers(0, n, size=(2, 3 * n)))
+    adj, kept = traced_kept(lambda: SparseAdjacency(n, edges))
+    assert kept <= 8 * (4 * adj.nnz + 2 * n)
 
 
 EXP_SUM_COLS = {
