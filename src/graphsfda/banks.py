@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-__all__ = ["MemoryBanks", "init_banks", "sharpen", "momentum_update"]
+__all__ = ["MemoryBanks", "init_banks", "sharpen", "momentum_update", "class_sums"]
 
 
 class MemoryBanks:
@@ -66,3 +66,15 @@ def momentum_update(banks: MemoryBanks, z: np.ndarray, p: np.ndarray) -> MemoryB
     new_repr = (1.0 - g) * banks.repr_bank + g * z
     new_pred = (1.0 - g) * banks.pred_bank + g * sharpen(p)
     return MemoryBanks(new_repr, new_pred, g)
+
+
+def class_sums(rows: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """(num_classes, h) sums of the rows of each class, zero for an empty
+    class: row c adds the rows labelled c one at a time, in row order, from
+    0.0. That is the order of a scatter-add (`np.add.at`), and the result is
+    bitwise its result, the sign of a zero included; it sums each class of
+    a boolean mask's copy with one reduction instead."""
+    out = np.empty((num_classes, rows.shape[1]))
+    for c in range(num_classes):
+        np.add.reduce(rows[labels == c], axis=0, initial=0.0, out=out[c])
+    return out

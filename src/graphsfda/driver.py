@@ -18,7 +18,10 @@ predictions p), fills the banks from the arrays
 `z.value` and `p.value` at the start or gives the accuracy at the end of an
 epoch, and the next model step differentiates it; a further model step in
 the same epoch records its own. Edge weights are `apply_structure_delta` of
-the edge-mask array, or of its live leaf in a structure step.
+the edge-mask array, or of its live leaf in a structure step. The banks
+change only in a model step, so an epoch's graph steps read one bank state
+through one `UnitBank`, normalized and checked once, and drop it before the
+next model step.
 After the last epoch the continuous edge mask is sampled once into a keep
 mask, and the final forward pass reads it off the same layout as 0/1 edge
 weights, which equals the forward pass over the refined graph with the
@@ -53,6 +56,7 @@ from .gnn import (
     record_forward,
 )
 from .graph_adaptation import (
+    UnitBank,
     apply_feature_delta,
     apply_structure_delta,
     feature_gd_step,
@@ -184,6 +188,11 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     mask equals the last epoch's edge weights (always so without structure
     steps or with a zero budget) and that epoch's pass is reused. No
     forward tape is kept past the model steps into the graph steps.
+
+    A NumericalError raised in an epoch or in the final pass is raised
+    again with its place appended to its message: the 1-based epoch and the
+    step (model, feature or structure), or the final pass and the epoch it
+    followed.
     """
     if model.input_dim != g.feature_dim:
         raise ContractError(
@@ -218,64 +227,77 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     report = AdaptReport()
     quiet_epochs = 0
     prev = (None, None)
-    for _ in range(cfg.epochs):
-        if neighbors is None:
-            neighbors = layout.neighbors(weights)
+    epoch = 0
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            where = f"at epoch {epoch}, model step"
+            if neighbors is None:
+                neighbors = layout.neighbors(weights)
 
-        loss_m = None
-        for _ in range(cfg.model_steps):
-            recorded = recorded or record_forward(model, adj, x_prime)
-            banks, loss_m = _model_step(recorded, model, opt, neighbors, banks, cfg, batch_rng)
-            recorded = None  # the step changed the model
-        recorded = None  # no forward tape lives on into the graph steps
+            loss_m = None
+            for _ in range(cfg.model_steps):
+                recorded = recorded or record_forward(model, adj, x_prime)
+                banks, loss_m = _model_step(recorded, model, opt, neighbors, banks, cfg, batch_rng)
+                recorded = None  # the step changed the model
+            recorded = None  # no forward tape lives on into the graph steps
 
-        loss_g = None
-        model_params = model.parameters()
-        for _ in range(cfg.feature_steps):
-            tape = Tape()
-            dx = tape.leaf(delta_x)
-            x = apply_feature_delta(tape.constant(x_base), dx)
-            loss_g = _graph_step(tape, model_params, adj, x, banks, cfg)
-            delta_x = feature_gd_step(delta_x, dx.grad, cfg.delta_lr)
+            loss_g = None
+            bank = None  # the epoch's graph steps share one normalized bank state
+            model_params = model.parameters()
+            where = f"at epoch {epoch}, feature step"
+            for _ in range(cfg.feature_steps):
+                tape = Tape()
+                dx = tape.leaf(delta_x)
+                x = apply_feature_delta(tape.constant(x_base), dx)
+                bank = bank or UnitBank(banks)
+                loss_g = _graph_step(tape, model_params, adj, x, bank, cfg)
+                delta_x = feature_gd_step(delta_x, dx.grad, cfg.delta_lr)
 
-        for _ in range(cfg.structure_steps):
-            tape = Tape()
-            da = tape.leaf(delta_a.reshape(-1, 1))
-            adj_live = layout.normalized(apply_structure_delta(da))
-            x = tape.constant(x_base + delta_x)
-            loss_g = _graph_step(tape, model_params, adj_live, x, banks, cfg)
-            delta_a = pgd_step_structure(delta_a, da.grad, cfg.delta_lr, budget)
+            where = f"at epoch {epoch}, structure step"
+            for _ in range(cfg.structure_steps):
+                tape = Tape()
+                da = tape.leaf(delta_a.reshape(-1, 1))
+                adj_live = layout.normalized(apply_structure_delta(da))
+                x = tape.constant(x_base + delta_x)
+                bank = bank or UnitBank(banks)
+                loss_g = _graph_step(tape, model_params, adj_live, x, bank, cfg)
+                delta_a = pgd_step_structure(delta_a, da.grad, cfg.delta_lr, budget)
+            bank = None  # dropped before the next model step moves the banks
 
-        if cfg.structure_steps:
-            weights = apply_structure_delta(delta_a)
-            adj, neighbors = layout.normalized(weights), None
-        x_prime = x_base + delta_x
-        report.loss_model_trace.append(loss_m)
-        report.loss_graph_trace.append(loss_g)
-        if g.labels is not None:
-            # the next epoch's first model step differentiates this pass
-            recorded = record_forward(model, adj, x_prime)
-            pred = np.argmax(recorded[3].value, axis=1)
-            report.accuracy_trace.append(evaluate_accuracy(pred, g.labels))
+            if cfg.structure_steps:
+                weights = apply_structure_delta(delta_a)
+                adj, neighbors = layout.normalized(weights), None
+            x_prime = x_base + delta_x
+            report.loss_model_trace.append(loss_m)
+            report.loss_graph_trace.append(loss_g)
+            if g.labels is not None:
+                # the next epoch's first model step differentiates this pass
+                recorded = record_forward(model, adj, x_prime)
+                pred = np.argmax(recorded[3].value, axis=1)
+                report.accuracy_trace.append(evaluate_accuracy(pred, g.labels))
 
-        delta_m = _trace_delta(prev[0], loss_m)
-        delta_g = _trace_delta(prev[1], loss_g)
-        prev = (loss_m, loss_g)
-        if delta_m < CONVERGENCE_TOL and delta_g < CONVERGENCE_TOL:
-            quiet_epochs += 1
-            if quiet_epochs >= CONVERGENCE_PATIENCE:
-                break
+            delta_m = _trace_delta(prev[0], loss_m)
+            delta_g = _trace_delta(prev[1], loss_g)
+            prev = (loss_m, loss_g)
+            if delta_m < CONVERGENCE_TOL and delta_g < CONVERGENCE_TOL:
+                quiet_epochs += 1
+                if quiet_epochs >= CONVERGENCE_PATIENCE:
+                    break
+            else:
+                quiet_epochs = 0
+
+        where = f"in the final pass after epoch {epoch}"
+        keep = finalize_structure(delta_a, finalize_seed)
+        refined = TargetGraph(n, g.edges[keep], x_prime, g.labels, g.num_classes)
+        if recorded is not None and np.array_equal(keep, weights):
+            # the last pass already read these 0/1 weights, features and model
+            _, final_p = finite_pass(recorded[2].value, recorded[3].value)
         else:
-            quiet_epochs = 0
-
-    keep = finalize_structure(delta_a, finalize_seed)
-    refined = TargetGraph(n, g.edges[keep], x_prime, g.labels, g.num_classes)
-    if recorded is not None and np.array_equal(keep, weights):
-        # the last pass already read these 0/1 weights, features and model
-        _, final_p = finite_pass(recorded[2].value, recorded[3].value)
-    else:
-        recorded = None  # the final prediction reads another adjacency
-        _, final_p = forward(model, layout.normalized(keep.astype(np.float64)), refined.features)
+            recorded = None  # the final prediction reads another adjacency
+            keep_adj = layout.normalized(keep.astype(np.float64))
+            _, final_p = forward(model, keep_adj, refined.features)
+    except NumericalError as exc:
+        raise NumericalError(f"{exc} {where}") from exc
     predictions = np.argmax(final_p, axis=1)
     report.edges_deleted = e - refined.num_edges
     if g.labels is not None:
@@ -315,14 +337,14 @@ def _trace_delta(before, after) -> float:
     return abs(after - before)
 
 
-def _graph_step(tape, model_params, adj, x, banks, cfg: AdaptConfig) -> float:
+def _graph_step(tape, model_params, adj, x, bank, cfg: AdaptConfig) -> float:
     """Record the frozen model's pass over `adj` and `x` on the step's tape,
-    take the graph loss, check that it is finite and backpropagate it into
-    the step's leaf; returns the loss."""
+    take the graph loss against the `UnitBank` `bank`, check that it is
+    finite and backpropagate it into the step's leaf; returns the loss."""
     z, p = forward_on_tape([tape.constant(w) for w in model_params], adj, x)
     conf = select_confident(p.value, cfg.confidence_threshold)
-    positives = knn_positives(z.value, banks, cfg.k_neighbors)
-    l_g = _loss_graph(p, z, banks, conf, positives, cfg.positive_weight, cfg.negative_weight)
+    positives = knn_positives(z.value, bank, cfg.k_neighbors)
+    l_g = _loss_graph(p, z, bank, conf, positives, cfg.positive_weight, cfg.negative_weight)
     loss = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
     backward(tape, l_g)
     return loss

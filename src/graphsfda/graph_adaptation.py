@@ -28,7 +28,9 @@ bank entries come from row blocks of the similarity matrix, so the kNN
 holds KNN_BLOCK_ROWS x n values at a time. On large graphs a block is not
 partitioned whole: the maxima of strided column groups give a threshold
 that no positive falls below, and only the groups that reach it are
-ordered (see `knn_positives`). The negative sum over every
+ordered, each node's candidates on their own (see `knn_positives`). Both
+read a bank state through its `UnitBank`, normalized and checked once for
+every graph step that reads it. The negative sum over every
 differently-labelled bank row collapses onto per-class sums of the
 normalized bank rows, so the contrast is one product of the normalized live
 representations with a constant n x h weight (see `_contrast_weights`).
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .banks import MemoryBanks
+from .banks import MemoryBanks, class_sums
 from .errors import ContractError, NumericalError, ShapeError
 from .numerics import (
     Tensor,
@@ -68,6 +70,7 @@ KNN_MIN_GROUPS = 64
 
 __all__ = [
     "ConfidentSet",
+    "UnitBank",
     "apply_feature_delta",
     "apply_structure_delta",
     "select_confident",
@@ -117,9 +120,37 @@ def select_confident(p, threshold: float) -> ConfidentSet:
     return ConfidentSet(ids, np.argmax(pv[ids], axis=1))
 
 
-def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
+class UnitBank:
+    """One bank state as the graph steps read it: the representation bank
+    with unit rows (`l2_normalize_rows`), checked finite and stored
+    transposed, (h, n), as the kNN's product reads it, and the class of
+    each banked prediction (its argmax) among the bank's `num_classes`.
+
+    `knn_positives` and `loss_graph` take it in place of the `MemoryBanks`
+    it is built from, so the graph steps that read one bank state normalize
+    and check it once; `adapt` builds one per epoch and drops it before the
+    next model step. Given a `MemoryBanks`, each builds its own."""
+
+    __slots__ = ("unit_t", "labels", "num_classes")
+
+    def __init__(self, banks: MemoryBanks):
+        _require_finite(banks.repr_bank, "representation bank")
+        self.unit_t = evaluate(l2_normalize_rows, banks.repr_bank).T.copy()
+        self.labels = np.argmax(banks.pred_bank, axis=1)
+        self.num_classes = banks.pred_bank.shape[1]
+
+    @property
+    def n(self) -> int:
+        return self.unit_t.shape[1]
+
+
+def _unit_bank(banks) -> UnitBank:
+    return banks if isinstance(banks, UnitBank) else UnitBank(banks)
+
+
+def knn_positives(z, banks, k: int) -> np.ndarray:
     """Top-k cosine-similar bank rows per node, self excluded, ties to the
-    lower index.
+    lower index. `banks` is a `MemoryBanks` or its `UnitBank`.
 
     Works through KNN_BLOCK_ROWS rows of the similarity matrix at a time.
     The n columns fall into w = n // KNN_GROUP_SIZE strided groups: group j
@@ -127,11 +158,14 @@ def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
     maximum. The k largest maxima are k distinct entries, so the k-th
     largest group maximum is at most the k-th largest entry: it is a
     threshold that keeps every positive and every tie at the k-th place.
-    Only the entries of groups whose maximum reaches it are gathered and
-    ordered, by (-similarity, index). That is the order of a stable
-    descending sort of the whole row. With fewer than KNN_MIN_GROUPS groups
-    (or fewer than k, or than KNN_GROUP_SIZE) each column is its own group
-    and the partition runs on the whole row.
+    Only the entries of groups whose maximum reaches it are gathered, laid
+    out one row per node (padded with similarity -inf and column n), and
+    each row is ordered on its own by (-similarity, column). That is the
+    order of a stable descending sort of the whole row. The column is a
+    key because a row's entries from several groups are not in column
+    order. With fewer than KNN_MIN_GROUPS groups (or fewer than k, or than
+    KNN_GROUP_SIZE) each column is its own group and the partition runs on
+    the whole row.
 
     A non-finite entry in `z` or in the representation bank raises
     NumericalError: the row would have no defined order."""
@@ -139,8 +173,8 @@ def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
     n = banks.n
     if not (1 <= k < n):
         raise ContractError(f"k must lie in [1, {n}), got {k}")
-    _require_finite(zv, "z")
-    _require_finite(banks.repr_bank, "representation bank")
+    _require_finite(zv, "kNN positives: z")
+    bnt = _unit_bank(banks).unit_t
     size = KNN_GROUP_SIZE
     width = n // size  # groups; column c is in group c % width
     if width < max(KNN_MIN_GROUPS, size, k):
@@ -148,11 +182,11 @@ def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
     tail = n - size * width  # < width: the first `tail` groups hold one more column
     spread = width * np.arange(size + 1)  # group j's columns are j + spread below n
     an = evaluate(l2_normalize_rows, zv)
-    bnt = evaluate(l2_normalize_rows, banks.repr_bank).T.copy()
     out = np.empty((an.shape[0], k), dtype=np.int64)
     for start in range(0, an.shape[0], KNN_BLOCK_ROWS):
         sims = an[start : start + KNN_BLOCK_ROWS] @ bnt
-        own = np.arange(start, min(start + sims.shape[0], n))
+        m = sims.shape[0]
+        own = np.arange(start, min(start + m, n))
         sims[own - start, own] = -np.inf
         maxima = sims
         if size > 1:
@@ -165,20 +199,25 @@ def knn_positives(z, banks: MemoryBanks, k: int) -> np.ndarray:
             cols = cols[:, None] + spread
             keep = (cols < n) & (sims[rows[:, None], np.minimum(cols, n - 1)] >= kth[rows, None])
             rows, cols = np.broadcast_to(rows[:, None], cols.shape)[keep], cols[keep]
-        order = np.lexsort((cols, -sims[rows, cols], rows))
-        first = np.searchsorted(rows, np.arange(sims.shape[0]))
-        out[start : start + sims.shape[0]] = cols[order][first[:, None] + np.arange(k)]
+        counts = np.bincount(rows, minlength=m)
+        place = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        neg_sims = np.full((m, counts.max()), np.inf)
+        columns = np.full(neg_sims.shape, n)
+        neg_sims[rows, place] = -sims[rows, cols]
+        columns[rows, place] = cols
+        order = np.lexsort((columns, neg_sims), axis=1)[:, :k]
+        out[start : start + m] = np.take_along_axis(columns, order, axis=1)
     return out
 
 
 def _require_finite(x: np.ndarray, name: str) -> None:
     if not np.isfinite(x).all():
         row = int(np.argmin(np.isfinite(x).all(axis=1)))
-        raise NumericalError(f"kNN positives: {name} has a non-finite entry in row {row}")
+        raise NumericalError(f"{name} has a non-finite entry in row {row}")
 
 
 def _contrast_weights(
-    p: np.ndarray, banks: MemoryBanks, positives: np.ndarray, alpha: float, beta: float
+    p: np.ndarray, bank: UnitBank, positives: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
     """Constant weight W with contrast = sum_i normalize(z_i) . W_i.
 
@@ -190,21 +229,18 @@ def _contrast_weights(
 
     which equals -alpha times the positive cosines plus beta times the
     cosines over the negatives, summed, without listing a negative."""
-    bn = evaluate(l2_normalize_rows, banks.repr_bank)
+    bn = bank.unit_t.T
     own = np.argmax(p, axis=1)
-    banked = np.argmax(banks.pred_bank, axis=1)
-    class_sums = np.zeros((max(p.shape[1], banks.pred_bank.shape[1]), bn.shape[1]))
-    np.add.at(class_sums, banked, bn)
+    banked = bank.labels
+    sums = class_sums(bn, banked, max(p.shape[1], bank.num_classes))
     coef = alpha + beta * (banked[positives] != own[:, None])
-    return beta * (class_sums.sum(axis=0) - class_sums[own]) - np.einsum(
-        "ik,ikh->ih", coef, bn[positives]
-    )
+    return beta * (sums.sum(axis=0) - sums[own]) - np.einsum("ik,ikh->ih", coef, bn[positives])
 
 
 def loss_graph(
     p: Tensor,
     z: Tensor,
-    banks: MemoryBanks,
+    banks,
     conf: ConfidentSet,
     positives: np.ndarray,
     alpha: float,
@@ -214,13 +250,14 @@ def loss_graph(
 
     The contrast terms are raw cosine sums against frozen bank rows: the
     positive sum is subtracted (weight alpha), the negative sum added
-    (weight beta). The positives are the (n, k) bank row indices of
-    `knn_positives`; the negatives are every bank row whose banked argmax
-    differs from the node's live argmax, minus the node's positives. Both
-    are recorded as one product of the normalized live representations
-    with the constant `_contrast_weights`. The negatives depend on p only
-    through its argmax, which carries no gradient. An empty confident set
-    contributes zero cross-entropy.
+    (weight beta). `banks` is a `MemoryBanks` or its `UnitBank`. The
+    positives are the (n, k) bank row indices of `knn_positives`; the
+    negatives are every bank row whose banked argmax differs from the
+    node's live argmax, minus the node's positives. Both are recorded as
+    one product of the normalized live representations with the constant
+    `_contrast_weights`. The negatives depend on p only through its argmax,
+    which carries no gradient. An empty confident set contributes zero
+    cross-entropy.
     """
     if not (0.0 <= alpha < np.inf and 0.0 <= beta < np.inf):  # NaN fails too
         raise ContractError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
@@ -228,7 +265,7 @@ def loss_graph(
         pv = p.value
     except AttributeError:
         raise ContractError("loss_graph needs p recorded on a tape") from None
-    weights = _contrast_weights(pv, banks, positives, alpha, beta)
+    weights = _contrast_weights(pv, _unit_bank(banks), positives, alpha, beta)
     total = sum_all(mul(l2_normalize_rows(z), z.tape.constant(weights)))
     if len(conf):
         picked = select_cols(gather_rows(p, conf.node_ids), conf.labels)

@@ -12,9 +12,9 @@ features are one read-only, finite float64 (n, d) array, checked where a
 graph is built, so no NaN enters the program through a graph. Every sparse
 matrix over a graph is its one `AdjacencyLayout` carrying values, and the
 normalized adjacency has one formula and one entry point,
-`AdjacencyLayout.normalized`, written in tape ops: recorded on the tape of
-live edge weights, evaluated for constant ones, which it checks (one per
-edge, each in [0,1]) for every caller.
+`AdjacencyLayout.normalized`, one tape op (`numerics.sym_norm_values`):
+recorded on the tape of live edge weights, evaluated for constant ones,
+which it checks (one per edge, each in [0,1]) for every caller.
 
 The text format is three UTF-8 files sharing a prefix (`.meta`, `.edges`,
 `.feat`) plus an optional `.labels`; floats are written with enough digits
@@ -35,16 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .numerics import (
-    SparseAdjacency,
-    Tensor,
-    concat_rows,
-    evaluate,
-    gather_rows,
-    mul,
-    pow_scalar,
-    segment_sum,
-)
+from .numerics import SparseAdjacency, Tensor, evaluate, sym_norm_values
 
 __all__ = [
     "TargetGraph",
@@ -257,15 +248,8 @@ class AdjacencyLayout:
 
     def _normalized_values(self, w: Tensor) -> Tensor:
         """The ((e + n) x 1) entries of the normalized adjacency, one per edge
-        and then one per node. Each degree sums its self-loop's 1 first,
-        then the edges at u, then the edges at v."""
-        nodes = np.arange(self.n)
-        terms = concat_rows(w.tape.constant(np.ones((self.n, 1))), concat_rows(w, w))
-        deg = segment_sum(terms, np.concatenate([nodes, self.edge_u, self.edge_v]), self.n)
-        s = pow_scalar(deg, -0.5)
-        per_edge = mul(mul(w, gather_rows(s, self.edge_u)), gather_rows(s, self.edge_v))
-        per_diag = mul(s, s)
-        return concat_rows(per_edge, per_diag)
+        and then one per node: one recorded op (`numerics.sym_norm_values`)."""
+        return sym_norm_values(w, self.edge_u, self.edge_v, self.n)
 
     def neighbors(self, edge_weights: np.ndarray) -> SparseAdjacency:
         """0/1 neighbour matrix: 1 on both slots of every edge with positive
@@ -288,14 +272,16 @@ def read_text(path) -> str:
 
 
 # The ASCII separators of `str.split` and `str.splitlines` other than space,
-# tab and newline. NumPy's C reader ends no line at most of them (it splits
+# tab and the line ends. NumPy's C reader ends no line at them (it splits
 # fields there instead), so text holding any takes the per-line path.
-_SPLIT_ONLY_SEPARATORS = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_SPLIT_ONLY_SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _c_read_table(text: str, width: int, dtype):
     """`read_table`'s result for `text`, parsed by NumPy's C reader
-    (`np.loadtxt`), or None where the per-line path must decide.
+    (`np.loadtxt`), or None where the per-line path must decide. `text` is
+    `read_text`'s, read with universal newlines, so each line ends in a
+    line feed alone and no carriage return is left in it.
 
     It declines text that is not ASCII or holds a separator the two readers
     split differently, and any table the C reader refuses or warns about

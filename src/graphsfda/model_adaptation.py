@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .banks import MemoryBanks
+from .banks import MemoryBanks, class_sums
 from .errors import ContractError
 from .numerics import (
     SparseAdjacency,
@@ -83,8 +83,7 @@ def compute_prototypes(labels: np.ndarray, banks: MemoryBanks) -> np.ndarray:
     over the bank's C classes; empty classes get zero."""
     num_classes = banks.pred_bank.shape[1]
     counts = np.bincount(labels, minlength=num_classes)
-    sums = np.zeros((num_classes, banks.repr_bank.shape[1]))
-    np.add.at(sums, labels, banks.repr_bank)
+    sums = class_sums(banks.repr_bank, labels, num_classes)
     return sums / np.where(counts == 0, 1, counts)[:, None]
 
 

@@ -2,9 +2,10 @@
 
 Everything here is float64 and two-dimensional. The tape records exactly the
 primitives a small graph-convolution stack and its losses need: dense and
-sparse products, row softmax, row L2 normalization, gathers, segment sums and
-the usual elementwise operations. No broadcasting beyond the explicit bias
-op, no GPU, no higher-order derivatives.
+sparse products, row softmax, row L2 normalization, gathers, the symmetric
+normalization of edge weights (`sym_norm_values`, one op with a closed-form
+pull) and the usual elementwise operations. No broadcasting beyond the
+explicit bias op, no GPU, no higher-order derivatives.
 
 There is one sparse product, `spmm`, over one sparse type whose values may be
 a recorded tensor: that is how a live edge mask reaches the convolution.
@@ -466,6 +467,47 @@ def spmm(adj: SparseAdjacency, x):
     )
 
 
+def sym_norm_values(w, edge_u, edge_v, n: int):
+    """The ((e + n) x 1) entries of D^-1/2 (A_w + I) D^-1/2 for an (e x 1)
+    column of edge weights on the undirected edges (edge_u, edge_v) of n
+    nodes: w_j / sqrt(d_u d_v) per edge j, then 1 / d_i per node, with d
+    the weighted degree plus one for the self-loop (Kipf & Welling, ICLR
+    2017).
+
+    Each degree sums its self-loop's 1 first, then the weights of the edges
+    at u, then those at v, all in edge order. The pull is written in closed
+    form, yet it performs the float operations of the same formula recorded
+    as generic ops (row concatenations, a segment sum, a -1/2 power, two
+    gathers and three products) in that chain's order, so values and
+    gradients are bitwise the chain's. Every scatter is an `np.bincount`,
+    which adds in index order from 0.0, as `np.add.at` does."""
+    tape = _tape_of(w)
+    if w.shape != (edge_u.size, 1):
+        raise ShapeError(f"sym_norm_values: {w.shape} weights for {edge_u.size} edges")
+    wv = w.value[:, 0]
+    deg = np.bincount(
+        np.concatenate([np.arange(n), edge_u, edge_v]), np.concatenate([np.ones(n), wv, wv]), n
+    )
+    s = deg ** -0.5
+    su, sv = s[edge_u], s[edge_v]
+    scaled = wv * su
+    out = np.concatenate([scaled * sv, s * s])[:, None]
+
+    def pull(g):
+        e = wv.size
+        g_edge, g_diag = g[:e, 0], g[e:, 0]
+        g_s = g_diag * s
+        g_s = g_s + g_s  # the product s * s pulls into both of its operands
+        g_scaled = g_edge * sv
+        g_s = g_s + np.bincount(edge_v, g_edge * scaled, n)
+        g_w = g_scaled * su
+        g_s = g_s + np.bincount(edge_u, g_scaled * wv, n)
+        g_deg = g_s * -0.5 * deg ** -1.5
+        return ((g_w + g_deg[edge_u]) + g_deg[edge_v])[:, None]
+
+    return tape._record(out, [(w.index, pull)])
+
+
 def row_softmax(a):
     """Row-stochastic softmax, stable under per-row max subtraction."""
     tape = _tape_of(a)
@@ -673,12 +715,6 @@ def _exp_block(rows, b, scale, buf):
     return e
 
 
-def pow_scalar(a, p: float):
-    tape = _tape_of(a)
-    av = a.value
-    return tape._record(av ** p, [(a.index, lambda g: g * p * av ** (p - 1.0))])
-
-
 def row_sum(a):
     tape = _tape_of(a)
     k = a.value.shape[1]
@@ -747,28 +783,3 @@ def select_cols(a, col_index):
         return gx
 
     return tape._record(av[rows, idx][:, None], [(a.index, pull)])
-
-
-def segment_sum(a, segment_ids, num_segments: int):
-    """Sum rows of an mxk tensor into `num_segments` buckets."""
-    tape = _tape_of(a)
-    av = a.value
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.shape != (av.shape[0],):
-        raise ShapeError("segment_sum needs one segment id per row")
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ContractError("segment id out of range")
-    out = np.zeros((num_segments, av.shape[1]))
-    np.add.at(out, seg, av)
-    return tape._record(out, [(a.index, lambda g: g[seg])])
-
-
-def concat_rows(a, b):
-    tape = _tape_of(a, b)
-    av, bv = a.value, b.value
-    if av.shape[1] != bv.shape[1]:
-        raise ShapeError(f"concat_rows: widths {av.shape[1]} and {bv.shape[1]} differ")
-    na = av.shape[0]
-    return tape._record(
-        np.concatenate([av, bv], axis=0), [(a.index, lambda g: g[:na]), (b.index, lambda g: g[na:])]
-    )

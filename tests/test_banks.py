@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphsfda.banks import MemoryBanks, init_banks, momentum_update, sharpen
+from graphsfda.banks import MemoryBanks, class_sums, init_banks, momentum_update, sharpen
 from graphsfda.errors import ContractError, ShapeError
 
 
@@ -94,3 +94,20 @@ class TestMomentumUpdate:
                 banks, *arrays(rng.standard_normal((4, 3)), rng.dirichlet(np.ones(3), 4))
             )
         assert np.max(np.abs(banks.pred_bank.sum(axis=1) - 1.0)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "n, h, c", [(7, 4, 5), (300, 32, 3), (2000, 16, 10), (20_000, 32, 10), (20_000, 128, 40)]
+)
+def test_class_sums_bitwise_equal_scatter_add(rng, n, h, c):
+    # row scales spread over about 15 decades, so any change in the order of
+    # a class's sum shows; class 0 holds only -0.0 rows and class c - 1 none
+    labels = rng.integers(0, c - 1, n)
+    rows = rng.standard_normal((n, h)) * rng.lognormal(0.0, 6.0, (n, 1))
+    rows[(labels == 0) | (rng.random(n) < 0.1)] = -0.0
+    expected = np.zeros((c, h))
+    np.add.at(expected, labels, rows)
+    got = class_sums(rows, labels, c)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert not np.signbit(got[[0, c - 1]]).any()  # +0.0, as the scatter-add gives

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphsfda import driver, gnn
+from graphsfda import driver, gnn, graph_adaptation
 from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy, export_embeddings
 from graphsfda.errors import ContractError, NumericalError
 from graphsfda.gnn import forward, init_model, predict, pretrain_source
 from graphsfda.graph_store import AdjacencyLayout, ShiftSpec, make_shift_pair, split_nodes
+from graphsfda.numerics import l2_normalize_rows
 
 from conftest import adjacency, random_graph
 
@@ -229,6 +230,85 @@ class TestInvariantsAndReport:
         empty = TargetGraph(0, [], np.zeros((0, 8)), None, 3)
         with pytest.raises(NumericalError, match="weighted cross-entropy"):
             adapt(init_model(8, 8, 3, 2, seed=0), empty, quick_cfg(batch_size=batch_size))
+
+
+# step: the driver function patched, how its call at the chosen epoch
+# overflows, and the term the message keeps
+LOCATED_OVERFLOWS = {
+    "model step": (
+        "loss_instance_prototype",
+        lambda f, z, centroids, labels, tau, **kw: f(z, centroids, labels, 1e-300, **kw),
+        "instance-prototype contrast",
+    ),
+    "feature step": (
+        "feature_gd_step",
+        lambda f, delta, grad, step: f(delta, grad * 1e300, 1e300),
+        "feature step has non-finite entry",
+    ),
+    "structure step": (
+        "pgd_step_structure",
+        lambda f, delta, grad, step, budget: f(delta, grad * 1e300, 1e300, budget),
+        "edge mask step has non-finite entry",
+    ),
+    "final pass": (
+        "forward",
+        lambda f, model, adj, x: f(model, adj, x * 1e308),
+        "forward pass gives a non-finite",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("step", list(LOCATED_OVERFLOWS))
+def test_numerical_error_names_epoch_and_step(fixture_pair, monkeypatch, step):
+    name, overflow, term = LOCATED_OVERFLOWS[step]
+    original = getattr(driver, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(name)  # one call per epoch, or one final pass
+        if len(calls) == 2 or step == "final pass":
+            return overflow(original, *args, **kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(driver, name, patched)
+    model, tgt = fixture_pair
+    where = "in the final pass after epoch 3" if step == "final pass" else f"at epoch 2, {step}"
+    with pytest.raises(NumericalError, match=f"{term}.* {where}$"):
+        adapt(model, tgt, quick_cfg(epochs=3))
+
+
+def test_each_bank_state_is_normalized_and_checked_once(fixture_pair, monkeypatch):
+    # the two kNN calls and two contrast weights of an epoch read one bank
+    # state; the bank is normalized and checked finite once for all four
+    states, normalized, checked = [], [], []
+    update, evaluate, require_finite = (
+        driver.momentum_update, graph_adaptation.evaluate, graph_adaptation._require_finite
+    )
+
+    def spy_update(*args):
+        banks = update(*args)
+        states.append(banks.repr_bank)
+        return banks
+
+    def spy_evaluate(f, *values):
+        if f is l2_normalize_rows:
+            normalized.append(values[0])
+        return evaluate(f, *values)
+
+    def spy_require_finite(x, name):
+        checked.append(x)
+        return require_finite(x, name)
+
+    monkeypatch.setattr(driver, "momentum_update", spy_update)
+    monkeypatch.setattr(graph_adaptation, "evaluate", spy_evaluate)
+    monkeypatch.setattr(graph_adaptation, "_require_finite", spy_require_finite)
+    model, tgt = fixture_pair
+    adapt(model, tgt, quick_cfg(epochs=3, feature_steps=1, structure_steps=1))
+    assert len(states) == 3
+    for state in states:
+        assert sum(a is state for a in normalized) == 1
+        assert sum(a is state for a in checked) == 1
 
 
 class TestUnlabelledAndBatchModes:

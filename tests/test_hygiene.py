@@ -2,7 +2,8 @@
 that nothing reads or that README's config table leaves out, no parameter
 that its function never reads, no stored slot or module constant that
 nothing reads, no import that nothing uses, no export that is not defined,
-and no benchmark phase anchored on a function the package no longer calls."""
+no function or method that nothing refers to unless it is exported, and no
+benchmark phase anchored on a function the package no longer calls."""
 
 import ast
 import re
@@ -269,3 +270,43 @@ def test_every_benchmark_phase_anchor_is_a_called_function(anchor):
         return isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
 
     assert read_outside(definition, is_read), f"nothing in the package calls {anchor}"
+
+
+EXPORTED = set().union(*(exported_names(tree) for tree in TREES.values()))
+
+
+def package_functions():
+    """`module.name` of each top-level function and `module.Class.name` of
+    each method of the package, with its definition. Dunder methods, which
+    Python calls by protocol, and names some module exports in `__all__`,
+    which are public API, are left out."""
+    for name, module in TREES.items():
+        for node in module.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{name}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name):
+                        yield f"{name}.{node.name}.{item.name}", item
+
+
+FUNCTIONS = {
+    qualified: node
+    for qualified, node in package_functions()
+    if qualified.rpartition(".")[2] not in EXPORTED
+}
+
+
+@pytest.mark.parametrize("function", sorted(FUNCTIONS))
+def test_every_function_is_referenced(function):
+    name = function.rpartition(".")[2]
+
+    def is_read(node):
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute):
+            return node.attr == name and isinstance(node.ctx, ast.Load)
+        # `from .m import f as _f` refers to f; uses of _f are Name loads
+        return isinstance(node, ast.alias) and node.asname is not None and node.name == name
+
+    assert read_outside(FUNCTIONS[function], is_read), f"nothing in the package refers to {function}"

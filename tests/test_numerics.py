@@ -6,15 +6,15 @@ import pytest
 
 from graphsfda import numerics
 from graphsfda.errors import ContractError, ShapeError
-from graphsfda.graph_store import AdjacencyLayout
+from graphsfda.graph_store import AdjacencyLayout, ShiftSpec, make_shift_pair
 from graphsfda.numerics import (
     SparseAdjacency,
     Tape,
+    _tape_of,
     add,
     add_bias,
     add_scalar,
     backward,
-    concat_rows,
     evaluate,
     exp,
     exp_sum_others,
@@ -28,18 +28,59 @@ from graphsfda.numerics import (
     mul,
     mul_scalar,
     neg,
-    pow_scalar,
     relu,
     row_softmax,
     row_sum,
-    segment_sum,
     select_cols,
     spmm,
     sub,
     sum_all,
+    sym_norm_values,
 )
 
 from conftest import densify, traced_kept, traced_peak, transposed
+
+
+# The normalization written as a chain of generic tape ops,
+# `chain_normalized_values`, is the bitwise oracle of `sym_norm_values`; the
+# package needs none of these three ops, so they live here.
+
+
+def pow_scalar(a, p: float):
+    tape = _tape_of(a)
+    av = a.value
+    return tape._record(av ** p, [(a.index, lambda g: g * p * av ** (p - 1.0))])
+
+
+def segment_sum(a, segment_ids, num_segments: int):
+    """Sum rows of an mxk tensor into `num_segments` buckets."""
+    tape = _tape_of(a)
+    av = a.value
+    seg = np.asarray(segment_ids, dtype=np.int64)
+    out = np.zeros((num_segments, av.shape[1]))
+    np.add.at(out, seg, av)
+    return tape._record(out, [(a.index, lambda g: g[seg])])
+
+
+def concat_rows(a, b):
+    tape = _tape_of(a, b)
+    av, bv = a.value, b.value
+    na = av.shape[0]
+    return tape._record(
+        np.concatenate([av, bv], axis=0), [(a.index, lambda g: g[:na]), (b.index, lambda g: g[na:])]
+    )
+
+
+def chain_normalized_values(w, edge_u, edge_v, n):
+    """The normalized adjacency's entries, one per edge and then one per
+    node, recorded as a chain of ten generic ops."""
+    nodes = np.arange(n)
+    terms = concat_rows(w.tape.constant(np.ones((n, 1))), concat_rows(w, w))
+    deg = segment_sum(terms, np.concatenate([nodes, edge_u, edge_v]), n)
+    s = pow_scalar(deg, -0.5)
+    per_edge = mul(mul(w, gather_rows(s, edge_u)), gather_rows(s, edge_v))
+    per_diag = mul(s, s)
+    return concat_rows(per_edge, per_diag)
 
 
 class TestMatmul:
@@ -289,6 +330,7 @@ OPS = {
     "gather_rows": (lambda a: gather_rows(a, np.array([1, 0])), [(2, 2)]),
     "select_cols": (lambda a: select_cols(a, np.array([1, 0])), [(2, 2)]),
     "segment_sum": (lambda a: segment_sum(a, np.array([0, 0]), 1), [(2, 2)]),
+    "sym_norm_values": (lambda w: sym_norm_values(w, np.array([0]), np.array([1]), 2), [(1, 1)]),
 }
 
 
@@ -389,6 +431,42 @@ def test_spmm_gradient_wrt_dense(rng):
         return mean_all(mul(y, y))
 
     assert grad_check(f, rng.standard_normal((3, 2))) <= 1e-6
+
+
+@pytest.mark.parametrize("seed, nodes_per_class", [(0, 100), (1, 200), (2, 400)])
+def test_sym_norm_values_bitwise_equals_the_chain(rng, seed, nodes_per_class):
+    # a ShiftSpec target with a quarter of its edges at weight 0 and one
+    # more node, which no edge meets
+    _, g = make_shift_pair(ShiftSpec(nodes_per_class=nodes_per_class, edge_noise=0.3, seed=seed))
+    n, e = g.n + 1, g.num_edges
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    w0 = rng.uniform(0.0, 1.0, (e, 1)) * (rng.random((e, 1)) >= 0.25)
+    upstream = spread_values(rng, (e + n, 1))
+    results = []
+    for op in (sym_norm_values, chain_normalized_values):
+        tape = Tape()
+        w = tape.leaf(w0)
+        out = op(w, u, v, n)
+        backward(tape, sum_all(mul(out, tape.constant(upstream))))
+        results.append((out.value, w.grad))
+    (values, grad), (chain_values, chain_grad) = results
+    assert np.array_equal(values, chain_values)
+    assert np.array_equal(grad, chain_grad)
+    assert np.array_equal(np.signbit(grad), np.signbit(chain_grad))
+    assert values[-1, 0] == 1.0  # the isolated node keeps its unit self-loop
+
+
+def test_sym_norm_values_gradient(rng):
+    edges = random_edges(rng, 12, 0.3, isolated=2)
+    u, v = edges[:, 0], edges[:, 1]
+    c = rng.standard_normal((len(edges) + 12, 1))
+
+    def f(w):
+        return sum_all(mul(sym_norm_values(w, u, v, 12), w.tape.constant(c)))
+
+    assert grad_check(f, rng.uniform(0.2, 1.0, (len(edges), 1))) <= 1e-6
+    with pytest.raises(ShapeError, match="weights for"):
+        evaluate(lambda w: sym_norm_values(w, u, v, 12), np.ones((len(edges) + 1, 1)))
 
 
 def csr_order(adj):
