@@ -27,7 +27,7 @@ class MemoryBanks:
         if repr_bank.shape[0] != pred_bank.shape[0]:
             raise ShapeError("banks must be row-aligned")
         row_sums = pred_bank.sum(axis=1)
-        if pred_bank.size and np.max(np.abs(row_sums - 1.0)) > 1e-6:
+        if not np.all(np.abs(row_sums - 1.0) <= 1e-6):  # NaN fails too
             raise ContractError("prediction bank rows must sum to 1")
         self.repr_bank = repr_bank
         self.pred_bank = pred_bank

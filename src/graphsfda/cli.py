@@ -124,8 +124,6 @@ def _check_type(key: str, value, default) -> None:
     if default is None or isinstance(default, str):
         ok = isinstance(value, str) or (default is None and value is None)
         kind = "a path string"
-    elif isinstance(default, bool):
-        ok, kind = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     else:

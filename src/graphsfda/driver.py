@@ -189,10 +189,11 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     steps or with a zero budget) and that epoch's pass is reused. No
     forward tape is kept past the model steps into the graph steps.
 
-    A NumericalError raised in an epoch or in the final pass is raised
-    again with its place appended to its message: the 1-based epoch and the
-    step (model, feature or structure), or the final pass and the epoch it
-    followed.
+    The first pass, which fills the banks, is checked finite. A
+    NumericalError raised there, in an epoch or in the final pass is raised
+    again with its place appended to its message: the first pass, the
+    1-based epoch and the step (model, feature or structure), or the final
+    pass and the epoch it followed.
     """
     if model.input_dim != g.feature_dim:
         raise ContractError(
@@ -216,7 +217,6 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     # no local name keeps the pass's z or p: a held tensor pins its value
     # (not its tape, which it refers to weakly) past `recorded = None`
     recorded = record_forward(model, adj, x_prime)
-    banks = init_banks(recorded[2].value, recorded[3].value, cfg.bank_momentum)
     opt = AdamState([p.shape for p in model.parameters()], cfg.model_lr)
 
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -228,7 +228,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     quiet_epochs = 0
     prev = (None, None)
     epoch = 0
+    where = "in the first pass"
     try:
+        banks = init_banks(*finite_pass(recorded[2].value, recorded[3].value), cfg.bank_momentum)
         for epoch in range(1, cfg.epochs + 1):
             where = f"at epoch {epoch}, model step"
             if neighbors is None:
@@ -252,13 +254,14 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
                 bank = bank or UnitBank(banks)
                 loss_g = _graph_step(tape, model_params, adj, x, bank, cfg)
                 delta_x = feature_gd_step(delta_x, dx.grad, cfg.delta_lr)
+            x_prime = x_base + delta_x
 
             where = f"at epoch {epoch}, structure step"
             for _ in range(cfg.structure_steps):
                 tape = Tape()
                 da = tape.leaf(delta_a.reshape(-1, 1))
                 adj_live = layout.normalized(apply_structure_delta(da))
-                x = tape.constant(x_base + delta_x)
+                x = tape.constant(x_prime)
                 bank = bank or UnitBank(banks)
                 loss_g = _graph_step(tape, model_params, adj_live, x, bank, cfg)
                 delta_a = pgd_step_structure(delta_a, da.grad, cfg.delta_lr, budget)
@@ -267,7 +270,6 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             if cfg.structure_steps:
                 weights = apply_structure_delta(delta_a)
                 adj, neighbors = layout.normalized(weights), None
-            x_prime = x_base + delta_x
             report.loss_model_trace.append(loss_m)
             report.loss_graph_trace.append(loss_g)
             if g.labels is not None:

@@ -129,7 +129,7 @@ class UnitBank:
     `knn_positives` and `loss_graph` take it in place of the `MemoryBanks`
     it is built from, so the graph steps that read one bank state normalize
     and check it once; `adapt` builds one per epoch and drops it before the
-    next model step. Given a `MemoryBanks`, each builds its own."""
+    next model step."""
 
     __slots__ = ("unit_t", "labels", "num_classes")
 
@@ -144,13 +144,10 @@ class UnitBank:
         return self.unit_t.shape[1]
 
 
-def _unit_bank(banks) -> UnitBank:
-    return banks if isinstance(banks, UnitBank) else UnitBank(banks)
-
-
-def knn_positives(z, banks, k: int) -> np.ndarray:
-    """Top-k cosine-similar bank rows per node, self excluded, ties to the
-    lower index. `banks` is a `MemoryBanks` or its `UnitBank`.
+def knn_positives(z, bank: UnitBank, k: int) -> np.ndarray:
+    """Top-k cosine-similar rows of `bank` per node, self excluded, ties to
+    the lower index. Row i of `z` is node i, whose own bank row is i, so `z`
+    must have the bank's shape, (n, h); else ShapeError.
 
     Works through KNN_BLOCK_ROWS rows of the similarity matrix at a time.
     The n columns fall into w = n // KNN_GROUP_SIZE strided groups: group j
@@ -170,11 +167,12 @@ def knn_positives(z, banks, k: int) -> np.ndarray:
     A non-finite entry in `z` or in the representation bank raises
     NumericalError: the row would have no defined order."""
     zv = np.asarray(z, dtype=np.float64)
-    n = banks.n
+    bnt, n = bank.unit_t, bank.n
     if not (1 <= k < n):
         raise ContractError(f"k must lie in [1, {n}), got {k}")
+    if zv.shape != bnt.shape[::-1]:
+        raise ShapeError(f"kNN positives: z {zv.shape} vs bank {bnt.shape[::-1]}")
     _require_finite(zv, "kNN positives: z")
-    bnt = _unit_bank(banks).unit_t
     size = KNN_GROUP_SIZE
     width = n // size  # groups; column c is in group c % width
     if width < max(KNN_MIN_GROUPS, size, k):
@@ -240,7 +238,7 @@ def _contrast_weights(
 def loss_graph(
     p: Tensor,
     z: Tensor,
-    banks,
+    bank: UnitBank,
     conf: ConfidentSet,
     positives: np.ndarray,
     alpha: float,
@@ -250,14 +248,13 @@ def loss_graph(
 
     The contrast terms are raw cosine sums against frozen bank rows: the
     positive sum is subtracted (weight alpha), the negative sum added
-    (weight beta). `banks` is a `MemoryBanks` or its `UnitBank`. The
-    positives are the (n, k) bank row indices of `knn_positives`; the
-    negatives are every bank row whose banked argmax differs from the
-    node's live argmax, minus the node's positives. Both are recorded as
-    one product of the normalized live representations with the constant
-    `_contrast_weights`. The negatives depend on p only through its argmax,
-    which carries no gradient. An empty confident set contributes zero
-    cross-entropy.
+    (weight beta). The positives are the (n, k) bank row indices of
+    `knn_positives`; the negatives are every bank row whose banked argmax
+    differs from the node's live argmax, minus the node's positives. Both
+    are recorded as one product of the normalized live representations with
+    the constant `_contrast_weights`. The negatives depend on p only through
+    its argmax, which carries no gradient. An empty confident set
+    contributes zero cross-entropy.
     """
     if not (0.0 <= alpha < np.inf and 0.0 <= beta < np.inf):  # NaN fails too
         raise ContractError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
@@ -265,7 +262,7 @@ def loss_graph(
         pv = p.value
     except AttributeError:
         raise ContractError("loss_graph needs p recorded on a tape") from None
-    weights = _contrast_weights(pv, _unit_bank(banks), positives, alpha, beta)
+    weights = _contrast_weights(pv, bank, positives, alpha, beta)
     total = sum_all(mul(l2_normalize_rows(z), z.tape.constant(weights)))
     if len(conf):
         picked = select_cols(gather_rows(p, conf.node_ids), conf.labels)

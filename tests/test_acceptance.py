@@ -13,6 +13,7 @@ from graphsfda.banks import MemoryBanks, init_banks, momentum_update, sharpen
 from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy
 from graphsfda.gnn import forward, forward_on_tape, init_model, predict, pretrain_source
 from graphsfda.graph_adaptation import (
+    UnitBank,
     apply_feature_delta,
     apply_structure_delta,
     finalize_structure,
@@ -68,7 +69,7 @@ def test_criterion_1_gradient_fidelity():
         pl = neighborhood_pseudo_labels(layout.neighbors(weights), banks)
         protos = compute_prototypes(pl, banks)
         conf = select_confident(p0, 0.5)
-        positives = knn_positives(z0, banks, 5)
+        positives = knn_positives(z0, UnitBank(banks), 5)
         params = model.parameters()
 
         def model_loss(z, p):
@@ -80,7 +81,7 @@ def test_criterion_1_gradient_fidelity():
             )
 
         def graph_loss(z, p):
-            return loss_graph(p, z, banks, conf, positives, 0.5, 0.5)
+            return loss_graph(p, z, UnitBank(banks), conf, positives, 0.5, 0.5)
 
         for loss_fn in (model_loss, graph_loss):
             # wrt model parameters (extractor and classifier together)

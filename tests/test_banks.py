@@ -49,6 +49,16 @@ class TestInitBanks:
             init_banks(*arrays([[1.0]], [[1.0]]), 1.5)
 
 
+class TestMemoryBanks:
+    # a NaN sum compares False with any bound, so the check must fail on it
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [np.inf, 0.5]])
+    def test_non_finite_prediction_row_rejected(self, row):
+        pred = np.full((3, 2), 0.5)
+        pred[1] = row
+        with pytest.raises(ContractError, match="must sum to 1"):
+            MemoryBanks(np.zeros((3, 2)), pred, 0.9)
+
+
 class TestMomentumUpdate:
     def test_full_replacement(self):
         banks = init_banks(*arrays([[1.0, 0.0]], [[1.0, 0.0]]), 1.0)

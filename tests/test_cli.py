@@ -370,6 +370,10 @@ EXIT_CASES = {
     "epochs-string": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, epochs="3")]),
     "epochs-fraction": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, epochs=2.5)]),
     "model-lr-string": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr="x")]),
+    # JSON true is no integer, number or path
+    "epochs-true": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, epochs=True)]),
+    "model-lr-true": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, model_lr=True)]),
+    "checkpoint-true": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp, checkpoint=True)]),
     "epochs-flag-negative": (2, lambda ws, tmp: ["adapt", *_config(ws, tmp), "--epochs", "-1"]),
     "pretrain-seed-negative": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, seed=-1)]),
     "pretrain-hidden-zero": (2, lambda ws, tmp: ["pretrain", *_config(ws, tmp, hidden_dim=0)]),

@@ -8,7 +8,7 @@ import pytest
 from graphsfda import driver, gnn, graph_adaptation
 from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy, export_embeddings
 from graphsfda.errors import ContractError, NumericalError
-from graphsfda.gnn import forward, init_model, predict, pretrain_source
+from graphsfda.gnn import GnnModel, forward, init_model, predict, pretrain_source
 from graphsfda.graph_store import AdjacencyLayout, ShiftSpec, make_shift_pair, split_nodes
 from graphsfda.numerics import l2_normalize_rows
 
@@ -276,6 +276,18 @@ def test_numerical_error_names_epoch_and_step(fixture_pair, monkeypatch, step):
     where = "in the final pass after epoch 3" if step == "final pass" else f"at epoch 2, {step}"
     with pytest.raises(NumericalError, match=f"{term}.* {where}$"):
         adapt(model, tgt, quick_cfg(epochs=3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model_steps", [1, 0])
+def test_first_pass_is_checked_finite(fixture_pair, model_steps):
+    # finite parameters whose forward pass overflows; without a model step
+    # the graph steps would otherwise run on its NaN predictions
+    model, tgt = fixture_pair
+    params = [1e150 * w for w in model.parameters()]
+    huge = GnnModel(params[:-2], params[-2], params[-1])
+    with pytest.raises(NumericalError, match="non-finite prediction at node 0 in the first pass$"):
+        adapt(huge, tgt, quick_cfg(model_steps=model_steps))
 
 
 def test_each_bank_state_is_normalized_and_checked_once(fixture_pair, monkeypatch):

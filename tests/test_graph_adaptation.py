@@ -7,6 +7,7 @@ from graphsfda.errors import ContractError, NumericalError, ShapeError
 from graphsfda.gnn import forward, forward_on_tape, init_model
 from graphsfda.graph_adaptation import (
     ConfidentSet,
+    UnitBank,
     apply_feature_delta,
     apply_structure_delta,
     feature_gd_step,
@@ -222,26 +223,33 @@ class TestKnnPositives:
     def test_exact_duplicate_found(self):
         banks = MemoryBanks(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.full((3, 2), 0.5), 0.9)
         z = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        out = knn_positives(z, banks, 1)
+        out = knn_positives(z, UnitBank(banks), 1)
         assert out[0, 0] == 2  # the duplicate of row 0, self excluded
 
     def test_tie_resolves_to_lowest_index(self):
         banks = MemoryBanks(np.eye(3), np.full((3, 3), 1 / 3), 0.9)
         z = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-        out = knn_positives(z, banks, 1)
+        out = knn_positives(z, UnitBank(banks), 1)
         assert out[0, 0] == 1  # cos ties between banks 0 and 1; 0 is self
 
     def test_k_bounds(self):
         banks = MemoryBanks(np.eye(2), np.full((2, 2), 0.5), 0.9)
         with pytest.raises(ContractError):
-            knn_positives(np.eye(2), banks, 2)
+            knn_positives(np.eye(2), UnitBank(banks), 2)
 
     def test_self_never_included(self, rng):
         n = 10
         banks = MemoryBanks(rng.standard_normal((n, 4)), np.full((n, 2), 0.5), 0.9)
-        out = knn_positives(banks.repr_bank, banks, 3)
+        out = knn_positives(banks.repr_bank, UnitBank(banks), 3)
         for i in range(n):
             assert i not in out[i]
+
+    # row i of z is node i, paired with bank row i for self-exclusion
+    @pytest.mark.parametrize("shape", [(5, 4), (10, 3)])
+    def test_z_must_have_the_bank_shape(self, rng, shape):
+        banks = MemoryBanks(rng.standard_normal((10, 4)), np.full((10, 2), 0.5), 0.9)
+        with pytest.raises(ShapeError, match=rf"z \({shape[0]}, {shape[1]}\) vs bank \(10, 4\)"):
+            knn_positives(rng.standard_normal(shape), UnitBank(banks), 2)
 
     @pytest.mark.parametrize(
         "n, block, k, bank, group",
@@ -286,7 +294,7 @@ class TestKnnPositives:
 
         with monkeypatch.context() as patch:
             patch.setattr(np, "partition", spy)
-            got = knn_positives(z, banks, k)
+            got = knn_positives(z, UnitBank(banks), k)
         assert np.array_equal(got, argsort_knn_oracle(z, banks, k))
         # grouping needs at least max(KNN_MIN_GROUPS, KNN_GROUP_SIZE, k) groups,
         # and then no whole row is partitioned
@@ -308,7 +316,7 @@ class TestKnnPositives:
         (z if operand == "z" else bank)[row, 1] = bad
         banks = MemoryBanks(bank, np.full((10, 2), 0.5), 0.9)
         with pytest.raises(NumericalError, match=f"{operand} has a non-finite entry in row {row}"):
-            knn_positives(z, banks, 3)
+            knn_positives(z, UnitBank(banks), 3)
 
 
 class TestLabelNegatives:
@@ -338,7 +346,7 @@ class TestLabelNegatives:
 def graph_loss(p, z, banks, conf, positives, alpha, beta):
     """The graph loss of plain probabilities and representations."""
     return evaluate(
-        lambda pt, zt: loss_graph(pt, zt, banks, conf, positives, alpha, beta), p, z
+        lambda pt, zt: loss_graph(pt, zt, UnitBank(banks), conf, positives, alpha, beta), p, z
     )[0, 0]
 
 
@@ -381,7 +389,7 @@ class TestClosedFormContrast:
         z0 = rng.standard_normal((n, h))
         p0 = evaluate(row_softmax, 2.0 * rng.standard_normal((n, c)))
         banks = MemoryBanks(rng.standard_normal((n, h)), rng.dirichlet(np.ones(c), n), 0.9)
-        positives = knn_positives(z0, banks, k)
+        positives = knn_positives(z0, UnitBank(banks), k)
         own = np.argmax(p0, axis=1)
         banked = np.argmax(banks.pred_bank, axis=1)
         # cover both corrections in W: own bank row among the negatives, and
@@ -398,7 +406,7 @@ class TestClosedFormContrast:
         assert len(conf)
         results = []
         for loss in (
-            lambda p, z: loss_graph(p, z, banks, conf, positives, alpha, beta),
+            lambda p, z: loss_graph(p, z, UnitBank(banks), conf, positives, alpha, beta),
             lambda p, z: dense_loss_graph_oracle(p, z, banks, conf, positives, alpha, beta),
         ):
             tape = Tape()
@@ -422,8 +430,8 @@ def test_graph_loss_memory_below_one_dense_matrix(rng):
 
     def graph_step():
         conf = select_confident(p.value, 0.9)
-        positives = knn_positives(z.value, banks, 5)
-        backward(tape, loss_graph(p, z, banks, conf, positives, 0.5, 0.5))
+        positives = knn_positives(z.value, UnitBank(banks), 5)
+        backward(tape, loss_graph(p, z, UnitBank(banks), conf, positives, 0.5, 0.5))
         return conf
 
     conf, peak = traced_peak(graph_step)
@@ -650,7 +658,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
     z0, p0 = forward(model, adjacency(g), g.features)
     banks = MemoryBanks(z0.copy(), p0.copy(), 0.9)
     conf = select_confident(p0, 0.5)
-    positives = knn_positives(z0, banks, 3)
+    positives = knn_positives(z0, UnitBank(banks), 3)
     delta_a0 = rng.uniform(0.2, 0.8, (g.num_edges, 1))
     params = model.parameters()
 
@@ -659,7 +667,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
         adj = adjacency(g, 1.0 - delta_a0.ravel())
         x = apply_feature_delta(tape.constant(g.features), dx)
         z, p = forward_on_tape([tape.constant(w) for w in params], adj, x)
-        return loss_graph(p, z, banks, conf, positives, 0.5, 0.5)
+        return loss_graph(p, z, UnitBank(banks), conf, positives, 0.5, 0.5)
 
     assert grad_check(f_dx, rng.uniform(-0.2, 0.2, g.features.shape)) <= 1e-4
 
@@ -668,6 +676,6 @@ def test_graph_loss_gradients_wrt_deltas(rng):
         adj_live = layout.normalized(apply_structure_delta(da))
         constants = [tape.constant(w) for w in params]
         z, p = forward_on_tape(constants, adj_live, tape.constant(g.features))
-        return loss_graph(p, z, banks, conf, positives, 0.5, 0.5)
+        return loss_graph(p, z, UnitBank(banks), conf, positives, 0.5, 0.5)
 
     assert grad_check(f_da, delta_a0) <= 1e-4

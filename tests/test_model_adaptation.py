@@ -5,7 +5,7 @@ from graphsfda import numerics
 from graphsfda.banks import MemoryBanks, init_banks
 from graphsfda.errors import ContractError
 from graphsfda.gnn import init_model, record_forward
-from graphsfda.graph_adaptation import ConfidentSet, loss_graph
+from graphsfda.graph_adaptation import ConfidentSet, UnitBank, loss_graph
 from graphsfda.graph_store import AdjacencyLayout
 from graphsfda.model_adaptation import (
     compute_prototypes,
@@ -407,7 +407,7 @@ def test_losses_are_tensor_only(rng):
         "loss_weighted_ce": (lambda p, w: loss_weighted_ce(p, pl, w), [p0, np.ones((4, 1))]),
         "loss_instance_prototype": (lambda z: loss_instance_prototype(z, protos, pl, 0.2), [z0]),
         "loss_model": (lambda a, b: loss_model(a, b, 0.3), [[[1.0]], [[2.0]]]),
-        "loss_graph": (lambda p, z: loss_graph(p, z, banks, conf, positives, 0.5, 0.5), [p0, z0]),
+        "loss_graph": (lambda p, z: loss_graph(p, z, UnitBank(banks), conf, positives, 0.5, 0.5), [p0, z0]),
     }
     for name, (f, values) in losses.items():
         tape = Tape()
