@@ -189,7 +189,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     steps or with a zero budget) and that epoch's pass is reused. No
     forward tape is kept past the model steps into the graph steps.
 
-    The first pass, which fills the banks, is checked finite. A
+    When a graph step will run on a non-empty target, `cfg.k_neighbors`
+    must be below its node count, else ContractError before any forward
+    pass. The first pass, which fills the banks, is checked finite. A
     NumericalError raised there, in an epoch or in the final pass is raised
     again with its place appended to its message: the first pass, the
     1-based epoch and the step (model, feature or structure), or the final
@@ -202,6 +204,13 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     if g.num_classes and model.num_classes != g.num_classes:
         raise ContractError(
             f"model has {model.num_classes} classes, graph meta says {g.num_classes}"
+        )
+    graph_steps = cfg.epochs and (cfg.feature_steps or cfg.structure_steps)
+    # an empty target fails on its first loss, a mean over no nodes
+    if graph_steps and 0 < g.n <= cfg.k_neighbors:
+        raise ContractError(
+            f"k_neighbors ({cfg.k_neighbors}) must be below the node count n ({g.n}) "
+            "when a graph step runs"
         )
     started = time.perf_counter()
     model = model.copy()

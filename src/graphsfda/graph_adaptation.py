@@ -255,13 +255,23 @@ def loss_graph(
     the constant `_contrast_weights`. The negatives depend on p only through
     its argmax, which carries no gradient. An empty confident set
     contributes zero cross-entropy.
+
+    `positives` must be (n, k), n the rows of p and z, else ShapeError; an
+    entry outside [0, bank.n) raises ContractError.
     """
     if not (0.0 <= alpha < np.inf and 0.0 <= beta < np.inf):  # NaN fails too
         raise ContractError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
     try:
-        pv = p.value
+        pv, zv = p.value, z.value
     except AttributeError:
-        raise ContractError("loss_graph needs p recorded on a tape") from None
+        raise ContractError("loss_graph needs p and z recorded on a tape") from None
+    positives = np.asarray(positives)
+    if positives.ndim != 2 or not positives.shape[0] == pv.shape[0] == zv.shape[0]:
+        raise ShapeError(
+            f"loss_graph: positives {positives.shape} for p {pv.shape} and z {zv.shape}"
+        )
+    if positives.size and (positives.min() < 0 or positives.max() >= bank.n):
+        raise ContractError(f"loss_graph: positive row id outside [0,{bank.n})")
     weights = _contrast_weights(pv, bank, positives, alpha, beta)
     total = sum_all(mul(l2_normalize_rows(z), z.tape.constant(weights)))
     if len(conf):

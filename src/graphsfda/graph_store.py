@@ -296,7 +296,10 @@ def _c_read_table(text: str, width: int, dtype):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            values = np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=2)
+            # as ASCII bytes: a StringIO would copy the text at 4 bytes a character
+            values = np.loadtxt(
+                io.BytesIO(text.encode("ascii")), dtype=dtype, comments=None, ndmin=2
+            )
         except (ValueError, Warning):
             return None
     if values.shape[1] != width:

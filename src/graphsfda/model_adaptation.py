@@ -3,10 +3,12 @@
 Pseudo-labels come from averaging the prediction bank over each node's
 current neighborhood, one sparse product with the 0/1 neighbour matrix of
 the graph's layout; global class prototypes from the representation bank
-weight those labels by cosine confidence. The pull toward prototypes is an
-InfoNCE-style term whose denominator holds only negatives (the remaining
-prototypes and the other instances), so its value can legitimately be
-negative. The instance half of that denominator is one
+weight those labels by cosine confidence, one `numerics.row_dots` against
+the C normalized centroids, so no n x h copy of them is built or kept for
+the backward pass. The pull toward prototypes is an InfoNCE-style term
+whose denominator holds only negatives (the remaining prototypes and the
+other instances), so its value can legitimately be negative. The
+instance half of that denominator is one
 `numerics.exp_sum_others` over the whole graph or a sampled batch: it
 streams row blocks, so no n x n (or n x batch) array is kept, and over the
 whole graph it computes each unordered node pair once.
@@ -42,6 +44,7 @@ from .numerics import (
     mul_scalar,
     neg,
     relu,
+    row_dots,
     row_sum,
     select_cols,
     spmm,
@@ -89,10 +92,13 @@ def compute_prototypes(labels: np.ndarray, banks: MemoryBanks) -> np.ndarray:
 
 def confidence_weights(z: Tensor, centroids: np.ndarray, labels: np.ndarray) -> Tensor:
     """Cosine similarity of each node to its pseudo-class centroid, clamped
-    at zero; zero-norm operands give weight zero."""
-    per_node_centroid = evaluate(l2_normalize_rows, centroids)[labels]
-    zn = l2_normalize_rows(z)
-    return relu(row_sum(mul(zn, z.tape.constant(per_node_centroid))))
+    at zero; zero-norm operands give weight zero.
+
+    One `numerics.row_dots` of the normalized rows of z with the (C, h)
+    normalized centroids, so no per-node copy of a centroid is built or
+    kept for the backward pass."""
+    unit_centroids = evaluate(l2_normalize_rows, centroids)
+    return relu(row_dots(l2_normalize_rows(z), unit_centroids, labels))
 
 
 def loss_weighted_ce(p: Tensor, labels: np.ndarray, w) -> Tensor:

@@ -52,7 +52,12 @@ needs (a relu's pull, for one, keeps a mask and not its input). The reverse
 sweep holds only the gradient frontier, the adjoints not yet propagated: an
 op's gradient is dropped as soon as it has been pulled into the op's
 operands, and the sweep never holds one gradient per node (Griewank &
-Walther; Chen et al., arXiv 1604.06174). `evaluate(f, *values)` runs a
+Walther; Chen et al., arXiv 1604.06174). A sweep also consumes its tape:
+it releases each node's pulls once it has passed the node, so whatever
+only those pulls read is freed mid-sweep, as reverse-mode tools release
+their records (Griewank & Walther; Paszke et al., arXiv 1912.01703). A
+swept tape is neither swept again nor recorded onto; its leaves keep their
+`.grad`. `evaluate(f, *values)` runs a
 function on plain values through a fresh tape. `grad_check` compares
 `backward` against central finite differences and is the ground truth for
 every composite loss built on top of this module.
@@ -72,6 +77,8 @@ EXP_SUM_BLOCK_ROWS = 128
 # consecutive rows the sparse product sorts and sums together (the window of
 # the jagged-diagonal table), and the most slots one of its gathers holds
 JDS_WINDOW_ROWS = 2048
+# rows of the gathered table that row_dots holds at once
+ROW_DOTS_CHUNK_ROWS = 2048
 
 __all__ = [
     "SparseAdjacency",
@@ -288,12 +295,18 @@ class Tape:
     holds each node's pulls, and of the tensors only its leaves, the ones
     `backward` gives a gradient: `nodes` lists them in recording order. An
     op output or a constant lives while a caller or a pull reads it.
+
+    A tape is swept once. `backward` marks it swept and releases each
+    node's pulls as it passes the node; recording onto a swept tape raises
+    ContractError. To differentiate again, record the computation again.
     """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-        # per node: [(parent_index, vjp_fn), ...], [] for a leaf, None for a constant
+        # per node: [(parent_index, vjp_fn), ...], [] for a leaf, None for a
+        # constant and, on a swept tape, for every released op
         self._pulls: list = []
+        self._swept = False
 
     def leaf(self, value) -> Tensor:
         """Record a differentiable input, a copy of `value`."""
@@ -318,6 +331,8 @@ class Tape:
         return self._append(value, live or None)
 
     def _append(self, value: np.ndarray, pulls) -> Tensor:
+        if self._swept:
+            raise ContractError("cannot record onto a swept tape")
         self._pulls.append(pulls)
         return Tensor(self, len(self._pulls) - 1, value)
 
@@ -327,14 +342,20 @@ class Tape:
 
 
 def backward(tape: Tape, scalar_output: Tensor) -> None:
-    """Populate `.grad` on every leaf of `tape` from a 1x1 output.
+    """Populate `.grad` on every leaf of `tape` from a 1x1 output, sweeping
+    the tape once.
 
     Unreachable leaves get zero gradients; constants and op outputs get
     `.grad` None. The reverse sweep visits nodes in strictly decreasing
-    index order with plain array accumulation, so two runs over the same
-    tape produce bit-identical gradients. It holds only the gradient
-    frontier: an op's gradient is dropped as soon as its pulls have run,
-    so the sweep keeps the adjoints not yet propagated, not one per node.
+    index order with plain array accumulation, so the same computation,
+    recorded and swept again, gives bit-identical gradients. It holds only
+    the gradient frontier: an op's gradient is dropped as soon as its pulls
+    have run, so the sweep keeps the adjoints not yet propagated, not one
+    per node. It releases each node's pulls as it passes the node, reached
+    or not, so an array that only they read is freed mid-sweep. The tape is
+    marked swept before the sweep starts: sweeping it again, or recording
+    onto it, raises ContractError. Its leaves keep their `.grad`, and
+    `nodes` stays.
     """
     if _tape_of(scalar_output) is not tape:
         raise ContractError("output must be a Tensor recorded on this tape")
@@ -342,19 +363,24 @@ def backward(tape: Tape, scalar_output: Tensor) -> None:
         raise ContractError(
             f"backward needs a 1x1 output, got {scalar_output.value.shape}"
         )
-    grads: list = [None] * len(tape)
+    if tape._swept:
+        raise ContractError("tape was already swept; record the computation again")
+    tape._swept = True
+    pulls_of = tape._pulls
+    grads: list = [None] * len(pulls_of)
     grads[scalar_output.index] = np.ones((1, 1))
-    for k in range(scalar_output.index, -1, -1):
-        g, pulls = grads[k], tape._pulls[k]
-        if g is None or not pulls:
-            continue  # unreached, or a leaf, which keeps its gradient
-        grads[k] = None  # the frontier moves past an op once its pulls have run
+    for k in range(len(pulls_of) - 1, -1, -1):
+        pulls, g = pulls_of[k], grads[k]
+        if not pulls:
+            continue  # a constant, or a leaf, which keeps its gradient
+        pulls_of[k] = grads[k] = None  # released: no node left to visit reads them
+        if g is None:
+            continue  # unreached
+        # every local below is rebound before the next op's pulls run, so
+        # nothing that only this op read outlives its turn
         for parent_index, vjp in pulls:
-            contrib = vjp(g)
-            if grads[parent_index] is None:
-                grads[parent_index] = contrib
-            else:
-                grads[parent_index] = grads[parent_index] + contrib
+            held = grads[parent_index]
+            grads[parent_index] = vjp(g) if held is None else held + vjp(g)
     for leaf in tape.nodes:
         g = grads[leaf.index]
         leaf.grad = np.zeros_like(leaf.value) if g is None else g
@@ -721,6 +747,53 @@ def row_sum(a):
     return tape._record(
         a.value.sum(axis=1, keepdims=True), [(a.index, lambda g: np.repeat(g, k, axis=1))]
     )
+
+
+def row_dots(a, table: np.ndarray, index):
+    """The (n x 1) column `out[i] = a_i . table[index[i]]` for an n x h
+    tensor `a`, a constant (m x h) array `table` and one row id per row of
+    `a`. Differentiates into `a` only.
+
+    Works through ROW_DOTS_CHUNK_ROWS rows at a time, gathering the table
+    rows into one chunk-sized buffer: each value is NumPy's row sum of the
+    chunk's product, and the pull writes `g * table[index]` chunk by chunk
+    into one n x h array. So value and gradient are bitwise those of
+    `row_sum(mul(a, constant(table[index])))`, without its gathered n x h
+    constant, its product or the repeated gradient."""
+    tape = _tape_of(a)
+    av, table = a.value, np.asarray(table, dtype=np.float64)
+    n, h = av.shape
+    idx = np.asarray(index, dtype=np.int64)
+    if idx.shape != (n,):
+        raise ShapeError(f"row_dots needs one row id per row, got {idx.shape} for {n} rows")
+    if table.ndim != 2 or table.shape[1] != h:
+        raise ShapeError(f"row_dots: table {table.shape} does not fit {av.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ContractError(f"row_dots row id outside [0,{table.shape[0]})")
+    chunk = ROW_DOTS_CHUNK_ROWS
+
+    def gathered():
+        """Yield `(lo, hi, rows)`: `table[idx[lo:hi]]` in one reused buffer.
+        No index is clipped: they were range-checked above."""
+        buf = np.empty((min(n, chunk), h))
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            rows = buf[: hi - lo]
+            table.take(idx[lo:hi], axis=0, out=rows, mode="clip")
+            yield lo, hi, rows
+
+    out = np.empty((n, 1))
+    for lo, hi, rows in gathered():
+        np.multiply(av[lo:hi], rows, out=rows)
+        rows.sum(axis=1, out=out[lo:hi, 0])
+
+    def pull(g):
+        ga = np.empty((n, h))
+        for lo, hi, rows in gathered():
+            np.multiply(g[lo:hi], rows, out=ga[lo:hi])
+        return ga
+
+    return tape._record(out, [(a.index, pull)])
 
 
 def sum_all(a):

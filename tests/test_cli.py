@@ -450,6 +450,9 @@ EXIT_CASES = {
         "eval", "--checkpoint", str(tmp), "--graph", str(ws / "pair_tgt")]),
     "adapt-checkpoint-zero-width": (4, lambda ws, tmp: [
         "adapt", *_config(ws, tmp, checkpoint=_zero_width_checkpoint(ws, tmp))]),
+    # the workspace target has 120 nodes
+    "adapt-k-neighbors-not-below-n": (4, lambda ws, tmp: [
+        "adapt", *_config(ws, tmp, k_neighbors=120)]),
     "eval-checkpoint-zero-width": (4, lambda ws, tmp: _scored(
         ws, tmp, "eval", str(ws / "pair_tgt"), checkpoint=_zero_width_checkpoint(ws, tmp))),
     "temperature-overflow": (5, lambda ws, tmp: ["adapt", *_config(ws, tmp, temperature=1e-300)]),

@@ -278,6 +278,22 @@ def test_numerical_error_names_epoch_and_step(fixture_pair, monkeypatch, step):
         adapt(model, tgt, quick_cfg(epochs=3))
 
 
+@pytest.mark.parametrize("steps", [dict(structure_steps=0), dict(feature_steps=0)])
+def test_k_neighbors_checked_before_the_first_pass(fixture_pair, monkeypatch, steps):
+    model, tgt = fixture_pair
+    passes = []
+    monkeypatch.setattr(driver, "record_forward", lambda *args: passes.append(args))
+    with pytest.raises(ContractError, match=rf"k_neighbors \({tgt.n}\).*n \({tgt.n}\)"):
+        adapt(model, tgt, quick_cfg(k_neighbors=tgt.n, **steps))
+    assert passes == []
+
+
+def test_k_neighbors_unchecked_without_graph_steps(fixture_pair):
+    model, tgt = fixture_pair
+    cfg = quick_cfg(k_neighbors=tgt.n, feature_steps=0, structure_steps=0)
+    assert adapt(model, tgt, cfg)[3].loss_graph_trace == [None] * 3
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("model_steps", [1, 0])
 def test_first_pass_is_checked_finite(fixture_pair, model_steps):

@@ -384,6 +384,20 @@ class TestLossGraph:
             graph_loss(np.eye(2), np.eye(2), banks, conf, positives, alpha, beta)
 
 
+    @pytest.mark.parametrize("positives, error", [
+        (np.zeros((7, 2), dtype=int), ShapeError),  # 7 rows for 10 nodes
+        (np.zeros(10, dtype=int), ShapeError),
+        (np.full((10, 2), 12), ContractError),  # past the 10-row bank
+        (np.full((10, 2), -1), ContractError),
+    ])
+    def test_positives_checked_against_operands(self, rng, positives, error):
+        banks = MemoryBanks(rng.standard_normal((10, 3)), rng.dirichlet(np.ones(2), 10), 0.9)
+        conf = ConfidentSet(np.array([0]), np.array([0]))
+        p, z = rng.dirichlet(np.ones(2), 10), rng.standard_normal((10, 3))
+        with pytest.raises(error, match="positive"):
+            graph_loss(p, z, banks, conf, positives, 0.5, 0.5)
+
+
 class TestClosedFormContrast:
     def inputs(self, rng, n=40, h=6, c=3, k=4):
         z0 = rng.standard_normal((n, h))

@@ -21,7 +21,7 @@ from graphsfda.graph_store import (
 )
 from graphsfda.numerics import Tape
 
-from conftest import adjacency, densify, random_graph
+from conftest import adjacency, densify, random_graph, traced_peak
 
 
 def per_line_edge_scan(text, n):
@@ -551,6 +551,16 @@ class TestFileFormat:
             loaded += not isinstance(got, str)
         assert min(paths["c_reader"], paths["fallback"], loaded, 400 - loaded) >= 30, \
             (paths, loaded)
+
+    def test_read_table_peaks_below_three_times_the_file(self, tmp_path, rng):
+        # the C reader gets the text as ASCII bytes: a StringIO copy of it
+        # took 4 bytes a character, and the read peaked at 5.5 times the file
+        path = tmp_path / "t.feat"
+        values = rng.standard_normal((3000, 16))
+        np.savetxt(path, values, fmt="%.17g")  # about 1 MB
+        (got, _), peak = traced_peak(lambda: read_table(path, 16, np.float64))
+        assert np.array_equal(got, values)
+        assert peak < 3 * path.stat().st_size
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_line(self, tmp_path, value):

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -29,6 +30,7 @@ from graphsfda.numerics import (
     mul_scalar,
     neg,
     relu,
+    row_dots,
     row_softmax,
     row_sum,
     select_cols,
@@ -232,14 +234,46 @@ class TestBackward:
 
         assert np.array_equal(run(), run())
 
-    def test_two_backward_runs_bit_identical(self, rng):
+    def test_second_sweep_raises(self, rng):
+        # a sweep consumes its tape: it cannot be swept again or extended,
+        # and the leaf keeps the gradient of the one sweep
         tape = Tape()
         x = tape.leaf(rng.standard_normal((3, 3)))
         out = sum_all(exp(mul_scalar(x, 0.5)))
         backward(tape, out)
         g1 = x.grad.copy()
+        with pytest.raises(ContractError, match="swept"):
+            backward(tape, out)
+        for record in (lambda: mul(x, x), lambda: tape.constant(np.ones((1, 1))),
+                       lambda: tape.leaf(np.ones((1, 1)))):
+            with pytest.raises(ContractError, match="swept"):
+                record()
+        assert np.array_equal(g1, x.grad) and tape.nodes == [x]
+
+    def test_sweep_frees_what_only_a_pull_read(self, rng):
+        # exp's pull reads its output; once the sweep has passed the outer
+        # exp, its output is freed before the inner exp's pull runs, and the
+        # inner one's once the sweep ends, while the tape is still held
+        tape = Tape()
+        x = tape.leaf(rng.standard_normal((3, 2)))
+        inner = exp(x)
+        outer = exp(inner)
+        refs = [weakref.ref(inner.value), weakref.ref(outer.value)]
+        k, out = inner.index, sum_all(outer)
+        del inner, outer
+        assert all(ref() is not None for ref in refs)  # only the pulls read them
+        seen = []
+
+        def probe(g, vjp=tape._pulls[k][0][1]):
+            seen.append(refs[1]() is None)  # the outer exp's output
+            return vjp(g)
+
+        tape._pulls[k] = [(x.index, probe)]
+        del probe  # the tape's pull is then the one reference
         backward(tape, out)
-        assert np.array_equal(g1, x.grad)
+        assert seen == [True]
+        assert all(ref() is None for ref in refs)
+        assert np.allclose(x.grad, np.exp(x.value + np.exp(x.value)))
 
     def test_sweep_holds_only_its_frontier(self):
         # a chain of K live ops: the sweep drops each op's gradient once it
@@ -324,6 +358,7 @@ OPS = {
     "exp_sum_others": (lambda a: exp_sum_others(a, np.array([0, 1]), 1.0), [(2, 2)]),
     "exp_sum_others-all": (lambda a: exp_sum_others(a, None, 1.0), [(2, 2)]),
     "pow_scalar": (lambda a: pow_scalar(a, 2.0), [(2, 2)]),
+    "row_dots": (lambda a: row_dots(a, np.ones((3, 2)), np.array([2, 0])), [(2, 2)]),
     "row_sum": (row_sum, [(2, 2)]),
     "sum_all": (sum_all, [(2, 2)]),
     "mean_all": (mean_all, [(2, 2)]),
@@ -344,6 +379,17 @@ def test_op_rejects_plain_operand(name):
                     for i, shape in enumerate(shapes)]
         with pytest.raises(ContractError, match="expected a Tensor operand"):
             op(*operands)
+
+
+def test_every_tape_op_has_a_row():
+    # every public function of numerics that records an op is in OPS
+    recorders = {
+        name
+        for name, f in vars(numerics).items()
+        if inspect.isfunction(f) and f.__module__ == numerics.__name__
+        and not name.startswith("_") and {"_tape_of", "_record"} <= set(f.__code__.co_names)
+    }
+    assert recorders and recorders <= {name.split("-")[0] for name in OPS}
 
 
 class TestGradCheck:
@@ -875,6 +921,50 @@ def test_exp_sum_others_rejects_bad_columns():
         exp_sum_others(a, np.array([0, 3]), 1.0)
     with pytest.raises(ShapeError):
         exp_sum_others(a, np.array([[0, 1]]), 1.0)
+
+
+def test_row_dots_gradient(rng):
+    table = rng.standard_normal((4, 3))
+    idx = np.array([3, 0, 0, 2, 1])
+
+    def f(a):
+        d = row_dots(a, table, idx)
+        return mean_all(mul(d, d))
+
+    assert grad_check(f, rng.standard_normal((5, 3))) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, numerics.ROW_DOTS_CHUNK_ROWS, numerics.ROW_DOTS_CHUNK_ROWS + 1])
+def test_row_dots_bitwise_equals_the_chain(rng, n):
+    # the chain it replaces: a gathered constant, a product and a row sum
+    h, m = 37, 5  # past NumPy's 8-wide unrolled sums
+    a0 = spread_values(rng, (n, h))
+    table = spread_values(rng, (m, h))
+    idx = rng.integers(0, m, n)
+    upstream = spread_values(rng, (n, 1))
+    chain = lambda a: row_sum(mul(a, a.tape.constant(table[idx])))
+    results = []
+    for op in (lambda a: row_dots(a, table, idx), chain):
+        tape = Tape()
+        a = tape.leaf(a0)
+        out = op(a)
+        backward(tape, sum_all(mul(out, tape.constant(upstream))))
+        results.append((out.value, a.grad))
+    (values, grad), (chain_values, chain_grad) = results
+    assert values.tobytes() == chain_values.tobytes()
+    assert grad.tobytes() == chain_grad.tobytes()
+
+
+def test_row_dots_rejects_bad_rows():
+    tape = Tape()
+    a = tape.leaf(np.ones((3, 2)))
+    for bad in ([0, 1, 4], [0, -1, 1]):
+        with pytest.raises(ContractError, match="row id"):
+            row_dots(a, np.ones((4, 2)), np.array(bad))
+    with pytest.raises(ShapeError):
+        row_dots(a, np.ones((4, 2)), np.array([0, 1]))
+    with pytest.raises(ShapeError):
+        row_dots(a, np.ones((4, 3)), np.array([0, 1, 2]))
 
 
 def test_log_clamped_gradient_zero_on_clamped_entries():
