@@ -75,7 +75,7 @@ from .model_adaptation import (
     loss_weighted_ce,
     neighborhood_pseudo_labels,
 )
-from .numerics import Tape, backward
+from .numerics import Tape, _keep_freed_heap, backward
 
 __all__ = ["AdaptConfig", "AdaptReport", "adapt", "evaluate_accuracy", "export_embeddings"]
 
@@ -196,6 +196,9 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
     again with its place appended to its message: the first pass, the
     1-based epoch and the step (model, feature or structure), or the final
     pass and the epoch it followed.
+
+    The first call in a process keeps freed heap in the process on glibc
+    (`numerics._keep_freed_heap`), so later steps fault no pages in.
     """
     if model.input_dim != g.feature_dim:
         raise ContractError(
@@ -212,6 +215,7 @@ def adapt(model: GnnModel, g: TargetGraph, cfg: AdaptConfig):
             f"k_neighbors ({cfg.k_neighbors}) must be below the node count n ({g.n}) "
             "when a graph step runs"
         )
+    _keep_freed_heap()
     started = time.perf_counter()
     model = model.copy()
     n, e = g.n, g.num_edges

@@ -149,7 +149,8 @@ def knn_positives(z, bank: UnitBank, k: int) -> np.ndarray:
     the lower index. Row i of `z` is node i, whose own bank row is i, so `z`
     must have the bank's shape, (n, h); else ShapeError.
 
-    Works through KNN_BLOCK_ROWS rows of the similarity matrix at a time.
+    Works through KNN_BLOCK_ROWS rows of the similarity matrix at a time,
+    each block computed into the same buffer.
     The n columns fall into w = n // KNN_GROUP_SIZE strided groups: group j
     holds columns j, j+w, j+2w, ..., and one pass takes each group's
     maximum. The k largest maxima are k distinct entries, so the k-th
@@ -180,11 +181,12 @@ def knn_positives(z, bank: UnitBank, k: int) -> np.ndarray:
     tail = n - size * width  # < width: the first `tail` groups hold one more column
     spread = width * np.arange(size + 1)  # group j's columns are j + spread below n
     an = evaluate(l2_normalize_rows, zv)
-    out = np.empty((an.shape[0], k), dtype=np.int64)
-    for start in range(0, an.shape[0], KNN_BLOCK_ROWS):
-        sims = an[start : start + KNN_BLOCK_ROWS] @ bnt
-        m = sims.shape[0]
-        own = np.arange(start, min(start + m, n))
+    out = np.empty((n, k), dtype=np.int64)
+    buf = np.empty((min(KNN_BLOCK_ROWS, n), n))  # every block's similarities
+    for start in range(0, n, KNN_BLOCK_ROWS):
+        m = min(KNN_BLOCK_ROWS, n - start)
+        sims = np.matmul(an[start : start + m], bnt, out=buf[:m])
+        own = np.arange(start, start + m)
         sims[own - start, own] = -np.inf
         maxima = sims
         if size > 1:

@@ -61,11 +61,19 @@ swept tape is neither swept again nor recorded onto; its leaves keep their
 function on plain values through a fresh tape. `grad_check` compares
 `backward` against central finite differences and is the ground truth for
 every composite loss built on top of this module.
+
+On glibc, `adapt` and `pretrain_source` call `_keep_freed_heap` once per
+process, which raises malloc's mmap and trim thresholds to their 32 and 64
+MiB ceilings so that the arrays each step frees stay in the process for the
+next step instead of being faulted in again.
 """
 
 from __future__ import annotations
 
 import copy
+import ctypes
+import os
+import platform
 import weakref
 
 import numpy as np
@@ -79,6 +87,14 @@ EXP_SUM_BLOCK_ROWS = 128
 JDS_WINDOW_ROWS = 2048
 # rows of the gathered table that row_dots holds at once
 ROW_DOTS_CHUNK_ROWS = 2048
+# mallopt parameter ids of glibc's <malloc.h>
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, the largest M_MMAP_THRESHOLD
+# mallopt accepts; glibc's dynamic rule keeps the trim threshold at twice it
+MMAP_THRESHOLD_CEILING = 32 * 1024 * 1024
+# environment settings by which a process chose glibc's malloc thresholds
+MALLOC_TUNABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 
 __all__ = [
     "SparseAdjacency",
@@ -92,6 +108,30 @@ __all__ = [
     "row_softmax",
     "l2_normalize_rows",
 ]
+
+_heap_kept = False
+
+
+def _keep_freed_heap() -> None:
+    """Once per process, raise glibc's malloc thresholds to the ceiling its
+    own dynamic rule climbs to, so arrays below MMAP_THRESHOLD_CEILING come
+    from the heap and up to twice that of freed heap stays in the process
+    for the next step instead of being faulted in again. A no-op on any
+    other C library, and where the process set glibc's malloc tunables
+    itself (a mallopt call would silently override that choice)."""
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    if platform.libc_ver()[0] != "glibc":
+        return
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "") or any(
+        name in os.environ for name in MALLOC_TUNABLES
+    ):
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_CEILING)
+    libc.mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_CEILING)
 
 
 class SparseAdjacency:

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
+import platform
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphsfda import driver, gnn, graph_adaptation
+from graphsfda import driver, gnn, graph_adaptation, numerics
 from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy, export_embeddings
 from graphsfda.errors import ContractError, NumericalError
 from graphsfda.gnn import GnnModel, forward, init_model, predict, pretrain_source
@@ -408,6 +411,106 @@ class TestExportEmbeddings:
         lines = (tmp_path / "z.txt").read_text().strip().splitlines()
         assert len(lines) == 2
         assert len(lines[0].split()) == 4
+
+
+def adapted_outcome(model, tgt):
+    """`(predictions, parameters)` of a `quick_cfg` adaptation."""
+    adapted, _, pred, _ = adapt(model, tgt, quick_cfg())
+    return pred, [p.copy() for p in adapted.parameters()]
+
+
+MALLOC_SETTINGS = ("GLIBC_TUNABLES",) + numerics.MALLOC_TUNABLES
+
+
+class TestKeptHeap:
+    """The training loops keep freed heap in the process: on glibc,
+    `numerics._keep_freed_heap` sets both malloc thresholds once."""
+
+    @pytest.fixture(scope="class")
+    def kept_outcome(self, fixture_pair):
+        return adapted_outcome(*fixture_pair)
+
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        """The (parameter, value) pairs passed to a stubbed mallopt, with the
+        once-flag reset, glibc reported and no malloc setting in the
+        environment."""
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(numerics, "_heap_kept", False)
+        monkeypatch.setattr(numerics.ctypes, "CDLL", lambda name: Libc())
+        monkeypatch.setattr(numerics.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        for name in MALLOC_SETTINGS:
+            monkeypatch.delenv(name, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("tunables", [None, "glibc.cpu.hwcaps=-AVX2"])
+    @pytest.mark.parametrize("entry", ["adapt", "pretrain_source", "helper"])
+    def test_first_call_sets_both_thresholds(
+        self, fixture_pair, mallopt_calls, monkeypatch, entry, tunables
+    ):
+        model, tgt = fixture_pair
+        if tunables:
+            monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+        call = {
+            "adapt": lambda: adapt(model, tgt, quick_cfg(epochs=1)),
+            "pretrain_source": lambda: pretrain_source(model, tgt, split_nodes(tgt, 3), epochs=1),
+            "helper": numerics._keep_freed_heap,
+        }[entry]
+        call()
+        call()  # a second call in the process is a no-op
+        mib = 1024 * 1024
+        assert mallopt_calls == [
+            (numerics.M_MMAP_THRESHOLD, 32 * mib),
+            (numerics.M_TRIM_THRESHOLD, 64 * mib),
+        ]
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("libc", ""),  # what platform.libc_ver reports off glibc, musl included
+            ("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=131072"),
+            ("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2:glibc.malloc.trim_threshold=0"),
+            ("MALLOC_MMAP_THRESHOLD_", "131072"),
+            ("MALLOC_TRIM_THRESHOLD_", "0"),
+        ],
+    )
+    def test_fallback_calls_nothing_and_changes_no_result(
+        self, fixture_pair, kept_outcome, mallopt_calls, monkeypatch, setting, value
+    ):
+        if setting == "libc":
+            monkeypatch.setattr(numerics.platform, "libc_ver", lambda: (value, ""))
+        else:
+            monkeypatch.setenv(setting, value)
+        pred, params = adapted_outcome(*fixture_pair)
+        assert mallopt_calls == []
+        assert pred.tobytes() == kept_outcome[0].tobytes()
+        assert [p.tobytes() for p in params] == [p.tobytes() for p in kept_outcome[1]]
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="counts the page faults glibc's malloc thresholds avoid: Linux with glibc only",
+    )
+    def test_warm_adapt_faults_no_pages_in(self):
+        import resource
+
+        if any(name in os.environ for name in MALLOC_SETTINGS):
+            pytest.skip("the environment sets malloc options: the thresholds are left to it")
+        src, tgt = make_shift_pair(ShiftSpec())
+        model = init_model(src.feature_dim, 32, src.num_classes, 2, seed=0)
+        model, _ = pretrain_source(model, src, split_nodes(src, 0), epochs=20, lr=1e-2)
+        cfg = AdaptConfig(epochs=20, seed=0)
+        adapt(model, tgt, cfg)  # warm-up
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        adapt(model, tgt, cfg)
+        # 0-16 measured, under -X dev too; about 18,800 when glibc returns
+        # every step's freed arrays to the system
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 100
 
 
 def test_readme_library_use_runs(capsys):

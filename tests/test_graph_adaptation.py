@@ -318,6 +318,16 @@ class TestKnnPositives:
         with pytest.raises(NumericalError, match=f"{operand} has a non-finite entry in row {row}"):
             knn_positives(z, UnitBank(banks), 3)
 
+    def test_holds_one_similarity_block(self, rng):
+        # every block is computed into one KNN_BLOCK_ROWS x n buffer: at
+        # n = 3000 the call peaks at 1.54 blocks (the buffer, the normalized
+        # z and the candidates); two blocks alive at once would pass 2
+        n, h = 3000, 32
+        z = rng.standard_normal((n, h))
+        unit = UnitBank(MemoryBanks(rng.standard_normal((n, h)), np.full((n, 2), 0.5), 0.9))
+        _, peak = traced_peak(lambda: knn_positives(z, unit, 5))
+        assert peak < 1.75 * graph_adaptation.KNN_BLOCK_ROWS * n * 8
+
 
 class TestLabelNegatives:
     def test_no_disagreement_empty(self):
