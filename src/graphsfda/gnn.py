@@ -33,7 +33,6 @@ from .graph_store import AdjacencyLayout, SplitMask, TargetGraph
 from .numerics import (
     SparseAdjacency,
     Tape,
-    _keep_freed_heap,
     add_bias,
     backward,
     gather_rows,
@@ -270,8 +269,6 @@ def pretrain_source(
     runs. A non-finite training loss raises NumericalError naming its epoch,
     before the step that would follow it. A negative `epochs`, and an `lr`
     or `weight_decay` that is negative or not finite, raise ContractError.
-    Like `adapt`, the first call in a process keeps freed heap in the
-    process on glibc (`numerics._keep_freed_heap`).
     """
     if source.labels is None:
         raise ContractError("pretraining needs source labels")
@@ -280,7 +277,6 @@ def pretrain_source(
     for name, value in (("lr", lr), ("weight_decay", weight_decay)):
         if not 0 <= value < np.inf:  # NaN fails too
             raise ContractError(f"{name} must be finite and nonnegative, got {value}")
-    _keep_freed_heap()
     model = model.copy()
     adj = AdjacencyLayout(source.n, source.edges).normalized(np.ones(source.num_edges))
     labels = source.labels

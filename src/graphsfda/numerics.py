@@ -62,10 +62,10 @@ function on plain values through a fresh tape. `grad_check` compares
 `backward` against central finite differences and is the ground truth for
 every composite loss built on top of this module.
 
-On glibc, `adapt` and `pretrain_source` call `_keep_freed_heap` once per
-process, which raises malloc's mmap and trim thresholds to their 32 and 64
-MiB ceilings so that the arrays each step frees stay in the process for the
-next step instead of being faulted in again.
+On glibc, `adapt` calls `_keep_freed_heap` once per process, which raises
+malloc's mmap and trim thresholds to their 32 and 64 MiB ceilings so that
+the arrays each step frees stay in the process for the next step instead of
+being faulted in again.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -413,22 +414,35 @@ class TestExportEmbeddings:
         assert len(lines[0].split()) == 4
 
 
-def adapted_outcome(model, tgt):
-    """`(predictions, parameters)` of a `quick_cfg` adaptation."""
-    adapted, _, pred, _ = adapt(model, tgt, quick_cfg())
-    return pred, [p.copy() for p in adapted.parameters()]
-
-
 MALLOC_SETTINGS = ("GLIBC_TUNABLES",) + numerics.MALLOC_TUNABLES
+
+glibc_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the malloc thresholds are set on Linux with glibc only",
+)
+
+# prints one digest of the predictions and parameters of an adaptation of
+# the default ShiftSpec pair, whose kNN blocks and sparse work buffer are
+# above glibc's default mmap threshold
+ADAPT_DIGEST_SCRIPT = """
+import hashlib
+from graphsfda.driver import AdaptConfig, adapt
+from graphsfda.gnn import init_model, pretrain_source
+from graphsfda.graph_store import ShiftSpec, make_shift_pair, split_nodes
+src, tgt = make_shift_pair(ShiftSpec())
+model = init_model(src.feature_dim, 32, src.num_classes, 2, seed=0)
+model, _ = pretrain_source(model, src, split_nodes(src, 0), epochs=20, lr=1e-2)
+adapted, _, pred, _ = adapt(model, tgt, AdaptConfig(epochs=5, seed=0))
+digest = hashlib.sha256(pred.tobytes())
+for p in adapted.parameters():
+    digest.update(p.tobytes())
+print(digest.hexdigest())
+"""
 
 
 class TestKeptHeap:
-    """The training loops keep freed heap in the process: on glibc,
+    """The adaptation loop keeps freed heap in the process: on glibc,
     `numerics._keep_freed_heap` sets both malloc thresholds once."""
-
-    @pytest.fixture(scope="class")
-    def kept_outcome(self, fixture_pair):
-        return adapted_outcome(*fixture_pair)
 
     @pytest.fixture
     def mallopt_calls(self, monkeypatch):
@@ -450,7 +464,7 @@ class TestKeptHeap:
         return calls
 
     @pytest.mark.parametrize("tunables", [None, "glibc.cpu.hwcaps=-AVX2"])
-    @pytest.mark.parametrize("entry", ["adapt", "pretrain_source", "helper"])
+    @pytest.mark.parametrize("entry", ["adapt", "helper"])
     def test_first_call_sets_both_thresholds(
         self, fixture_pair, mallopt_calls, monkeypatch, entry, tunables
     ):
@@ -459,7 +473,6 @@ class TestKeptHeap:
             monkeypatch.setenv("GLIBC_TUNABLES", tunables)
         call = {
             "adapt": lambda: adapt(model, tgt, quick_cfg(epochs=1)),
-            "pretrain_source": lambda: pretrain_source(model, tgt, split_nodes(tgt, 3), epochs=1),
             "helper": numerics._keep_freed_heap,
         }[entry]
         call()
@@ -480,22 +493,33 @@ class TestKeptHeap:
             ("MALLOC_TRIM_THRESHOLD_", "0"),
         ],
     )
-    def test_fallback_calls_nothing_and_changes_no_result(
-        self, fixture_pair, kept_outcome, mallopt_calls, monkeypatch, setting, value
-    ):
+    def test_fallback_calls_nothing(self, fixture_pair, mallopt_calls, monkeypatch, setting, value):
         if setting == "libc":
             monkeypatch.setattr(numerics.platform, "libc_ver", lambda: (value, ""))
         else:
             monkeypatch.setenv(setting, value)
-        pred, params = adapted_outcome(*fixture_pair)
+        adapt(*fixture_pair, quick_cfg(epochs=1))
         assert mallopt_calls == []
-        assert pred.tobytes() == kept_outcome[0].tobytes()
-        assert [p.tobytes() for p in params] == [p.tobytes() for p in kept_outcome[1]]
 
-    @pytest.mark.skipif(
-        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
-        reason="counts the page faults glibc's malloc thresholds avoid: Linux with glibc only",
-    )
+    @glibc_only
+    def test_thresholds_change_no_result(self):
+        """Two fresh interpreters adapt the same pair: one sets the thresholds,
+        the other runs on glibc's static default (an environment setting, so
+        the helper leaves it alone). Predictions and parameters are bitwise
+        equal."""
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in MALLOC_SETTINGS}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", ADAPT_DIGEST_SCRIPT], env=dict(env, **extra),
+                capture_output=True, text=True, check=True, timeout=300,
+            ).stdout
+            for extra in ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"})
+        ]
+        assert digests[0] == digests[1] != ""
+
+    @glibc_only
     def test_warm_adapt_faults_no_pages_in(self):
         import resource
 
