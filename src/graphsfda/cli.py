@@ -271,6 +271,7 @@ def cmd_pretrain(args) -> None:
     print(f"checkpoint={ckpt}")
     print(f"val_acc={metrics['val_acc']:.6f}")
     print(f"test_acc={metrics['test_acc']:.6f}")
+    print(f"kept_epoch={metrics['kept_epoch']}")
 
 
 def cmd_adapt(args) -> None:

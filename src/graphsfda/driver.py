@@ -57,6 +57,7 @@ from .gnn import (
 )
 from .graph_adaptation import (
     UnitBank,
+    _require_finite,
     apply_feature_delta,
     apply_structure_delta,
     feature_gd_step,
@@ -75,7 +76,7 @@ from .model_adaptation import (
     loss_weighted_ce,
     neighborhood_pseudo_labels,
 )
-from .numerics import Tape, _keep_freed_heap, backward
+from .numerics import Tape, _keep_freed_heap, backward, evaluate, l2_normalize_rows
 
 __all__ = ["AdaptConfig", "AdaptReport", "adapt", "evaluate_accuracy", "export_embeddings"]
 
@@ -328,14 +329,15 @@ def _model_step(recorded, model, opt, neighbors, banks, cfg: AdaptConfig, batch_
     pass of the current model; returns the refreshed banks and the loss."""
     tape, params, z, p = recorded
     labels = neighborhood_pseudo_labels(neighbors, banks)
-    centroids = compute_prototypes(labels, banks)
-    w = confidence_weights(z, centroids, labels)
+    unit_centroids = evaluate(l2_normalize_rows, compute_prototypes(labels, banks))
+    zn = l2_normalize_rows(z)
+    w = confidence_weights(zn, unit_centroids, labels)
     l_ce = loss_weighted_ce(p, labels, w)
     batch = None
     if cfg.batch_size:
         n = banks.n
         batch = batch_rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-    l_co = loss_instance_prototype(z, centroids, labels, cfg.temperature, batch_indices=batch)
+    l_co = loss_instance_prototype(zn, unit_centroids, labels, cfg.temperature, batch_indices=batch)
     _check_finite(float(l_ce.value[0, 0]), "weighted cross-entropy (model loss)")
     _check_finite(float(l_co.value[0, 0]), "instance-prototype contrast (model loss)")
     l_m = loss_model(l_ce, l_co, cfg.contrast_mix)
@@ -354,12 +356,14 @@ def _trace_delta(before, after) -> float:
 
 def _graph_step(tape, model_params, adj, x, bank, cfg: AdaptConfig) -> float:
     """Record the frozen model's pass over `adj` and `x` on the step's tape,
-    take the graph loss against the `UnitBank` `bank`, check that it is
-    finite and backpropagate it into the step's leaf; returns the loss."""
+    normalize z once for the kNN and the graph loss against the `UnitBank`
+    `bank`, check the loss finite and backpropagate it; returns the loss."""
     z, p = forward_on_tape([tape.constant(w) for w in model_params], adj, x)
     conf = select_confident(p.value, cfg.confidence_threshold)
-    positives = knn_positives(z.value, bank, cfg.k_neighbors)
-    l_g = _loss_graph(p, z, bank, conf, positives, cfg.positive_weight, cfg.negative_weight)
+    _require_finite(z.value, "kNN positives: z")  # a non-finite row would warn below
+    zn = l2_normalize_rows(z)
+    positives = knn_positives(zn.value, bank, cfg.k_neighbors)
+    l_g = _loss_graph(p, zn, bank, conf, positives, cfg.positive_weight, cfg.negative_weight)
     loss = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")
     backward(tape, l_g)
     return loss

@@ -262,8 +262,9 @@ def pretrain_source(
 
     Full-batch Adam on mean cross-entropy over train nodes. Keeps the
     best-validation parameters and reports validation and test accuracy for
-    that checkpoint; the test number is a sanity check only. Each model
-    state is evaluated once: its recorded forward pass gives its validation
+    that checkpoint (the test number is a sanity check only) and its
+    `kept_epoch`, the number of training epochs behind it. Each model state
+    is evaluated once: its recorded forward pass gives its validation
     accuracy and the next epoch differentiates it, so `epochs` epochs make
     epochs + 1 passes. The initial state is a candidate only when no epoch
     runs. A non-finite training loss raises NumericalError naming its epoch,
@@ -289,7 +290,7 @@ def pretrain_source(
         pred = np.argmax(p_out.value, axis=1)
         val_acc = evaluate_accuracy(pred[split.val], labels[split.val])
         if (epoch or not epochs) and val_acc > best_val:
-            best, best_val, best_pred = model.copy(), val_acc, pred
+            best, best_val, best_pred, kept_epoch = model.copy(), val_acc, pred, epoch
         if epoch < epochs:
             train_p = gather_rows(p_out, split.train)
             picked = select_cols(train_p, labels[split.train])
@@ -308,6 +309,7 @@ def pretrain_source(
         "val_acc": best_val,
         "test_acc": evaluate_accuracy(best_pred[split.test], labels[split.test]),
         "train_loss": history,
+        "kept_epoch": kept_epoch,
     }
 
 

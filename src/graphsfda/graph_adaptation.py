@@ -32,12 +32,12 @@ ordered, each node's candidates on their own (see `knn_positives`). Both
 read a bank state through its `UnitBank`, normalized and checked once for
 every graph step that reads it. The negative sum over every
 differently-labelled bank row collapses onto per-class sums of the
-normalized bank rows, so the contrast is one product of the normalized live
+normalized bank rows, so the contrast is one product of the unit live
 representations with a constant n x h weight (see `_contrast_weights`).
 Memory is linear in n; the kNN is the only O(n^2 h) time. Every cosine here
-normalizes rows with `numerics.l2_normalize_rows`, read off with `evaluate`
-where no gradient flows, so the kNN, the contrast weights and the live
-representations treat a near-zero row alike.
+is a dot product of unit rows: `UnitBank` normalizes a bank state once, and
+a graph step its live representations once, on its tape, for both the kNN
+and the contrast (`numerics.l2_normalize_rows`).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .banks import MemoryBanks, class_sums
 from .errors import ContractError, NumericalError, ShapeError
 from .numerics import (
     Tensor,
+    _tape_of,
     add,
     add_scalar,
     evaluate,
@@ -144,30 +145,29 @@ class UnitBank:
         return self.unit_t.shape[1]
 
 
-def knn_positives(z, bank: UnitBank, k: int) -> np.ndarray:
-    """Top-k cosine-similar rows of `bank` per node, self excluded, ties to
-    the lower index. Row i of `z` is node i, whose own bank row is i, so `z`
-    must have the bank's shape, (n, h); else ShapeError.
+def knn_positives(zn, bank: UnitBank, k: int) -> np.ndarray:
+    """Top-k cosine-similar rows of `bank` per unit row of `zn`, self excluded,
+    ties to the lower index. Row i of `zn` is node i, whose own bank row is
+    i, so `zn` must have the bank's shape, (n, h); else ShapeError.
 
     Works through KNN_BLOCK_ROWS rows of the similarity matrix at a time,
-    each block computed into the same buffer.
-    The n columns fall into w = n // KNN_GROUP_SIZE strided groups: group j
-    holds columns j, j+w, j+2w, ..., and one pass takes each group's
-    maximum. The k largest maxima are k distinct entries, so the k-th
-    largest group maximum is at most the k-th largest entry: it is a
-    threshold that keeps every positive and every tie at the k-th place.
-    Only the entries of groups whose maximum reaches it are gathered, laid
-    out one row per node (padded with similarity -inf and column n), and
-    each row is ordered on its own by (-similarity, column). That is the
-    order of a stable descending sort of the whole row. The column is a
-    key because a row's entries from several groups are not in column
-    order. With fewer than KNN_MIN_GROUPS groups (or fewer than k, or than
-    KNN_GROUP_SIZE) each column is its own group and the partition runs on
-    the whole row.
+    each block computed into the same buffer. The n columns fall into
+    w = n // KNN_GROUP_SIZE strided groups: group j holds columns
+    j, j+w, j+2w, ..., and one pass takes each group's maximum. The k
+    largest maxima are k distinct entries, so the k-th largest group maximum
+    is at most the k-th largest entry: it is a threshold that keeps every
+    positive and every tie at the k-th place. Only the entries of groups
+    whose maximum reaches it are gathered, laid out one row per node (padded
+    with similarity -inf and column n), and each row is ordered on its own
+    by (-similarity, column). That is the order of a stable descending sort
+    of the whole row. The column is a key because a row's entries from
+    several groups are not in column order. With fewer than KNN_MIN_GROUPS
+    groups (or fewer than k, or than KNN_GROUP_SIZE) each column is its own
+    group and the partition runs on the whole row.
 
-    A non-finite entry in `z` or in the representation bank raises
+    A non-finite entry in `zn` or in the representation bank raises
     NumericalError: the row would have no defined order."""
-    zv = np.asarray(z, dtype=np.float64)
+    zv = np.asarray(zn, dtype=np.float64)
     bnt, n = bank.unit_t, bank.n
     if not (1 <= k < n):
         raise ContractError(f"k must lie in [1, {n}), got {k}")
@@ -180,12 +180,11 @@ def knn_positives(z, bank: UnitBank, k: int) -> np.ndarray:
         size, width = 1, n
     tail = n - size * width  # < width: the first `tail` groups hold one more column
     spread = width * np.arange(size + 1)  # group j's columns are j + spread below n
-    an = evaluate(l2_normalize_rows, zv)
     out = np.empty((n, k), dtype=np.int64)
     buf = np.empty((min(KNN_BLOCK_ROWS, n), n))  # every block's similarities
     for start in range(0, n, KNN_BLOCK_ROWS):
         m = min(KNN_BLOCK_ROWS, n - start)
-        sims = np.matmul(an[start : start + m], bnt, out=buf[:m])
+        sims = np.matmul(zv[start : start + m], bnt, out=buf[:m])
         own = np.arange(start, start + m)
         sims[own - start, own] = -np.inf
         maxima = sims
@@ -219,7 +218,7 @@ def _require_finite(x: np.ndarray, name: str) -> None:
 def _contrast_weights(
     p: np.ndarray, bank: UnitBank, positives: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
-    """Constant weight W with contrast = sum_i normalize(z_i) . W_i.
+    """Constant weight W with contrast = sum_i zn_i . W_i for the unit rows zn.
 
     With b_j the normalized bank rows, own(i) the live argmax of p_i,
     banked(j) the argmax of the banked prediction, S_c the sum of b_j over
@@ -239,7 +238,7 @@ def _contrast_weights(
 
 def loss_graph(
     p: Tensor,
-    z: Tensor,
+    zn: Tensor,
     bank: UnitBank,
     conf: ConfidentSet,
     positives: np.ndarray,
@@ -248,34 +247,32 @@ def loss_graph(
 ) -> Tensor:
     """Confident-node cross-entropy plus neighborhood contrast.
 
-    The contrast terms are raw cosine sums against frozen bank rows: the
-    positive sum is subtracted (weight alpha), the negative sum added
-    (weight beta). The positives are the (n, k) bank row indices of
-    `knn_positives`; the negatives are every bank row whose banked argmax
-    differs from the node's live argmax, minus the node's positives. Both
-    are recorded as one product of the normalized live representations with
-    the constant `_contrast_weights`. The negatives depend on p only through
-    its argmax, which carries no gradient. An empty confident set
+    The contrast terms are raw cosine sums of the unit rows `zn`
+    (`l2_normalize_rows` of z) against frozen bank rows: the positive sum is
+    subtracted (weight alpha), the negative sum added (weight beta). The
+    positives are the (n, k) bank row indices of `knn_positives`; the
+    negatives are every bank row whose banked argmax differs from the node's
+    live argmax, minus the node's positives. Both are recorded as one product
+    of `zn` with the constant `_contrast_weights`. The negatives depend on p
+    only through its argmax, which carries no gradient. An empty confident set
     contributes zero cross-entropy.
 
-    `positives` must be (n, k), n the rows of p and z, else ShapeError; an
+    `positives` must be (n, k), n the rows of p and zn, else ShapeError; an
     entry outside [0, bank.n) raises ContractError.
     """
     if not (0.0 <= alpha < np.inf and 0.0 <= beta < np.inf):  # NaN fails too
         raise ContractError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
-    try:
-        pv, zv = p.value, z.value
-    except AttributeError:
-        raise ContractError("loss_graph needs p and z recorded on a tape") from None
+    tape = _tape_of(p, zn)
+    pv, zv = p.value, zn.value
     positives = np.asarray(positives)
     if positives.ndim != 2 or not positives.shape[0] == pv.shape[0] == zv.shape[0]:
         raise ShapeError(
-            f"loss_graph: positives {positives.shape} for p {pv.shape} and z {zv.shape}"
+            f"loss_graph: positives {positives.shape} for p {pv.shape} and zn {zv.shape}"
         )
     if positives.size and (positives.min() < 0 or positives.max() >= bank.n):
         raise ContractError(f"loss_graph: positive row id outside [0,{bank.n})")
     weights = _contrast_weights(pv, bank, positives, alpha, beta)
-    total = sum_all(mul(l2_normalize_rows(z), z.tape.constant(weights)))
+    total = sum_all(mul(zn, tape.constant(weights)))
     if len(conf):
         picked = select_cols(gather_rows(p, conf.node_ids), conf.labels)
         ce = neg(mean_all(log_clamped(picked)))

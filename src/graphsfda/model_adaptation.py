@@ -4,8 +4,8 @@ Pseudo-labels come from averaging the prediction bank over each node's
 current neighborhood, one sparse product with the 0/1 neighbour matrix of
 the graph's layout; global class prototypes from the representation bank
 weight those labels by cosine confidence, one `numerics.row_dots` against
-the C normalized centroids, so no n x h copy of them is built or kept for
-the backward pass. The pull toward prototypes is an InfoNCE-style term
+the C unit centroids, so no n x h copy of them is built or kept for the
+backward pass. The pull toward prototypes is an InfoNCE-style term
 whose denominator holds only negatives (the remaining prototypes and the
 other instances), so its value can legitimately be negative. The
 instance half of that denominator is one
@@ -15,11 +15,11 @@ whole graph it computes each unordered node pair once.
 
 Each step hands the next one a plain array: `neighborhood_pseudo_labels`
 gives the int64 pseudo-label per node, and `compute_prototypes` turns those
-labels into the (C, h) centroid array that the two losses read. Loss
-functions take tensors recorded on a tape and return tensors on it; read a
-value off one with `numerics.evaluate`. Selection steps (argmax labels,
-prototype membership) work on concrete values and act as constants under
-differentiation.
+labels into the (C, h) centroid array; a model step normalizes z and the
+centroids once for both cosine terms. Loss functions take tensors recorded
+on a tape and return tensors on it; read a value off one with
+`numerics.evaluate`. Selection steps (argmax labels, prototype membership)
+work on concrete values and act as constants under differentiation.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from .errors import ContractError
 from .numerics import (
     SparseAdjacency,
     Tensor,
+    _tape_of,
     add,
     evaluate,
     exp,
     exp_sum_others,
-    l2_normalize_rows,
     log,
     log_clamped,
     matmul,
@@ -90,15 +90,12 @@ def compute_prototypes(labels: np.ndarray, banks: MemoryBanks) -> np.ndarray:
     return sums / np.where(counts == 0, 1, counts)[:, None]
 
 
-def confidence_weights(z: Tensor, centroids: np.ndarray, labels: np.ndarray) -> Tensor:
-    """Cosine similarity of each node to its pseudo-class centroid, clamped
-    at zero; zero-norm operands give weight zero.
-
-    One `numerics.row_dots` of the normalized rows of z with the (C, h)
-    normalized centroids, so no per-node copy of a centroid is built or
-    kept for the backward pass."""
-    unit_centroids = evaluate(l2_normalize_rows, centroids)
-    return relu(row_dots(l2_normalize_rows(z), unit_centroids, labels))
+def confidence_weights(zn: Tensor, unit_centroids: np.ndarray, labels: np.ndarray) -> Tensor:
+    """Cosine of each unit row of `zn` with its pseudo-class row of the (C, h)
+    unit centroids, clamped at zero (a zero row gives zero): one
+    `numerics.row_dots`, so no per-node copy of a centroid is built or kept
+    for the backward pass."""
+    return relu(row_dots(zn, unit_centroids, labels))
 
 
 def loss_weighted_ce(p: Tensor, labels: np.ndarray, w) -> Tensor:
@@ -110,9 +107,9 @@ def loss_weighted_ce(p: Tensor, labels: np.ndarray, w) -> Tensor:
 
 
 def loss_instance_prototype(
-    z: Tensor, centroids: np.ndarray, labels: np.ndarray, tau: float, batch_indices=None
+    zn: Tensor, unit_centroids: np.ndarray, labels: np.ndarray, tau: float, batch_indices=None
 ) -> Tensor:
-    """Instance-to-prototype contrast under temperature `tau`.
+    """Instance-to-prototype contrast of unit rows under temperature `tau`.
 
     Per node, the positive is its pseudo-class centroid; negatives are the
     other centroids plus every other instance (optionally restricted to a
@@ -125,8 +122,7 @@ def loss_instance_prototype(
         raise ContractError(f"temperature must be positive, got {tau}")
     n = labels.size
     inv_tau = 1.0 / tau
-    zn = l2_normalize_rows(z)
-    proto_sims = matmul(zn, z.tape.constant(evaluate(l2_normalize_rows, centroids).T.copy()))
+    proto_sims = matmul(zn, _tape_of(zn).constant(unit_centroids.T.copy()))
     pos = select_cols(proto_sims, labels)
     pos_exp = exp(mul_scalar(pos, inv_tau))
     proto_sum = sub(row_sum(exp(mul_scalar(proto_sims, inv_tau))), pos_exp)

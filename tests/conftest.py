@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphsfda.graph_store import AdjacencyLayout, TargetGraph
-from graphsfda.numerics import Tensor
+from graphsfda.numerics import Tensor, evaluate, l2_normalize_rows
 
 
 def random_graph(rng, n, d, num_classes, edge_p=0.3, labelled=True):
@@ -27,6 +27,12 @@ def adjacency(g, edge_weights=None):
     if edge_weights is None:
         edge_weights = np.ones(g.num_edges)
     return AdjacencyLayout(g.n, g.edges).normalized(edge_weights)
+
+
+def normalized(x):
+    """Plain rows with unit L2 norm, as an adaptation step normalizes z and
+    the centroids before the cosine terms read them."""
+    return evaluate(l2_normalize_rows, x)
 
 
 def transposed(a):

@@ -38,9 +38,9 @@ from graphsfda.model_adaptation import (
     loss_weighted_ce,
     neighborhood_pseudo_labels,
 )
-from graphsfda.numerics import evaluate, grad_check
+from graphsfda.numerics import evaluate, grad_check, l2_normalize_rows
 
-from conftest import adjacency, random_graph
+from conftest import adjacency, normalized, random_graph
 from test_graph_adaptation import grid_project_oracle
 
 
@@ -69,19 +69,21 @@ def test_criterion_1_gradient_fidelity():
         pl = neighborhood_pseudo_labels(layout.neighbors(weights), banks)
         protos = compute_prototypes(pl, banks)
         conf = select_confident(p0, 0.5)
-        positives = knn_positives(z0, UnitBank(banks), 5)
+        positives = knn_positives(normalized(z0), UnitBank(banks), 5)
         params = model.parameters()
 
+        # each step normalizes z once, and the model step its centroids once
         def model_loss(z, p):
-            w = confidence_weights(z, protos, pl)
+            zn, unit_protos = l2_normalize_rows(z), normalized(protos)
+            w = confidence_weights(zn, unit_protos, pl)
             return loss_model(
                 loss_weighted_ce(p, pl, w),
-                loss_instance_prototype(z, protos, pl, 0.2),
+                loss_instance_prototype(zn, unit_protos, pl, 0.2),
                 0.2,
             )
 
         def graph_loss(z, p):
-            return loss_graph(p, z, UnitBank(banks), conf, positives, 0.5, 0.5)
+            return loss_graph(p, l2_normalize_rows(z), UnitBank(banks), conf, positives, 0.5, 0.5)
 
         for loss_fn in (model_loss, graph_loss):
             # wrt model parameters (extractor and classifier together)

@@ -80,6 +80,7 @@ class TestPretrain:
         assert code == 0
         assert float(kv(out, "val_acc")) >= 0.0
         assert float(kv(out, "test_acc")) >= 0.9
+        assert 1 <= int(kv(out, "kept_epoch")) <= 80  # pretrain_epochs
 
     def test_reproducible_checkpoint_bytes(self, workspace, capsys):
         first = Path(kv(run(capsys, "pretrain", "--config", str(workspace / "run.json"))[1], "checkpoint")).read_bytes()
@@ -551,6 +552,6 @@ def test_readme_demo_runs(tmp_path):
         capture_output=True, text=True, env=_cli_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    for key in ("val_acc", "final_acc", "acc", "embeddings"):
+    for key in ("val_acc", "kept_epoch", "final_acc", "acc", "embeddings"):
         kv(proc.stdout, key)
     assert np.loadtxt(tmp_path / "demo_z.txt").shape == (300, 32)

@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphsfda import driver, gnn, graph_adaptation, numerics
+from graphsfda import driver, gnn, graph_adaptation, model_adaptation, numerics
 from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy, export_embeddings
 from graphsfda.errors import ContractError, NumericalError
 from graphsfda.gnn import GnnModel, forward, init_model, predict, pretrain_source
 from graphsfda.graph_store import AdjacencyLayout, ShiftSpec, make_shift_pair, split_nodes
-from graphsfda.numerics import l2_normalize_rows
+from graphsfda.numerics import add, l2_normalize_rows
 
 from conftest import adjacency, random_graph
 
@@ -341,6 +341,72 @@ def test_each_bank_state_is_normalized_and_checked_once(fixture_pair, monkeypatc
     for state in states:
         assert sum(a is state for a in normalized) == 1
         assert sum(a is state for a in checked) == 1
+
+
+def test_each_step_normalizes_z_once(fixture_pair, monkeypatch):
+    # a model step's two cosine terms read one normalization of its z and
+    # one of its centroids; a graph step's kNN and contrast read one of its z
+    normalized, centroids, passes = [], [], []
+    model_counts, graph_counts = [], []
+    model_step, graph_step = driver._model_step, driver._graph_step
+    prototypes, graph_forward = driver.compute_prototypes, driver.forward_on_tape
+
+    def count(value):
+        return sum(v is value for v in normalized)
+
+    def spy_normalize(a):
+        normalized.append(a.value)
+        return l2_normalize_rows(a)
+
+    def spy_prototypes(*args):
+        centroids.append(prototypes(*args))
+        return centroids[-1]
+
+    def spy_forward(*args):
+        z, p = graph_forward(*args)
+        passes.append(z.value)
+        return z, p
+
+    def spy_model_step(recorded, *args):
+        normalized.clear()
+        out = model_step(recorded, *args)
+        model_counts.append((count(recorded[2].value), count(centroids[-1])))
+        return out
+
+    def spy_graph_step(*args):
+        normalized.clear()
+        out = graph_step(*args)
+        graph_counts.append(count(passes[-1]))
+        return out
+
+    for module in (driver, model_adaptation, graph_adaptation):
+        monkeypatch.setattr(module, "l2_normalize_rows", spy_normalize, raising=False)
+    monkeypatch.setattr(driver, "compute_prototypes", spy_prototypes)
+    monkeypatch.setattr(driver, "forward_on_tape", spy_forward)
+    monkeypatch.setattr(driver, "_model_step", spy_model_step)
+    monkeypatch.setattr(driver, "_graph_step", spy_graph_step)
+    model, tgt = fixture_pair
+    adapt(model, tgt, quick_cfg(epochs=2, model_steps=2))
+    assert model_counts == [(1, 1)] * 4
+    assert graph_counts == [1] * 4  # a feature and a structure step per epoch
+
+
+def test_non_finite_z_is_named_before_it_is_normalized(fixture_pair, monkeypatch):
+    # normalizing an inf row warns "invalid value", an error in this suite,
+    # so the graph step checks z first and the kNN's message stands
+    forward_on_tape = driver.forward_on_tape
+
+    def inf_row(params, adj, x):
+        z, p = forward_on_tape(params, adj, x)
+        bad = np.zeros(z.shape)
+        bad[2, 1] = np.inf
+        return add(z, x.tape.constant(bad)), p
+
+    monkeypatch.setattr(driver, "forward_on_tape", inf_row)
+    model, tgt = fixture_pair
+    message = "^kNN positives: z has a non-finite entry in row 2 at epoch 1, feature step$"
+    with pytest.raises(NumericalError, match=message):
+        adapt(model, tgt, quick_cfg())
 
 
 class TestUnlabelledAndBatchModes:

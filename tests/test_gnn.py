@@ -222,7 +222,9 @@ def two_pass_pretrain_oracle(model, source, split, epochs, lr, weight_decay=5e-4
     """Pretraining as it was with a separate evaluation pass: each epoch
     trains on one forward pass, then `predict` evaluates the new state, and
     the best state is evaluated once more at the end. Also returns the
-    validation accuracy of every evaluated state."""
+    validation accuracy of every evaluated state. The kept epoch is the
+    first best of those states: after epoch i + 1 for state i, or the
+    initial state (epoch 0) when no epoch runs."""
     model = model.copy()
     adj = adjacency(source)
     labels = source.labels
@@ -252,6 +254,7 @@ def two_pass_pretrain_oracle(model, source, split, epochs, lr, weight_decay=5e-4
         "val_acc": accuracy(pred, split.val),
         "test_acc": accuracy(pred, split.test),
         "train_loss": history,
+        "kept_epoch": int(np.argmax(vals)) + 1 if epochs else 0,
     }
     return best, metrics, vals
 

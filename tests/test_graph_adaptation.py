@@ -39,7 +39,7 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import adjacency, random_graph, traced_peak
+from conftest import adjacency, normalized, random_graph, traced_peak
 
 
 def grid_project_oracle(v, budget, step=1e-6):
@@ -223,13 +223,13 @@ class TestKnnPositives:
     def test_exact_duplicate_found(self):
         banks = MemoryBanks(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.full((3, 2), 0.5), 0.9)
         z = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        out = knn_positives(z, UnitBank(banks), 1)
+        out = knn_positives(normalized(z), UnitBank(banks), 1)
         assert out[0, 0] == 2  # the duplicate of row 0, self excluded
 
     def test_tie_resolves_to_lowest_index(self):
         banks = MemoryBanks(np.eye(3), np.full((3, 3), 1 / 3), 0.9)
         z = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-        out = knn_positives(z, UnitBank(banks), 1)
+        out = knn_positives(normalized(z), UnitBank(banks), 1)
         assert out[0, 0] == 1  # cos ties between banks 0 and 1; 0 is self
 
     def test_k_bounds(self):
@@ -240,7 +240,7 @@ class TestKnnPositives:
     def test_self_never_included(self, rng):
         n = 10
         banks = MemoryBanks(rng.standard_normal((n, 4)), np.full((n, 2), 0.5), 0.9)
-        out = knn_positives(banks.repr_bank, UnitBank(banks), 3)
+        out = knn_positives(normalized(banks.repr_bank), UnitBank(banks), 3)
         for i in range(n):
             assert i not in out[i]
 
@@ -294,7 +294,7 @@ class TestKnnPositives:
 
         with monkeypatch.context() as patch:
             patch.setattr(np, "partition", spy)
-            got = knn_positives(z, UnitBank(banks), k)
+            got = knn_positives(normalized(z), UnitBank(banks), k)
         assert np.array_equal(got, argsort_knn_oracle(z, banks, k))
         # grouping needs at least max(KNN_MIN_GROUPS, KNN_GROUP_SIZE, k) groups,
         # and then no whole row is partitioned
@@ -320,12 +320,13 @@ class TestKnnPositives:
 
     def test_holds_one_similarity_block(self, rng):
         # every block is computed into one KNN_BLOCK_ROWS x n buffer: at
-        # n = 3000 the call peaks at 1.54 blocks (the buffer, the normalized
-        # z and the candidates); two blocks alive at once would pass 2
+        # n = 3000 the call peaks at 1.29 blocks (the buffer and the
+        # candidates; 1.54 while it normalized z itself); two blocks alive
+        # at once would pass 2
         n, h = 3000, 32
-        z = rng.standard_normal((n, h))
+        zn = normalized(rng.standard_normal((n, h)))
         unit = UnitBank(MemoryBanks(rng.standard_normal((n, h)), np.full((n, 2), 0.5), 0.9))
-        _, peak = traced_peak(lambda: knn_positives(z, unit, 5))
+        _, peak = traced_peak(lambda: knn_positives(zn, unit, 5))
         assert peak < 1.75 * graph_adaptation.KNN_BLOCK_ROWS * n * 8
 
 
@@ -354,9 +355,14 @@ class TestLabelNegatives:
 
 
 def graph_loss(p, z, banks, conf, positives, alpha, beta):
-    """The graph loss of plain probabilities and representations."""
+    """The graph loss of plain probabilities and representations, z
+    normalized in front as a graph step does."""
     return evaluate(
-        lambda pt, zt: loss_graph(pt, zt, UnitBank(banks), conf, positives, alpha, beta), p, z
+        lambda pt, zt: loss_graph(
+            pt, l2_normalize_rows(zt), UnitBank(banks), conf, positives, alpha, beta
+        ),
+        p,
+        z,
     )[0, 0]
 
 
@@ -413,7 +419,7 @@ class TestClosedFormContrast:
         z0 = rng.standard_normal((n, h))
         p0 = evaluate(row_softmax, 2.0 * rng.standard_normal((n, c)))
         banks = MemoryBanks(rng.standard_normal((n, h)), rng.dirichlet(np.ones(c), n), 0.9)
-        positives = knn_positives(z0, UnitBank(banks), k)
+        positives = knn_positives(normalized(z0), UnitBank(banks), k)
         own = np.argmax(p0, axis=1)
         banked = np.argmax(banks.pred_bank, axis=1)
         # cover both corrections in W: own bank row among the negatives, and
@@ -430,7 +436,9 @@ class TestClosedFormContrast:
         assert len(conf)
         results = []
         for loss in (
-            lambda p, z: loss_graph(p, z, UnitBank(banks), conf, positives, alpha, beta),
+            lambda p, z: loss_graph(
+                p, l2_normalize_rows(z), UnitBank(banks), conf, positives, alpha, beta
+            ),
             lambda p, z: dense_loss_graph_oracle(p, z, banks, conf, positives, alpha, beta),
         ):
             tape = Tape()
@@ -454,8 +462,9 @@ def test_graph_loss_memory_below_one_dense_matrix(rng):
 
     def graph_step():
         conf = select_confident(p.value, 0.9)
-        positives = knn_positives(z.value, UnitBank(banks), 5)
-        backward(tape, loss_graph(p, z, UnitBank(banks), conf, positives, 0.5, 0.5))
+        zn = l2_normalize_rows(z)
+        positives = knn_positives(zn.value, UnitBank(banks), 5)
+        backward(tape, loss_graph(p, zn, UnitBank(banks), conf, positives, 0.5, 0.5))
         return conf
 
     conf, peak = traced_peak(graph_step)
@@ -682,7 +691,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
     z0, p0 = forward(model, adjacency(g), g.features)
     banks = MemoryBanks(z0.copy(), p0.copy(), 0.9)
     conf = select_confident(p0, 0.5)
-    positives = knn_positives(z0, UnitBank(banks), 3)
+    positives = knn_positives(normalized(z0), UnitBank(banks), 3)
     delta_a0 = rng.uniform(0.2, 0.8, (g.num_edges, 1))
     params = model.parameters()
 
@@ -691,7 +700,7 @@ def test_graph_loss_gradients_wrt_deltas(rng):
         adj = adjacency(g, 1.0 - delta_a0.ravel())
         x = apply_feature_delta(tape.constant(g.features), dx)
         z, p = forward_on_tape([tape.constant(w) for w in params], adj, x)
-        return loss_graph(p, z, UnitBank(banks), conf, positives, 0.5, 0.5)
+        return loss_graph(p, l2_normalize_rows(z), UnitBank(banks), conf, positives, 0.5, 0.5)
 
     assert grad_check(f_dx, rng.uniform(-0.2, 0.2, g.features.shape)) <= 1e-4
 
@@ -700,6 +709,6 @@ def test_graph_loss_gradients_wrt_deltas(rng):
         adj_live = layout.normalized(apply_structure_delta(da))
         constants = [tape.constant(w) for w in params]
         z, p = forward_on_tape(constants, adj_live, tape.constant(g.features))
-        return loss_graph(p, z, UnitBank(banks), conf, positives, 0.5, 0.5)
+        return loss_graph(p, l2_normalize_rows(z), UnitBank(banks), conf, positives, 0.5, 0.5)
 
     assert grad_check(f_da, delta_a0) <= 1e-4

@@ -34,7 +34,7 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import adjacency, random_graph, traced_kept, traced_peak, transposed
+from conftest import adjacency, normalized, random_graph, traced_kept, traced_peak, transposed
 
 
 def banks_with(pred, repr_=None):
@@ -135,38 +135,39 @@ class TestPrototypes:
         assert np.allclose(protos, protos_p, atol=1e-12)
 
 
+def weights_of(z, protos, pl):
+    """The confidence weights of plain rows, each operand normalized once
+    in front as a model step does."""
+    return evaluate(lambda t: confidence_weights(l2_normalize_rows(t), normalized(protos), pl), z)
+
+
 class TestConfidenceWeights:
     def test_self_similarity(self):
-        protos = np.array([[1.0, 2.0]])
-        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 2.0]])
+        w = weights_of([[1.0, 2.0]], np.array([[1.0, 2.0]]), np.array([0]))
         assert np.allclose(w, [[1.0]])
 
     def test_orthogonal(self):
-        protos = np.array([[0.0, 1.0]])
-        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 0.0]])
+        w = weights_of([[1.0, 0.0]], np.array([[0.0, 1.0]]), np.array([0]))
         assert np.allclose(w, [[0.0]])
 
     def test_hand_cosine(self):
-        protos = np.array([[1.0, 1.0]])
-        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 0.0]])
+        w = weights_of([[1.0, 0.0]], np.array([[1.0, 1.0]]), np.array([0]))
         assert np.allclose(w, [[1.0 / np.sqrt(2.0)]])
 
     def test_negative_cosine_clamped(self):
-        protos = np.array([[-1.0, 0.0]])
-        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 0.0]])
+        w = weights_of([[1.0, 0.0]], np.array([[-1.0, 0.0]]), np.array([0]))
         assert np.array_equal(w, [[0.0]])
 
     def test_zero_norm_gives_zero(self):
-        protos = np.array([[0.0, 0.0]])
-        w = evaluate(lambda z: confidence_weights(z, protos, np.array([0])), [[1.0, 1.0]])
+        w = weights_of([[1.0, 1.0]], np.array([[0.0, 0.0]]), np.array([0]))
         assert np.array_equal(w, [[0.0]])
 
     def test_scale_invariance(self, rng):
         z = rng.standard_normal((6, 3))
         protos = rng.standard_normal((2, 3))
         pl = rng.integers(0, 2, 6)
-        w1 = evaluate(lambda t: confidence_weights(t, protos, pl), z)
-        w2 = evaluate(lambda t: confidence_weights(t, protos, pl), 7.3 * z)
+        w1 = weights_of(z, protos, pl)
+        w2 = weights_of(7.3 * z, protos, pl)
         assert np.allclose(w1, w2, atol=1e-12)
 
 
@@ -199,8 +200,12 @@ class TestWeightedCE:
 
 
 def instance_prototype(z, protos, pl, tau, **kwargs):
-    """The contrast on plain representations."""
-    return evaluate(lambda t: loss_instance_prototype(t, protos, pl, tau, **kwargs), z)[0, 0]
+    """The contrast on plain representations, each operand normalized once
+    in front as a model step does."""
+    unit_protos = normalized(protos)
+    return evaluate(
+        lambda t: loss_instance_prototype(l2_normalize_rows(t), unit_protos, pl, tau, **kwargs), z
+    )[0, 0]
 
 
 class TestInstancePrototypeLoss:
@@ -286,7 +291,10 @@ class TestStreamedContrastMatchesDense:
         # the batch holds some rows' own index and not others'
         cols = None if batch == "full" else rng.choice(n, size=40, replace=False)
         streamed, g_streamed = value_and_grad(
-            lambda z: loss_instance_prototype(z, protos, pl, 0.2, batch_indices=cols), z0
+            lambda z: loss_instance_prototype(
+                l2_normalize_rows(z), normalized(protos), pl, 0.2, batch_indices=cols
+            ),
+            z0,
         )
         dense, g_dense = value_and_grad(
             lambda z: dense_instance_prototype_oracle(z, protos, pl, 0.2, cols), z0
@@ -302,7 +310,10 @@ def test_contrast_memory_below_one_dense_matrix(rng):
     protos = rng.standard_normal((c, h))
     tape = Tape()
     z = tape.leaf(z0)
-    _, peak = traced_peak(lambda: backward(tape, loss_instance_prototype(z, protos, pl, 0.2)))
+    unit_protos = normalized(protos)
+    _, peak = traced_peak(
+        lambda: backward(tape, loss_instance_prototype(l2_normalize_rows(z), unit_protos, pl, 0.2))
+    )
     assert np.all(np.isfinite(z.grad)) and peak < n * n * 8  # one dense n x n float64 array
 
 
@@ -324,14 +335,16 @@ def model_step_inputs():
 
 def record_model_loss(adj, neighbors, model, x, rng):
     """(tape, parameter leaves, model loss) of a model step with a sampled
-    contrast batch, as on large graphs."""
+    contrast batch, as on large graphs: z and the centroids are normalized
+    once, as the driver does."""
     tape, params, z, p = record_forward(model, adj, x)
     banks = init_banks(z.value, p.value, 0.9)
     pl = neighborhood_pseudo_labels(neighbors, banks)
-    protos = compute_prototypes(pl, banks)
+    protos = normalized(compute_prototypes(pl, banks))
+    zn = l2_normalize_rows(z)
     batch = rng.choice(banks.n, size=256, replace=False)
-    l_ce = loss_weighted_ce(p, pl, confidence_weights(z, protos, pl))
-    l_co = loss_instance_prototype(z, protos, pl, 0.2, batch_indices=batch)
+    l_ce = loss_weighted_ce(p, pl, confidence_weights(zn, protos, pl))
+    l_co = loss_instance_prototype(zn, protos, pl, 0.2, batch_indices=batch)
     return tape, params, loss_model(l_ce, l_co, 0.2)
 
 
@@ -341,7 +354,7 @@ def n_by_h(x, model):
 
 
 def test_model_loss_backward_holds_only_its_frontier():
-    # the sweep holds about 3.2 n x h arrays at its peak; keeping every
+    # the sweep holds about 3.1 n x h arrays at its peak; keeping every
     # node's gradient held about 12, and keeping every pull until the tape
     # was dropped, with the confidence weights' gathered centroids, 4.1
     adj, neighbors, model, x, rng = model_step_inputs()
@@ -353,10 +366,11 @@ def test_model_loss_backward_holds_only_its_frontier():
 
 def test_tape_keeps_only_what_backward_reads():
     # the tape holds its leaves, and an op output lives while a pull reads
-    # it: a recorded pass keeps about 2.4 n x h arrays and the model step
-    # about 4.8 before its sweep (5.8 while the confidence weights kept a
-    # gathered centroid per node), where a tape that held every op output
-    # kept about 6.6 and 12.6
+    # it: a recorded pass keeps about 2.4 n x h arrays and the model step,
+    # which normalizes z once for both cosine terms, about 3.8 before its
+    # sweep (4.8 while each term normalized z itself, 5.8 while the
+    # confidence weights also kept a gathered centroid per node), where a
+    # tape that held every op output kept about 6.6 and 12.6
     adj, neighbors, model, x, rng = model_step_inputs()
     nh = n_by_h(x, model)
     recorded, kept = traced_kept(lambda: record_forward(model, adj, x))
@@ -365,7 +379,7 @@ def test_tape_keeps_only_what_backward_reads():
     (tape, params, l_m), kept = traced_kept(
         lambda: record_model_loss(adj, neighbors, model, x, rng)
     )
-    assert kept <= 5 * nh
+    assert kept <= 4 * nh
     backward(tape, l_m)
     assert all(np.all(np.isfinite(t.grad)) for t in params)
 
@@ -435,14 +449,15 @@ def test_model_loss_gradients_on_random_instance(rng):
     pl = neighborhood_pseudo_labels(
         AdjacencyLayout(g.n, g.edges).neighbors(np.ones(g.num_edges)), banks
     )
-    protos = compute_prototypes(pl, banks)
+    protos = normalized(compute_prototypes(pl, banks))
 
     def f(*params):
         tape = params[0].tape
         z, p = forward_on_tape(list(params), adj, tape.constant(g.features))
-        w = confidence_weights(z, protos, pl)
+        zn = l2_normalize_rows(z)
+        w = confidence_weights(zn, protos, pl)
         l_ce = loss_weighted_ce(p, pl, w)
-        l_co = loss_instance_prototype(z, protos, pl, 0.2)
+        l_co = loss_instance_prototype(zn, protos, pl, 0.2)
         return loss_model(l_ce, l_co, 0.2)
 
     err = grad_check(f, [w.copy() for w in model.parameters()], step=1e-4)
