@@ -362,6 +362,7 @@ def _graph_step(tape, model_params, adj, x, bank, cfg: AdaptConfig) -> float:
     conf = select_confident(p.value, cfg.confidence_threshold)
     _require_finite(z.value, "kNN positives: z")  # a non-finite row would warn below
     zn = l2_normalize_rows(z)
+    del z  # frees its n x h value: the normalization's pull reads zn, not z
     positives = knn_positives(zn.value, bank, cfg.k_neighbors)
     l_g = _loss_graph(p, zn, bank, conf, positives, cfg.positive_weight, cfg.negative_weight)
     loss = _check_finite(float(l_g.value[0, 0]), "graph adaptation loss")

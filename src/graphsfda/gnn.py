@@ -3,7 +3,9 @@ softmax classifier, with supervised pretraining on a labelled source graph.
 
 The forward pass applies ReLU after every propagation layer, so the embedding
 handed to cosine-similarity consumers is the nonnegative output of the last
-layer. Propagation is one `spmm` per layer, whether the adjacency's values
+layer. Propagation is one sparse product per layer, at the narrower of the
+layer's input and output widths (`spmm_matmul` when the layer widens its
+input, else `spmm` after the dense product), whether the adjacency's values
 are frozen or a live function of the edge mask. The recorded pass takes
 tensors only: the parameters, the features and the adjacency's values are
 each a live leaf or a tape constant, so one pass serves model adaptation
@@ -44,6 +46,7 @@ from .numerics import (
     row_softmax,
     select_cols,
     spmm,
+    spmm_matmul,
 )
 
 __all__ = [
@@ -164,11 +167,17 @@ def forward_on_tape(params: list, adj_hat: SparseAdjacency, x):
     values of `adj_hat` and `x` are each live tensors or tape constants.
 
     A live edge mask enters as an adjacency whose values are a Tensor (see
-    `AdjacencyLayout.normalized`); `spmm` differentiates into them."""
+    `AdjacencyLayout.normalized`); the sparse product differentiates into
+    them. A layer propagates the narrower of its input and its output: a
+    layer that widens its input is `spmm_matmul`, (A h) w, and any other
+    `spmm(adj_hat, matmul(h, w))`."""
     *layer_ws, cls_w, cls_b = params
     h = x
     for w in layer_ws:
-        h = relu(spmm(adj_hat, matmul(h, w)))
+        if h.shape[1] < w.shape[1]:
+            h = relu(spmm_matmul(adj_hat, h, w))
+        else:
+            h = relu(spmm(adj_hat, matmul(h, w)))
     logits = add_bias(matmul(h, cls_w), cls_b)
     return h, row_softmax(logits)
 

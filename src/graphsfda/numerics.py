@@ -7,8 +7,11 @@ normalization of edge weights (`sym_norm_values`, one op with a closed-form
 pull) and the usual elementwise operations. No broadcasting beyond the
 explicit bias op, no GPU, no higher-order derivatives.
 
-There is one sparse product, `spmm`, over one sparse type whose values may be
-a recorded tensor: that is how a live edge mask reaches the convolution.
+There is one sparse kernel, `SparseAdjacency.product`, over one sparse type
+whose values may be a recorded tensor: that is how a live edge mask reaches
+the convolution. Two ops record it: `spmm`, the product, and `spmm_matmul`,
+the product followed by a dense one, which recomputes the product in its
+backward pass instead of keeping it.
 `SparseAdjacency` is the A + I pattern of an undirected edge array, one
 value per edge and one per node, so every matrix it carries is symmetric.
 It has one storage format, a jagged-diagonal table (Saad, *Iterative
@@ -32,7 +35,7 @@ The gradient into the slot values is one dot product per slot, and each
 edge value's gradient sums its two mirror slots, a sum of two terms that
 does not depend on their order.
 
-One fused op, `exp_sum_others`, sums `exp(scale * a_i . a_j)` over a set of
+Another fused op, `exp_sum_others`, sums `exp(scale * a_i . a_j)` over a set of
 columns j other than i without holding the n x m matrix: it works through
 row blocks in the forward pass and recomputes each block in the backward
 pass, so the instance contrast needs O(n * block) memory. Over every node
@@ -105,6 +108,7 @@ __all__ = [
     "grad_check",
     "matmul",
     "spmm",
+    "spmm_matmul",
     "row_softmax",
     "l2_normalize_rows",
 ]
@@ -529,6 +533,33 @@ def spmm(adj: SparseAdjacency, x):
         [
             (vals.index, lambda g: adj.slot_dots(g, xv)),
             (x.index, lambda g: adj.product(vv, g)),
+        ],
+    )
+
+
+def spmm_matmul(adj: SparseAdjacency, x, w):
+    """`(adj @ x) @ w` as one op: a GCN layer that propagates its input
+    before it widens it, so every sparse call works at the width of `x`.
+
+    Value and gradients are bitwise those of `matmul(spmm(adj, x), w)`, but
+    the op keeps no `adj @ x`: the pull into `w` recomputes it, as
+    `exp_sum_others` recomputes its blocks (Chen et al., arXiv 1604.06174),
+    so the tape keeps only the operands. The pulls into `x` and into the
+    stored values of `adj` each compute `g @ w^T`; no adaptation step
+    differentiates into both."""
+    vals = adj.values if isinstance(adj.values, Tensor) else _tape_of(x).constant(adj.values)
+    tape = _tape_of(vals, x, w)
+    xv, wv, vv = x.value, w.value, vals.value
+    if adj.n != xv.shape[0]:
+        raise ShapeError(f"spmm_matmul: adjacency is {adj.n}x{adj.n}, x has {xv.shape[0]} rows")
+    if xv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"spmm_matmul: x has {xv.shape[1]} columns, w has {wv.shape[0]} rows")
+    return tape._record(
+        adj.product(vv, xv) @ wv,
+        [
+            (vals.index, lambda g: adj.slot_dots(g @ wv.T, xv)),
+            (x.index, lambda g: adj.product(vv, g @ wv.T)),
+            (w.index, lambda g: adj.product(vv, xv).T @ g),
         ],
     )
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphsfda.gnn import init_model
 from graphsfda.graph_store import AdjacencyLayout, TargetGraph
 from graphsfda.numerics import Tensor, evaluate, l2_normalize_rows
 
@@ -27,6 +28,26 @@ def adjacency(g, edge_weights=None):
     if edge_weights is None:
         edge_weights = np.ones(g.num_edges)
     return AdjacencyLayout(g.n, g.edges).normalized(edge_weights)
+
+
+def step_inputs():
+    """The adjacency layout, 2-layer model (d = 16, h = 32, 3 classes) and
+    features of an adaptation step at n = 4000, a ring plus 3n random
+    edges, with the rng that drew them."""
+    n, d, h, c = 4000, 16, 32, 3
+    rng = np.random.default_rng(0)
+    ring = np.arange(n)
+    pairs = np.concatenate(
+        [np.stack([ring, (ring + 1) % n], axis=1), rng.integers(0, n, (3 * n, 2))]
+    )
+    edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    model = init_model(d, h, c, 2, seed=0)
+    return AdjacencyLayout(n, edges), model, rng.standard_normal((n, d)), rng
+
+
+def n_by_h(x, model):
+    """The bytes of one n x h float64 array."""
+    return x.shape[0] * model.hidden_dim * 8
 
 
 def normalized(x):

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from graphsfda import driver, gnn, graph_adaptation, model_adaptation, numerics
+from graphsfda.banks import init_banks
 from graphsfda.driver import AdaptConfig, adapt, evaluate_accuracy, export_embeddings
 from graphsfda.errors import ContractError, NumericalError
-from graphsfda.gnn import GnnModel, forward, init_model, predict, pretrain_source
+from graphsfda.gnn import GnnModel, forward, init_model, predict, pretrain_source, record_forward
 from graphsfda.graph_store import AdjacencyLayout, ShiftSpec, make_shift_pair, split_nodes
-from graphsfda.numerics import add, l2_normalize_rows
+from graphsfda.numerics import Tape, add, l2_normalize_rows
 
-from conftest import adjacency, random_graph
+from conftest import adjacency, n_by_h, random_graph, step_inputs, traced_kept, traced_peak
 
 
 def quick_cfg(**kw):
@@ -155,6 +156,47 @@ class TestForwardPasses:
         model, tgt = fixture_pair
         adapt(model, tgt, quick_cfg(epochs=3, feature_steps=0, structure_steps=structure_steps))
         assert calls == {"normalized": normalized, "neighbors": neighbors}
+
+    @pytest.mark.parametrize(
+        "steps, work",
+        [
+            # the banks pass; the epoch's pseudo-labels (C wide), its model
+            # step's sweep (into layer 2's input, and into W0, recomputing
+            # A x) and its accuracy pass, which the final prediction reuses
+            ((1, 0), ["p:d", "p:h", "p:C", "p:h", "p:d", "p:d", "p:h"]),
+            # the banks pass; the structure step's pass and sweep (layer 2's
+            # value gradient and input gradient, then layer 1's value
+            # gradient, which reads x); the accuracy and final passes
+            ((0, 1), ["p:d", "p:h", "p:d", "p:h", "s:h", "p:h", "s:d", "p:d", "p:h", "p:d", "p:h"]),
+        ],
+        ids=["model-only", "structure-only"],
+    )
+    def test_sparse_work_of_one_epoch(self, fixture_pair, monkeypatch, steps, work):
+        # every call of the sparse kernel and its width, "p:d" for a product
+        # d wide and "s:h" for the slot dots h wide: layer 1 widens d = 8 to
+        # h = 16, so it propagates and differentiates at d
+        calls = []
+
+        def counted(name):
+            original = getattr(numerics.SparseAdjacency, name)
+
+            def wrapper(adj, a, b):
+                calls.append(f"{name[0]}:{b.shape[1]}")
+                return original(adj, a, b)
+
+            return wrapper
+
+        for name in ("product", "slot_dots"):
+            monkeypatch.setattr(numerics.SparseAdjacency, name, counted(name))
+        _, tgt = fixture_pair
+        model = init_model(tgt.feature_dim, 16, 3, 2, seed=3)
+        model_steps, structure_steps = steps
+        cfg = quick_cfg(
+            epochs=1, model_steps=model_steps, feature_steps=0, structure_steps=structure_steps
+        )
+        adapt(model, tgt, cfg)
+        widths = {"d": tgt.feature_dim, "h": 16, "C": 3}
+        assert calls == [f"{w[0]}:{widths[w[2]]}" for w in work]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -613,3 +655,35 @@ def test_readme_library_use_runs(capsys):
     accuracy, deleted = capsys.readouterr().out.split()
     assert 0.0 <= float(accuracy) <= 1.0
     assert int(deleted) >= 0
+
+
+def structure_step_inputs():
+    """The model parameters, features and `UnitBank`, and the tape, live
+    mask leaf and adjacency of a structure step at n = 4000 (`step_inputs`),
+    with the bytes of one n x h array."""
+    layout, model, x, rng = step_inputs()
+    _, _, z, p = record_forward(model, layout.normalized(np.ones(layout.edge_u.size)), x)
+    bank = graph_adaptation.UnitBank(init_banks(z.value, p.value, 0.9))
+    tape = Tape()
+    da = tape.leaf(rng.uniform(0.0, 0.3, (layout.edge_u.size, 1)))
+    adj = layout.normalized(driver.apply_structure_delta(da))
+    return model.parameters(), tape.constant(x), bank, tape, da, adj, n_by_h(x, model)
+
+
+def test_structure_pass_keeps_no_first_layer_product():
+    # layer 1 widens d = 16 to h = 32, so its value gradient reads x and
+    # g W0^T: the pass keeps z, layer 2's x W1 for its value gradient, two
+    # relu masks and p, about 2.35 n x h arrays. As A (x W0) layer 1 kept
+    # x W0 for its value gradient too, 3.35
+    params, x, _, tape, _, adj, nh = structure_step_inputs()
+    _, kept = traced_kept(lambda: gnn.forward_on_tape([tape.constant(w) for w in params], adj, x))
+    assert kept < 2.6 * nh
+
+
+def test_structure_step_peak():
+    # the step peaks at about 9.7 n x h arrays: 10.7 while it held z past
+    # its normalization, 11.7 while layer 1 also kept x W0
+    params, x, bank, tape, da, adj, nh = structure_step_inputs()
+    loss, peak = traced_peak(lambda: driver._graph_step(tape, params, adj, x, bank, AdaptConfig()))
+    assert np.isfinite(loss) and np.all(np.isfinite(da.grad))
+    assert peak < 10.2 * nh

@@ -16,6 +16,7 @@ from graphsfda.gnn import (
     save_checkpoint,
 )
 from graphsfda.graph_store import (
+    AdjacencyLayout,
     ShiftSpec,
     TargetGraph,
     make_shift_pair,
@@ -23,14 +24,20 @@ from graphsfda.graph_store import (
 )
 from graphsfda.numerics import (
     Tape,
+    add_bias,
     backward,
     gather_rows,
     grad_check,
     log_clamped,
+    matmul,
     mean_all,
     mul,
     neg,
+    relu,
+    row_softmax,
     select_cols,
+    spmm,
+    sum_all,
 )
 
 from conftest import adjacency, random_graph
@@ -138,6 +145,39 @@ class TestForward:
             return mean_all(mul(p, p))
 
         assert grad_check(loss_wrt_x, g.features.copy()) <= 1e-4
+
+    @pytest.mark.parametrize(
+        "d, propagate_first", [(16, True), (32, False), (40, False)],
+        ids=["widening", "square", "narrowing"],
+    )
+    def test_layer_order_follows_the_widths(self, rng, d, propagate_first):
+        # at h = 32 a first layer that widens its input is (A x) W, bitwise
+        # the chain matmul(spmm(A, x), W); any other layer is A (x W), the
+        # order every layer took before, so a d >= h pass is bitwise
+        # unchanged. Values, and gradients into the parameters, the
+        # features and live edge weights
+        g = random_graph(rng, 30, d, 3, edge_p=0.2)
+        model = init_model(d, 32, 3, 2, seed=4)
+        layout = AdjacencyLayout(g.n, g.edges)
+        weights = rng.uniform(0.2, 1.0, (g.num_edges, 1))
+        upstream = rng.standard_normal((g.n, 3))
+
+        def oracle(params, adj, x):
+            w0, w1, cls_w, cls_b = params
+            first = matmul(spmm(adj, x), w0) if propagate_first else spmm(adj, matmul(x, w0))
+            z = relu(spmm(adj, matmul(relu(first), w1)))
+            return z, row_softmax(add_bias(matmul(z, cls_w), cls_b))
+
+        results = []
+        for f in (forward_on_tape, oracle):
+            tape = Tape()
+            params = [tape.leaf(w) for w in model.parameters()]
+            x, w = tape.leaf(g.features), tape.leaf(weights)
+            z, p = f(params, layout.normalized(w), x)
+            backward(tape, sum_all(mul(p, tape.constant(upstream))))
+            results.append([z.value, p.value, x.grad, w.grad] + [t.grad for t in params])
+        for ours, theirs in zip(*results):
+            assert ours.tobytes() == theirs.tobytes()
 
 
 def separable_source(seed):

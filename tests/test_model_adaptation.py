@@ -4,7 +4,7 @@ import pytest
 from graphsfda import numerics
 from graphsfda.banks import MemoryBanks, init_banks
 from graphsfda.errors import ContractError
-from graphsfda.gnn import init_model, record_forward
+from graphsfda.gnn import record_forward
 from graphsfda.graph_adaptation import ConfidentSet, UnitBank, loss_graph
 from graphsfda.graph_store import AdjacencyLayout
 from graphsfda.model_adaptation import (
@@ -34,7 +34,16 @@ from graphsfda.numerics import (
     sum_all,
 )
 
-from conftest import adjacency, normalized, random_graph, traced_kept, traced_peak, transposed
+from conftest import (
+    adjacency,
+    n_by_h,
+    normalized,
+    random_graph,
+    step_inputs,
+    traced_kept,
+    traced_peak,
+    transposed,
+)
 
 
 def banks_with(pred, repr_=None):
@@ -319,18 +328,11 @@ def test_contrast_memory_below_one_dense_matrix(rng):
 
 def model_step_inputs():
     """The adjacency, neighbour matrix, model and features of a model step at
-    n = 4000, h = 32 over a 2-layer model, with the rng that drew them."""
-    n, d, h, c = 4000, 16, 32, 3
-    rng = np.random.default_rng(0)
-    ring = np.arange(n)
-    pairs = np.concatenate(
-        [np.stack([ring, (ring + 1) % n], axis=1), rng.integers(0, n, (3 * n, 2))]
-    )
-    edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
-    layout = AdjacencyLayout(n, edges)
-    ones = np.ones(len(edges))
-    model = init_model(d, h, c, 2, seed=0)
-    return layout.normalized(ones), layout.neighbors(ones), model, rng.standard_normal((n, d)), rng
+    n = 4000, h = 32 over a 2-layer model (`step_inputs`), with the rng that
+    drew them."""
+    layout, model, x, rng = step_inputs()
+    ones = np.ones(layout.edge_u.size)
+    return layout.normalized(ones), layout.neighbors(ones), model, x, rng
 
 
 def record_model_loss(adj, neighbors, model, x, rng):
@@ -346,11 +348,6 @@ def record_model_loss(adj, neighbors, model, x, rng):
     l_ce = loss_weighted_ce(p, pl, confidence_weights(zn, protos, pl))
     l_co = loss_instance_prototype(zn, protos, pl, 0.2, batch_indices=batch)
     return tape, params, loss_model(l_ce, l_co, 0.2)
-
-
-def n_by_h(x, model):
-    """The bytes of one n x h float64 array."""
-    return x.shape[0] * model.hidden_dim * 8
 
 
 def test_model_loss_backward_holds_only_its_frontier():
@@ -370,7 +367,9 @@ def test_tape_keeps_only_what_backward_reads():
     # which normalizes z once for both cosine terms, about 3.8 before its
     # sweep (4.8 while each term normalized z itself, 5.8 while the
     # confidence weights also kept a gathered centroid per node), where a
-    # tape that held every op output kept about 6.6 and 12.6
+    # tape that held every op output kept about 6.6 and 12.6. Layer 1 keeps
+    # no A x for its pull into W0: as the chain matmul(spmm(A, x), W0) it
+    # kept 2.9 and 4.3
     adj, neighbors, model, x, rng = model_step_inputs()
     nh = n_by_h(x, model)
     recorded, kept = traced_kept(lambda: record_forward(model, adj, x))

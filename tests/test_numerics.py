@@ -35,6 +35,7 @@ from graphsfda.numerics import (
     row_sum,
     select_cols,
     spmm,
+    spmm_matmul,
     sub,
     sum_all,
     sym_norm_values,
@@ -346,6 +347,7 @@ OPS = {
     "add_bias": (add_bias, [(2, 2), (1, 2)]),
     "concat_rows": (concat_rows, [(2, 2), (2, 2)]),
     "spmm": (lambda x: spmm(IDENTITY_2, x), [(2, 2)]),
+    "spmm_matmul": (lambda x, w: spmm_matmul(IDENTITY_2, x, w), [(2, 2), (2, 3)]),
     "row_softmax": (row_softmax, [(2, 2)]),
     "l2_normalize_rows": (l2_normalize_rows, [(2, 2)]),
     "neg": (neg, [(2, 2)]),
@@ -829,6 +831,85 @@ def test_spmm_holds_two_n_by_h_arrays_and_a_window(rng):
     floats = n * h + 2 * numerics.JDS_WINDOW_ROWS * h + np.getbufsize()
     assert peak < 8 * floats + 16_384
     assert np.array_equal(y.value, scatter_spmm(adj, adj.values, x0))
+
+
+# the operands of `spmm_matmul` that a grad check differentiates: each alone,
+# the others tape constants, and all three at once
+SPMM_MATMUL_LIVE = [("values",), ("x",), ("w",), ("values", "x", "w")]
+
+
+@pytest.mark.parametrize("live", SPMM_MATMUL_LIVE, ids="+".join)
+def test_spmm_matmul_gradients(rng, live):
+    structure = SparseAdjacency(4, [(0, 1), (0, 2), (2, 3)])
+    points = {
+        "values": rng.uniform(0.2, 1.0, (7, 1)),
+        "x": rng.standard_normal((4, 2)),
+        "w": rng.standard_normal((2, 3)),
+    }
+
+    def f(*leaves):
+        tape = leaves[0].tape
+        given = dict(zip(live, leaves))
+        v, x, w = (
+            given[k] if k in given else tape.constant(points[k]) for k in ("values", "x", "w")
+        )
+        y = spmm_matmul(structure.with_values(v), x, w)
+        return mean_all(mul(y, y))
+
+    assert grad_check(f, [points[k] for k in live]) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "structure, window",
+    WINDOWED_STRUCTURES,
+    ids=[s if w is None else f"{s}-window{w}" for s, w in WINDOWED_STRUCTURES],
+)
+def test_spmm_matmul_bitwise_equals_the_chain(rng, monkeypatch, structure, window):
+    # value and all three gradients are those of matmul(spmm(adj, x), w),
+    # though the op keeps no adj @ x for the pull into w
+    if window is not None:
+        monkeypatch.setattr(numerics, "JDS_WINDOW_ROWS", window)
+    if structure in SPMM_STRUCTURES:
+        adj = SPMM_STRUCTURES[structure](rng)
+        make, v0 = adj.with_values, spread_values(rng, (value_count(adj), 1))
+    else:
+        layout, weights = NORMALIZED_STRUCTURES[structure](rng)
+        make, v0 = layout.normalized, weights.reshape(-1, 1)
+    n = make(v0).n
+    x0, w0, g = spread_values(rng, (n, 3)), spread_values(rng, (3, 5)), spread_values(rng, (n, 5))
+    results = []
+    for op in (spmm_matmul, lambda adj, x, w: matmul(spmm(adj, x), w)):
+        tape = Tape()
+        v, x, w = tape.leaf(v0), tape.leaf(x0), tape.leaf(w0)
+        out = op(make(v), x, w)
+        backward(tape, sum_all(mul(out, tape.constant(g))))
+        results.append([out.value, v.grad, x.grad, w.grad])
+    for fused, chain in zip(*results):
+        assert fused.tobytes() == chain.tobytes()
+
+
+def test_spmm_matmul_keeps_no_product(rng):
+    # the tape keeps the operands and the caller the n x h result; the chain
+    # matmul(spmm(adj, x), w) also keeps adj @ x, n x d, for the pull into w
+    n, d, h = 20_000, 16, 32
+    adj = SparseAdjacency(n, unique_edges(*rng.integers(0, n, size=(2, 3 * n))))
+    adj = adj.with_values(rng.uniform(0.1, 1.0, value_count(adj)))
+    tape = Tape()
+    x = tape.constant(rng.standard_normal((n, d)))
+    w = tape.leaf(rng.standard_normal((d, h)))
+    y, kept = traced_kept(lambda: spmm_matmul(adj, x, w))
+    assert kept < 8 * n * h + 16_384
+    backward(tape, sum_all(y))
+    assert np.array_equal(w.grad, spmm_value(adj, x.value).T @ np.ones((n, h)))
+
+
+def test_spmm_matmul_shape_errors():
+    adj = SparseAdjacency(2, [])
+    tape = Tape()
+    with pytest.raises(ShapeError, match="adjacency is 2x2"):
+        spmm_matmul(adj, tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((2, 2))))
+    with pytest.raises(ShapeError, match="x has 2 columns, w has 3 rows"):
+        spmm_matmul(adj, tape.leaf(np.ones((2, 2))), tape.leaf(np.ones((3, 2))))
 
 
 def test_structure_keeps_four_words_per_slot(rng):
